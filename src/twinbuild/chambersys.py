@@ -2,9 +2,10 @@
 
 A Building wraps a ChamberSystem together with the Weyl-valued distance
 delta computed from minimal galleries.  Residues are lightweight views
-(building, type set, base chamber) with their chamber sets cached; the full
-delta table is materialized for small buildings since the lemma sweeps of
-the test suite consult it exhaustively.
+(building, type set, base chamber); each residue's closure is computed once
+and stored under every one of its chambers, so finding the residue of a
+chamber is a lookup.  The full delta table is materialized for small
+buildings since the lemma sweeps of the test suite consult it exhaustively.
 """
 
 from __future__ import annotations
@@ -89,10 +90,10 @@ class ResidueRef:
     base: int
 
     def chambers(self) -> tuple[int, ...]:
-        return self.building._residue_set(self.J, self.base)
+        return self.building._residue_entry(self.J, self.base)[1]
 
     def __contains__(self, c: int) -> bool:
-        return c in self.building._residue_member_set(self.J, self.base)
+        return c in self.building._residue_entry(self.J, self.base)[2]
 
     def __len__(self) -> int:
         return len(self.chambers())
@@ -114,9 +115,6 @@ class ResidueRef:
     @property
     def rank(self) -> int:
         return len(self.J)
-
-    def typ(self) -> frozenset[int]:
-        return self.J
 
 
 @dataclass
@@ -145,8 +143,11 @@ class Building:
         self.name = name
         self.n = system.n
         self._rows: dict[int, list[int]] = {}
-        self._residues: dict[tuple[frozenset, int], tuple[int, ...]] = {}
-        self._residue_sets: dict[tuple[frozenset, int], frozenset] = {}
+        # (J, c) -> (view, chambers, chamber set) of the J-residue of c, the
+        # same entry for every chamber c of the residue
+        self._residues: dict[
+            tuple[frozenset, int], tuple[ResidueRef, tuple[int, ...], frozenset]
+        ] = {}
         if self.n <= DENSE_DELTA_LIMIT:
             for x in range(self.n):
                 self._row(x)
@@ -196,32 +197,19 @@ class Building:
                         queue.append(z)
         return tuple(sorted(seen))
 
-    def _residue_set(self, J: frozenset[int], base: int) -> tuple[int, ...]:
-        key = (J, base)
-        cached = self._residues.get(key)
-        if cached is None:
-            cached = self._closure(base, J)
-            self._residues[key] = cached
-            self._residue_sets[key] = frozenset(cached)
-        return cached
-
-    def _residue_member_set(self, J: frozenset[int], base: int) -> frozenset:
-        self._residue_set(J, base)
-        return self._residue_sets[(J, base)]
+    def _residue_entry(
+        self, J: frozenset[int], c: int
+    ) -> tuple[ResidueRef, tuple[int, ...], frozenset]:
+        entry = self._residues.get((J, c))
+        if entry is None:
+            members = self._closure(c, J)
+            entry = (ResidueRef(self, J, members[0]), members, frozenset(members))
+            for x in members:
+                self._residues[(J, x)] = entry
+        return entry
 
     def residue(self, c: int, J: Iterable[int]) -> ResidueRef:
-        J = frozenset(J)
-        if not J:
-            key = (J, c)
-            self._residues.setdefault(key, (c,))
-            self._residue_sets.setdefault(key, frozenset((c,)))
-            return ResidueRef(self, J, c)
-        members = self._closure(c, J)
-        base = members[0]
-        key = (J, base)
-        self._residues.setdefault(key, members)
-        self._residue_sets.setdefault(key, frozenset(members))
-        return ResidueRef(self, J, base)
+        return self._residue_entry(frozenset(J), c)[0]
 
     def panel(self, c: int, s: int) -> ResidueRef:
         return self.residue(c, frozenset((s,)))
@@ -320,11 +308,8 @@ class Building:
             raise NotInResidue(f"{x} or {y} not in residue")
         return self.delta(x, y) == self.weyl.longest_element(R.J)
 
-    def residue_type_of(self, R: ResidueRef) -> frozenset[int]:
-        return R.J
-
     def opposite_residues(self, R: ResidueRef, R1: ResidueRef, R2: ResidueRef) -> bool:
-        rset = self._residue_member_set(R.J, R.base)
+        rset = self._residue_entry(R.J, R.base)[2]
         if not set(R1.chambers()) <= rset or not set(R2.chambers()) <= rset:
             raise NotInResidue("R1 or R2 not contained in R")
         rJ = self.weyl.longest_element(R.J)
@@ -339,10 +324,6 @@ class Building:
             self.delta(a, b) == rJ for a in R1.chambers() for b in R2.chambers()
         )
         return row_has
-
-
-def wdistance(b: Building, x: int, y: int) -> int:
-    return b.delta(x, y)
 
 
 def validate_building(b: Building, max_violations: int = 1) -> BuildingReport:

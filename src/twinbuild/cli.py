@@ -385,15 +385,28 @@ def _cmd_twin_verify(args) -> int:
         origin=0,
     )
     table = b.weyl
+    listed = set()
     for line in _read(os.path.join(d, "costar.tsv")).splitlines():
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"bad costar line: {line!r}")
-        c, i, word = int(parts[0]), int(parts[1]), parts[2]
-        if members[i](c) != table.parse_word(word):
+        try:
+            c, i, w = int(parts[0]), int(parts[1]), table.parse_word(parts[2])
+        except ValueError as e:
+            raise FormatError(f"bad costar line {line!r}: {e}")
+        if not (0 <= c < b.n and 0 <= i < len(members)):
+            raise FormatError(f"costar line {line!r}: chamber or member out of range")
+        if (c, i) in listed:
+            raise FormatError(f"costar line {line!r}: repeated entry")
+        listed.add((c, i))
+        if members[i](c) != w:
             print(f"costar table mismatch at chamber {c}, member {i}")
             print("RESULT=fail")
             return EXIT_VIOLATION
+    if len(listed) != b.n * len(members):
+        raise FormatError(
+            f"costar.tsv lists {len(listed)} of {b.n * len(members)} entries"
+        )
     lco_ok = check_lco(b).ok
     lsco_ok = check_lsco(b).ok
     assembly = assemble_twin(atlas, b, seed=members[0])

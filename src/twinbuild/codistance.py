@@ -137,9 +137,10 @@ def fop(f: Codistance) -> tuple[int, ...]:
 
 
 def fop_c(f: Codistance, c: int) -> tuple[int, ...]:
-    b = f.building
+    """The chambers x of f^op with delta(x, c) = f(c)."""
+    row = f.building._row
     w = f(c)
-    return tuple(x for x in f.fop() if b.delta(x, c) == w)
+    return tuple(x for x in f.fop() if row(x)[c] == w)
 
 
 def unique_chamber(f: Codistance, x: int, w: int) -> int:

@@ -16,9 +16,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, UnsupportedEntry
 
-Left = "Left"
-Right = "Right"
-
 # ---------------------------------------------------------------------------
 # Arithmetic in Q(sqrt2, sqrt3, sqrt5).
 #
@@ -74,8 +71,9 @@ def _fmul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, .
     return tuple(out)
 
 
-# 2*cos(pi/m) for the supported bond orders; 0 encodes infinity and uses the
-# parabolic value 2, which makes the group infinite and the BFS hit the cap.
+# 2*cos(pi/m) for the supported bond orders; 0 encodes infinity and has the
+# parabolic value 2.  enumerate_weyl never builds that representation: an
+# infinite bond makes the group infinite, so it raises CapExceeded up front.
 _TWO_COS = {
     2: _fconst(0),
     3: _fconst(1),
@@ -207,6 +205,7 @@ class WeylTable:
     word: list[tuple[int, ...]]
     _subgroup_cache: dict = field(default_factory=dict, repr=False)
     _longest_cache: dict = field(default_factory=dict, repr=False)
+    _inverse: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -222,10 +221,16 @@ class WeylTable:
         return w
 
     def inv(self, a: int) -> int:
-        w = 0
-        for s in reversed(self.word[a]):
-            w = self.right[w][s]
-        return w
+        inverse = self._inverse
+        if inverse is None:
+            # the inverse of w*s is s*(w^-1), and word[w] minus its last
+            # letter is the word of an element with a smaller id
+            inverse = [0] * self.size
+            for w in range(1, self.size):
+                s = self.word[w][-1]
+                inverse[w] = self.left[inverse[self.right[w][s]]][s]
+            self._inverse = inverse
+        return inverse[a]
 
     def word_str(self, w: int) -> str:
         if w == 0:
@@ -356,12 +361,17 @@ def _reflection_generators(matrix: CoxeterMatrix):
 def enumerate_weyl(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> WeylTable:
     """Enumerate W by BFS over exact reflection matrices.
 
-    Raises CapExceeded as soon as more than ``cap`` elements appear, which
-    is also how infinite groups (entry 0) surface.
+    Raises CapExceeded as soon as more than ``cap`` elements appear.  An
+    infinite bond (entry 0) makes W contain the infinite dihedral group, so
+    no cap can be met and CapExceeded is raised before any enumeration.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     n = matrix.rank
+    if any(matrix.m[i][j] == 0 for i in range(n) for j in range(n) if i != j):
+        raise CapExceeded(
+            f"more than {cap} elements; an infinite bond makes the group infinite"
+        )
     gens = _reflection_generators(matrix)
     identity = tuple(
         tuple(_fconst(1 if i == j else 0) for j in range(n)) for i in range(n)
@@ -410,32 +420,3 @@ def enumerate_weyl(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> WeylTable:
         left=left,
         word=word,
     )
-
-
-def gen_mult(table: WeylTable, w: int, s: int, side: str) -> int:
-    """Table lookup for w*s (side=Right) or s*w (side=Left)."""
-    if side == Right:
-        return table.right[w][s]
-    if side == Left:
-        return table.left[w][s]
-    raise ValueError(f"side must be Left or Right, got {side!r}")
-
-
-def min_coset_rep(table: WeylTable, w: int, J: Iterable[int]) -> int:
-    return table.min_coset_rep(w, J)
-
-
-def longest_element(table: WeylTable, J: Iterable[int]) -> int:
-    return table.longest_element(J)
-
-
-def max_coset_rep(table: WeylTable, w: int, J: Iterable[int]) -> int:
-    return table.max_coset_rep(w, J)
-
-
-def in_X_s(table: WeylTable, w: int, s: int) -> tuple[bool, Optional[int]]:
-    return table.in_X_s(w, s)
-
-
-def prec(table: WeylTable, w1: int, w2: int) -> bool:
-    return table.prec(w1, w2)

@@ -334,25 +334,53 @@ def beta_w(f: Codistance, P: ResidueRef, Q: ResidueRef, w: int) -> PanelBijectio
     return PanelBijection(P, Q, mapping)
 
 
-def _fop_gallery(f: Codistance, start: int, targets: frozenset) -> list[int]:
-    """Shortest gallery inside f^op from start to any target chamber."""
+def _fop_search(f: Codistance, start: int):
+    """Breadth-first search inside f^op from start.
+
+    Yields each reached chamber, in the order it is reached, together with
+    the parent map built so far (start is its own parent).  Neighbours are
+    visited by type and then by ascending id, so the order and the parent
+    pointers depend only on f and start.
+    """
     b = f.building
     inside = f.fop_set()
     parent = {start: start}
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        if x in targets:
-            path = [x]
-            while parent[path[-1]] != path[-1]:
-                path.append(parent[path[-1]])
-            return list(reversed(path))
+        yield x, parent
         for s in range(b.system.rank):
             for z in b.system.panel_members(x, s):
                 if z != x and z in inside and z not in parent:
                     parent[z] = x
                     queue.append(z)
+
+
+def _fop_gallery(f: Codistance, start: int, targets: frozenset) -> list[int]:
+    """Shortest gallery inside f^op from start to any target chamber."""
+    for x, parent in _fop_search(f, start):
+        if x in targets:
+            path = [x]
+            while parent[path[-1]] != path[-1]:
+                path.append(parent[path[-1]])
+            return list(reversed(path))
     raise NotOpposite("no gallery in f^op joins the panels")
+
+
+def _gallery_step(
+    f: Codistance, s: int, x: int, y: int
+) -> Optional[PanelBijection]:
+    """The bijection beta composes across the step x ~ y of a gallery in
+    f^op: beta_w from the s-panel of x to the s-panel of y, or None when the
+    step stays in one s-panel."""
+    b = f.building
+    prev_panel, next_panel = b.panel(x, s), b.panel(y, s)
+    if next_panel == prev_panel:
+        return None
+    table = b.weyl
+    t = next(tt for tt, z in b.system.neighbors(x) if z == y)
+    xJ = table.mult(table.gen(s), table.longest_element((s, t)))
+    return beta_w(f, prev_panel, next_panel, xJ)
 
 
 def beta(
@@ -369,7 +397,6 @@ def beta(
         raise HomotopyInconclusive(
             f"f^op triviality verdict is {fop_verdict.status}"
         )
-    b = f.building
     s = panel_type(P)
     if panel_type(Q) != s:
         raise NotOpposite("panels have different types")
@@ -378,23 +405,14 @@ def beta(
         raise NotOpposite("panel does not meet f^op")
     if P == Q:
         return identity_bijection(P)
-    table = b.weyl
     start = min(x for x in P.chambers() if f(x) == 0)
     targets = frozenset(x for x in Q.chambers() if f(x) == 0)
     gallery = _fop_gallery(f, start, targets)
     current = identity_bijection(P)
-    prev_panel = P
     for x, y in zip(gallery, gallery[1:]):
-        next_panel = b.panel(y, s)
-        if next_panel == prev_panel:
-            continue
-        t = next(
-            tt for tt, z in b.system.neighbors(x) if z == y
-        )
-        xJ = table.mult(table.gen(s), table.longest_element((s, t)))
-        step = beta_w(f, prev_panel, next_panel, xJ)
-        current = step.compose(current)
-        prev_panel = next_panel
-    if prev_panel != Q:
+        step = _gallery_step(f, s, x, y)
+        if step is not None:
+            current = step.compose(current)
+    if current.target != Q:
         raise NotOpposite("gallery did not end in the target panel")
     return current

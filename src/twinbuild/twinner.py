@@ -16,11 +16,18 @@ from typing import Callable, Iterable, Optional
 
 from .chambersys import Building, ChamberSystem, ResidueRef, validate_building
 from .codistance import Codistance, proj_f, validate_codistance
-from .errors import BuildingMismatch, CapExceeded, PreconditionFailed, TwinbuildError
+from .errors import (
+    BuildingMismatch,
+    CapExceeded,
+    NotOpposite,
+    PreconditionFailed,
+    TwinbuildError,
+)
 from .panelcalc import (
-    PanelBijection,
+    _fop_search,
+    _gallery_step,
     _op_panel_gap,
-    beta,
+    beta,  # re-exported: perfbench/selftest.py checks twinner.beta
     panel_key,
     panel_type,
     panels_op,
@@ -42,9 +49,34 @@ def s_adjacent(f: Codistance, g: Codistance, s: int) -> bool:
 
 
 def beta_orbit(f: Codistance, Ptilde: ResidueRef, p: int) -> dict[ResidueRef, int]:
-    """The chamber beta(Ptilde, Q)(p) in each panel Q meeting f^op."""
+    """The chamber beta(Ptilde, Q)(p) in each panel Q meeting f^op.
+
+    ``beta`` composes its steps along the gallery by which a breadth-first
+    search inside f^op, started at the least f^op chamber of Ptilde, first
+    reaches an f^op chamber of Q.  The search visits chambers in an order
+    that does not depend on Q, so its parent pointers are the same for every
+    target, and the gallery ``beta`` picks for Q is the path in the search
+    tree to the first f^op chamber of Q that the search reaches.  One search
+    therefore serves every Q: the image of p is carried down each tree edge
+    by the same step ``beta`` composes across it, and the result equals
+    ``{Q: beta(f, Ptilde, Q)(p)}`` chamber for chamber.
+    """
     s = panel_type(Ptilde)
-    return {Q: beta(f, Ptilde, Q)(p) for Q in panels_op(f, s)}
+    if Ptilde not in panels_op(f, s):
+        raise NotOpposite("panel does not meet f^op")
+    b = f.building
+    start = min(x for x in Ptilde.chambers() if f(x) == 0)
+    image = {start: p}
+    orbit: dict[ResidueRef, int] = {}
+    for x, parent in _fop_search(f, start):
+        if x != start:
+            step = _gallery_step(f, s, parent[x], x)
+            y = image[parent[x]]
+            image[x] = y if step is None else step(y)
+        orbit.setdefault(b.panel(x, s), image[x])
+    if any(Q not in orbit for Q in panels_op(f, s)):
+        raise NotOpposite("no gallery in f^op joins the panels")
+    return {Q: orbit[Q] for Q in panels_op(f, s)}
 
 
 def adjacent_codistance(
@@ -53,6 +85,7 @@ def adjacent_codistance(
     Ptilde: ResidueRef,
     p: int,
     check_choices: bool = False,
+    choices: Optional[list[tuple[ResidueRef, ...]]] = None,
 ) -> Codistance:
     """The codistance obtained from f by moving its trace on each panel of
     P_s^op(f) to the beta-orbit of p.
@@ -60,7 +93,9 @@ def adjacent_codistance(
     g(c) = s f(c) when the projection of c to a panel P meeting f^op_c hits
     the old or the new marked chamber of P, and g(c) = f(c) otherwise.  The
     choice of P does not matter; ``check_choices`` recomputes with every
-    admissible P and demands agreement.
+    admissible P and demands agreement.  ``choices`` may hold the admissible
+    panels of each chamber, ``panels_op_c(f, s, c)`` for every c, when the
+    caller builds the neighbours of f for several p.
     """
     b = f.building
     table = b.weyl
@@ -70,12 +105,13 @@ def adjacent_codistance(
         raise PreconditionFailed("p must be a chamber of Ptilde inside f^op")
     marked = beta_orbit(f, Ptilde, p)
     gaps = {P: _op_panel_gap(f, P) for P in marked}
+    if choices is None:
+        choices = [panels_op_c(f, s, c) for c in range(b.n)]
     values = []
     for c in range(b.n):
-        choices = panels_op_c(f, s, c)
-        if not choices:
+        if not choices[c]:
             raise PreconditionFailed(f"no panel of f^op_{c} of type {s}")
-        use = choices if check_choices else choices[:1]
+        use = choices[c] if check_choices else choices[c][:1]
         vals = set()
         for P in use:
             m = b.proj_chamber(P, c)
@@ -101,6 +137,19 @@ class CodistanceAtlas:
     members: list[Codistance]
     panels: list[list[tuple[int, ...]]]   # per generator, member-index panels
     origin: int = 0
+    _panel_of: Optional[list[dict[int, int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def panel_of(self) -> list[dict[int, int]]:
+        """Per generator: member index -> index of its panel, built once."""
+        if self._panel_of is None:
+            self._panel_of = [
+                {m: idx for idx, pan in enumerate(fam) for m in pan}
+                for fam in self.panels
+            ]
+        return self._panel_of
 
     def index_of(self, g: Codistance) -> Optional[int]:
         for i, h in enumerate(self.members):
@@ -117,10 +166,7 @@ class CodistanceAtlas:
     def residue_members(self, i: int, J: Iterable[int]) -> tuple[int, ...]:
         """Member indices J-connected to member i."""
         J = tuple(J)
-        panel_of = [
-            {m: idx for idx, pan in enumerate(fam) for m in pan}
-            for fam in self.panels
-        ]
+        panel_of = self.panel_of
         seen = {i}
         queue = deque([i])
         while queue:
@@ -154,11 +200,12 @@ def atlas_component(f: Codistance, cap: int = DEFAULT_ATLAS_CAP) -> CodistanceAt
             if i in panel_of[s]:
                 continue
             Ptilde = panels_op(g, s)[0]
+            choices = [panels_op_c(g, s, c) for c in range(b.n)]
             group = [i]
             for p in sorted(Ptilde.chambers()):
                 if g(p) != 0:
                     continue
-                h = adjacent_codistance(g, s, Ptilde, p)
+                h = adjacent_codistance(g, s, Ptilde, p, choices=choices)
                 j = index.get(h.values)
                 if j is None:
                     j = len(members)
@@ -216,10 +263,7 @@ def alpha_check(
     if not bijective:
         witnesses.append(("bijection", sorted(alpha.values())))
     adjacency_ok = True
-    panel_of = [
-        {m: idx for idx, pan in enumerate(fam) for m in pan}
-        for fam in atlas.panels
-    ]
+    panel_of = atlas.panel_of
     for s in sorted(J):
         sbar = table.gen_index(table.mult(table.mult(rJ, table.gen(s)), rJ))
         for j1 in tilde:
@@ -328,32 +372,47 @@ def _check_tw_axioms(minus: Building, plus: Building, atlas: CodistanceAtlas) ->
 
 def _check_plus_star(minus: Building, plus: Building, atlas: CodistanceAtlas) -> bool:
     """delta+(x,y) = delta*(x,z) forces y, z opposite; equal opposition sets
-    force equality.  Checked on both halves."""
-    nplus = len(atlas.members)
-    for x in range(nplus):
-        gx = atlas.members[x]
-        for y in range(nplus):
-            d = plus.delta(x, y)
-            for z in range(minus.n):
-                if gx(z) == d and atlas.members[y](z) != 0:
-                    return False
-    fops = [frozenset(g.fop()) for g in atlas.members]
+    force equality.  Checked on both halves.
+
+    The first condition reads: for all members x, y and chambers z,
+    g_x(z) = delta+(x, y) implies g_y(z) = 1.  Grouping the z by their value
+    g_x(z) turns the inner loop over z into one test per pair: the z with
+    g_x(z) = delta+(x, y) must form a subset of f^op of y.  On the B- side
+    the members z are grouped by inv(g_z(x)) and tested against the set of
+    members opposite y.  Every (x, y, z) triple is still covered, so the
+    predicate is the triple loop's, not a sample of it.
+    """
+    members = atlas.members
+    nplus = len(members)
+    fops = [g.fop_set() for g in members]
     if len(set(fops)) != nplus:
         return False
-    chamber_ops = {}
-    for c in range(minus.n):
-        key = frozenset(i for i in range(nplus) if atlas.members[i](c) == 0)
-        if key in chamber_ops.values():
-            return False
-        chamber_ops[c] = key
+    for x in range(nplus):
+        by_value: dict[int, set[int]] = {}
+        for z, v in enumerate(members[x].values):
+            by_value.setdefault(v, set()).add(z)
+        row = plus._row(x)
+        for y in range(nplus):
+            zs = by_value.get(row[y])
+            if zs is not None and not zs <= fops[y]:
+                return False
+    # members opposite each chamber of B-; distinct chambers need distinct sets
+    chamber_ops = [
+        frozenset(i for i in range(nplus) if members[i](c) == 0)
+        for c in range(minus.n)
+    ]
+    if len(set(chamber_ops)) != minus.n:
+        return False
     table = minus.weyl
     for x in range(minus.n):
+        by_value = {}
+        for z in range(nplus):
+            by_value.setdefault(table.inv(members[z](x)), set()).add(z)
+        row = minus._row(x)
         for y in range(minus.n):
-            d = minus.delta(x, y)
-            for z in range(nplus):
-                gz = atlas.members[z]
-                if table.inv(gz(x)) == d and gz(y) != 0:
-                    return False
+            zs = by_value.get(row[y])
+            if zs is not None and not zs <= chamber_ops[y]:
+                return False
     return True
 
 
@@ -415,10 +474,11 @@ def assemble_twin(
         frozenset((s, t)) for s in range(rank) for t in range(s + 1, rank)
     ]
     for i, g in enumerate(atlas.members):
+        tildes = [atlas.residue_members(i, J) for J in small_J]
         for c in g.fop():
-            for J in small_J:
+            for J, tilde in zip(small_J, tildes):
                 key = (
-                    tuple(atlas.residue_members(i, J)),
+                    tilde,
                     b.residue(c, J) if J else c,
                     tuple(sorted(J)),
                 )

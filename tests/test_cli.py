@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+import time
 
 import pytest
 
@@ -222,6 +223,53 @@ def test_twin_verify_detects_tampering(tmp_path, fano_file, fano_cod_file, capsy
         fh.write("\n".join(lines) + "\n")
     code = main(["twin", "verify", out])
     assert code in (EXIT_VIOLATION, EXIT_INPUT)
+
+
+def _first_line(edit):
+    """A costar.tsv edit that applies ``edit`` to the fields of line 0."""
+    return lambda lines: ["\t".join(edit(lines[0].split("\t")))] + lines[1:]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _first_line(lambda f: ["x", f[1], f[2]]),
+        _first_line(lambda f: [f[0], "1.5", f[2]]),
+        _first_line(lambda f: ["21", f[1], f[2]]),
+        _first_line(lambda f: [f[0], "-1", f[2]]),
+        _first_line(lambda f: [f[0], "21", f[2]]),
+        _first_line(lambda f: [f[0], f[1], "pxq"]),
+        lambda lines: lines[:-1],
+        lambda lines: [],
+        lambda lines: lines + lines[:1],
+    ],
+    ids=["chamber-not-int", "member-not-int", "chamber-out-of-range",
+         "member-negative", "member-out-of-range", "bad-word",
+         "entry-missing", "empty", "entry-repeated"],
+)
+def test_twin_verify_malformed_costar_is_input_error(
+    tmp_path, fano_file, fano_cod_file, capsys, edit
+):
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    costar = os.path.join(out, "costar.tsv")
+    with open(costar) as fh:
+        lines = fh.read().splitlines()
+    with open(costar, "w") as fh:
+        fh.write("".join(line + "\n" for line in edit(lines)))
+    capsys.readouterr()
+    assert main(["twin", "verify", out]) == EXIT_INPUT
+    assert "costar" in capsys.readouterr().err
+
+
+def test_validate_building_rejects_infinite_bond_quickly(fano, tmp_path, capsys):
+    text = serialize_building(fano).replace("matrix\n1 3\n3 1\n", "matrix\n1 0\n0 1\n", 1)
+    assert "1 0" in text
+    path = tmp_path / "inf.bld"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["validate", "building", str(path)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 5
+    assert "infinite" in capsys.readouterr().err
 
 
 def test_twin_build_refused_without_lco(tmp_path, sp42, capsys):

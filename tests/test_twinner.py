@@ -10,6 +10,7 @@ from twinbuild.panelcalc import beta, panels_op
 from twinbuild.twinner import (
     CodistanceAtlas,
     TwinViolation,
+    _check_plus_star,
     adjacent_codistance,
     alpha_check,
     assemble_twin,
@@ -325,3 +326,111 @@ def test_assemble_rejects_corrupted_atlas(fano, fano_atlas):
     )
     with pytest.raises(Exception):
         assemble_twin(bad, fano, seed=f)
+
+
+# -- differential tests of the indexed verifiers -------------------------------
+
+
+def plus_star_reference(minus, plus, atlas):
+    """The plus-star check as a plain loop over every triple."""
+    nplus = len(atlas.members)
+    for x in range(nplus):
+        gx = atlas.members[x]
+        for y in range(nplus):
+            d = plus.delta(x, y)
+            for z in range(minus.n):
+                if gx(z) == d and atlas.members[y](z) != 0:
+                    return False
+    fops = [frozenset(g.fop()) for g in atlas.members]
+    if len(set(fops)) != nplus:
+        return False
+    chamber_ops = {}
+    for c in range(minus.n):
+        key = frozenset(i for i in range(nplus) if atlas.members[i](c) == 0)
+        if key in chamber_ops.values():
+            return False
+        chamber_ops[c] = key
+    table = minus.weyl
+    for x in range(minus.n):
+        for y in range(minus.n):
+            d = minus.delta(x, y)
+            for z in range(nplus):
+                gz = atlas.members[z]
+                if table.inv(gz(x)) == d and gz(y) != 0:
+                    return False
+    return True
+
+
+def corrupted_atlases(atlas):
+    """Atlases with one member value changed to another nonzero value, two
+    members' value vectors swapped, or two chambers' values swapped in every
+    member; the panels, and so B+, stay those of ``atlas``.  Only the B-
+    half of the check catches the last kind."""
+    b = atlas.building
+    n = len(atlas.members)
+
+    def with_members(members):
+        return CodistanceAtlas(b, members, atlas.panels, atlas.origin)
+
+    for k, c in ((0, 0), (1, b.n - 1), (n - 1, b.n // 2)):
+        values = list(atlas.members[k].values)
+        values[c] = values[c] % (b.weyl.size - 1) + 1
+        members = list(atlas.members)
+        members[k] = Codistance(b, values)
+        yield with_members(members)
+    for i, j in ((0, 1), (1, n - 1)):
+        members = list(atlas.members)
+        members[i], members[j] = members[j], members[i]
+        yield with_members(members)
+    for c1, c2 in ((0, 1), (2, b.n - 1)):
+        members = []
+        for g in atlas.members:
+            values = list(g.values)
+            values[c1], values[c2] = values[c2], values[c1]
+            members.append(Codistance(b, values))
+        yield with_members(members)
+
+
+@pytest.mark.parametrize("fixture", ["fano", "pg23", "digon33"])
+def test_plus_star_matches_reference(request, fixture):
+    b = request.getfixturevalue(fixture)
+    f = from_opposite_chamber(b, 0)
+    atlas = atlas_component(f)
+    plus = assemble_twin(atlas, b, seed=f).plus
+    assert plus_star_reference(b, plus, atlas)
+    assert _check_plus_star(b, plus, atlas)
+    for bad in corrupted_atlases(atlas):
+        assert not plus_star_reference(b, plus, bad)
+        assert not _check_plus_star(b, plus, bad)
+
+
+@pytest.mark.parametrize("fixture", ["pg23", "sp43", "pg32"])
+def test_beta_orbit_matches_beta(request, fixture):
+    b = request.getfixturevalue(fixture)
+    f = from_opposite_chamber(b, 0)
+    for s in range(b.system.rank):
+        for Ptilde in panels_op(f, s)[:2]:
+            for p in Ptilde.chambers():
+                if f(p) != 0:
+                    continue
+                assert beta_orbit(f, Ptilde, p) == {
+                    Q: beta(f, Ptilde, Q)(p) for Q in panels_op(f, s)
+                }
+
+
+# -- the rank-3 twin ----------------------------------------------------------
+
+
+def test_pg32_twin_from_chamber_0(pg32):
+    f = from_opposite_chamber(pg32, 0)
+    atlas = atlas_component(f)
+    assert len(atlas.members) == 315
+    oracle = {from_opposite_chamber(pg32, c).values for c in range(pg32.n)}
+    assert {g.values for g in atlas.members} == oracle
+    twin = assemble_twin(atlas, pg32, seed=f)
+    r = twin.report
+    assert r.building_ok and r.tw_axioms_ok and r.opposition_ok
+    assert r.plus_star_ok and r.diagram_ok and r.seed_ok
+    assert all(
+        twin.costar(atlas.origin, c) == f(c) for c in range(pg32.n)
+    )
