@@ -8,7 +8,7 @@ plain modular arithmetic over F_2 and F_3, the only sizes we need.
 from __future__ import annotations
 
 from itertools import product as iproduct
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .chambersys import Building, ChamberSystem
 from .coxeter import CoxeterMatrix, WeylTable, enumerate_weyl

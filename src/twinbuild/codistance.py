@@ -6,7 +6,7 @@ the value tuple so atlases can deduplicate members cheaply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .chambersys import Building, ResidueRef
@@ -130,10 +130,6 @@ def proj_f(f: Codistance, R: ResidueRef) -> int:
     if p is None:
         raise PreconditionFailed("no unique chamber of maximal f-length in residue")
     return p
-
-
-def fop(f: Codistance) -> tuple[int, ...]:
-    return f.fop()
 
 
 def fop_c(f: Codistance, c: int) -> tuple[int, ...]:

@@ -361,17 +361,20 @@ def _reflection_generators(matrix: CoxeterMatrix):
 def enumerate_weyl(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> WeylTable:
     """Enumerate W by BFS over exact reflection matrices.
 
-    Raises CapExceeded as soon as more than ``cap`` elements appear.  An
-    infinite bond (entry 0) makes W contain the infinite dihedral group, so
-    no cap can be met and CapExceeded is raised before any enumeration.
+    Raises CapExceeded as soon as more than ``cap`` elements appear.  A
+    matrix that is not 3-spherical (an infinite bond, or an affine or
+    hyperbolic triangle such as Ã2) has an infinite parabolic subgroup of
+    rank <= 3, so W is infinite, no cap can be met, and CapExceeded is
+    raised before any enumeration.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    n = matrix.rank
-    if any(matrix.m[i][j] == 0 for i in range(n) for j in range(n) if i != j):
+    if not matrix.is_3_spherical():
         raise CapExceeded(
-            f"more than {cap} elements; an infinite bond makes the group infinite"
+            f"more than {cap} elements; a non-spherical parabolic subgroup "
+            "of rank <= 3 makes the group infinite"
         )
+    n = matrix.rank
     gens = _reflection_generators(matrix)
     identity = tuple(
         tuple(_fconst(1 if i == j else 0) for j in range(n)) for i in range(n)

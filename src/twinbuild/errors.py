@@ -31,10 +31,6 @@ class NotInResidue(TwinbuildError):
     """A chamber or residue is not contained in the residue at hand."""
 
 
-class NotSpherical(TwinbuildError):
-    """The operation requires a spherical type."""
-
-
 class PreconditionFailed(TwinbuildError):
     """A documented precondition of the operation does not hold."""
 

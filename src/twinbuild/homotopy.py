@@ -164,39 +164,39 @@ def two_homotopic(
     return TrivialityVerdict(INCONCLUSIVE, certificate=len(seen))
 
 
-class UnionFind:
-    def __init__(self, items: Iterable[int]) -> None:
-        self.parent = {x: x for x in items}
+def _bfs_forest(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Breadth-first spanning forest as parent pointers.
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    Roots are taken in ascending order and are their own parents; each
+    vertex visits its neighbours in ascending order.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for a, b2 in edges:
+        adj[a].append(b2)
+        adj[b2].append(a)
+    parent: dict[int, int] = {}
+    for root in sorted(adj):
+        if root in parent:
+            continue
+        parent[root] = root
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in sorted(adj[x]):
+                if y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+    return parent
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
-    def components(self) -> int:
-        return len({self.find(x) for x in self.parent})
+def _forest_edges(parent: dict[int, int]) -> frozenset:
+    return frozenset((min(x, p), max(x, p)) for x, p in parent.items() if x != p)
 
 
 def connected(subset: Iterable[int], gens: Iterable[int], b: Building) -> bool:
-    subset = set(subset)
-    if not subset:
-        return True
-    uf = UnionFind(subset)
-    gens = tuple(gens)
-    for x in subset:
-        for s in gens:
-            for z in b.system.panel_members(x, s):
-                if z != x and z in subset:
-                    uf.union(x, z)
-    return uf.components() == 1
+    subset = frozenset(subset)
+    parent = _bfs_forest(subset, _subset_edges(b, subset, gens))
+    return sum(x == p for x, p in parent.items()) <= 1
 
 
 def _subset_edges(b: Building, subset: frozenset, gens: Iterable[int]):
@@ -210,26 +210,10 @@ def _subset_edges(b: Building, subset: frozenset, gens: Iterable[int]):
     return edges
 
 
-def _spanning_tree(vertices: Sequence[int], edges: dict) -> dict[int, tuple[int, ...]]:
-    """BFS tree as adjacency lists; edges is {(a,b): type} with a < b."""
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b2 in edges:
-        adj[a].append(b2)
-        adj[b2].append(a)
-    for v in adj:
-        adj[v].sort()
-    root = min(vertices)
-    parent = {root: root}
-    order = [root]
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                queue.append(y)
-    if len(parent) != len(vertices):
+def _spanning_tree(vertices: Sequence[int], edges: dict) -> dict[int, int]:
+    """BFS tree as parent pointers; edges is {(a,b): type} with a < b."""
+    parent = _bfs_forest(vertices, edges)
+    if sum(x == p for x, p in parent.items()) > 1:
         raise NotConnected("subset is not gallery-connected")
     return parent
 
@@ -270,9 +254,7 @@ def _presentation(b: Building, subset: frozenset):
     all_gens = tuple(range(b.system.rank))
     edges = _subset_edges(b, subset, all_gens)
     parent = _spanning_tree(vertices, edges)
-    tree_edges = frozenset(
-        (min(x, p), max(x, p)) for x, p in parent.items() if x != p
-    )
+    tree_edges = _forest_edges(parent)
     non_tree = sorted(e for e in edges if e not in tree_edges)
     gen_index = {e: i for i, e in enumerate(non_tree)}
 
@@ -293,29 +275,11 @@ def _presentation(b: Building, subset: frozenset):
             rset = subset & set(R.chambers())
             if len(rset) < 3:
                 continue
-            redges = {
-                e: t for e, t in _subset_edges(b, frozenset(rset), J).items()
-            }
+            redges = _subset_edges(b, frozenset(rset), J)
             if not redges:
                 continue
-            comp_parent: dict[int, int] = {}
-            local_tree: set[tuple[int, int]] = set()
-            adj: dict[int, list[int]] = {v2: [] for v2 in rset}
-            for a, b2 in redges:
-                adj[a].append(b2)
-                adj[b2].append(a)
-            for v2 in sorted(rset):
-                if v2 in comp_parent:
-                    continue
-                comp_parent[v2] = v2
-                queue = deque([v2])
-                while queue:
-                    x = queue.popleft()
-                    for y in sorted(adj[x]):
-                        if y not in comp_parent:
-                            comp_parent[y] = x
-                            local_tree.add((min(x, y), max(x, y)))
-                            queue.append(y)
+            comp_parent = _bfs_forest(rset, redges)
+            local_tree = _forest_edges(comp_parent)
             for e in redges:
                 if e in local_tree:
                     continue
@@ -338,8 +302,6 @@ def simply_2_connected(
     subset = frozenset(subset)
     if not subset:
         return TrivialityVerdict(PROVEN_TRIVIAL, certificate="empty")
-    if not connected(subset, range(b.system.rank), b):
-        raise NotConnected("subset is not connected")
     non_tree, relators = _presentation(b, subset)
     g = len(non_tree)
     if g == 0:

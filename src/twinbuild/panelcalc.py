@@ -11,8 +11,8 @@ module certify.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .chambersys import Building, ResidueRef
 from .codistance import Codistance, fop_c, unique_chamber

@@ -272,6 +272,43 @@ def test_validate_building_rejects_infinite_bond_quickly(fano, tmp_path, capsys)
     assert "infinite" in capsys.readouterr().err
 
 
+def test_validate_building_rejects_affine_a2_quickly(pg32, tmp_path, capsys):
+    # every bond m = 3: all bonds finite, but the type is affine (W infinite)
+    text = serialize_building(pg32).replace(
+        "matrix\n1 3 2\n3 1 3\n2 3 1\n", "matrix\n1 3 3\n3 1 3\n3 3 1\n", 1
+    )
+    assert "1 3 3\n3 1 3\n3 3 1" in text
+    path = tmp_path / "affine.bld"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["validate", "building", str(path)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 5
+    assert "infinite" in capsys.readouterr().err
+
+
+def test_twin_verify_reports_failing_twin(tmp_path, fano_file, fano_cod_file, capsys):
+    # swap members 1 and 2 consistently: every file parses, the twin fails
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    one = os.path.join(out, "codistance_0001.cod")
+    two = os.path.join(out, "codistance_0002.cod")
+    tmp = os.path.join(out, "swap.tmp")
+    os.rename(one, tmp)
+    os.rename(two, one)
+    os.rename(tmp, two)
+    costar = os.path.join(out, "costar.tsv")
+    relabel = {"1": "2", "2": "1"}
+    with open(costar) as fh:
+        rows = [line.split("\t") for line in fh.read().splitlines()]
+    with open(costar, "w") as fh:
+        for c, i, w in rows:
+            fh.write(f"{c}\t{relabel.get(i, i)}\t{w}\n")
+    capsys.readouterr()
+    assert main(["twin", "verify", out]) == EXIT_VIOLATION
+    stdout = capsys.readouterr().out
+    assert "RESULT=fail" in stdout
+    assert "TW_AXIOMS=fail" in stdout
+
+
 def test_twin_build_refused_without_lco(tmp_path, sp42, capsys):
     bpath = tmp_path / "sp42.bld"
     bpath.write_text(serialize_building(sp42))

@@ -1,0 +1,34 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+``perfbench/spans.py`` patches functions and methods of twinbuild by name,
+and ``perfbench/selftest.py`` reads ``twinbuild.twinner.beta``.  Deleting or
+renaming one of those names breaks the traced benchmark; this test makes it
+fail here first.
+"""
+
+import importlib.util
+import os
+
+import twinbuild.twinner as twinner
+
+SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_on_every_traced_name():
+    originals = {name: getattr(twinner, name) for name in ("beta", "atlas_component")}
+    residue_members = twinner.CodistanceAtlas.residue_members
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert twinner.atlas_component is not originals["atlas_component"]
+    finally:
+        tracer.uninstall()
+    assert all(getattr(twinner, k) is v for k, v in originals.items())
+    assert twinner.CodistanceAtlas.residue_members is residue_members

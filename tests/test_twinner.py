@@ -9,7 +9,6 @@ from twinbuild.errors import BuildingMismatch, PreconditionFailed
 from twinbuild.panelcalc import beta, panels_op
 from twinbuild.twinner import (
     CodistanceAtlas,
-    TwinViolation,
     _check_plus_star,
     adjacent_codistance,
     alpha_check,
@@ -310,8 +309,8 @@ def test_assemble_rejects_wrong_seed(fano, fano_atlas):
     f, atlas = fano_atlas
     wrong = from_opposite_chamber(fano, 1)
     assert wrong != f
-    with pytest.raises(TwinViolation):
-        assemble_twin(atlas, fano, seed=wrong)
+    report = assemble_twin(atlas, fano, seed=wrong).report
+    assert not report.seed_ok and not report.ok
 
 
 def test_assemble_rejects_corrupted_atlas(fano, fano_atlas):
@@ -324,8 +323,24 @@ def test_assemble_rejects_corrupted_atlas(fano, fano_atlas):
         panels=atlas.panels,
         origin=atlas.origin,
     )
-    with pytest.raises(Exception):
-        assemble_twin(bad, fano, seed=f)
+    assert not assemble_twin(bad, fano, seed=f).report.ok
+
+
+def test_assemble_reports_member_without_projection(fano, fano_atlas):
+    # a member that is no codistance has no projection onto some residue
+    f, atlas = fano_atlas
+    members = list(atlas.members)
+    values = list(members[3].values)
+    values[0] = fano.weyl.longest_element(range(2))
+    members[3] = Codistance(fano, values)
+    bad = CodistanceAtlas(
+        building=atlas.building,
+        members=members,
+        panels=atlas.panels,
+        origin=atlas.origin,
+    )
+    report = assemble_twin(bad, fano, seed=f).report
+    assert not report.opposition_ok and not report.ok
 
 
 # -- differential tests of the indexed verifiers -------------------------------
