@@ -135,9 +135,9 @@ def parse_building(text: str) -> Building:
     try:
         table = enumerate_weyl(matrix)
         system = ChamberSystem(table, n, panels)
+        return Building(system, name=name)
     except (TwinbuildError, ValueError) as e:
         raise FormatError(str(e))
-    return Building(system, name=name)
 
 
 def serialize_codistance(f: Codistance) -> str:

@@ -2,6 +2,8 @@
 
 import filecmp
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -284,6 +286,47 @@ def test_validate_building_rejects_affine_a2_quickly(pg32, tmp_path, capsys):
     assert main(["validate", "building", str(path)]) == EXIT_INPUT
     assert time.perf_counter() - start < 5
     assert "infinite" in capsys.readouterr().err
+
+
+def two_hexagons_bundle(thin_a2):
+    """Two disjoint copies of the thin A2 building in one bundle."""
+    n = thin_a2.n
+    lines = [serialize_building(thin_a2).split("chambers ")[0] + f"chambers {2 * n}"]
+    for s, name in enumerate(thin_a2.weyl.matrix.gens):
+        lines.append(f"panels {name}")
+        for panel in sorted(tuple(sorted(p)) for p in thin_a2.system.panels[s]):
+            for shift in (0, n):
+                lines.append(" ".join(str(c + shift) for c in panel))
+    return "\n".join(lines + ["end"]) + "\n"
+
+
+@pytest.mark.parametrize("command", [["validate", "building"], ["check", "lco", "--building"]])
+def test_disconnected_bundle_is_malformed_input(thin_a2, tmp_path, capsys, command):
+    path = tmp_path / "hexagons.bld"
+    path.write_text(two_hexagons_bundle(thin_a2))
+    assert main(command + [str(path)]) == EXIT_INPUT
+    assert "not gallery-connected" in capsys.readouterr().err
+
+
+def test_startup_and_fop_import_no_sympy(fano_file, fano_cod_file):
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')\n"
+        "import twinbuild.cli\n"
+        "assert not loaded(), loaded()\n"
+        "rc = twinbuild.cli.main(['fop', '--building', sys.argv[1],"
+        " '--codistance', sys.argv[2]])\n"
+        "assert rc == 0, rc\n"
+        "assert not loaded(), loaded()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code, fano_file, fano_cod_file],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "RESULT=pass" in done.stdout
 
 
 def test_twin_verify_reports_failing_twin(tmp_path, fano_file, fano_cod_file, capsys):

@@ -1,0 +1,182 @@
+"""The in-house triviality decision against sympy's, kept here as reference.
+
+``simply_2_connected`` decides with Tietze elimination, an integer Smith
+normal form and a bounded coset enumeration. ``sympy_decide`` below is the
+decision it replaced, which ran on the same presentations through sympy's
+``smith_normal_form`` and ``coset_enumeration_r``. Every input must get the
+same status from both, and the same abelianization invariants when it is
+nontrivial.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
+from sympy.combinatorics.free_groups import free_group
+from sympy.matrices.normalforms import smith_normal_form
+
+from twinbuild.codistance import from_opposite_chamber
+from twinbuild.homotopy import (
+    DEFAULT_COSET_CAP,
+    INCONCLUSIVE,
+    PROVEN_NONTRIVIAL,
+    PROVEN_TRIVIAL,
+    TrivialityVerdict,
+    _decide,
+    _presentation,
+    _smith_invariants,
+    opposite_set,
+    residual_filtration,
+    simply_2_connected,
+)
+
+from test_homotopy import coxeter_cycle
+
+
+def sympy_decide(g, relators, coset_cap=DEFAULT_COSET_CAP):
+    """The sympy decision of a presentation with g > 0 generators."""
+    rows = []
+    for rel in relators:
+        row = [0] * g
+        for gen, exp in rel:
+            row[gen] += exp
+        rows.append(row)
+    if not rows:
+        return TrivialityVerdict(PROVEN_NONTRIVIAL, certificate=("free", g))
+    snf = smith_normal_form(Matrix(rows))
+    diag = [snf[i, i] for i in range(min(snf.shape))]
+    nonzero = [d for d in diag if d != 0]
+    if len(nonzero) < g or any(abs(d) != 1 for d in nonzero):
+        invariants = [abs(d) for d in nonzero if abs(d) != 1]
+        invariants += [0] * (g - len(nonzero))
+        return TrivialityVerdict(
+            PROVEN_NONTRIVIAL, certificate=("abelianization", invariants)
+        )
+    F = free_group(" ".join(f"e{i}" for i in range(g)))[0]
+    fgens = F.generators
+    rel_words = []
+    for rel in relators:
+        wexpr = F.identity
+        for gen, exp in rel:
+            wexpr = wexpr * fgens[gen] ** exp
+        if wexpr != F.identity:
+            rel_words.append(wexpr)
+    grp = FpGroup(F, rel_words)
+    try:
+        table = coset_enumeration_r(grp, [], max_cosets=coset_cap)
+        table.compress()
+        n = table.n
+    except ValueError:
+        return TrivialityVerdict(INCONCLUSIVE, certificate=("coset-cap", coset_cap))
+    if n == 1:
+        return TrivialityVerdict(PROVEN_TRIVIAL, certificate=("cosets", 1))
+    return TrivialityVerdict(PROVEN_NONTRIVIAL, certificate=("order", n))
+
+
+def invariants(verdict):
+    kind, value = verdict.certificate
+    return [0] * value if kind == "free" else value
+
+
+def assert_same_decision(b, subset):
+    subset = frozenset(subset)
+    ours = simply_2_connected(subset, b)
+    non_tree, relators = _presentation(b, subset)
+    if not non_tree:
+        assert ours.certificate == "forest"
+        return ours
+    theirs = sympy_decide(len(non_tree), relators)
+    assert ours.status == theirs.status
+    if ours.status == PROVEN_NONTRIVIAL:
+        assert invariants(ours) == invariants(theirs)
+    return ours
+
+
+def test_pg32_lsco_opposite_sets(pg32):
+    R = pg32.residue(0, (0, 1, 2))
+    assert len(R.chambers()) == pg32.n
+    for x in R.chambers():
+        verdict = assert_same_decision(pg32, opposite_set(pg32, R, x))
+        assert verdict.status == PROVEN_NONTRIVIAL
+
+
+def test_pg32_fop(pg32):
+    fop = from_opposite_chamber(pg32, 0).fop()
+    assert assert_same_decision(pg32, fop).status == PROVEN_NONTRIVIAL
+
+
+def test_pg22_fop_from_every_chamber(fano):
+    for c in range(fano.n):
+        fop = from_opposite_chamber(fano, c).fop()
+        assert assert_same_decision(fano, fop).status == PROVEN_TRIVIAL
+
+
+def test_pg22_whole_building_and_filtration(fano):
+    assert assert_same_decision(fano, range(fano.n)).status == PROVEN_TRIVIAL
+    for level in residual_filtration(from_opposite_chamber(fano, 0)).levels:
+        assert assert_same_decision(fano, level).status == PROVEN_TRIVIAL
+
+
+def test_pg23_fop(pg23):
+    fop = from_opposite_chamber(pg23, 0).fop()
+    assert assert_same_decision(pg23, fop).status == PROVEN_TRIVIAL
+
+
+def test_thin_a3_whole_and_coxeter_cycle(thin_a3):
+    assert assert_same_decision(thin_a3, range(thin_a3.n)).status == PROVEN_TRIVIAL
+    cycle = assert_same_decision(thin_a3, coxeter_cycle(thin_a3))
+    assert cycle.status == PROVEN_NONTRIVIAL
+
+
+def test_sp43_fop_eliminates_every_generator(sp43):
+    # sympy needs seconds for this one, so only the in-house path runs
+    fop = from_opposite_chamber(sp43, 0).fop()
+    verdict = simply_2_connected(fop, sp43)
+    assert verdict.status == PROVEN_TRIVIAL
+    kind, order = verdict.certificate
+    assert kind == "elimination"
+    non_tree, _ = _presentation(sp43, frozenset(fop))
+    assert sorted(g for g, _ in order) == list(range(len(non_tree)))
+
+
+def test_elimination_certificate_uses_each_generator_once(fano):
+    verdict = simply_2_connected(range(fano.n), fano)
+    kind, order = verdict.certificate
+    assert kind == "elimination"
+    eliminated = set()
+    for g, relator in order:
+        gens = [gen for gen, _ in relator]
+        assert gens.count(g) == 1
+        assert not eliminated & set(gens)
+        eliminated.add(g)
+
+
+A5 = [((0, 1),) * 2, ((1, 1),) * 3, ((0, 1), (1, 1)) * 5]
+TRIVIAL_PERFECT = [
+    ((0, 1), (1, 1), (0, -1), (1, -1), (1, -1)),
+    ((1, 1), (0, 1), (1, -1), (0, -1), (0, -1)),
+]
+TRIANGLE_237 = [((0, 1),) * 2, ((1, 1),) * 3, ((2, 1),) * 7, ((0, 1), (1, 1), (2, 1))]
+
+
+@pytest.mark.parametrize("g, relators, cap, expected", [
+    (2, A5, DEFAULT_COSET_CAP, TrivialityVerdict(PROVEN_NONTRIVIAL, ("order", 60))),
+    (2, TRIVIAL_PERFECT, DEFAULT_COSET_CAP, TrivialityVerdict(PROVEN_TRIVIAL, ("cosets", 1))),
+    (3, TRIANGLE_237, 2000, TrivialityVerdict(INCONCLUSIVE, ("coset-cap", 2000))),
+], ids=["A5", "trivial-perfect", "triangle-237"])
+def test_coset_enumeration(g, relators, cap, expected):
+    assert _decide(g, relators, cap) == expected
+    assert sympy_decide(g, relators, cap) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols),
+    min_size=1, max_size=5,
+)))
+def test_smith_invariants_match_sympy(rows):
+    snf = smith_normal_form(Matrix(rows))
+    diag = [abs(snf[i, i]) for i in range(min(snf.shape))]
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    assert _smith_invariants(sparse) == [d for d in diag if d]
