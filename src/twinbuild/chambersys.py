@@ -4,20 +4,20 @@ A Building wraps a ChamberSystem together with the Weyl-valued distance
 delta computed from minimal galleries.  Residues are lightweight views
 (building, type set, base chamber); each residue's closure is computed once
 and stored under every one of its chambers, so finding the residue of a
-chamber is a lookup.  The full delta table is materialized for small
-buildings since the lemma sweeps of the test suite consult it exhaustively.
+chamber is a lookup.  The full delta table is computed once, eagerly, one
+row per chamber: validation reads every row anyway, and computing the rows
+checks that the chamber system is gallery-connected.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .coxeter import WeylTable
 from .errors import Disconnected, NotInResidue
-
-DENSE_DELTA_LIMIT = 5000
 
 
 @dataclass
@@ -142,24 +142,15 @@ class Building:
         self.weyl = system.weyl
         self.name = name
         self.n = system.n
-        self._rows: dict[int, list[int]] = {}
         # (J, c) -> (view, chambers, chamber set) of the J-residue of c, the
         # same entry for every chamber c of the residue
         self._residues: dict[
             tuple[frozenset, int], tuple[ResidueRef, tuple[int, ...], frozenset]
         ] = {}
-        if self.n <= DENSE_DELTA_LIMIT:
-            for x in range(self.n):
-                self._row(x)
+        # rows[x][y] = delta(x, y)
+        self.rows = [self._compute_row(x) for x in range(self.n)]
 
     # -- distance ----------------------------------------------------------
-
-    def _row(self, x: int) -> list[int]:
-        row = self._rows.get(x)
-        if row is None:
-            row = self._compute_row(x)
-            self._rows[x] = row
-        return row
 
     def _compute_row(self, x: int) -> list[int]:
         right = self.weyl.right
@@ -178,7 +169,7 @@ class Building:
         return row
 
     def delta(self, x: int, y: int) -> int:
-        return self._row(x)[y]
+        return self.rows[x][y]
 
     def ldist(self, x: int, y: int) -> int:
         return self.weyl.length[self.delta(x, y)]
@@ -215,23 +206,16 @@ class Building:
         return self.residue(c, frozenset((s,)))
 
     def all_panels(self, s: int) -> list[ResidueRef]:
-        return [self.residue(p[0], frozenset((s,))) for p in self.system.panels[s]]
+        return self.residues_of_type((s,))
 
     def rank2_residues(self) -> list[ResidueRef]:
-        out = []
-        seen = set()
-        k = self.weyl.rank
-        for a in range(k):
-            for b in range(a + 1, k):
-                J = frozenset((a, b))
-                for c in range(self.n):
-                    R = self.residue(c, J)
-                    if (R.J, R.base) not in seen:
-                        seen.add((R.J, R.base))
-                        out.append(R)
-        return out
+        return [
+            R for J in combinations(range(self.weyl.rank), 2)
+            for R in self.residues_of_type(J)
+        ]
 
     def residues_of_type(self, J: Iterable[int]) -> list[ResidueRef]:
+        """The J-residues in ascending order of their least chamber."""
         J = frozenset(J)
         out = []
         seen = set()
@@ -246,7 +230,7 @@ class Building:
 
     def proj_chamber(self, R: ResidueRef, c: int) -> int:
         lengths = self.weyl.length
-        row = self._row(c)
+        row = self.rows[c]
         best = -1
         best_l = None
         for x in R.chambers():
@@ -326,27 +310,25 @@ class Building:
         return row_has
 
 
-def validate_building(b: Building, max_violations: int = 1) -> BuildingReport:
-    """Exhaustively verify axioms Bu1-Bu3 on all pairs."""
+def validate_building(b: Building) -> BuildingReport:
+    """Exhaustively verify axioms Bu1-Bu3 on all pairs; the report carries
+    the first violation found."""
     table = b.weyl
     lengths = table.length
     right = table.right
-    violations: list[AxiomViolation] = []
+    rows = b.rows
+    thick = b.system.is_thick()
 
-    def bad(axiom: str, witness: tuple, detail: str) -> bool:
-        violations.append(AxiomViolation(axiom, witness, detail))
-        return len(violations) >= max_violations
+    def fail(axiom: str, witness: tuple, detail: str) -> BuildingReport:
+        return BuildingReport(
+            ok=False, violations=[AxiomViolation(axiom, witness, detail)], thick=thick
+        )
 
-    done = False
-    for x in range(b.n):
-        if done:
-            break
-        row = b._row(x)
+    for x, row in enumerate(rows):
         for y in range(b.n):
             w = row[y]
             if (w == 0) != (x == y):
-                done = bad("Bu1", (x, y), f"delta={table.word_str(w)}")
-                break
+                return fail("Bu1", (x, y), f"delta={table.word_str(w)}")
             for s in range(b.system.rank):
                 ws = right[w][s]
                 up = lengths[ws] == lengths[w] + 1
@@ -358,50 +340,28 @@ def validate_building(b: Building, max_violations: int = 1) -> BuildingReport:
                     if d == ws:
                         found_ws = True
                     elif d != w:
-                        done = bad(
+                        return fail(
                             "Bu2", (x, y, z, s),
                             f"delta(x,z)={table.word_str(d)} not in "
                             f"{{{table.word_str(w)}, {table.word_str(ws)}}}",
                         )
-                        break
                     elif up:
-                        done = bad(
-                            "Bu2", (x, y, z, s),
-                            "l(ws)=l(w)+1 but delta(x,z)=w",
+                        return fail(
+                            "Bu2", (x, y, z, s), "l(ws)=l(w)+1 but delta(x,z)=w"
                         )
-                        break
-                else:
-                    if not found_ws:
-                        done = bad("Bu3", (x, y, s), "no z with delta(x,z)=ws")
-                if done:
-                    break
-            if done:
-                break
-    if not violations:
-        # delta symmetry and numerical-distance consistency
-        for x in range(b.n):
-            row = b._row(x)
-            for y in range(x + 1, b.n):
-                if table.inv(row[y]) != b._row(y)[x]:
-                    bad("delta-symmetry", (x, y), "delta(x,y) != delta(y,x)^-1")
-                    break
-            else:
-                continue
-            break
-    if not violations:
-        for x in range(b.n):
-            dist = _graph_distances(b, x)
-            row = b._row(x)
-            for y in range(b.n):
-                if dist[y] != lengths[row[y]]:
-                    bad("gallery-distance", (x, y), "numerical distance != l(delta)")
-                    break
-            else:
-                continue
-            break
-    return BuildingReport(
-        ok=not violations, violations=violations, thick=b.system.is_thick()
-    )
+                if not found_ws:
+                    return fail("Bu3", (x, y, s), "no z with delta(x,z)=ws")
+    # delta symmetry and numerical-distance consistency
+    for x, row in enumerate(rows):
+        for y in range(x + 1, b.n):
+            if table.inv(row[y]) != rows[y][x]:
+                return fail("delta-symmetry", (x, y), "delta(x,y) != delta(y,x)^-1")
+    for x, row in enumerate(rows):
+        dist = _graph_distances(b, x)
+        for y in range(b.n):
+            if dist[y] != lengths[row[y]]:
+                return fail("gallery-distance", (x, y), "numerical distance != l(delta)")
+    return BuildingReport(ok=True, violations=[], thick=thick)
 
 
 def _graph_distances(b: Building, x: int) -> list[int]:

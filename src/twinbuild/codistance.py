@@ -134,9 +134,9 @@ def proj_f(f: Codistance, R: ResidueRef) -> int:
 
 def fop_c(f: Codistance, c: int) -> tuple[int, ...]:
     """The chambers x of f^op with delta(x, c) = f(c)."""
-    row = f.building._row
+    rows = f.building.rows
     w = f(c)
-    return tuple(x for x in f.fop() if row(x)[c] == w)
+    return tuple(x for x in f.fop() if rows[x][c] == w)
 
 
 def unique_chamber(f: Codistance, x: int, w: int) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import combinations, count
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -249,49 +249,31 @@ def _cycle_word(
 def _presentation(b: Building, subset: frozenset):
     """Edge-path group presentation of the 2-complex on ``subset``.
 
-    1-skeleton: the adjacency graph; 2-cells: fundamental cycles of each
-    rank <= 2 residue's restriction to the subset.
+    1-skeleton: the adjacency graph; 2-cells: for each type set J with
+    |J| <= 2, the fundamental cycles of a BFS forest of the J-typed edges.
+    A component of the J-typed edges is J-connected, so it lies inside one
+    J-residue: these are the fundamental cycles of each rank <= 2 residue's
+    restriction to the subset.
     """
     vertices = sorted(subset)
-    all_gens = tuple(range(b.system.rank))
-    edges = _subset_edges(b, subset, all_gens)
+    rank = b.system.rank
+    edges = _subset_edges(b, subset, range(rank))
     parent = _spanning_tree(vertices, edges)
     tree_edges = _forest_edges(parent)
     non_tree = sorted(e for e in edges if e not in tree_edges)
     gen_index = {e: i for i, e in enumerate(non_tree)}
 
     relators: set[tuple[tuple[int, int], ...]] = set()
-    rank = b.system.rank
-    type_sets: list[tuple[int, ...]] = [(s,) for s in range(rank)]
-    type_sets += [
-        (a, c) for a in range(rank) for c in range(a + 1, rank)
-    ]
-    for J in type_sets:
-        seen_residues = set()
-        for v in vertices:
-            R = b.residue(v, frozenset(J))
-            key = (R.J, R.base)
-            if key in seen_residues:
-                continue
-            seen_residues.add(key)
-            rset = subset & set(R.chambers())
-            if len(rset) < 3:
-                continue
-            redges = _subset_edges(b, frozenset(rset), J)
-            if not redges:
-                continue
-            comp_parent = _bfs_forest(rset, redges)
-            local_tree = _forest_edges(comp_parent)
-            for e in redges:
-                if e in local_tree:
+    for k in (1, 2):
+        for J in combinations(range(rank), k):
+            j_edges = [e for e, s in edges.items() if s in J]
+            forest = _bfs_forest(vertices, j_edges)
+            local_tree = _forest_edges(forest)
+            for a, c in j_edges:
+                if (a, c) in local_tree:
                     continue
-                a, b2 = e
-                pa = _tree_path(comp_parent, a)
-                pb = _tree_path(comp_parent, b2)
-                if pa[-1] != pb[-1]:
-                    continue
-                # fundamental cycle: root -> a, edge (a, b2), b2 -> root
-                cyc = list(reversed(pa)) + pb
+                # fundamental cycle: root -> a, edge (a, c), c -> root
+                cyc = _tree_path(forest, a)[::-1] + _tree_path(forest, c)
                 rel = _cycle_word(cyc, tree_edges, gen_index)
                 if rel:
                     relators.add(rel)
@@ -590,64 +572,47 @@ def opposite_set(b: Building, R: ResidueRef, x: int) -> frozenset:
     return frozenset(y for y in R.chambers() if b.delta(x, y) == rJ)
 
 
-def check_lco(b: Building) -> LocalConditionReport:
-    """Condition (lco): opposite sets in rank-2 residues are connected."""
+def _opposite_sets(b: Building, k: int, decide) -> LocalConditionReport:
+    """One entry per opposite set of a rank-k residue that ``decide(R, opp)``
+    does not prove trivial."""
     entries: list[OppositeSetEntry] = []
-    ok = True
-    for R in b.rank2_residues():
-        for x in R.chambers():
-            opp = opposite_set(b, R, x)
-            conn = connected(opp, R.J, b)
-            verdict = TrivialityVerdict(
-                PROVEN_TRIVIAL if conn else PROVEN_NONTRIVIAL,
-                certificate=tuple(sorted(opp)),
-            )
-            if not conn:
-                ok = False
-                entries.append(OppositeSetEntry(R.base, tuple(sorted(R.J)), x, verdict))
-    return LocalConditionReport(ok=ok, entries=sorted(
-        entries, key=lambda e: (e.J, e.residue_base, e.chamber)
-    ))
-
-
-def check_lsco(b: Building, coset_cap: int = DEFAULT_COSET_CAP) -> LocalConditionReport:
-    """Condition (lsco): opposite sets in rank-3 residues are simply
-    2-connected."""
-    entries: list[OppositeSetEntry] = []
-    ok = True
-    rank = b.system.rank
-    triples = [
-        frozenset((a, c, d))
-        for a in range(rank)
-        for c in range(a + 1, rank)
-        for d in range(c + 1, rank)
-    ]
-    for J in triples:
+    for J in combinations(range(b.system.rank), k):
         for R in b.residues_of_type(J):
             for x in R.chambers():
-                opp = opposite_set(b, R, x)
-                verdict = _simply_2_connected_within(b, R, opp, coset_cap)
+                verdict = decide(R, opposite_set(b, R, x))
                 if not verdict.proven_trivial:
-                    ok = False
-                    entries.append(
-                        OppositeSetEntry(R.base, tuple(sorted(R.J)), x, verdict)
-                    )
-    return LocalConditionReport(ok=ok, entries=sorted(
-        entries, key=lambda e: (e.J, e.residue_base, e.chamber)
-    ))
+                    entries.append(OppositeSetEntry(R.base, J, x, verdict))
+    entries.sort(key=lambda e: (e.J, e.residue_base, e.chamber))
+    return LocalConditionReport(ok=not entries, entries=entries)
 
 
-def _simply_2_connected_within(
-    b: Building, R: ResidueRef, subset: frozenset, coset_cap: int
-) -> TrivialityVerdict:
-    """Simple 2-connectivity of ``subset`` as a chamber system over typ(R)."""
-    if not subset:
-        return TrivialityVerdict(PROVEN_NONTRIVIAL, certificate="empty")
-    if not connected(subset, R.J, b):
+def check_lco(b: Building) -> LocalConditionReport:
+    """Condition (lco): opposite sets in rank-2 residues are connected."""
+
+    def decide(R: ResidueRef, opp: frozenset) -> TrivialityVerdict:
+        conn = connected(opp, R.J, b)
         return TrivialityVerdict(
-            PROVEN_NONTRIVIAL, certificate=("disconnected", tuple(sorted(subset)))
+            PROVEN_TRIVIAL if conn else PROVEN_NONTRIVIAL,
+            certificate=tuple(sorted(opp)),
         )
-    return simply_2_connected(subset, b, coset_cap=coset_cap)
+
+    return _opposite_sets(b, 2, decide)
+
+
+def check_lsco(b: Building) -> LocalConditionReport:
+    """Condition (lsco): opposite sets in rank-3 residues are simply
+    2-connected as chamber systems over typ(R)."""
+
+    def decide(R: ResidueRef, opp: frozenset) -> TrivialityVerdict:
+        if not opp:
+            return TrivialityVerdict(PROVEN_NONTRIVIAL, certificate="empty")
+        if not connected(opp, R.J, b):
+            return TrivialityVerdict(
+                PROVEN_NONTRIVIAL, certificate=("disconnected", tuple(sorted(opp)))
+            )
+        return simply_2_connected(opp, b)
+
+    return _opposite_sets(b, 3, decide)
 
 
 # -- residual filtration -----------------------------------------------------

@@ -367,7 +367,7 @@ def _check_plus_star(minus: Building, plus: Building, atlas: CodistanceAtlas) ->
         by_value: dict[int, set[int]] = {}
         for z, v in enumerate(members[x].values):
             by_value.setdefault(v, set()).add(z)
-        row = plus._row(x)
+        row = plus.rows[x]
         for y in range(nplus):
             zs = by_value.get(row[y])
             if zs is not None and not zs <= fops[y]:
@@ -384,7 +384,7 @@ def _check_plus_star(minus: Building, plus: Building, atlas: CodistanceAtlas) ->
         by_value = {}
         for z in range(nplus):
             by_value.setdefault(table.inv(members[z](x)), set()).add(z)
-        row = minus._row(x)
+        row = minus.rows[x]
         for y in range(minus.n):
             zs = by_value.get(row[y])
             if zs is not None and not zs <= chamber_ops[y]:

@@ -1,6 +1,13 @@
 import pytest
 
-from twinbuild.catalog import gen_pg2, matrix_A2
+from twinbuild.catalog import (
+    gen_digon,
+    gen_pg2,
+    gen_thin,
+    matrix_A2,
+    matrix_B2,
+    matrix_I2,
+)
 from twinbuild.chambersys import Building, ChamberSystem, validate_building
 from twinbuild.coxeter import CoxeterMatrix, enumerate_weyl
 from twinbuild.errors import Disconnected, NotInResidue
@@ -70,6 +77,22 @@ def test_moved_chamber_fails_validation(fano):
         assert not report.ok
     except (ValueError, Disconnected):
         pass  # the mutation may already break the chamber system
+
+
+@pytest.mark.parametrize("make, matrix, axiom, witness", [
+    (lambda: gen_thin(matrix_I2(6)), matrix_A2, "Bu1", (0, 11)),
+    (lambda: gen_thin(matrix_I2(4)), lambda: matrix_I2(2), "Bu1", (0, 7)),
+    (lambda: gen_pg2(2), matrix_B2, "Bu2", (0, 9, 10, 1)),
+    (lambda: gen_digon(2, 3), matrix_A2, "Bu2", (0, 1, 4, 0)),
+], ids=["thin_g2_as_a2", "thin_b2_as_i2_2", "pg22_as_b2", "digon23_as_a2"])
+def test_wrong_coxeter_type_fails_validation(make, matrix, axiom, witness):
+    """Valid panels under the wrong Weyl group: the chamber system is fine,
+    so the checker itself must report the one violation."""
+    b = make()
+    system = ChamberSystem(enumerate_weyl(matrix()), b.n, b.system.panels)
+    report = validate_building(Building(system, name="mistyped"))
+    assert not report.ok
+    assert [(v.axiom, v.witness) for v in report.violations] == [(axiom, witness)]
 
 
 def test_disconnected_raises():

@@ -8,6 +8,8 @@ import time
 
 import pytest
 
+from twinbuild.catalog import gen_thin, matrix_A2, matrix_I2
+from twinbuild.chambersys import Building, ChamberSystem
 from twinbuild.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -20,6 +22,7 @@ from twinbuild.cli import (
     serialize_codistance,
 )
 from twinbuild.codistance import from_opposite_chamber
+from twinbuild.coxeter import enumerate_weyl
 
 
 @pytest.fixture
@@ -93,6 +96,17 @@ def test_gen_and_validate(tmp_path, capsys):
     assert main(["gen", "pg2", "--q", "2", "-o", out]) == EXIT_PASS
     assert main(["validate", "building", out]) == EXIT_PASS
     assert "RESULT=pass" in capsys.readouterr().out
+
+
+def test_validate_building_reports_first_violation(tmp_path, capsys):
+    # the thin G2 panels under the A2 matrix: a chamber system, not a building
+    g2 = gen_thin(matrix_I2(6))
+    system = ChamberSystem(enumerate_weyl(matrix_A2()), g2.n, g2.system.panels)
+    path = tmp_path / "g2_as_a2.bld"
+    path.write_text(serialize_building(Building(system, name="g2_as_a2")))
+    assert main(["validate", "building", str(path)]) == EXIT_VIOLATION
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["violation Bu1: (0, 11) (delta=-)", "RESULT=fail"]
 
 
 def test_gen_unsupported_q(tmp_path):

@@ -3,12 +3,15 @@
 ``perfbench/spans.py`` patches functions and methods of twinbuild by name,
 and ``perfbench/selftest.py`` reads ``twinbuild.twinner.beta``.  Deleting or
 renaming one of those names breaks the traced benchmark; this test makes it
-fail here first.
+fail here first.  A caller that binds a traced function before the tracer is
+installed (a default argument, a module-level alias) hides its calls from the
+counters, so the verdict counts are checked too.
 """
 
 import importlib.util
 import os
 
+import twinbuild.homotopy as homotopy
 import twinbuild.twinner as twinner
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
@@ -32,3 +35,18 @@ def test_tracer_installs_on_every_traced_name():
         tracer.uninstall()
     assert all(getattr(twinner, k) is v for k, v in originals.items())
     assert twinner.CodistanceAtlas.residue_members is residue_members
+
+
+def test_tracer_counts_local_condition_verdicts(fano, thin_a3):
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert homotopy.check_lsco(thin_a3).ok
+        assert tracer.call_count("homotopy.simply_2_connected") == 24
+        assert tracer.count_of("homotopy.verdict.trivial") == 24
+        assert tracer.call_count("homotopy.check_lsco") == 1
+        tracer.reset()
+        assert homotopy.check_lco(fano).ok
+        assert tracer.call_count("homotopy.check_lco") == 1
+    finally:
+        tracer.uninstall()

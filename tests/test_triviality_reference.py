@@ -6,6 +6,11 @@ decision it replaced, which ran on the same presentations through sympy's
 ``smith_normal_form`` and ``coset_enumeration_r``. Every input must get the
 same status from both, and the same abelianization invariants when it is
 nontrivial.
+
+``reference_presentation`` is the edge-path presentation as it was built
+residue by residue; ``_presentation`` reads the same 2-cells off one BFS
+forest of the J-typed edges per type set and must return the same
+generators and relators.
 """
 
 import pytest
@@ -16,16 +21,24 @@ from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
 from sympy.combinatorics.free_groups import free_group
 from sympy.matrices.normalforms import smith_normal_form
 
+from twinbuild.chambersys import Building
 from twinbuild.codistance import from_opposite_chamber
+from twinbuild.errors import NotConnected
 from twinbuild.homotopy import (
     DEFAULT_COSET_CAP,
     INCONCLUSIVE,
     PROVEN_NONTRIVIAL,
     PROVEN_TRIVIAL,
     TrivialityVerdict,
+    _bfs_forest,
+    _cycle_word,
     _decide,
+    _forest_edges,
     _presentation,
     _smith_invariants,
+    _spanning_tree,
+    _subset_edges,
+    _tree_path,
     opposite_set,
     residual_filtration,
     simply_2_connected,
@@ -180,3 +193,104 @@ def test_smith_invariants_match_sympy(rows):
     diag = [abs(snf[i, i]) for i in range(min(snf.shape))]
     sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
     assert _smith_invariants(sparse) == [d for d in diag if d]
+
+
+# -- the presentation against its per-residue construction -------------------
+
+
+def reference_presentation(b, subset):
+    """Edge-path group presentation of the 2-complex on ``subset``.
+
+    1-skeleton: the adjacency graph; 2-cells: fundamental cycles of each
+    rank <= 2 residue's restriction to the subset.
+    """
+    vertices = sorted(subset)
+    all_gens = tuple(range(b.system.rank))
+    edges = _subset_edges(b, subset, all_gens)
+    parent = _spanning_tree(vertices, edges)
+    tree_edges = _forest_edges(parent)
+    non_tree = sorted(e for e in edges if e not in tree_edges)
+    gen_index = {e: i for i, e in enumerate(non_tree)}
+
+    relators = set()
+    rank = b.system.rank
+    type_sets = [(s,) for s in range(rank)]
+    type_sets += [
+        (a, c) for a in range(rank) for c in range(a + 1, rank)
+    ]
+    for J in type_sets:
+        seen_residues = set()
+        for v in vertices:
+            R = b.residue(v, frozenset(J))
+            key = (R.J, R.base)
+            if key in seen_residues:
+                continue
+            seen_residues.add(key)
+            rset = subset & set(R.chambers())
+            if len(rset) < 3:
+                continue
+            redges = _subset_edges(b, frozenset(rset), J)
+            if not redges:
+                continue
+            comp_parent = _bfs_forest(rset, redges)
+            local_tree = _forest_edges(comp_parent)
+            for e in redges:
+                if e in local_tree:
+                    continue
+                a, b2 = e
+                pa = _tree_path(comp_parent, a)
+                pb = _tree_path(comp_parent, b2)
+                if pa[-1] != pb[-1]:
+                    continue
+                # fundamental cycle: root -> a, edge (a, b2), b2 -> root
+                cyc = list(reversed(pa)) + pb
+                rel = _cycle_word(cyc, tree_edges, gen_index)
+                if rel:
+                    relators.add(rel)
+    return non_tree, sorted(relators)
+
+
+def assert_same_presentation(b, subset):
+    subset = frozenset(subset)
+    try:
+        expected = reference_presentation(b, subset)
+    except NotConnected:
+        with pytest.raises(NotConnected):
+            _presentation(b, subset)
+        return None
+    assert _presentation(b, subset) == expected
+    return expected
+
+
+def test_presentation_matches_reference_on_pg32_lsco_opposite_sets(pg32):
+    R = pg32.residue(0, (0, 1, 2))
+    for x in R.chambers():
+        assert assert_same_presentation(pg32, opposite_set(pg32, R, x))
+
+
+def test_presentation_matches_reference_on_pg22_fop_from_every_chamber(fano):
+    for c in range(fano.n):
+        assert assert_same_presentation(fano, from_opposite_chamber(fano, c).fop())
+
+
+@pytest.mark.parametrize("name, connected", [
+    ("pg23", True), ("sp42", False), ("sp43", True), ("pg32", True),
+])
+def test_presentation_matches_reference_on_fop(request, name, connected):
+    b = request.getfixturevalue(name)
+    fop = from_opposite_chamber(b, 0).fop()
+    assert (assert_same_presentation(b, fop) is not None) == connected
+
+
+def test_presentation_matches_reference_on_whole_buildings(fano, thin_a3):
+    for b in (fano, thin_a3):
+        non_tree, relators = assert_same_presentation(b, range(b.n))
+        assert non_tree and relators
+
+
+def test_presentation_looks_up_no_residue(fano, monkeypatch):
+    def no_residue(self, c, J):
+        raise AssertionError("residue lookup")
+
+    monkeypatch.setattr(Building, "residue", no_residue)
+    assert _presentation(fano, frozenset(range(fano.n)))[1]
