@@ -127,11 +127,8 @@ class AxiomViolation:
 @dataclass
 class BuildingReport:
     ok: bool
-    violations: list[AxiomViolation]
+    violation: Optional[AxiomViolation]
     thick: bool
-
-    def first(self) -> Optional[AxiomViolation]:
-        return self.violations[0] if self.violations else None
 
 
 class Building:
@@ -321,7 +318,7 @@ def validate_building(b: Building) -> BuildingReport:
 
     def fail(axiom: str, witness: tuple, detail: str) -> BuildingReport:
         return BuildingReport(
-            ok=False, violations=[AxiomViolation(axiom, witness, detail)], thick=thick
+            ok=False, violation=AxiomViolation(axiom, witness, detail), thick=thick
         )
 
     for x, row in enumerate(rows):
@@ -361,7 +358,7 @@ def validate_building(b: Building) -> BuildingReport:
         for y in range(b.n):
             if dist[y] != lengths[row[y]]:
                 return fail("gallery-distance", (x, y), "numerical distance != l(delta)")
-    return BuildingReport(ok=True, violations=[], thick=thick)
+    return BuildingReport(ok=True, violation=None, thick=thick)
 
 
 def _graph_distances(b: Building, x: int) -> list[int]:

@@ -237,8 +237,8 @@ def _cmd_validate_building(args) -> int:
         print(f"{b.name}: {b.n} chambers, thick={b.system.is_thick()}")
         print("RESULT=pass")
         return EXIT_PASS
-    for v in report.violations:
-        print(f"violation {v.axiom}: {v.witness} ({v.detail})")
+    v = report.violation
+    print(f"violation {v.axiom}: {v.witness} ({v.detail})")
     print("RESULT=fail")
     return EXIT_VIOLATION
 
@@ -374,6 +374,8 @@ def _cmd_twin_verify(args) -> int:
     d = args.directory
     b = parse_building(_read(os.path.join(d, "minus.bld")))
     plus = parse_building(_read(os.path.join(d, "plus.bld")))
+    if plus.weyl.matrix != b.weyl.matrix:
+        raise FormatError("plus.bld and minus.bld declare different diagrams")
     members = []
     for i in range(plus.n):
         path = os.path.join(d, f"codistance_{i:04d}.cod")

@@ -48,8 +48,8 @@ def s_adjacent(f: Codistance, g: Codistance, s: int) -> bool:
     return panels_op(f, s) == panels_op(g, s)
 
 
-def beta_orbit(f: Codistance, Ptilde: ResidueRef, p: int) -> dict[ResidueRef, int]:
-    """The chamber beta(Ptilde, Q)(p) in each panel Q meeting f^op.
+def beta_maps(f: Codistance, Ptilde: ResidueRef) -> dict[ResidueRef, dict[int, int]]:
+    """The chamber map of beta(Ptilde, Q) for each panel Q meeting f^op.
 
     ``beta`` composes its steps along the gallery by which a breadth-first
     search inside f^op, started at the least f^op chamber of Ptilde, first
@@ -57,78 +57,89 @@ def beta_orbit(f: Codistance, Ptilde: ResidueRef, p: int) -> dict[ResidueRef, in
     that does not depend on Q, so its parent pointers are the same for every
     target, and the gallery ``beta`` picks for Q is the path in the search
     tree to the first f^op chamber of Q that the search reaches.  One search
-    therefore serves every Q: the image of p is carried down each tree edge
-    by the same step ``beta`` composes across it, and the result equals
-    ``{Q: beta(f, Ptilde, Q)(p)}`` chamber for chamber.
+    therefore serves every Q: Ptilde's chamber map is carried down each tree
+    edge by the same step ``beta`` composes across it, and the result equals
+    ``{Q: beta(f, Ptilde, Q).mapping}`` chamber for chamber.
     """
     s = panel_type(Ptilde)
     if Ptilde not in panels_op(f, s):
         raise NotOpposite("panel does not meet f^op")
     b = f.building
     start = min(x for x in Ptilde.chambers() if f(x) == 0)
-    image = {start: p}
-    orbit: dict[ResidueRef, int] = {}
+    image = {start: {c: c for c in Ptilde.chambers()}}
+    maps: dict[ResidueRef, dict[int, int]] = {}
     for x, parent in _fop_search(f, start):
         if x != start:
             step = _gallery_step(f, s, parent[x], x)
             y = image[parent[x]]
-            image[x] = y if step is None else step(y)
-        orbit.setdefault(b.panel(x, s), image[x])
-    if any(Q not in orbit for Q in panels_op(f, s)):
+            if step is not None:
+                y = {c: step.mapping[v] for c, v in y.items()}
+            image[x] = y
+        maps.setdefault(b.panel(x, s), image[x])
+    if any(Q not in maps for Q in panels_op(f, s)):
         raise NotOpposite("no gallery in f^op joins the panels")
-    return {Q: orbit[Q] for Q in panels_op(f, s)}
+    return {Q: maps[Q] for Q in panels_op(f, s)}
 
 
-def adjacent_codistance(
-    f: Codistance,
-    s: int,
-    Ptilde: ResidueRef,
-    p: int,
-    check_choices: bool = False,
-    choices: Optional[list[tuple[ResidueRef, ...]]] = None,
-) -> Codistance:
-    """The codistance obtained from f by moving its trace on each panel of
-    P_s^op(f) to the beta-orbit of p.
+def adjacent_codistances(
+    f: Codistance, s: int, Ptilde: ResidueRef, check_choices: bool = False
+) -> dict[int, Codistance]:
+    """The s-neighbours of f, one per chamber p of Ptilde in f^op, in
+    ascending p: the codistance obtained from f by moving its trace on each
+    panel of P_s^op(f) to the beta-orbit of p.
 
     g(c) = s f(c) when the projection of c to a panel P meeting f^op_c hits
     the old or the new marked chamber of P, and g(c) = f(c) otherwise.  The
     choice of P does not matter; ``check_choices`` recomputes with every
-    admissible P and demands agreement.  ``choices`` may hold the admissible
-    panels of each chamber, ``panels_op_c(f, s, c)`` for every c, when the
-    caller builds the neighbours of f for several p.
+    admissible P and demands agreement.  The beta maps, the panel choices
+    and the projections of each chamber are computed once for every p.
     """
     b = f.building
     table = b.weyl
     if Ptilde not in panels_op(f, s):
         raise PreconditionFailed("Ptilde does not meet f^op")
+    maps = beta_maps(f, Ptilde)
+    gaps = {P: _op_panel_gap(f, P) for P in maps}
+    projections = []
+    for c in range(b.n):
+        choices = panels_op_c(f, s, c)
+        if not choices:
+            raise PreconditionFailed(f"no panel of f^op_{c} of type {s}")
+        use = choices if check_choices else choices[:1]
+        projections.append([(P, b.proj_chamber(P, c)) for P in use])
+    neighbours = {}
+    for p in sorted(Ptilde.chambers()):
+        if f(p) != 0:
+            continue
+        values = []
+        for c, projs in enumerate(projections):
+            w = f(c)
+            vals = {
+                table.left[w][s] if m == gaps[P] or m == maps[P][p] else w
+                for P, m in projs
+            }
+            if len(vals) != 1:
+                raise PreconditionFailed(
+                    f"panel choice changes the value at chamber {c}"
+                )
+            values.append(vals.pop())
+        g = Codistance(b, values)
+        report = validate_codistance(g)
+        if not report.ok:
+            raise PreconditionFailed(f"constructed map is not a codistance: {report}")
+        neighbours[p] = g
+    return neighbours
+
+
+def adjacent_codistance(
+    f: Codistance, s: int, Ptilde: ResidueRef, p: int, check_choices: bool = False
+) -> Codistance:
+    """The s-neighbour of f that ``adjacent_codistances`` gives for p."""
+    if Ptilde not in panels_op(f, s):
+        raise PreconditionFailed("Ptilde does not meet f^op")
     if p not in set(Ptilde.chambers()) or f(p) != 0:
         raise PreconditionFailed("p must be a chamber of Ptilde inside f^op")
-    marked = beta_orbit(f, Ptilde, p)
-    gaps = {P: _op_panel_gap(f, P) for P in marked}
-    if choices is None:
-        choices = [panels_op_c(f, s, c) for c in range(b.n)]
-    values = []
-    for c in range(b.n):
-        if not choices[c]:
-            raise PreconditionFailed(f"no panel of f^op_{c} of type {s}")
-        use = choices[c] if check_choices else choices[c][:1]
-        vals = set()
-        for P in use:
-            m = b.proj_chamber(P, c)
-            if m == gaps[P] or m == marked[P]:
-                vals.add(table.left[f(c)][s])
-            else:
-                vals.add(f(c))
-        if len(vals) != 1:
-            raise PreconditionFailed(
-                f"panel choice changes the value at chamber {c}"
-            )
-        values.append(vals.pop())
-    g = Codistance(b, values)
-    report = validate_codistance(g)
-    if not report.ok:
-        raise PreconditionFailed(f"constructed map is not a codistance: {report}")
-    return g
+    return adjacent_codistances(f, s, Ptilde, check_choices)[p]
 
 
 @dataclass
@@ -175,13 +186,8 @@ def atlas_component(f: Codistance, cap: int = DEFAULT_ATLAS_CAP) -> CodistanceAt
         for s in range(rank):
             if i in panel_of[s]:
                 continue
-            Ptilde = panels_op(g, s)[0]
-            choices = [panels_op_c(g, s, c) for c in range(b.n)]
             group = [i]
-            for p in sorted(Ptilde.chambers()):
-                if g(p) != 0:
-                    continue
-                h = adjacent_codistance(g, s, Ptilde, p, choices=choices)
+            for h in adjacent_codistances(g, s, panels_op(g, s)[0]).values():
                 j = index.get(h.values)
                 if j is None:
                     j = len(members)
@@ -306,44 +312,25 @@ class TwinAssembly:
 
 
 def _check_tw_axioms(minus: Building, plus: Building, atlas: CodistanceAtlas) -> bool:
-    table = minus.weyl
-    length = table.length
-    nplus = len(atlas.members)
-    for i in range(nplus):
-        g = atlas.members[i]
-        for c in range(minus.n):
-            w = g(c)
-            # side +: y = c in B-, moves z within B-
-            for s in range(minus.system.rank):
-                ws = table.right[w][s]
-                extended = length[ws] == length[w] + 1
-                found = False
-                for z in minus.system.panel_members(c, s):
-                    if z == c:
-                        continue
-                    if not extended and g(z) != ws:
-                        return False            # Tw2
-                    if g(z) == ws:
-                        found = True
-                if not found:
-                    return False                # Tw3
-            # side -: x = c, y = member i, w' = w^{-1}; z ranges in B+
-            winv = table.inv(w)
-            for s in range(plus.system.rank):
-                ws = table.right[winv][s]
-                extended = length[ws] == length[winv] + 1
-                found = False
-                for j in plus.system.panel_members(i, s):
-                    if j == i:
-                        continue
-                    zval = table.inv(atlas.members[j](c))
-                    if not extended and zval != ws:
-                        return False            # Tw2
-                    if zval == ws:
-                        found = True
-                if not found:
-                    return False                # Tw3
-    return True
+    """The twinning axioms (Tw2) and (Tw3) for delta*(g, c) = g(c), on both
+    halves: on B- every member must pass ``validate_codistance``, and on B+
+    so must the map g -> delta*(c, g) = g(c)^-1 for every chamber c of B-.
+
+    On one s-panel, (Tw2) and (Tw3) at every chamber y are the panel axiom.
+    Take y with the longest value u: (Tw3) gives another chamber at us, and
+    maximality forces l(us) < l(u); (Tw2) at y then puts every other
+    chamber at us.  So the values are u once and us elsewhere.  Conversely,
+    if they are, (Tw2) at y holds, (Tw3) at y has a witness in any other
+    chamber, and at every other chamber (Tw2) is void, since (us)s = u is
+    longer, while y is the (Tw3) witness.
+    """
+    inv = minus.weyl.inv
+    if not all(validate_codistance(g).ok for g in atlas.members):
+        return False
+    return all(
+        validate_codistance(Codistance(plus, [inv(g(c)) for g in atlas.members])).ok
+        for c in range(minus.n)
+    )
 
 
 def _check_plus_star(minus: Building, plus: Building, atlas: CodistanceAtlas) -> bool:
@@ -448,22 +435,21 @@ def assemble_twin(
     opposition_ok = True
     checked: set[tuple[int, frozenset]] = set()
     rank = b.system.rank
-    small_J = [frozenset()] + [frozenset((s,)) for s in range(rank)] + [
+    # J = {} is not checked: its residue R = {c} meets member i only, the
+    # bijection is i -> proj R = c, and the opposition test reduces to
+    # g(c) = 1 (Weyl id 0), which holds because c is drawn from g.fop().
+    small_J = [frozenset((s,)) for s in range(rank)] + [
         frozenset((s, t)) for s in range(rank) for t in range(s + 1, rank)
     ]
     for i, g in enumerate(atlas.members):
         tildes = [atlas.residue_members(i, J) for J in small_J]
         for c in g.fop():
             for J, tilde in zip(small_J, tildes):
-                key = (
-                    tilde,
-                    b.residue(c, J) if J else c,
-                    tuple(sorted(J)),
-                )
+                R = b.residue(c, J)
+                key = (tilde, R, tuple(sorted(J)))
                 if key in checked:
                     continue
                 checked.add(key)
-                R = b.residue(c, J)
                 try:
                     alpha_ok = alpha_check(atlas, i, J, R=R).ok
                 except PreconditionFailed:

@@ -92,7 +92,7 @@ def test_wrong_coxeter_type_fails_validation(make, matrix, axiom, witness):
     system = ChamberSystem(enumerate_weyl(matrix()), b.n, b.system.panels)
     report = validate_building(Building(system, name="mistyped"))
     assert not report.ok
-    assert [(v.axiom, v.witness) for v in report.violations] == [(axiom, witness)]
+    assert (report.violation.axiom, report.violation.witness) == (axiom, witness)
 
 
 def test_disconnected_raises():

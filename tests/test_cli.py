@@ -1,6 +1,7 @@
 """Command line interface: file formats, exit codes, and determinism."""
 
 import filecmp
+import hashlib
 import os
 import subprocess
 import sys
@@ -222,10 +223,58 @@ def test_twin_build_deterministic(tmp_path, fano_file, fano_cod_file):
     assert match == names
 
 
+def digest_dir(path):
+    """sha256 over each file name and its bytes, in name order."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        h.update(name.encode() + b"\0")
+        with open(os.path.join(path, name), "rb") as fh:
+            h.update(fh.read() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("fixture, chamber, digest", [
+    ("fano", 0, "6a42eeed8c3af2d1dd16d234f803ebe57e6ae66b5afea4460d0c8d01d396909b"),
+    ("pg23", 17, "09c9675cadd6f2d63bdbb22131c0f14e07d05dd4c2138445e1a320a6a4bf5de8"),
+])
+def test_twin_build_bytes_pinned(request, tmp_path, capsys, fixture, chamber, digest):
+    # member order, panels and every written byte are fixed, not just
+    # repeatable within one version
+    b = request.getfixturevalue(fixture)
+    bpath = tmp_path / "b.bld"
+    bpath.write_text(serialize_building(b))
+    cpath = tmp_path / "f.cod"
+    cpath.write_text(serialize_codistance(from_opposite_chamber(b, chamber)))
+    out = tmp_path / "twin"
+    assert main(["twin", "build", "--building", str(bpath),
+                 "--codistance", str(cpath), "-o", str(out)]) == EXIT_PASS
+    assert digest_dir(out) == digest
+
+
 def test_twin_verify(tmp_path, fano_file, fano_cod_file, capsys):
     _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
     assert main(["twin", "verify", out]) == EXIT_PASS
     assert "RESULT=pass" in capsys.readouterr().out
+
+
+def test_twin_verify_rejects_plus_diagram_mismatch(
+    tmp_path, fano_file, fano_cod_file, capsys
+):
+    # plus.bld declaring B2 over A2 panels is a malformed twin directory
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    plus = os.path.join(out, "plus.bld")
+    with open(plus) as fh:
+        text = fh.read()
+    assert "matrix\n1 3\n3 1\n" in text
+    with open(plus, "w") as fh:
+        fh.write(text.replace("matrix\n1 3\n3 1\n", "matrix\n1 4\n4 1\n", 1))
+    capsys.readouterr()
+    assert main(["validate", "building", plus]) != EXIT_PASS
+    capsys.readouterr()
+    assert main(["twin", "verify", out]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "RESULT=" not in captured.out
+    assert "diagram" in captured.err
 
 
 def test_twin_verify_detects_tampering(tmp_path, fano_file, fano_cod_file, capsys):

@@ -10,11 +10,12 @@ from twinbuild.panelcalc import beta, panels_op
 from twinbuild.twinner import (
     CodistanceAtlas,
     _check_plus_star,
+    _check_tw_axioms,
     adjacent_codistance,
     alpha_check,
     assemble_twin,
     atlas_component,
-    beta_orbit,
+    beta_maps,
     s_adjacent,
 )
 
@@ -88,10 +89,11 @@ def test_adjacent_codistance_marks_beta_orbit(fano):
     s = 0
     Ptilde = panels_op(f, s)[0]
     p = next(x for x in Ptilde.chambers() if f(x) == 0)
-    orbit = beta_orbit(f, Ptilde, p)
+    maps = beta_maps(f, Ptilde)
     g = adjacent_codistance(f, s, Ptilde, p)
     # the new projections of g on the panels of P_s^op are the orbit chambers
-    for Q, q in orbit.items():
+    for Q, mapping in maps.items():
+        q = mapping[p]
         assert g(q) == b.weyl.gen(s)
         assert sum(1 for x in Q.chambers() if g(x) == 0) == len(Q) - 1
 
@@ -419,18 +421,71 @@ def test_plus_star_matches_reference(request, fixture):
         assert not _check_plus_star(b, plus, bad)
 
 
+def tw_axioms_reference(minus, plus, atlas):
+    """(Tw2) and (Tw3) as plain loops over every member, chamber and type,
+    on both halves."""
+    table = minus.weyl
+    length = table.length
+    nplus = len(atlas.members)
+    for i in range(nplus):
+        g = atlas.members[i]
+        for c in range(minus.n):
+            w = g(c)
+            # side +: y = c in B-, moves z within B-
+            for s in range(minus.system.rank):
+                ws = table.right[w][s]
+                extended = length[ws] == length[w] + 1
+                found = False
+                for z in minus.system.panel_members(c, s):
+                    if z == c:
+                        continue
+                    if not extended and g(z) != ws:
+                        return False            # Tw2
+                    if g(z) == ws:
+                        found = True
+                if not found:
+                    return False                # Tw3
+            # side -: x = c, y = member i, w' = w^{-1}; z ranges in B+
+            winv = table.inv(w)
+            for s in range(plus.system.rank):
+                ws = table.right[winv][s]
+                extended = length[ws] == length[winv] + 1
+                found = False
+                for j in plus.system.panel_members(i, s):
+                    if j == i:
+                        continue
+                    zval = table.inv(atlas.members[j](c))
+                    if not extended and zval != ws:
+                        return False            # Tw2
+                    if zval == ws:
+                        found = True
+                if not found:
+                    return False                # Tw3
+    return True
+
+
+@pytest.mark.parametrize("fixture", ["fano", "pg23", "digon33"])
+def test_tw_axioms_match_reference(request, fixture):
+    # the member-swapping corruptions keep every member a codistance, so
+    # only the B+ half of the check can reject them
+    b = request.getfixturevalue(fixture)
+    atlas = atlas_component(from_opposite_chamber(b, 0))
+    assert tw_axioms_reference(b, atlas.plus, atlas)
+    assert _check_tw_axioms(b, atlas.plus, atlas)
+    for bad in corrupted_atlases(atlas):
+        expected = tw_axioms_reference(b, atlas.plus, bad)
+        assert _check_tw_axioms(b, atlas.plus, bad) == expected
+
+
 @pytest.mark.parametrize("fixture", ["pg23", "sp43", "pg32"])
 def test_beta_orbit_matches_beta(request, fixture):
     b = request.getfixturevalue(fixture)
     f = from_opposite_chamber(b, 0)
     for s in range(b.system.rank):
         for Ptilde in panels_op(f, s)[:2]:
-            for p in Ptilde.chambers():
-                if f(p) != 0:
-                    continue
-                assert beta_orbit(f, Ptilde, p) == {
-                    Q: beta(f, Ptilde, Q)(p) for Q in panels_op(f, s)
-                }
+            assert beta_maps(f, Ptilde) == {
+                Q: beta(f, Ptilde, Q).mapping for Q in panels_op(f, s)
+            }
 
 
 # -- the rank-3 twin ----------------------------------------------------------
