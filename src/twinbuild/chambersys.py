@@ -31,6 +31,8 @@ class ChamberSystem:
 
     def __post_init__(self) -> None:
         rank = self.weyl.rank
+        if self.n < 1:
+            raise ValueError(f"a chamber system needs a chamber, got {self.n}")
         if len(self.panels) != rank:
             raise ValueError("one panel family per generator required")
         self.panel_of = []

@@ -199,6 +199,17 @@ def _read(path: str) -> str:
         raise FormatError(str(e))
 
 
+def _read_codistance(path: str, b: Building) -> Codistance:
+    """Parse a codistance file, rejecting a map that fails the panel axiom."""
+    f = parse_codistance(_read(path), b)
+    v = validate_codistance(f).violation
+    if v is not None:
+        raise FormatError(
+            f"not a codistance: type {v.generator} panel {v.panel}: {v.detail}"
+        )
+    return f
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -292,7 +303,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_fop(args) -> int:
     b = parse_building(_read(args.building))
-    f = parse_codistance(_read(args.codistance), b)
+    f = _read_codistance(args.codistance, b)
     fop = f.fop()
     print("fop " + " ".join(str(c) for c in fop))
     print(f"FOP_SIZE={len(fop)}")
@@ -334,7 +345,7 @@ def _twin_report(
 
 def _cmd_twin_build(args) -> int:
     b = parse_building(_read(args.building))
-    f = parse_codistance(_read(args.codistance), b)
+    f = _read_codistance(args.codistance, b)
     lco_ok = check_lco(b).ok
     lsco_ok = check_lsco(b).ok
     if not (lco_ok and lsco_ok):

@@ -21,6 +21,8 @@ class Codistance:
         self.values = tuple(values)
         self._fop: Optional[tuple[int, ...]] = None
         self._fop_set: Optional[frozenset] = None
+        # s -> the s-panels meeting f^op, filled by panelcalc.panels_op
+        self._psop_cache: dict[int, tuple[ResidueRef, ...]] = {}
 
     def __eq__(self, other) -> bool:
         return (

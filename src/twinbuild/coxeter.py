@@ -1,11 +1,11 @@
 """Exact finite Coxeter-group arithmetic.
 
-Elements are dense integer ids into a fully enumerated table.  Equality
-during enumeration is decided in the reflection representation with exact
-coordinates in Q(sqrt2, sqrt3, sqrt5), stored as vectors of 8 rationals, so
-the word problem needs no rewriting machinery.  Ids are assigned in ShortLex
-order of the canonical reduced word, which makes id order refine length
-order (and id 0 the identity).
+Elements are dense integer ids into a fully enumerated table: the coset
+table of the trivial subgroup in the Coxeter presentation
+<S | s^2, (st)^m(s,t)>, found by HLT coset enumeration, so the word problem
+needs no rewriting machinery.  Ids are assigned in ShortLex order of the
+canonical reduced word, which makes id order refine length order (and id 0
+the identity).
 """
 
 from __future__ import annotations
@@ -16,94 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, UnsupportedEntry
 
-# ---------------------------------------------------------------------------
-# Arithmetic in Q(sqrt2, sqrt3, sqrt5).
-#
-# Basis vectors indexed by bitmasks over the primes (2, 3, 5):
-# mask m represents sqrt(prod of primes selected by m), so mask 0 is 1,
-# mask 0b011 is sqrt(6), mask 0b111 is sqrt(30).  Products follow
-# b_i * b_j = gcd-part * b_(i xor j) with the gcd-part the product of the
-# shared primes.
-
-_ZERO8 = (Fraction(0),) * 8
-
-_SHARED_FACTOR = [
-    [1] * 8 for _ in range(8)
-]
-for _i in range(8):
-    for _j in range(8):
-        c = 1
-        common = _i & _j
-        if common & 1:
-            c *= 2
-        if common & 2:
-            c *= 3
-        if common & 4:
-            c *= 5
-        _SHARED_FACTOR[_i][_j] = c
-
-
-def _fconst(r: int | Fraction) -> tuple[Fraction, ...]:
-    v = [Fraction(0)] * 8
-    v[0] = Fraction(r)
-    return tuple(v)
-
-
-def _fbasis(mask: int, coeff: Fraction = Fraction(1)) -> tuple[Fraction, ...]:
-    v = [Fraction(0)] * 8
-    v[mask] = coeff
-    return tuple(v)
-
-
-def _fadd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _fmul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * 8
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            out[i ^ j] += ai * bj * _SHARED_FACTOR[i][j]
-    return tuple(out)
-
-
-# 2*cos(pi/m) for the supported bond orders; 0 encodes infinity and has the
-# parabolic value 2.  enumerate_weyl never builds that representation: an
-# infinite bond makes the group infinite, so it raises CapExceeded up front.
-_TWO_COS = {
-    2: _fconst(0),
-    3: _fconst(1),
-    4: _fbasis(0b001),                       # sqrt 2
-    5: _fadd(_fconst(Fraction(1, 2)), _fbasis(0b100, Fraction(1, 2))),
-    6: _fbasis(0b010),                       # sqrt 3
-    0: _fconst(2),
-}
-
-_SUPPORTED = frozenset(_TWO_COS)
-
-
-def _mat_mul(a, b, n: int):
-    return tuple(
-        tuple(
-            _reduce_sum(_fmul(a[i][k], b[k][j]) for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def _reduce_sum(terms: Iterable[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
-    acc = _ZERO8
-    for t in terms:
-        acc = _fadd(acc, t)
-    return acc
-
-
-# ---------------------------------------------------------------------------
+_SUPPORTED = frozenset({0, 2, 3, 4, 5, 6})
 
 
 @dataclass(frozen=True)
@@ -111,8 +24,7 @@ class CoxeterMatrix:
     """A Coxeter diagram: generator names plus the symmetric order matrix.
 
     Entry 0 encodes an infinite bond.  Finite off-diagonal entries must lie
-    in {2,3,4,5,6} so that the reflection representation stays inside
-    Q(sqrt2, sqrt3, sqrt5).
+    in {2,3,4,5,6}.
     """
 
     gens: tuple[str, ...]
@@ -335,37 +247,117 @@ class WeylTable:
         )
 
 
-def _reflection_generators(matrix: CoxeterMatrix):
-    """Matrices of the generators in the reflection representation."""
-    n = matrix.rank
-    one = _fconst(1)
-    zero = _ZERO8
-    mats = []
-    for s in range(n):
-        rows = []
-        for i in range(n):
-            row = []
-            for t in range(n):
-                if i == s:
-                    if t == s:
-                        row.append(_fconst(-1))
-                    else:
-                        row.append(_TWO_COS[matrix.m[s][t]])
+def coset_table(
+    ngens: int, words: Sequence[tuple[int, ...]], cap: int
+) -> list[list[int]]:
+    """Coset table of the trivial subgroup, by HLT coset enumeration
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 5.1).
+
+    Letters are ``2 * generator`` and ``2 * generator + 1`` for its inverse,
+    so that ``a ^ 1`` is the inverse of letter ``a``; ``words`` are the
+    relators.  The live cosets are numbered 0..k-1 in order of definition,
+    coset 0 is the identity, and ``table[c][a]`` is c * a.
+
+    Raises ``CapExceeded`` when it would define more than ``cap`` cosets.
+    """
+    width = 2 * ngens
+    table: list[list[Optional[int]]] = [[None] * width]
+    parent = [0]  # parent[c] == c for a live coset
+
+    def rep(c: int) -> int:
+        r = c
+        while parent[r] != r:
+            r = parent[r]
+        while parent[c] != r:
+            parent[c], c = r, parent[c]
+        return r
+
+    def define(c: int, a: int) -> None:
+        if len(table) >= cap:
+            raise CapExceeded(f"more than {cap} cosets")
+        n = len(table)
+        table.append([None] * width)
+        parent.append(n)
+        table[c][a] = n
+        table[n][a ^ 1] = c
+
+    def coincidence(a: int, b: int) -> None:
+        queue: list[int] = []
+
+        def merge(k: int, m: int) -> None:
+            k, m = rep(k), rep(m)
+            if k != m:
+                k, m = min(k, m), max(k, m)
+                parent[m] = k
+                queue.append(m)
+
+        merge(a, b)
+        for e in queue:
+            for x in range(width):
+                f = table[e][x]
+                if f is None:
+                    continue
+                table[f][x ^ 1] = None
+                e1, f1 = rep(e), rep(f)
+                if table[e1][x] is not None:
+                    merge(f1, table[e1][x])
+                elif table[f1][x ^ 1] is not None:
+                    merge(e1, table[f1][x ^ 1])
                 else:
-                    row.append(one if i == t else zero)
-            rows.append(tuple(row))
-        mats.append(tuple(rows))
-    return mats
+                    table[e1][x] = f1
+                    table[f1][x ^ 1] = e1
+
+    def scan_and_fill(c: int, w: tuple[int, ...]) -> None:
+        f, i = c, 0
+        b, j = c, len(w) - 1
+        while True:
+            while i <= j and table[f][w[i]] is not None:
+                f = table[f][w[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][w[j] ^ 1] is not None:
+                b = table[b][w[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if i == j:
+                table[f][w[i]] = b
+                table[b][w[i] ^ 1] = f
+                return
+            define(f, w[i])
+
+    c = 0
+    while c < len(table):
+        for w in words:
+            if parent[c] != c:
+                break
+            scan_and_fill(c, w)
+        if parent[c] == c:
+            for a in range(width):
+                if table[c][a] is None:
+                    define(c, a)
+        c += 1
+    live = [c for c, p in enumerate(parent) if c == p]
+    index = {c: k for k, c in enumerate(live)}
+    return [[index[rep(d)] for d in table[c]] for c in live]
 
 
 def enumerate_weyl(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> WeylTable:
-    """Enumerate W by BFS over exact reflection matrices.
+    """Enumerate W as the coset table of the trivial subgroup in its Coxeter
+    presentation <S | s^2, (st)^m(s,t)>.
 
-    Raises CapExceeded as soon as more than ``cap`` elements appear.  A
-    matrix that is not 3-spherical (an infinite bond, or an affine or
-    hyperbolic triangle such as Ã2) has an infinite parabolic subgroup of
-    rank <= 3, so W is infinite, no cap can be met, and CapExceeded is
-    raised before any enumeration.
+    ``cap`` bounds the cosets the enumeration defines.  That is at least
+    |W|, so CapExceeded is raised whenever |W| > cap; but the enumeration
+    may define a few times |W| before coincidences collapse them (2.2-2.7x
+    on E6, A7 and B6), so a finite group of more than about 75,000 elements
+    may hit the default cap as well.  A matrix that is not 3-spherical (an
+    infinite bond, or an affine or hyperbolic triangle such as Ã2) has an
+    infinite parabolic subgroup of rank <= 3, so W is infinite, no cap can
+    be met, and CapExceeded is raised before any enumeration.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -375,51 +367,35 @@ def enumerate_weyl(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> WeylTable:
             "of rank <= 3 makes the group infinite"
         )
     n = matrix.rank
-    gens = _reflection_generators(matrix)
-    identity = tuple(
-        tuple(_fconst(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    relators = [(2 * s, 2 * s) for s in range(n)] + [
+        (2 * s, 2 * t) * matrix.m[s][t] for s in range(n) for t in range(s + 1, n)
+    ]
+    try:
+        cosets = coset_table(n, relators, cap)
+    except CapExceeded:
+        raise CapExceeded(f"more than {cap} cosets; group too large or infinite") from None
 
-    ids: dict = {identity: 0}
-    mats = [identity]
-    length = [0]
-    word: list[tuple[int, ...]] = [()]
-    right: list[list[int]] = [[-1] * n]
-
-    frontier = [0]
-    while frontier:
-        next_frontier: list[int] = []
-        for w in frontier:
-            mw = mats[w]
-            for s in range(n):
-                prod = _mat_mul(mw, gens[s], n)
-                known = ids.get(prod)
-                if known is None:
-                    known = len(mats)
-                    if known >= cap:
-                        raise CapExceeded(
-                            f"more than {cap} elements; group too large or infinite"
-                        )
-                    ids[prod] = known
-                    mats.append(prod)
-                    length.append(length[w] + 1)
-                    word.append(word[w] + (s,))
-                    right.append([-1] * n)
-                    next_frontier.append(known)
-                right[w][s] = known
-        frontier = next_frontier
-
-    size = len(mats)
-    left = [[-1] * n for _ in range(size)]
-    for w in range(size):
+    # Breadth first from the identity, generators ascending, each element is
+    # first reached from the least id one letter shorter by the least
+    # letter, i.e. along its ShortLex-least reduced word; so ids, lengths and
+    # words are in ShortLex order.
+    ids = [0] + [-1] * (len(cosets) - 1)  # coset -> element id
+    order, length, word = [0], [0], [()]  # element id -> coset, length, word
+    for w, c in enumerate(order):
         for s in range(n):
-            left[w][s] = ids[_mat_mul(gens[s], mats[w], n)]
+            d = cosets[c][2 * s]
+            if ids[d] < 0:
+                ids[d] = len(order)
+                order.append(d)
+                length.append(length[w] + 1)
+                word.append(word[w] + (s,))
+    right = [[ids[cosets[c][2 * s]] for s in range(n)] for c in order]
 
-    return WeylTable(
-        matrix=matrix,
-        size=size,
-        length=length,
-        right=right,
-        left=left,
-        word=word,
-    )
+    # s * w traces s followed by word[w] through right; with t the last
+    # letter of word[w], that is (s * wt) * t, and wt has a smaller id.
+    left = [list(right[0])]
+    for w in range(1, len(order)):
+        t = word[w][-1]
+        left.append([right[x][t] for x in left[right[w][t]]])
+
+    return WeylTable(matrix, len(order), length, right, left, word)

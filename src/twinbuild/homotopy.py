@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .chambersys import Building, ResidueRef
 from .codistance import Codistance
+from .coxeter import coset_table
 from .errors import CapExceeded, EndpointMismatch, NotConnected, TwinbuildError
 
 PROVEN_TRIVIAL = "ProvenTrivial"
@@ -329,7 +330,7 @@ def _decide(
     column = {g: i for i, g in enumerate(gens)}
     words = [tuple(2 * column[a >> 1] + (a & 1) for a in word) for word in words]
     try:
-        n = _coset_count(len(gens), words, coset_cap)
+        n = len(coset_table(len(gens), words, coset_cap))
     except CapExceeded:
         return TrivialityVerdict(INCONCLUSIVE, certificate=("coset-cap", coset_cap))
     if n == 1:
@@ -455,96 +456,6 @@ def _smith_invariants(rows: Sequence[dict[int, int]]) -> list[int]:
             g = gcd(diag[a], diag[c])
             diag[a], diag[c] = g, diag[a] * diag[c] // g
     return diag
-
-
-def _coset_count(ngens: int, words: Sequence[tuple[int, ...]], cap: int) -> int:
-    """Order of the group, by HLT coset enumeration over the trivial subgroup
-    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*, 5.1).
-
-    Raises ``CapExceeded`` when it would define more than ``cap`` cosets.
-    """
-    width = 2 * ngens
-    table: list[list[Optional[int]]] = [[None] * width]
-    parent = [0]  # parent[c] == c for a live coset
-
-    def rep(c: int) -> int:
-        r = c
-        while parent[r] != r:
-            r = parent[r]
-        while parent[c] != r:
-            parent[c], c = r, parent[c]
-        return r
-
-    def define(c: int, a: int) -> None:
-        if len(table) >= cap:
-            raise CapExceeded(f"more than {cap} cosets")
-        n = len(table)
-        table.append([None] * width)
-        parent.append(n)
-        table[c][a] = n
-        table[n][a ^ 1] = c
-
-    def coincidence(a: int, b: int) -> None:
-        queue: list[int] = []
-
-        def merge(k: int, m: int) -> None:
-            k, m = rep(k), rep(m)
-            if k != m:
-                k, m = min(k, m), max(k, m)
-                parent[m] = k
-                queue.append(m)
-
-        merge(a, b)
-        for e in queue:
-            for x in range(width):
-                f = table[e][x]
-                if f is None:
-                    continue
-                table[f][x ^ 1] = None
-                e1, f1 = rep(e), rep(f)
-                if table[e1][x] is not None:
-                    merge(f1, table[e1][x])
-                elif table[f1][x ^ 1] is not None:
-                    merge(e1, table[f1][x ^ 1])
-                else:
-                    table[e1][x] = f1
-                    table[f1][x ^ 1] = e1
-
-    def scan_and_fill(c: int, w: tuple[int, ...]) -> None:
-        f, i = c, 0
-        b, j = c, len(w) - 1
-        while True:
-            while i <= j and table[f][w[i]] is not None:
-                f = table[f][w[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[b][w[j] ^ 1] is not None:
-                b = table[b][w[j] ^ 1]
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if i == j:
-                table[f][w[i]] = b
-                table[b][w[i] ^ 1] = f
-                return
-            define(f, w[i])
-
-    c = 0
-    while c < len(table):
-        for w in words:
-            if parent[c] != c:
-                break
-            scan_and_fill(c, w)
-        if parent[c] == c:
-            for a in range(width):
-                if table[c][a] is None:
-                    define(c, a)
-        c += 1
-    return sum(c == p for c, p in enumerate(parent))
 
 
 @dataclass

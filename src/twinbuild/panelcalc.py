@@ -220,10 +220,7 @@ def l_c_of_w(b: Building, w: int, s: int) -> int:
 
 def panels_op(f: Codistance, s: int) -> tuple[ResidueRef, ...]:
     """The s-panels meeting f^op, memoized on the codistance."""
-    cache = getattr(f, "_psop_cache", None)
-    if cache is None:
-        cache = {}
-        f._psop_cache = cache
+    cache = f._psop_cache
     got = cache.get(s)
     if got is None:
         b = f.building

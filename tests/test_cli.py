@@ -351,6 +351,84 @@ def test_validate_building_rejects_affine_a2_quickly(pg32, tmp_path, capsys):
     assert "infinite" in capsys.readouterr().err
 
 
+def test_validate_building_rejects_affine_a3_quickly(tmp_path, capsys):
+    # Ã3 is 3-spherical and infinite: only the enumeration's cap stops it.
+    # The panels are those of the thin A1^4 building, 16 chambers.
+    lines = ["%building 1", "name affine_a3", "rank 4", "gens a b c d", "matrix",
+             "1 3 2 3", "3 1 3 2", "2 3 1 3", "3 2 3 1", "chambers 16"]
+    for s, name in enumerate("abcd"):
+        lines.append(f"panels {name}")
+        lines += [f"{c} {c | 1 << s}" for c in range(16) if not c & 1 << s]
+    path = tmp_path / "affine_a3.bld"
+    path.write_text("\n".join(lines + ["end"]) + "\n")
+    start = time.perf_counter()
+    assert main(["validate", "building", str(path)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 10
+    assert "infinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [-1, 0])
+def test_validate_building_rejects_no_chambers(tmp_path, capsys, count):
+    text = "".join(f"{line}\n" for line in [
+        "%building 1", "name empty", "rank 2", "gens p l", "matrix", "1 3", "3 1",
+        f"chambers {count}", "panels p", "panels l", "end",
+    ])
+    path = tmp_path / "empty.bld"
+    path.write_text(text)
+    assert main(["validate", "building", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "RESULT=" not in captured.out
+    assert "chamber" in captured.err
+
+
+def test_twin_verify_rejects_plus_without_chambers(
+    tmp_path, fano_file, fano_cod_file, capsys
+):
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    plus = os.path.join(out, "plus.bld")
+    with open(plus) as fh:
+        head = fh.read().split("chambers ")[0]
+    with open(plus, "w") as fh:
+        fh.write(head + "chambers 0\npanels p\npanels l\nend\n")
+    with open(os.path.join(out, "costar.tsv"), "w") as fh:
+        fh.write("")
+    capsys.readouterr()
+    assert main(["twin", "verify", out]) == EXIT_INPUT
+    assert "RESULT=" not in capsys.readouterr().out
+
+
+@pytest.fixture
+def fano_all_p_file(tmp_path, fano):
+    # every value the generator p: breaks the panel axiom on every panel
+    lines = ["%codistance 1", f"building {fano.name}", "values"]
+    lines += [f"{c} p" for c in range(fano.n)] + ["end"]
+    path = tmp_path / "all_p.cod"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_validate_codistance_rejects_all_p(fano_file, fano_all_p_file, capsys):
+    assert main(["validate", "codistance", fano_all_p_file,
+                 "--building", fano_file]) == EXIT_VIOLATION
+    assert "RESULT=fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["fop"],
+    ["twin", "build", "-o", "twin"],
+], ids=["fop", "twin-build"])
+def test_invalid_codistance_is_input_error(
+    tmp_path, fano_file, fano_all_p_file, capsys, monkeypatch, command
+):
+    monkeypatch.chdir(tmp_path)
+    code = main(command + ["--building", fano_file, "--codistance", fano_all_p_file])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "RESULT=" not in captured.out
+    assert "not a codistance: type 0 panel (0, 3, 6)" in captured.err
+    assert not (tmp_path / "twin").exists()
+
+
 def two_hexagons_bundle(thin_a2):
     """Two disjoint copies of the thin A2 building in one bundle."""
     n = thin_a2.n

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -69,6 +70,63 @@ def test_a1_cross_dihedral_orders():
 def test_infinite_type_hits_cap():
     with pytest.raises(CapExceeded):
         enumerate_weyl(mI2(0), cap=100)
+
+
+AFFINE_A3 = CoxeterMatrix(
+    ("a", "b", "c", "d"),
+    ((1, 3, 2, 3), (3, 1, 3, 2), (2, 3, 1, 3), (3, 2, 3, 1)),
+)
+
+
+def test_affine_a3_hits_cap_inside_enumeration():
+    # Ã3 is 3-spherical, so only the enumeration itself can stop it
+    assert AFFINE_A3.is_3_spherical()
+    with pytest.raises(CapExceeded):
+        enumerate_weyl(AFFINE_A3, cap=1000)
+
+
+def bonds(rank, **m):
+    """Matrix of the given rank with bonds ``m["ij"]``, every other entry 2."""
+    rows = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for ij, order in m.items():
+        i, j = int(ij[1]), int(ij[2])
+        rows[i][j] = rows[j][i] = order
+    return CoxeterMatrix(tuple("abcd"[:rank]), tuple(tuple(r) for r in rows))
+
+
+# digests of (size, length, right, left, word) computed independently, by
+# BFS over exact reflection matrices with entries in Q(sqrt2, sqrt3, sqrt5)
+TABLE_DIGESTS = [
+    ("A1", bonds(1), "ddf6ed464d371c04c172513fe76950d29bd98bc274f3067fba8b6531e0db9136"),
+    ("A2", bonds(2, m01=3), "12d6600bb88f9ac36cbcdfd053c5f57dc49493bdb57483afaeb1bc2e595d471b"),
+    ("B2", bonds(2, m01=4), "f7c3d43cb912bd9bdb73c0bd57bd4e8f9e642ea0e5243947f5546b621131db27"),
+    ("I2(5)", bonds(2, m01=5), "e4e3dc8af4266ddd533093a73df0ccf4c452dfe4580a241cdaadc7343bb34d80"),
+    ("G2", bonds(2, m01=6), "6d25d824842e84d655d4d9e2b6e49655bc2aa15cdc3d8103f3282b39d6cda0fb"),
+    ("A1xA1", bonds(2), "672b9394858e99bd9986ff0e5a6557111bc033be9e0980041a35c77ef02172a7"),
+    ("A3", bonds(3, m01=3, m12=3),
+     "ede9cd7cd940c186282d3242181bfb8b4d7b5883ed7f136666411f7f5d18b3e4"),
+    ("B3", bonds(3, m01=4, m12=3),
+     "6c1422b73bedda8f6f9acc831c8e3b8cea31457a8daeee10ca7664eabdbc30d6"),
+    ("H3", bonds(3, m01=5, m12=3),
+     "7bdcba0a56137e37a954789322f0bcd4307871e463fa8def91fec603e1897776"),
+    ("A1xG2", bonds(3, m12=6),
+     "00cafb1c042941d77d1fbb0bb0ab2d73dc92b6f5de17ce58e2110a6d6829288d"),
+    ("A4", bonds(4, m01=3, m12=3, m23=3),
+     "7709b2c27a1af412fdf7850229e96ee9e52dacec893a00927dff50a191ffa6d9"),
+    ("D4", bonds(4, m01=3, m12=3, m13=3),
+     "a7c57dfd253b3686d62c879829da710b99b4bdc50fa9d992af5e33441240ef0a"),
+    ("F4", bonds(4, m01=3, m12=4, m23=3),
+     "26cd046ea1fd1b3595cf2f31dee7094acd9b84a6afcfc072d86978c9bfe03b91"),
+]
+
+
+@pytest.mark.parametrize(
+    "matrix,digest", [c[1:] for c in TABLE_DIGESTS], ids=[c[0] for c in TABLE_DIGESTS]
+)
+def test_weyl_table_pinned(matrix, digest):
+    t = enumerate_weyl(matrix)
+    data = repr((t.size, t.length, t.right, t.left, t.word)).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_identity_is_zero_and_ids_refine_length():
