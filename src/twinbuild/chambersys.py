@@ -1,9 +1,9 @@
 """Finite chamber systems and W-metric buildings.
 
 A Building wraps a ChamberSystem together with the Weyl-valued distance
-delta computed from minimal galleries.  Residues are lightweight views
-(building, type set, base chamber); each residue's closure is computed once
-and stored under every one of its chambers, so finding the residue of a
+delta computed from minimal galleries.  Each residue is one interned
+ResidueRef carrying its chambers; its closure is computed once and the ref
+is stored under every one of its chambers, so finding the residue of a
 chamber is a lookup.  The full delta table is computed once, eagerly, one
 row per chamber: validation reads every row anyway, and computing the rows
 checks that the chamber system is gallery-connected.
@@ -85,34 +85,32 @@ class ChamberSystem:
 
 @dataclass(frozen=True, eq=False)
 class ResidueRef:
-    """View of the J-residue containing ``base`` (base = least chamber)."""
+    """The J-residue containing ``base`` (base = least chamber), with its
+    chambers in ascending order.
+
+    ``Building.residue`` is the only place a ResidueRef is made, and it makes
+    one per residue, returned for every chamber of it.  So a ResidueRef is
+    the residue's interned id: equality and hashing are object identity,
+    and refs of different Building objects are never equal.
+    """
 
     building: "Building"
     J: frozenset[int]
     base: int
+    members: tuple[int, ...] = field(repr=False)
+    member_set: frozenset = field(repr=False)
 
     def chambers(self) -> tuple[int, ...]:
-        return self.building._residue_entry(self.J, self.base)[1]
+        return self.members
 
     def __contains__(self, c: int) -> bool:
-        return c in self.building._residue_entry(self.J, self.base)[2]
+        return c in self.member_set
 
     def __len__(self) -> int:
-        return len(self.chambers())
+        return len(self.members)
 
     def __iter__(self):
-        return iter(self.chambers())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ResidueRef)
-            and self.building is other.building
-            and self.J == other.J
-            and self.base == other.base
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.building), self.J, self.base))
+        return iter(self.members)
 
     @property
     def rank(self) -> int:
@@ -141,11 +139,8 @@ class Building:
         self.weyl = system.weyl
         self.name = name
         self.n = system.n
-        # (J, c) -> (view, chambers, chamber set) of the J-residue of c, the
-        # same entry for every chamber c of the residue
-        self._residues: dict[
-            tuple[frozenset, int], tuple[ResidueRef, tuple[int, ...], frozenset]
-        ] = {}
+        # (J, c) -> the J-residue of c, one object for every chamber c of it
+        self._residues: dict[tuple[frozenset, int], ResidueRef] = {}
         # rows[x][y] = delta(x, y)
         self.rows = [self._compute_row(x) for x in range(self.n)]
 
@@ -187,19 +182,15 @@ class Building:
                         queue.append(z)
         return tuple(sorted(seen))
 
-    def _residue_entry(
-        self, J: frozenset[int], c: int
-    ) -> tuple[ResidueRef, tuple[int, ...], frozenset]:
-        entry = self._residues.get((J, c))
-        if entry is None:
-            members = self._closure(c, J)
-            entry = (ResidueRef(self, J, members[0]), members, frozenset(members))
-            for x in members:
-                self._residues[(J, x)] = entry
-        return entry
-
     def residue(self, c: int, J: Iterable[int]) -> ResidueRef:
-        return self._residue_entry(frozenset(J), c)[0]
+        J = frozenset(J)
+        R = self._residues.get((J, c))
+        if R is None:
+            members = self._closure(c, J)
+            R = ResidueRef(self, J, members[0], members, frozenset(members))
+            for x in members:
+                self._residues[(J, x)] = R
+        return R
 
     def panel(self, c: int, s: int) -> ResidueRef:
         return self.residue(c, frozenset((s,)))
@@ -216,14 +207,7 @@ class Building:
     def residues_of_type(self, J: Iterable[int]) -> list[ResidueRef]:
         """The J-residues in ascending order of their least chamber."""
         J = frozenset(J)
-        out = []
-        seen = set()
-        for c in range(self.n):
-            R = self.residue(c, J)
-            if R.base not in seen:
-                seen.add(R.base)
-                out.append(R)
-        return out
+        return list(dict.fromkeys(self.residue(c, J) for c in range(self.n)))
 
     # -- projections -------------------------------------------------------
 
@@ -243,13 +227,13 @@ class Building:
         # determine the type of the image residue from its adjacency
         base = image[0]
         J: set[int] = set()
-        img = set(image)
+        img = frozenset(image)
         for x in image:
             for s, z in self.system.neighbors(x):
                 if z in img:
                     J.add(s)
-        ref = self.residue(base, frozenset(J))
-        if set(ref.chambers()) != img:
+        ref = self.residue(base, J)
+        if ref.member_set != img:
             raise NotInResidue(
                 f"projection image {image} is not a single {sorted(J)}-residue"
             )
@@ -292,8 +276,7 @@ class Building:
         return self.delta(x, y) == self.weyl.longest_element(R.J)
 
     def opposite_residues(self, R: ResidueRef, R1: ResidueRef, R2: ResidueRef) -> bool:
-        rset = self._residue_entry(R.J, R.base)[2]
-        if not set(R1.chambers()) <= rset or not set(R2.chambers()) <= rset:
+        if not R1.member_set <= R.member_set or not R2.member_set <= R.member_set:
             raise NotInResidue("R1 or R2 not contained in R")
         rJ = self.weyl.longest_element(R.J)
         table = self.weyl

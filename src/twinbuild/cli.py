@@ -211,8 +211,11 @@ def _read_codistance(path: str, b: Building) -> Codistance:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise FormatError(str(e))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -232,7 +235,7 @@ def _cmd_gen(args) -> int:
             b = gen_thin(THIN_TYPES[args.type]())
         else:
             raise FormatError(f"unknown family {args.family!r}")
-    except UnsupportedQ as e:
+    except (UnsupportedQ, ValueError) as e:
         raise FormatError(str(e))
     _write(args.output, serialize_building(b))
     print(f"wrote {b.name}: {b.n} chambers, rank {b.system.rank}")
@@ -328,6 +331,7 @@ def _twin_report(
     b: Building, atlas: CodistanceAtlas, report, lco_ok: bool, lsco_ok: bool,
     seed_fop: int,
 ) -> str:
+    seed_match = {True: "pass", False: "fail", None: "n/a"}[report.seed_ok]
     lines = [
         f"twin building over {b.name} with {b.n} chambers",
         f"atlas members: {len(atlas.members)}",
@@ -338,7 +342,7 @@ def _twin_report(
         f"LCO={'pass' if lco_ok else 'fail'}",
         f"LSCO={'pass' if lsco_ok else 'fail'}",
         f"TW_AXIOMS={'pass' if report.tw_axioms_ok else 'fail'}",
-        f"SEED_MATCH={'pass' if report.seed_ok else 'fail'}",
+        f"SEED_MATCH={seed_match}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -358,7 +362,10 @@ def _cmd_twin_build(args) -> int:
         print(f"RESULT=inconclusive ({e})")
         return EXIT_INCONCLUSIVE
     assembly = assemble_twin(atlas, b, seed=f)
-    os.makedirs(args.output, exist_ok=True)
+    try:
+        os.makedirs(args.output, exist_ok=True)
+    except OSError as e:
+        raise FormatError(str(e))
     _write(os.path.join(args.output, "minus.bld"), serialize_building(b))
     _write(
         os.path.join(args.output, "plus.bld"),
@@ -422,7 +429,7 @@ def _cmd_twin_verify(args) -> int:
         )
     lco_ok = check_lco(b).ok
     lsco_ok = check_lsco(b).ok
-    assembly = assemble_twin(atlas, b, seed=members[0])
+    assembly = assemble_twin(atlas, b)
     report_text = _twin_report(
         b, atlas, assembly.report, lco_ok, lsco_ok, len(members[0].fop())
     )

@@ -28,7 +28,6 @@ from .panelcalc import (
     _gallery_step,
     _op_panel_gap,
     beta,  # re-exported: perfbench/selftest.py checks twinner.beta
-    panel_key,
     panel_type,
     panels_op,
     panels_op_c,
@@ -279,13 +278,13 @@ class TwinReport:
     opposition_ok: bool
     plus_star_ok: bool
     diagram_ok: bool
-    seed_ok: bool
+    seed_ok: Optional[bool]   # None: no seed was given to compare with
 
     @property
     def ok(self) -> bool:
         return (
             self.building_ok and self.tw_axioms_ok and self.opposition_ok
-            and self.plus_star_ok and self.diagram_ok and self.seed_ok
+            and self.plus_star_ok and self.diagram_ok and self.seed_ok is not False
         )
 
 
@@ -381,24 +380,19 @@ def _check_plus_star(minus: Building, plus: Building, atlas: CodistanceAtlas) ->
 
 def _gonality(b: Building, R: ResidueRef) -> Optional[int]:
     """Half the girth of the panel incidence graph of a rank-2 residue; its
-    diameter must agree for a generalized m-gon."""
+    diameter must agree for a generalized m-gon.  Each chamber of R is the
+    edge joining its s-panel and its t-panel; no two chambers share both."""
     s, t = sorted(R.J)
-    cs = R.chambers()
-    spanels = sorted({b.panel(c, s) for c in cs}, key=panel_key)
-    tpanels = sorted({b.panel(c, t) for c in cs}, key=panel_key)
-    nodes = spanels + tpanels
-    idx = {P: k for k, P in enumerate(nodes)}
-    adj: list[set[int]] = [set() for _ in nodes]
-    for P in spanels:
-        for Q in tpanels:
-            if set(P.chambers()) & set(Q.chambers()):
-                adj[idx[P]].add(idx[Q])
-                adj[idx[Q]].add(idx[P])
+    adj: dict[ResidueRef, list[ResidueRef]] = {}
+    for c in R.chambers():
+        P, Q = b.panel(c, s), b.panel(c, t)
+        adj.setdefault(P, []).append(Q)
+        adj.setdefault(Q, []).append(P)
     girth = None
     diameter = 0
-    for src in range(len(nodes)):
+    for src in adj:
         dist = {src: 0}
-        parent = {src: -1}
+        parent = {src: None}
         queue = deque([src])
         while queue:
             u = queue.popleft()
@@ -407,11 +401,11 @@ def _gonality(b: Building, R: ResidueRef) -> Optional[int]:
                     dist[v] = dist[u] + 1
                     parent[v] = u
                     queue.append(v)
-                elif parent[u] != v:
+                elif parent[u] is not v:
                     cyc = dist[u] + dist[v] + 1
                     if girth is None or cyc < girth:
                         girth = cyc
-        if len(dist) != len(nodes):
+        if len(dist) != len(adj):
             return None
         diameter = max(diameter, max(dist.values()))
     if girth is None or girth != 2 * diameter:
@@ -433,7 +427,7 @@ def assemble_twin(
     tw_ok = _check_tw_axioms(b, plus, atlas)
 
     opposition_ok = True
-    checked: set[tuple[int, frozenset]] = set()
+    checked: set[tuple[ResidueRef, ResidueRef]] = set()
     rank = b.system.rank
     # J = {} is not checked: its residue R = {c} meets member i only, the
     # bijection is i -> proj R = c, and the opposition test reduces to
@@ -442,11 +436,11 @@ def assemble_twin(
         frozenset((s, t)) for s in range(rank) for t in range(s + 1, rank)
     ]
     for i, g in enumerate(atlas.members):
-        tildes = [atlas.residue_members(i, J) for J in small_J]
+        tildes = [plus.residue(i, J) for J in small_J]
         for c in g.fop():
             for J, tilde in zip(small_J, tildes):
                 R = b.residue(c, J)
-                key = (tilde, R, tuple(sorted(J)))
+                key = (tilde, R)
                 if key in checked:
                     continue
                 checked.add(key)
@@ -471,8 +465,9 @@ def assemble_twin(
         if _gonality(b, R) != b.weyl.matrix.m[s][t]:
             diagram_ok = False
 
-    origin = atlas.members[atlas.origin]
-    seed_ok = seed is None or origin.values == seed.values
+    seed_ok = None
+    if seed is not None:
+        seed_ok = atlas.members[atlas.origin].values == seed.values
 
     report = TwinReport(
         building_ok=building_ok,

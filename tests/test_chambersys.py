@@ -1,3 +1,6 @@
+import os
+from itertools import combinations
+
 import pytest
 
 from twinbuild.catalog import (
@@ -152,3 +155,53 @@ def test_proj_residue_panel(fano):
     Q = fano.panel(y, 1)
     img = fano.proj_residue(Q, P)
     assert img.J == Q.J and set(img.chambers()) <= set(Q.chambers()) or img == Q
+
+
+# -- interned residues ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("fixture", ["fano", "sp42", "thin_a3", "pg32"])
+def test_one_ref_per_residue(request, fixture):
+    """Identity equality of ResidueRef is sound only because the store hands
+    out one object per (J, residue), whatever chamber asks for it."""
+    b = request.getfixturevalue(fixture)
+    rank = b.weyl.rank
+    refs = {}
+    for k in range(1, rank + 1):
+        for J in map(frozenset, combinations(range(rank), k)):
+            W_J = set(b.weyl.subgroup(J))
+            for c in range(b.n):
+                R = b.residue(c, J)
+                assert R is b.residue(R.base, J)
+                closure = tuple(x for x in range(b.n) if b.delta(c, x) in W_J)
+                assert R.chambers() == closure and R.base == closure[0]
+                assert R.member_set == frozenset(closure) and R.J == J
+                assert refs.setdefault((J, closure), R) is R
+    assert len({id(R) for R in refs.values()}) == len(refs)
+
+
+def test_residues_of_separate_buildings_differ():
+    b1, b2 = gen_pg2(2), gen_pg2(2)
+    R1, R2 = b1.residue(0, {0}), b2.residue(0, {0})
+    assert R1.chambers() == R2.chambers() and R1.J == R2.J
+    assert R1 != R2
+    assert len({R1, R2}) == 2
+
+
+def test_opposite_residues_rejects_residue_outside(fano):
+    R = fano.panel(0, 0)
+    with pytest.raises(NotInResidue):
+        fano.opposite_residues(R, fano.panel(0, 1), R)
+    with pytest.raises(NotInResidue):
+        fano.opposite_residues(R, R, fano.panel(0, 1))
+
+
+def test_residue_ref_made_in_one_place():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    count = 0
+    for root, _, files in os.walk(src):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), encoding="utf-8") as fh:
+                    count += fh.read().count("ResidueRef(")
+    assert count == 1

@@ -505,3 +505,53 @@ def test_twin_build_refused_without_lco(tmp_path, sp42, capsys):
     )
     assert code == EXIT_VIOLATION
     assert "RESULT=fail" in capsys.readouterr().out
+
+
+# -- output paths and generator arguments ----------------------------------------
+
+
+def assert_input_error(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_gen_digon_too_small_is_input_error(tmp_path, capsys):
+    out = tmp_path / "x.bld"
+    assert_input_error(["gen", "digon", "--a", "1", "--b", "3", "-o", str(out)], capsys)
+    assert not out.exists()
+
+
+def test_gen_to_missing_directory_is_input_error(tmp_path, capsys):
+    out = str(tmp_path / "no" / "such" / "x.bld")
+    assert_input_error(["gen", "pg2", "--q", "2", "-o", out], capsys)
+
+
+def test_from_opposite_to_missing_directory_is_input_error(fano_file, tmp_path, capsys):
+    out = str(tmp_path / "no" / "such" / "x.cod")
+    assert_input_error(
+        ["codist", "from-opposite", "--building", fano_file, "--chamber", "0",
+         "-o", out],
+        capsys,
+    )
+
+
+def test_twin_build_under_a_file_is_input_error(fano_file, fano_cod_file, capsys):
+    out = os.path.join(fano_file, "out")
+    assert_input_error(
+        ["twin", "build", "--building", fano_file, "--codistance", fano_cod_file,
+         "-o", out],
+        capsys,
+    )
+
+
+def test_twin_verify_has_no_seed_to_match(tmp_path, fano_file, fano_cod_file, capsys):
+    # the directory records no seed apart from member 0, so there is nothing
+    # to compare member 0 with
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    capsys.readouterr()
+    assert main(["twin", "verify", out]) == EXIT_PASS
+    lines = capsys.readouterr().out.splitlines()
+    assert "SEED_MATCH=n/a" in lines and "RESULT=pass" in lines

@@ -1,16 +1,21 @@
 """Adjacent codistances, atlas closure, and exhaustive twin verification."""
 
 import itertools
+from collections import deque
 
 import pytest
 
+from twinbuild.catalog import matrix_I2
+from twinbuild.chambersys import Building, ChamberSystem
 from twinbuild.codistance import Codistance, from_opposite_chamber, proj_f
+from twinbuild.coxeter import enumerate_weyl
 from twinbuild.errors import BuildingMismatch, PreconditionFailed
-from twinbuild.panelcalc import beta, panels_op
+from twinbuild.panelcalc import beta, panel_key, panels_op
 from twinbuild.twinner import (
     CodistanceAtlas,
     _check_plus_star,
     _check_tw_axioms,
+    _gonality,
     adjacent_codistance,
     alpha_check,
     assemble_twin,
@@ -315,6 +320,11 @@ def test_assemble_rejects_wrong_seed(fano, fano_atlas):
     assert not report.seed_ok and not report.ok
 
 
+def test_assemble_without_seed_checks_no_seed(fano, fano_atlas):
+    report = assemble_twin(fano_atlas[1], fano).report
+    assert report.seed_ok is None and report.ok
+
+
 def test_assemble_rejects_corrupted_atlas(fano, fano_atlas):
     f, atlas = fano_atlas
     members = list(atlas.members)
@@ -486,6 +496,75 @@ def test_beta_orbit_matches_beta(request, fixture):
             assert beta_maps(f, Ptilde) == {
                 Q: beta(f, Ptilde, Q).mapping for Q in panels_op(f, s)
             }
+
+
+def gonality_reference(b, R):
+    """Reference gonality: the incidence graph has an edge for each pair of
+    an s-panel and a t-panel of R that share a chamber."""
+    s, t = sorted(R.J)
+    cs = R.chambers()
+    spanels = sorted({b.panel(c, s) for c in cs}, key=panel_key)
+    tpanels = sorted({b.panel(c, t) for c in cs}, key=panel_key)
+    nodes = spanels + tpanels
+    idx = {P: k for k, P in enumerate(nodes)}
+    adj = [set() for _ in nodes]
+    for P in spanels:
+        for Q in tpanels:
+            if set(P.chambers()) & set(Q.chambers()):
+                adj[idx[P]].add(idx[Q])
+                adj[idx[Q]].add(idx[P])
+    girth = None
+    diameter = 0
+    for src in range(len(nodes)):
+        dist = {src: 0}
+        parent = {src: -1}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    parent[v] = u
+                    queue.append(v)
+                elif parent[u] != v:
+                    cyc = dist[u] + dist[v] + 1
+                    if girth is None or cyc < girth:
+                        girth = cyc
+        if len(dist) != len(nodes):
+            return None
+        diameter = max(diameter, max(dist.values()))
+    if girth is None or girth != 2 * diameter:
+        return None
+    return diameter
+
+
+@pytest.mark.parametrize("fixture", [
+    "fano", "pg23", "sp42", "sp43", "digon33", "pg32", "thin_a3",
+    "fano_atlas", "digon_atlas",
+])
+def test_gonality_matches_reference(request, fixture):
+    b = request.getfixturevalue(fixture)
+    if fixture.endswith("_atlas"):
+        b = b[1].plus
+    for R in b.rank2_residues():
+        expected = gonality_reference(b, R)
+        s, t = sorted(R.J)
+        assert expected == b.weyl.matrix.m[s][t]
+        assert _gonality(b, R) == expected
+
+
+def test_gonality_rejects_two_squares_sharing_a_vertex():
+    # incidence graph: two 4-cycles through the s-panel (0,3,4,7), so the
+    # girth is 4 and the diameter 4; no generalized polygon
+    panels = [
+        [(0, 3, 4, 7), (1, 2), (5, 6)],
+        [(0, 1), (2, 3), (4, 5), (6, 7)],
+    ]
+    b = Building(ChamberSystem(enumerate_weyl(matrix_I2(2)), 8, panels))
+    R = b.residue(0, {0, 1})
+    assert len(R) == 8
+    assert gonality_reference(b, R) is None
+    assert _gonality(b, R) is None
 
 
 # -- the rank-3 twin ----------------------------------------------------------
