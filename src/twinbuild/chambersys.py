@@ -28,6 +28,8 @@ class ChamberSystem:
     n: int
     panels: list[list[tuple[int, ...]]]       # per generator: sorted panels
     panel_of: list[list[int]] = field(init=False)  # per generator: chamber -> panel idx
+    # per chamber: (s, d) for every d != c adjacent to c, by type, then by panel order
+    adjacency: list[tuple[tuple[int, int], ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rank = self.weyl.rank
@@ -61,6 +63,12 @@ class ChamberSystem:
                             raise ValueError(
                                 f"chambers {a},{b} adjacent for types {prev} and {s}"
                             )
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for s in range(rank):
+            for p in self.panels[s]:
+                for c in p:
+                    adjacency[c].extend((s, d) for d in p if d != c)
+        self.adjacency = [tuple(a) for a in adjacency]
 
     @property
     def rank(self) -> int:
@@ -75,12 +83,10 @@ class ChamberSystem:
     def is_thin(self) -> bool:
         return all(len(p) == 2 for fam in self.panels for p in fam)
 
-    def neighbors(self, c: int):
-        """Yield (s, d) over all chambers d != c adjacent to c, ascending d per panel."""
-        for s in range(self.rank):
-            for d in self.panel_members(c, s):
-                if d != c:
-                    yield s, d
+    def neighbors(self, c: int) -> tuple[tuple[int, int], ...]:
+        """(s, d) over all chambers d != c adjacent to c, by type, then by
+        panel order."""
+        return self.adjacency[c]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,13 +154,14 @@ class Building:
 
     def _compute_row(self, x: int) -> list[int]:
         right = self.weyl.right
+        adjacency = self.system.adjacency
         row = [-1] * self.n
         row[x] = 0
         queue = deque([x])
         while queue:
             y = queue.popleft()
             w = row[y]
-            for s, z in self.system.neighbors(y):
+            for s, z in adjacency[y]:
                 if row[z] == -1:
                     row[z] = right[w][s]
                     queue.append(z)
@@ -347,12 +354,13 @@ def validate_building(b: Building) -> BuildingReport:
 
 
 def _graph_distances(b: Building, x: int) -> list[int]:
+    adjacency = b.system.adjacency
     dist = [-1] * b.n
     dist[x] = 0
     queue = deque([x])
     while queue:
         y = queue.popleft()
-        for _, z in b.system.neighbors(y):
+        for _, z in adjacency[y]:
             if dist[z] == -1:
                 dist[z] = dist[y] + 1
                 queue.append(z)

@@ -350,6 +350,10 @@ def _twin_report(
 def _cmd_twin_build(args) -> int:
     b = parse_building(_read(args.building))
     f = _read_codistance(args.codistance, b)
+    try:
+        os.makedirs(args.output, exist_ok=True)
+    except OSError as e:
+        raise FormatError(str(e))
     lco_ok = check_lco(b).ok
     lsco_ok = check_lsco(b).ok
     if not (lco_ok and lsco_ok):
@@ -362,10 +366,6 @@ def _cmd_twin_build(args) -> int:
         print(f"RESULT=inconclusive ({e})")
         return EXIT_INCONCLUSIVE
     assembly = assemble_twin(atlas, b, seed=f)
-    try:
-        os.makedirs(args.output, exist_ok=True)
-    except OSError as e:
-        raise FormatError(str(e))
     _write(os.path.join(args.output, "minus.bld"), serialize_building(b))
     _write(
         os.path.join(args.output, "plus.bld"),

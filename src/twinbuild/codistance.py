@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .chambersys import Building, ResidueRef
+from .coxeter import WeylTable
 from .errors import PreconditionFailed
 
 
@@ -66,33 +67,55 @@ class CodistanceReport:
 
 
 def validate_codistance(f: Codistance) -> CodistanceReport:
-    """Check the panel axiom on every panel of the building."""
+    """Check the panel axiom on every panel of the building.
+
+    A panel passes exactly when its longest value is attained once and every
+    other chamber takes that value times s, one shorter; such a panel is
+    accepted at once, and any other panel is examined test by test for the
+    violation to report."""
     b = f.building
     table = b.weyl
+    length = table.length
+    right = table.right
+    values = f.values
     for s in range(b.system.rank):
         for panel in b.system.panels[s]:
-            vals = tuple(f(c) for c in panel)
-            distinct = sorted(set(vals), key=lambda v: table.length[v])
-            if len(distinct) != 2:
-                return CodistanceReport(False, PanelViolation(
-                    s, panel, vals,
-                    f"{len(distinct)} distinct values on panel, need exactly 2",
-                ))
-            short, long_ = distinct
-            if table.right[short][s] != long_:
-                return CodistanceReport(False, PanelViolation(
-                    s, panel, vals,
-                    "values are not of the form {w, ws}",
-                ))
-            if table.length[long_] != table.length[short] + 1:
-                return CodistanceReport(False, PanelViolation(
-                    s, panel, vals, "value lengths do not differ by 1",
-                ))
-            if sum(1 for v in vals if v == long_) != 1:
-                return CodistanceReport(False, PanelViolation(
-                    s, panel, vals, "longest value not attained by a unique chamber",
-                ))
+            vals = [values[c] for c in panel]
+            long_ = max(vals, key=length.__getitem__)
+            short = right[long_][s]
+            if (
+                length[short] + 1 == length[long_]
+                and vals.count(long_) == 1
+                and vals.count(short) == len(vals) - 1
+            ):
+                continue
+            violation = _panel_violation(table, s, panel, tuple(vals))
+            if violation is not None:
+                return CodistanceReport(False, violation)
     return CodistanceReport(True)
+
+
+def _panel_violation(
+    table: WeylTable, s: int, panel: tuple[int, ...], vals: tuple[int, ...]
+) -> Optional[PanelViolation]:
+    """The first of the panel axiom's four tests that ``vals`` fails on an
+    s-panel, or None."""
+    distinct = sorted(set(vals), key=lambda v: table.length[v])
+    if len(distinct) != 2:
+        return PanelViolation(
+            s, panel, vals,
+            f"{len(distinct)} distinct values on panel, need exactly 2",
+        )
+    short, long_ = distinct
+    if table.right[short][s] != long_:
+        return PanelViolation(s, panel, vals, "values are not of the form {w, ws}")
+    if table.length[long_] != table.length[short] + 1:
+        return PanelViolation(s, panel, vals, "value lengths do not differ by 1")
+    if sum(1 for v in vals if v == long_) != 1:
+        return PanelViolation(
+            s, panel, vals, "longest value not attained by a unique chamber",
+        )
+    return None
 
 
 def from_opposite_chamber(b: Building, c: int) -> Codistance:
@@ -120,15 +143,26 @@ def residue_profile(f: Codistance, R: ResidueRef) -> ResidueProfile:
     coset = frozenset(table.mult(f(x0), w) for w in table.subgroup(R.J))
     lengths = [f.vlen(x) for x in chambers]
     l_f = min(lengths)
-    l_max = max(lengths)
     A_f = tuple(x for x, l in zip(chambers, lengths) if l == l_f)
-    maxers = [x for x, l in zip(chambers, lengths) if l == l_max]
-    proj = maxers[0] if len(maxers) == 1 else None
-    return ResidueProfile(image=coset, l_f=l_f, A_f=A_f, proj_f=proj)
+    return ResidueProfile(
+        image=coset, l_f=l_f, A_f=A_f, proj_f=_longest_chamber(f, chambers)
+    )
+
+
+def _longest_chamber(f: Codistance, chambers: Sequence[int]) -> Optional[int]:
+    """The unique chamber of maximal f-length among ``chambers``, or None
+    when the maximum is attained twice."""
+    length = f.building.weyl.length
+    values = f.values
+    lengths = [length[values[x]] for x in chambers]
+    l_max = max(lengths)
+    if lengths.count(l_max) != 1:
+        return None
+    return chambers[lengths.index(l_max)]
 
 
 def proj_f(f: Codistance, R: ResidueRef) -> int:
-    p = residue_profile(f, R).proj_f
+    p = _longest_chamber(f, R.chambers())
     if p is None:
         raise PreconditionFailed("no unique chamber of maximal f-length in residue")
     return p

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 from typing import Optional, Sequence
 
 from .chambersys import Building, ResidueRef
@@ -232,8 +234,31 @@ def panels_op(f: Codistance, s: int) -> tuple[ResidueRef, ...]:
 
 
 def panels_op_c(f: Codistance, s: int, c: int) -> tuple[ResidueRef, ...]:
+    """The s-panels of the chambers x of f^op with delta(x, c) = f(c), in
+    ascending ``panel_key``."""
     b = f.building
     return tuple(sorted({b.panel(x, s) for x in fop_c(f, c)}, key=panel_key))
+
+
+def panels_op_choices(f: Codistance, s: int) -> list[tuple[ResidueRef, ...]]:
+    """``panels_op_c(f, s, c)`` for every chamber c, in one pass over f^op.
+
+    Each f^op chamber lies in one panel of ``panels_op(f, s)``, which is in
+    ascending ``panel_key``; appending a panel to the entry of every chamber
+    that one of its f^op chambers realizes keeps each entry in that order."""
+    rows = f.building.rows
+    values = f.values
+    n = len(values)
+    choices: list[list[ResidueRef]] = [[] for _ in range(n)]
+    for P in panels_op(f, s):
+        for x in P.chambers():
+            if values[x] != 0:
+                continue
+            for c in compress(range(n), map(eq, rows[x], values)):
+                entry = choices[c]
+                if not entry or entry[-1] is not P:
+                    entry.append(P)
+    return [tuple(entry) for entry in choices]
 
 
 def _op_panel_gap(f: Codistance, P: ResidueRef) -> int:

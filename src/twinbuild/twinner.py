@@ -30,7 +30,7 @@ from .panelcalc import (
     beta,  # re-exported: perfbench/selftest.py checks twinner.beta
     panel_type,
     panels_op,
-    panels_op_c,
+    panels_op_choices,
 )
 
 DEFAULT_ATLAS_CAP = 50_000
@@ -100,8 +100,7 @@ def adjacent_codistances(
     maps = beta_maps(f, Ptilde)
     gaps = {P: _op_panel_gap(f, P) for P in maps}
     projections = []
-    for c in range(b.n):
-        choices = panels_op_c(f, s, c)
+    for c, choices in enumerate(panels_op_choices(f, s)):
         if not choices:
             raise PreconditionFailed(f"no panel of f^op_{c} of type {s}")
         use = choices if check_choices else choices[:1]

@@ -205,3 +205,23 @@ def test_residue_ref_made_in_one_place():
                 with open(os.path.join(root, name), encoding="utf-8") as fh:
                     count += fh.read().count("ResidueRef(")
     assert count == 1
+
+
+def neighbors_reference(system: ChamberSystem, c: int):
+    """The adjacency of c read off the panel partitions: (s, d) for every
+    d != c in c's s-panel, by type, then in panel order."""
+    for s in range(system.rank):
+        for d in system.panel_members(c, s):
+            if d != c:
+                yield s, d
+
+
+@pytest.mark.parametrize("name", [
+    "fano", "pg23", "pg32", "sp42", "sp43", "digon33",
+    "thin_a1cubed", "thin_a2", "thin_a3",
+])
+def test_adjacency_list_is_the_panel_scan(request, name):
+    system = request.getfixturevalue(name).system
+    for c in range(system.n):
+        assert tuple(system.neighbors(c)) == tuple(neighbors_reference(system, c))
+        assert system.neighbors(c) is system.adjacency[c]

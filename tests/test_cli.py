@@ -547,6 +547,23 @@ def test_twin_build_under_a_file_is_input_error(fano_file, fano_cod_file, capsys
     )
 
 
+def test_twin_build_checks_output_path_before_computing(
+    fano_file, fano_cod_file, capsys, monkeypatch
+):
+    # the output directory is made before lco is decided, so a bad path
+    # costs no computation
+    def refuse(b):
+        raise AssertionError("check_lco ran before the output path was made")
+
+    monkeypatch.setattr("twinbuild.cli.check_lco", refuse)
+    out = os.path.join(fano_file, "out")
+    assert_input_error(
+        ["twin", "build", "--building", fano_file, "--codistance", fano_cod_file,
+         "-o", out],
+        capsys,
+    )
+
+
 def test_twin_verify_has_no_seed_to_match(tmp_path, fano_file, fano_cod_file, capsys):
     # the directory records no seed apart from member 0, so there is nothing
     # to compare member 0 with

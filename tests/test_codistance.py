@@ -9,10 +9,14 @@ test.
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbuild.chambersys import Building
 from twinbuild.codistance import (
     Codistance,
+    CodistanceReport,
+    PanelViolation,
     from_opposite_chamber,
     fop_c,
     proj_f,
@@ -274,3 +278,129 @@ def test_codistance_equality_and_hash(fano):
 def test_value_count_rejected(fano):
     with pytest.raises(ValueError):
         Codistance(fano, [0] * (fano.n - 1))
+
+
+# -- the panel axiom's fast accept against its test-by-test definition --------
+
+
+def validate_codistance_reference(f: Codistance) -> CodistanceReport:
+    """The panel axiom tested one condition at a time on every panel: the
+    definition the fast accept of ``validate_codistance`` must agree with,
+    down to the violation it reports."""
+    b = f.building
+    table = b.weyl
+    for s in range(b.system.rank):
+        for panel in b.system.panels[s]:
+            vals = tuple(f(c) for c in panel)
+            distinct = sorted(set(vals), key=lambda v: table.length[v])
+            if len(distinct) != 2:
+                return CodistanceReport(False, PanelViolation(
+                    s, panel, vals,
+                    f"{len(distinct)} distinct values on panel, need exactly 2",
+                ))
+            short, long_ = distinct
+            if table.right[short][s] != long_:
+                return CodistanceReport(False, PanelViolation(
+                    s, panel, vals,
+                    "values are not of the form {w, ws}",
+                ))
+            if table.length[long_] != table.length[short] + 1:
+                return CodistanceReport(False, PanelViolation(
+                    s, panel, vals, "value lengths do not differ by 1",
+                ))
+            if sum(1 for v in vals if v == long_) != 1:
+                return CodistanceReport(False, PanelViolation(
+                    s, panel, vals, "longest value not attained by a unique chamber",
+                ))
+    return CodistanceReport(True)
+
+
+def assert_same_report(f: Codistance) -> None:
+    # dataclass equality compares ok and every violation field
+    assert validate_codistance(f) == validate_codistance_reference(f)
+
+
+@pytest.mark.parametrize("name", ["fano", "pg23", "sp42", "digon33"])
+def test_panel_axiom_matches_reference_on_codistances(request, name):
+    b = request.getfixturevalue(name)
+    for c in range(b.n):
+        assert_same_report(from_opposite_chamber(b, c))
+
+
+def test_panel_axiom_matches_reference_on_single_changes(fano):
+    f = from_opposite_chamber(fano, 0)
+    failures = 0
+    for c in range(fano.n):
+        for w in range(fano.weyl.size):
+            if w == f(c):
+                continue
+            values = list(f.values)
+            values[c] = w
+            g = Codistance(fano, values)
+            assert_same_report(g)
+            failures += not validate_codistance(g).ok
+    # every single change breaks the axiom on some panel
+    assert failures == fano.n * (fano.weyl.size - 1)
+
+
+def vectors_near_codistances(b):
+    """Value vectors of b: uniform random ones, and codistances with a few
+    values overwritten, which fail on a panel deep into the scan."""
+    size = b.weyl.size
+    uniform = st.lists(st.integers(0, size - 1), min_size=b.n, max_size=b.n)
+    changes = st.lists(
+        st.tuples(st.integers(0, b.n - 1), st.integers(0, size - 1)), max_size=3
+    )
+
+    def overwrite(args):
+        c, edits = args
+        values = list(from_opposite_chamber(b, c).values)
+        for x, w in edits:
+            values[x] = w
+        return values
+
+    near = st.tuples(st.integers(0, b.n - 1), changes).map(overwrite)
+    return st.one_of(uniform, near)
+
+
+@pytest.mark.parametrize("name", ["fano", "digon33"])
+def test_panel_axiom_matches_reference_on_random_vectors(request, name):
+    b = request.getfixturevalue(name)
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors_near_codistances(b))
+    def check(values):
+        assert_same_report(Codistance(b, values))
+
+    check()
+
+
+# -- proj_f against the residue profile ----------------------------------------
+
+
+def rank_1_and_2_residues(b: Building):
+    return [R for J, R in all_residues(b) if len(J) <= 2]
+
+
+@pytest.mark.parametrize("name", ["fano", "sp42", "pg32"])
+def test_proj_f_matches_residue_profile(request, name):
+    b = request.getfixturevalue(name)
+    f = from_opposite_chamber(b, 0)
+    raised = 0
+    for R in rank_1_and_2_residues(b):
+        assert proj_f(f, R) == residue_profile(f, R).proj_f
+        # a copy of the longest value onto another chamber of R leaves no
+        # unique longest chamber there
+        top = proj_f(f, R)
+        for x in R.chambers()[:2]:
+            if x == top:
+                continue
+            values = list(f.values)
+            values[x] = f(top)
+            g = Codistance(b, values)
+            expected = residue_profile(g, R).proj_f
+            assert expected is None
+            with pytest.raises(PreconditionFailed):
+                proj_f(g, R)
+            raised += 1
+    assert raised >= len(rank_1_and_2_residues(b))

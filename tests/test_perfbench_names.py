@@ -12,6 +12,7 @@ import importlib.util
 import os
 
 import twinbuild.homotopy as homotopy
+from twinbuild.codistance import from_opposite_chamber
 import twinbuild.twinner as twinner
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
@@ -48,5 +49,26 @@ def test_tracer_counts_local_condition_verdicts(fano, thin_a3):
         tracer.reset()
         assert homotopy.check_lco(fano).ok
         assert tracer.call_count("homotopy.check_lco") == 1
+    finally:
+        tracer.uninstall()
+
+
+def test_twin_step_runs_every_check(pg23):
+    # the twin step of pg2(3) from chamber 0 makes exactly these checks; a
+    # speed-up that drops a validation changes a count here.  The per-chamber
+    # panel choices come from panels_op_choices, one pass per (g, s) step.
+    f = from_opposite_chamber(pg23, 0)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        atlas = twinner.atlas_component(f)
+        assert twinner.assemble_twin(atlas, pg23, seed=f).report.ok
+        assert tracer.call_count("codistance.validate_codistance") == 182
+        assert tracer.call_count("twinner.alpha_check") == 235
+        assert tracer.call_count("codistance.proj_f") == 988
+        assert tracer.call_count("chambersys.proj_chamber") == 4056
+        assert tracer.call_count("chambersys.validate_building") == 1
+        assert tracer.call_count("panelcalc.panels_op_c") == 0
+        assert tracer.call_count("codistance.fop_c") == 0
     finally:
         tracer.uninstall()
