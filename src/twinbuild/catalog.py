@@ -111,9 +111,10 @@ def _lines(points: list[tuple[int, ...]], q: int) -> list[frozenset]:
 def _hyperplanes(q: int, dim: int) -> list[frozenset]:
     """3-dim subspaces of F_q^4 as point sets, via normalized dual vectors."""
     out = []
-    for f in _points(q, dim):
+    points = _points(q, dim)
+    for f in points:
         pts = frozenset(
-            p for p in _points(q, dim) if sum(a * b for a, b in zip(f, p)) % q == 0
+            p for p in points if sum(a * b for a, b in zip(f, p)) % q == 0
         )
         out.append(pts)
     return sorted(set(out), key=lambda h: sorted(h))
@@ -177,16 +178,11 @@ def gen_sp4(q: int) -> Building:
     """Flag building of the symplectic quadrangle W(q), type B2."""
     _check_q(q)
     points = _points(q, 4)
-    ti_lines = []
-    seen = set()
-    for i, p1 in enumerate(points):
-        for p2 in points[i + 1:]:
-            if _symplectic(p1, p2, q) == 0:
-                l = _span2(p1, p2, q)
-                if l not in seen:
-                    seen.add(l)
-                    ti_lines.append(l)
-    ti_lines = sorted(seen, key=lambda l: sorted(l))
+    # the form is alternating, so a line is totally isotropic when two of
+    # its points are orthogonal
+    ti_lines = [
+        l for l in _lines(points, q) if _symplectic(*sorted(l)[:2], q) == 0
+    ]
     chambers = sorted((p, tuple(sorted(l))) for l in ti_lines for p in l)
     panels = [
         _panels_by_key(chambers, lambda c: c[1]),

@@ -39,6 +39,11 @@ class ChamberSystem:
             raise ValueError("one panel family per generator required")
         self.panel_of = []
         for s in range(rank):
+            # a partition lists n ids, and n distinct ids in range cover every
+            # chamber; counting first allocates nothing for a huge declared n
+            count = sum(len(p) for p in self.panels[s])
+            if count != self.n:
+                raise ValueError(f"panels of type {s} hold {count} chamber ids, not {self.n}")
             owner = [-1] * self.n
             for idx, p in enumerate(self.panels[s]):
                 if len(p) < 2:
@@ -49,8 +54,6 @@ class ChamberSystem:
                     if owner[c] != -1:
                         raise ValueError(f"chamber {c} in two panels of type {s}")
                     owner[c] = idx
-            if any(o == -1 for o in owner):
-                raise ValueError(f"panels of type {s} do not cover all chambers")
             self.panel_of.append(owner)
         # chamber-system axiom: distinct chambers adjacent for one type only
         seen: dict[tuple[int, int], int] = {}

@@ -149,9 +149,7 @@ def serialize_codistance(f: Codistance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_codistance(text: str, b: Building, err=None) -> Codistance:
-    if err is None:
-        err = sys.stderr
+def parse_codistance(text: str, b: Building) -> Codistance:
     cur = _Cursor(text)
     header = cur.next()
     if header != "%codistance 1":
@@ -182,7 +180,7 @@ def parse_codistance(text: str, b: Building, err=None) -> Codistance:
         if canon != parts[1]:
             print(
                 f"warning: word {parts[1]!r} canonicalized to {canon!r}",
-                file=err,
+                file=sys.stderr,
             )
         seen[c] = True
         values[c] = w

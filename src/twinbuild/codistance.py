@@ -181,7 +181,8 @@ def unique_chamber(f: Codistance, x: int, w: int) -> int:
     f-value extends by the next letter."""
     b = f.building
     table = b.weyl
-    fx = f(x)
+    values = f.values
+    fx = values[x]
     if table.length[table.mult(fx, w)] != table.length[fx] + table.length[w]:
         raise PreconditionFailed("l(f(x) w) != l(f(x)) + l(w)")
     cur = x
@@ -190,7 +191,7 @@ def unique_chamber(f: Codistance, x: int, w: int) -> int:
         val = table.right[val][s]
         nxt = None
         for z in b.system.panel_members(cur, s):
-            if z != cur and f(z) == val:
+            if z != cur and values[z] == val:
                 if nxt is not None:
                     raise PreconditionFailed("panel axiom broken: two extensions")
                 nxt = z

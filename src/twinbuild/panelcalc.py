@@ -264,8 +264,9 @@ def panels_op_choices(f: Codistance, s: int) -> list[tuple[ResidueRef, ...]]:
 def _op_panel_gap(f: Codistance, P: ResidueRef) -> int:
     """The single chamber of an f^op panel outside f^op (its f-value is the
     panel type, as a one-letter word)."""
-    outside = [x for x in P.chambers() if f(x) != 0]
-    if len(outside) != 1 or f(outside[0]) != f.building.weyl.gen(panel_type(P)):
+    values = f.values
+    outside = [x for x in P.chambers() if values[x] != 0]
+    if len(outside) != 1 or values[outside[0]] != f.building.weyl.gen(panel_type(P)):
         raise PreconditionFailed("panel does not meet f^op correctly")
     return outside[0]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .chambersys import Building, ChamberSystem, ResidueRef, validate_building
@@ -110,8 +111,7 @@ def adjacent_codistances(
         if f(p) != 0:
             continue
         values = []
-        for c, projs in enumerate(projections):
-            w = f(c)
+        for c, (w, projs) in enumerate(zip(f.values, projections)):
             vals = {
                 table.left[w][s] if m == gaps[P] or m == maps[P][p] else w
                 for P, m in projs
@@ -163,6 +163,17 @@ class CodistanceAtlas:
         """Member indices J-connected to member i."""
         return self.plus.residue(i, J).chambers()
 
+    @cached_property
+    def minus_rows(self) -> list[tuple[int, ...]]:
+        """Row c is delta*(c, member i) = g_i(c)^-1 over the members i: the
+        value vectors transposed and inverted through one inverse list."""
+        table = self.building.weyl
+        inverse = [table.inv(w) for w in range(table.size)]
+        return [
+            tuple(map(inverse.__getitem__, col))
+            for col in zip(*(g.values for g in self.members))
+        ]
+
 
 def atlas_component(f: Codistance, cap: int = DEFAULT_ATLAS_CAP) -> CodistanceAtlas:
     """Close the seed codistance under the adjacent-codistance construction.
@@ -200,7 +211,9 @@ def atlas_component(f: Codistance, cap: int = DEFAULT_ATLAS_CAP) -> CodistanceAt
             pidx = len(panels[s])
             panels[s].append(group_t)
             for j in group_t:
-                if j in panel_of[s] and panels[s][panel_of[s][j]] != group_t:
+                # i has no s-panel yet and lies in group_t, so a j that has
+                # one lies in a different panel
+                if j in panel_of[s]:
                     raise TwinViolation(
                         f"member {j} falls into two distinct {s}-panels"
                     )
@@ -231,9 +244,8 @@ def alpha_check(
     J = frozenset(J)
     g = atlas.members[i]
     if R is None:
-        inside = [x for x in g.fop()]
-        R = b.residue(min(inside), J)
-    if not any(g(x) == 0 for x in R.chambers()):
+        R = b.residue(min(g.fop()), J)
+    if not any(g.values[x] == 0 for x in R.chambers()):
         raise PreconditionFailed("residue does not meet the member's f^op")
     rJ = table.longest_element(J)
     tilde = atlas.residue_members(i, J)
@@ -258,9 +270,9 @@ def alpha_check(
                     witnesses.append(("adjacency", s, j1, j2))
     opposition_ok = True
     for j in tilde:
-        h = atlas.members[j]
+        values = atlas.members[j].values
         for c in R.chambers():
-            if (h(c) == 0) != (b.delta(alpha[j], c) == rJ):
+            if (values[c] == 0) != (b.delta(alpha[j], c) == rJ):
                 opposition_ok = False
                 witnesses.append(("opposition", j, c))
     ok = bijective and adjacency_ok and opposition_ok
@@ -299,7 +311,8 @@ class TwinAssembly:
         return self.atlas.members[i](c)
 
     def costar_rev(self, c: int, i: int) -> int:
-        return self.minus.weyl.inv(self.costar(i, c))
+        """delta*(chamber c of B-, member i of B+)."""
+        return self.atlas.minus_rows[c][i]
 
     def opposition(self) -> set[tuple[int, int]]:
         return {
@@ -309,10 +322,20 @@ class TwinAssembly:
         }
 
 
+def _halves(minus: Building, plus: Building, atlas: CodistanceAtlas):
+    """Each half X of the twin with delta*(x, -) for every chamber x of X,
+    as a codistance on the other half: the members for B+, and the rows of
+    ``atlas.minus_rows`` for B-."""
+    return (
+        (plus, atlas.members),
+        (minus, [Codistance(plus, row) for row in atlas.minus_rows]),
+    )
+
+
 def _check_tw_axioms(minus: Building, plus: Building, atlas: CodistanceAtlas) -> bool:
     """The twinning axioms (Tw2) and (Tw3) for delta*(g, c) = g(c), on both
-    halves: on B- every member must pass ``validate_codistance``, and on B+
-    so must the map g -> delta*(c, g) = g(c)^-1 for every chamber c of B-.
+    halves: every row of each half, as a map on the other half, must pass
+    ``validate_codistance``.
 
     On one s-panel, (Tw2) and (Tw3) at every chamber y are the panel axiom.
     Take y with the longest value u: (Tw3) gives another chamber at us, and
@@ -322,58 +345,37 @@ def _check_tw_axioms(minus: Building, plus: Building, atlas: CodistanceAtlas) ->
     chamber, and at every other chamber (Tw2) is void, since (us)s = u is
     longer, while y is the (Tw3) witness.
     """
-    inv = minus.weyl.inv
-    if not all(validate_codistance(g).ok for g in atlas.members):
-        return False
     return all(
-        validate_codistance(Codistance(plus, [inv(g(c)) for g in atlas.members])).ok
-        for c in range(minus.n)
+        validate_codistance(h).ok
+        for _, rows in _halves(minus, plus, atlas)
+        for h in rows
     )
 
 
 def _check_plus_star(minus: Building, plus: Building, atlas: CodistanceAtlas) -> bool:
-    """delta+(x,y) = delta*(x,z) forces y, z opposite; equal opposition sets
-    force equality.  Checked on both halves.
+    """delta(x,y) = delta*(x,z) forces y, z opposite; equal opposition sets
+    force equality.  Checked on both halves, x and y in one half X, z in the
+    other.
 
-    The first condition reads: for all members x, y and chambers z,
-    g_x(z) = delta+(x, y) implies g_y(z) = 1.  Grouping the z by their value
-    g_x(z) turns the inner loop over z into one test per pair: the z with
-    g_x(z) = delta+(x, y) must form a subset of f^op of y.  On the B- side
-    the members z are grouped by inv(g_z(x)) and tested against the set of
-    members opposite y.  Every (x, y, z) triple is still covered, so the
+    The first condition reads: for all x, y in X and z in the other half,
+    delta*(x, z) = delta(x, y) implies delta*(y, z) = 1.  Grouping the z by
+    their value delta*(x, z) turns the inner loop over z into one test per
+    pair: the z with delta*(x, z) = delta(x, y) must form a subset of the
+    chambers opposite y.  Every (x, y, z) triple is still covered, so the
     predicate is the triple loop's, not a sample of it.
     """
-    members = atlas.members
-    nplus = len(members)
-    fops = [g.fop_set() for g in members]
-    if len(set(fops)) != nplus:
-        return False
-    for x in range(nplus):
-        by_value: dict[int, set[int]] = {}
-        for z, v in enumerate(members[x].values):
-            by_value.setdefault(v, set()).add(z)
-        row = plus.rows[x]
-        for y in range(nplus):
-            zs = by_value.get(row[y])
-            if zs is not None and not zs <= fops[y]:
-                return False
-    # members opposite each chamber of B-; distinct chambers need distinct sets
-    chamber_ops = [
-        frozenset(i for i in range(nplus) if members[i](c) == 0)
-        for c in range(minus.n)
-    ]
-    if len(set(chamber_ops)) != minus.n:
-        return False
-    table = minus.weyl
-    for x in range(minus.n):
-        by_value = {}
-        for z in range(nplus):
-            by_value.setdefault(table.inv(members[z](x)), set()).add(z)
-        row = minus.rows[x]
-        for y in range(minus.n):
-            zs = by_value.get(row[y])
-            if zs is not None and not zs <= chamber_ops[y]:
-                return False
+    for X, rows in _halves(minus, plus, atlas):
+        ops = [h.fop_set() for h in rows]
+        if len(set(ops)) != len(rows):
+            return False
+        for x, h in enumerate(rows):
+            by_value: dict[int, set[int]] = {}
+            for z, v in enumerate(h.values):
+                by_value.setdefault(v, set()).add(z)
+            for y, d in enumerate(X.rows[x]):
+                zs = by_value.get(d)
+                if zs is not None and not zs <= ops[y]:
+                    return False
     return True
 
 
@@ -453,16 +455,11 @@ def assemble_twin(
 
     plus_star_ok = _check_plus_star(b, plus, atlas)
 
-    diagram_ok = True
-    for R in plus.rank2_residues():
-        s, t = sorted(R.J)
-        m = b.weyl.matrix.m[s][t]
-        if _gonality(plus, R) != m:
-            diagram_ok = False
-    for R in b.rank2_residues():
-        s, t = sorted(R.J)
-        if _gonality(b, R) != b.weyl.matrix.m[s][t]:
-            diagram_ok = False
+    diagram_ok = all(
+        _gonality(X, R) == X.weyl.matrix.m[min(R.J)][max(R.J)]
+        for X in (plus, b)
+        for R in X.rank2_residues()
+    )
 
     seed_ok = None
     if seed is not None:

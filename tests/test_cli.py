@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -22,8 +23,10 @@ from twinbuild.cli import (
     serialize_building,
     serialize_codistance,
 )
+from twinbuild import twinner
 from twinbuild.codistance import from_opposite_chamber
 from twinbuild.coxeter import enumerate_weyl
+from twinbuild.errors import FormatError
 
 
 @pytest.fixture
@@ -251,6 +254,26 @@ def test_twin_build_bytes_pinned(request, tmp_path, capsys, fixture, chamber, di
     assert digest_dir(out) == digest
 
 
+def test_twin_build_reports_member_in_two_panels(
+    monkeypatch, tmp_path, fano, fano_file, fano_cod_file, capsys
+):
+    # a neighbourhood that always contains the seed puts the seed into a
+    # second panel of one type
+    seed = from_opposite_chamber(fano, 0)
+    real = twinner.adjacent_codistances
+
+    def overlapping(g, s, Ptilde, check_choices=False):
+        return {**real(g, s, Ptilde, check_choices), -1: seed}
+
+    monkeypatch.setattr(twinner, "adjacent_codistances", overlapping)
+    with pytest.raises(twinner.TwinViolation):
+        twinner.atlas_component(seed)
+    capsys.readouterr()
+    code, _ = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    assert code == EXIT_VIOLATION
+    assert capsys.readouterr().err.startswith("violation: ")
+
+
 def test_twin_verify(tmp_path, fano_file, fano_cod_file, capsys):
     _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
     assert main(["twin", "verify", out]) == EXIT_PASS
@@ -379,6 +402,24 @@ def test_validate_building_rejects_no_chambers(tmp_path, capsys, count):
     captured = capsys.readouterr()
     assert "RESULT=" not in captured.out
     assert "chamber" in captured.err
+
+
+def test_parse_building_rejects_chamber_count_before_allocating():
+    # four chambers listed, ten million declared: refused from the panel
+    # counts, before any per-chamber list is built
+    text = "".join(f"{line}\n" for line in [
+        "%building 1", "name huge", "rank 2", "gens p l", "matrix", "1 2", "2 1",
+        "chambers 10000000", "panels p", "0 1", "2 3", "panels l", "0 2", "1 3",
+        "end",
+    ])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError):
+            parse_building(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_twin_verify_rejects_plus_without_chambers(

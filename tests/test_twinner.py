@@ -8,7 +8,7 @@ import pytest
 from twinbuild.catalog import matrix_I2
 from twinbuild.chambersys import Building, ChamberSystem
 from twinbuild.codistance import Codistance, from_opposite_chamber, proj_f
-from twinbuild.coxeter import enumerate_weyl
+from twinbuild.coxeter import WeylTable, enumerate_weyl
 from twinbuild.errors import BuildingMismatch, PreconditionFailed
 from twinbuild.panelcalc import beta, panel_key, panels_op
 from twinbuild.twinner import (
@@ -304,6 +304,33 @@ def test_twin_costar_rev_is_inverse_value(fano, fano_twin):
     for i in range(len(tw.atlas.members)):
         for c in range(fano.n):
             assert tw.costar_rev(c, i) == table.inv(tw.costar(i, c))
+
+
+def test_twin_checks_read_the_costar_tables(monkeypatch, fano, fano_atlas):
+    # both halves read delta* off the value tables: no per-entry codistance
+    # call, one Weyl inverse per group element for the B- rows
+    f, atlas = fano_atlas
+    fresh = CodistanceAtlas(fano, atlas.members, atlas.panels, atlas.origin)
+    calls = {"call": 0, "inv": 0}
+    call, inv = Codistance.__call__, WeylTable.inv
+
+    def counting_call(self, c):
+        calls["call"] += 1
+        return call(self, c)
+
+    def counting_inv(self, w):
+        calls["inv"] += 1
+        return inv(self, w)
+
+    monkeypatch.setattr(Codistance, "__call__", counting_call)
+    monkeypatch.setattr(WeylTable, "inv", counting_inv)
+    assert _check_tw_axioms(fano, fresh.plus, fresh)
+    assert _check_plus_star(fano, fresh.plus, fresh)
+    assert calls == {"call": 0, "inv": fano.weyl.size}
+    monkeypatch.undo()
+    for c in range(fano.n):
+        for i, g in enumerate(atlas.members):
+            assert fresh.minus_rows[c][i] == fano.weyl.inv(g(c))
 
 
 def test_twin_plus_half_is_isomorphic_size(fano, fano_twin):
