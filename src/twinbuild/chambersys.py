@@ -5,8 +5,10 @@ delta computed from minimal galleries.  Each residue is one interned
 ResidueRef carrying its chambers; its closure is computed once and the ref
 is stored under every one of its chambers, so finding the residue of a
 chamber is a lookup.  The full delta table is computed once, eagerly, one
-row per chamber: validation reads every row anyway, and computing the rows
-checks that the chamber system is gallery-connected.
+row per chamber: validation reads every row anyway, and computing row 0
+checks that the chamber system is gallery-connected.  Building validation
+is the Bu1-Bu3 pass of ``validate_building``; those axioms imply that delta
+is symmetric and that its length is the gallery distance.
 """
 
 from __future__ import annotations
@@ -150,8 +152,12 @@ class Building:
         self.n = system.n
         # (J, c) -> the J-residue of c, one object for every chamber c of it
         self._residues: dict[tuple[frozenset, int], ResidueRef] = {}
-        # rows[x][y] = delta(x, y)
-        self.rows = [self._compute_row(x) for x in range(self.n)]
+        # rows[x][y] = delta(x, y); every row reaches every chamber once row 0
+        # does, so connectivity is checked on row 0 alone
+        row0 = self._compute_row(0)
+        if -1 in row0:
+            raise Disconnected("chamber system not gallery-connected from 0")
+        self.rows = [row0] + [self._compute_row(x) for x in range(1, self.n)]
 
     # -- distance ----------------------------------------------------------
 
@@ -168,8 +174,6 @@ class Building:
                 if row[z] == -1:
                     row[z] = right[w][s]
                     queue.append(z)
-        if any(v == -1 for v in row):
-            raise Disconnected(f"chamber system not gallery-connected from {x}")
         return row
 
     def delta(self, x: int, y: int) -> int:
@@ -303,12 +307,25 @@ class Building:
 
 
 def validate_building(b: Building) -> BuildingReport:
-    """Exhaustively verify axioms Bu1-Bu3 on all pairs; the report carries
-    the first violation found."""
+    """Exhaustively verify axioms Bu1-Bu3 on every (x, y, s); the report
+    carries the first violation found.
+
+    These W-metric axioms imply that delta is symmetric and that l(delta)
+    is the gallery distance d, so neither is checked apart:
+    (i) by Bu2, l(delta(x, -)) changes by at most 1 across an edge; if
+    w = delta(x, y) != 1 has a descent s, Bu3 gives an s-neighbour of y one
+    shorter; Bu1 says delta(x, y) = 1 only at y = x; so l(delta(x, y)) = d(x, y).
+    (ii) along a minimal gallery of types s1...sk from x to y, (i) and Bu2
+    give delta(x, y) = s1...sk; the reversed gallery is minimal from y, so
+    delta(y, x) = delta(x, y)^-1.
+    """
     table = b.weyl
     lengths = table.length
     right = table.right
     rows = b.rows
+    gens = range(b.system.rank)
+    panels = b.system.panels
+    panel_of = b.system.panel_of
     thick = b.system.is_thick()
 
     def fail(axiom: str, witness: tuple, detail: str) -> BuildingReport:
@@ -317,15 +334,14 @@ def validate_building(b: Building) -> BuildingReport:
         )
 
     for x, row in enumerate(rows):
-        for y in range(b.n):
-            w = row[y]
+        for y, w in enumerate(row):
             if (w == 0) != (x == y):
                 return fail("Bu1", (x, y), f"delta={table.word_str(w)}")
-            for s in range(b.system.rank):
+            for s in gens:
                 ws = right[w][s]
                 up = lengths[ws] == lengths[w] + 1
                 found_ws = False
-                for z in b.system.panel_members(y, s):
+                for z in panels[s][panel_of[s][y]]:
                     if z == y:
                         continue
                     d = row[z]
@@ -343,28 +359,4 @@ def validate_building(b: Building) -> BuildingReport:
                         )
                 if not found_ws:
                     return fail("Bu3", (x, y, s), "no z with delta(x,z)=ws")
-    # delta symmetry and numerical-distance consistency
-    for x, row in enumerate(rows):
-        for y in range(x + 1, b.n):
-            if table.inv(row[y]) != rows[y][x]:
-                return fail("delta-symmetry", (x, y), "delta(x,y) != delta(y,x)^-1")
-    for x, row in enumerate(rows):
-        dist = _graph_distances(b, x)
-        for y in range(b.n):
-            if dist[y] != lengths[row[y]]:
-                return fail("gallery-distance", (x, y), "numerical distance != l(delta)")
     return BuildingReport(ok=True, violation=None, thick=thick)
-
-
-def _graph_distances(b: Building, x: int) -> list[int]:
-    adjacency = b.system.adjacency
-    dist = [-1] * b.n
-    dist[x] = 0
-    queue = deque([x])
-    while queue:
-        y = queue.popleft()
-        for _, z in adjacency[y]:
-            if dist[z] == -1:
-                dist[z] = dist[y] + 1
-                queue.append(z)
-    return dist

@@ -150,15 +150,14 @@ class WeylTable:
         return "".join(self.matrix.gens[s] for s in self.word[w])
 
     def parse_word(self, text: str) -> int:
-        """Parse a word over generator names (greedy; names are prefix-free)."""
+        """Parse a word over generator names; the names are prefix-free, so
+        at most one of them matches at any position."""
         if text == "-" or text == "":
             return 0
         w = 0
         i = 0
-        names = sorted(range(self.rank), key=lambda s: -len(self.matrix.gens[s]))
         while i < len(text):
-            for s in names:
-                g = self.matrix.gens[s]
+            for s, g in enumerate(self.matrix.gens):
                 if text.startswith(g, i):
                     w = self.right[w][s]
                     i += len(g)

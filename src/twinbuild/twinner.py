@@ -195,8 +195,13 @@ def atlas_component(f: Codistance, cap: int = DEFAULT_ATLAS_CAP) -> CodistanceAt
         for s in range(rank):
             if i in panel_of[s]:
                 continue
+            ops = panels_op(g, s)
+            if not ops:
+                raise PreconditionFailed(
+                    f"member {i} has an empty f^op: no {s}-panel meets it"
+                )
             group = [i]
-            for h in adjacent_codistances(g, s, panels_op(g, s)[0]).values():
+            for h in adjacent_codistances(g, s, ops[0]).values():
                 j = index.get(h.values)
                 if j is None:
                     j = len(members)

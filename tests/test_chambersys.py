@@ -1,4 +1,6 @@
 import os
+import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -11,7 +13,13 @@ from twinbuild.catalog import (
     matrix_B2,
     matrix_I2,
 )
-from twinbuild.chambersys import Building, ChamberSystem, validate_building
+from twinbuild.chambersys import (
+    AxiomViolation,
+    Building,
+    BuildingReport,
+    ChamberSystem,
+    validate_building,
+)
 from twinbuild.coxeter import CoxeterMatrix, enumerate_weyl
 from twinbuild.errors import Disconnected, NotInResidue
 
@@ -96,6 +104,122 @@ def test_wrong_coxeter_type_fails_validation(make, matrix, axiom, witness):
     report = validate_building(Building(system, name="mistyped"))
     assert not report.ok
     assert (report.violation.axiom, report.violation.witness) == (axiom, witness)
+
+
+# -- the one-pass validator against the three-pass one ---------------------------
+
+
+def validate_building_reference(b: Building) -> BuildingReport:
+    """Three passes: Bu1-Bu3, then delta symmetry, then gallery distance =
+    l(delta) by one BFS per chamber.  Bu1-Bu3 imply what the last two test,
+    so its report must equal that of ``validate_building``."""
+    table = b.weyl
+    lengths = table.length
+    right = table.right
+    rows = b.rows
+    thick = b.system.is_thick()
+
+    def fail(axiom, witness, detail):
+        return BuildingReport(
+            ok=False, violation=AxiomViolation(axiom, witness, detail), thick=thick
+        )
+
+    for x, row in enumerate(rows):
+        for y in range(b.n):
+            w = row[y]
+            if (w == 0) != (x == y):
+                return fail("Bu1", (x, y), f"delta={table.word_str(w)}")
+            for s in range(b.system.rank):
+                ws = right[w][s]
+                up = lengths[ws] == lengths[w] + 1
+                found_ws = False
+                for z in b.system.panel_members(y, s):
+                    if z == y:
+                        continue
+                    d = row[z]
+                    if d == ws:
+                        found_ws = True
+                    elif d != w:
+                        return fail(
+                            "Bu2", (x, y, z, s),
+                            f"delta(x,z)={table.word_str(d)} not in "
+                            f"{{{table.word_str(w)}, {table.word_str(ws)}}}",
+                        )
+                    elif up:
+                        return fail(
+                            "Bu2", (x, y, z, s), "l(ws)=l(w)+1 but delta(x,z)=w"
+                        )
+                if not found_ws:
+                    return fail("Bu3", (x, y, s), "no z with delta(x,z)=ws")
+    for x, row in enumerate(rows):
+        for y in range(x + 1, b.n):
+            if table.inv(row[y]) != rows[y][x]:
+                return fail("delta-symmetry", (x, y), "delta(x,y) != delta(y,x)^-1")
+    for x, row in enumerate(rows):
+        dist = [-1] * b.n
+        dist[x] = 0
+        queue = deque([x])
+        while queue:
+            y = queue.popleft()
+            for _, z in b.system.adjacency[y]:
+                if dist[z] == -1:
+                    dist[z] = dist[y] + 1
+                    queue.append(z)
+        for y in range(b.n):
+            if dist[y] != lengths[row[y]]:
+                return fail("gallery-distance", (x, y), "numerical distance != l(delta)")
+    return BuildingReport(ok=True, violation=None, thick=thick)
+
+
+@pytest.mark.parametrize("name", [
+    "fano", "pg23", "sp42", "sp43", "digon33", "thin_a3", "pg32",
+])
+def test_validator_matches_reference_on_fixtures(request, name):
+    b = request.getfixturevalue(name)
+    assert validate_building(b) == validate_building_reference(b)
+
+
+@pytest.mark.parametrize("make, matrix", [
+    (lambda: gen_thin(matrix_I2(6)), matrix_A2),
+    (lambda: gen_thin(matrix_I2(4)), lambda: matrix_I2(2)),
+    (lambda: gen_pg2(2), matrix_B2),
+    (lambda: gen_digon(2, 3), matrix_A2),
+], ids=["thin_g2_as_a2", "thin_b2_as_i2_2", "pg22_as_b2", "digon23_as_a2"])
+def test_validator_matches_reference_mistyped(make, matrix):
+    b = make()
+    mistyped = Building(ChamberSystem(enumerate_weyl(matrix()), b.n, b.system.panels))
+    assert validate_building(mistyped) == validate_building_reference(mistyped)
+
+
+def panel_swaps(b: Building, rng: random.Random, count: int):
+    """``count`` chamber systems on b's Weyl table, each b's panels with one
+    to three exchanges of two chambers between two panels of one type; those
+    that fail to construct or to stay connected are skipped."""
+    for _ in range(count):
+        panels = [[list(p) for p in fam] for fam in b.system.panels]
+        for _ in range(rng.randint(1, 3)):
+            fam = rng.choice([fam for fam in panels if len(fam) > 1])
+            P, Q = rng.sample(fam, 2)
+            i, j = rng.randrange(len(P)), rng.randrange(len(Q))
+            P[i], Q[j] = Q[j], P[i]
+        try:
+            system = ChamberSystem(
+                b.weyl, b.n, [[tuple(sorted(p)) for p in fam] for fam in panels]
+            )
+            yield Building(system, name="swapped")
+        except (ValueError, Disconnected):
+            continue
+
+
+@pytest.mark.parametrize("name", [
+    "fano", "pg23", "sp42", "digon33",
+    "thin_a1cubed", "thin_a2", "thin_a3",
+])
+def test_validator_matches_reference_on_panel_swaps(request, name):
+    b = request.getfixturevalue(name)
+    rng = random.Random(f"swap-{name}")
+    for mutated in panel_swaps(b, rng, 100):
+        assert validate_building(mutated) == validate_building_reference(mutated)
 
 
 def test_disconnected_raises():

@@ -2,6 +2,7 @@
 
 import filecmp
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 
 from twinbuild.catalog import gen_thin, matrix_A2, matrix_I2
-from twinbuild.chambersys import Building, ChamberSystem
+from twinbuild.chambersys import Building, ChamberSystem, validate_building
 from twinbuild.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -613,3 +614,56 @@ def test_twin_verify_has_no_seed_to_match(tmp_path, fano_file, fano_cod_file, ca
     assert main(["twin", "verify", out]) == EXIT_PASS
     lines = capsys.readouterr().out.splitlines()
     assert "SEED_MATCH=n/a" in lines and "RESULT=pass" in lines
+
+
+def _plus_panel_swaps(text):
+    """Each plus.bld text with one chamber of a p-panel exchanged with one of
+    a later p-panel, the two panels re-sorted, in a fixed order."""
+    lines = text.splitlines()
+    start = lines.index("panels p") + 1
+    stop = lines.index("panels l")
+    fam = [tuple(map(int, line.split())) for line in lines[start:stop]]
+    for i, j in itertools.combinations(range(len(fam)), 2):
+        for a, b in itertools.product(fam[i], fam[j]):
+            swapped = list(fam)
+            swapped[i] = tuple(sorted(set(fam[i]) - {a} | {b}))
+            swapped[j] = tuple(sorted(set(fam[j]) - {b} | {a}))
+            body = [" ".join(map(str, p)) for p in swapped]
+            yield "\n".join(lines[:start] + body + lines[stop:]) + "\n"
+
+
+def test_twin_verify_runs_the_plus_building_check(
+    tmp_path, fano_file, fano_cod_file, capsys
+):
+    # a plus.bld that parses but is no building: every other file is intact,
+    # so the B+ building check is what fails the twin
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    path = os.path.join(out, "plus.bld")
+    with open(path) as fh:
+        text = fh.read()
+    for tampered in _plus_panel_swaps(text):
+        try:
+            plus = parse_building(tampered)
+        except FormatError:
+            continue
+        if not validate_building(plus).ok:
+            break
+    else:
+        pytest.fail("no p-panel swap parses and fails validation")
+    with open(path, "w") as fh:
+        fh.write(tampered)
+    capsys.readouterr()
+    assert main(["twin", "verify", out]) == EXIT_VIOLATION
+    assert "RESULT=fail" in capsys.readouterr().out.splitlines()
+
+    with open(os.path.join(out, "minus.bld")) as fh:
+        b = parse_building(fh.read())
+    members = []
+    for i in range(plus.n):
+        with open(os.path.join(out, f"codistance_{i:04d}.cod")) as fh:
+            members.append(parse_codistance(fh.read(), b))
+    atlas = twinner.CodistanceAtlas(
+        building=b, members=members,
+        panels=[list(fam) for fam in plus.system.panels], origin=0,
+    )
+    assert twinner.assemble_twin(atlas, b).report.building_ok is False

@@ -160,6 +160,20 @@ def test_parse_word_roundtrip_and_canonicalization():
     assert table.parse_word("plp") == table.parse_word("lpl")
 
 
+def test_parse_word_multi_character_names():
+    table = enumerate_weyl(
+        CoxeterMatrix(("a", "bc", "def"), ((1, 3, 2), (3, 1, 3), (2, 3, 1)))
+    )
+    for w in range(table.size):
+        assert table.parse_word(table.word_str(w)) == w
+    # non-canonical words still parse to the group element
+    assert table.parse_word("defa") == table.parse_word("adef")
+    assert table.parse_word("bcbc") == 0
+    assert table.parse_word("abca") == table.parse_word("bcabc")
+    with pytest.raises(ValueError):
+        table.parse_word("ab")
+
+
 def test_prefix_name_rejected():
     with pytest.raises(UnsupportedEntry):
         CoxeterMatrix(("a", "ab"), ((1, 3), (3, 1)))

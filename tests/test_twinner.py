@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from twinbuild.catalog import matrix_I2
+from twinbuild.catalog import gen_digon, matrix_A2, matrix_I2
 from twinbuild.chambersys import Building, ChamberSystem
 from twinbuild.codistance import Codistance, from_opposite_chamber, proj_f
 from twinbuild.coxeter import WeylTable, enumerate_weyl
@@ -150,6 +150,17 @@ def test_adjacent_codistance_preconditions(fano):
 
 
 # -- atlas --------------------------------------------------------------------
+
+
+def test_atlas_rejects_seed_with_empty_fop():
+    # digon(2,3)'s panels under the A2 table: the chamber system is fine, but
+    # r_S * delta(0, -) is never 1, so no panel meets f^op
+    b = gen_digon(2, 3)
+    mistyped = Building(ChamberSystem(enumerate_weyl(matrix_A2()), b.n, b.system.panels))
+    f = from_opposite_chamber(mistyped, 0)
+    assert f.values == (5, 4, 4, 3, 1, 1) and not f.fop()
+    with pytest.raises(PreconditionFailed, match="member 0 .* 0-panel"):
+        atlas_component(f)
 
 
 def test_fano_atlas_is_the_chamber_set(fano, fano_atlas):
