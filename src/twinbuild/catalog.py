@@ -1,14 +1,17 @@
 """Generators for the concrete finite buildings used as fixtures.
 
-All generators order points/lines/planes by lexicographic coordinate
-vectors so repeated runs emit byte-identical bundles.  Field arithmetic is
-plain modular arithmetic over F_2 and F_3, the only sizes we need.
+The thick fixtures, pg2(q), pg3(q) and sp4(q) for q in {2, 3} and the
+generalized digons, are flag complexes: each generator lists its flags and
+``_flag_building`` is the one constructor that turns them into a building.
+Flags are ordered by lexicographic coordinate vectors, so repeated runs emit
+byte-identical bundles.  Field arithmetic is plain modular arithmetic over
+F_2 and F_3, the only sizes we need.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .chambersys import Building, ChamberSystem
 from .coxeter import CoxeterMatrix, WeylTable, enumerate_weyl
@@ -49,21 +52,27 @@ def gen_thin(matrix: CoxeterMatrix | WeylTable) -> Building:
     return Building(system, name=f"thin_{'x'.join(table.matrix.gens)}")
 
 
+def _flag_building(flags: Iterable[tuple], matrix: CoxeterMatrix, name: str) -> Building:
+    """The flag complex of type ``matrix``: the chambers are the flags, one
+    coordinate per type, numbered in sorted order, and the panel of type i
+    groups the flags that agree at every coordinate except i."""
+    flags = sorted(flags)
+    panels = []
+    for i in range(matrix.rank):
+        groups: dict = {}
+        for idx, flag in enumerate(flags):
+            groups.setdefault(flag[:i] + flag[i + 1:], []).append(idx)
+        panels.append(sorted(tuple(g) for g in groups.values()))
+    system = ChamberSystem(weyl=enumerate_weyl(matrix), n=len(flags), panels=panels)
+    return Building(system, name=name)
+
+
 def gen_digon(a: int, b: int) -> Building:
     """Generalized digon: every point incident with every line."""
     if a < 2 or b < 2:
         raise ValueError("digon sizes must be >= 2")
-    table = enumerate_weyl(matrix_I2(2))
-    chambers = [(i, j) for i in range(a) for j in range(b)]
-    index = {c: k for k, c in enumerate(chambers)}
-    point_panels = sorted(
-        tuple(index[(i, j)] for i in range(a)) for j in range(b)
-    )
-    line_panels = sorted(
-        tuple(index[(i, j)] for j in range(b)) for i in range(a)
-    )
-    system = ChamberSystem(weyl=table, n=a * b, panels=[point_panels, line_panels])
-    return Building(system, name=f"digon_{a}_{b}")
+    flags = [(i, j) for i in range(a) for j in range(b)]
+    return _flag_building(flags, matrix_I2(2), f"digon_{a}_{b}")
 
 
 # -- finite-field linear algebra over F_2, F_3 ------------------------------
@@ -120,29 +129,12 @@ def _hyperplanes(q: int, dim: int) -> list[frozenset]:
     return sorted(set(out), key=lambda h: sorted(h))
 
 
-def _panels_by_key(chambers: list, key_fn) -> list[tuple[int, ...]]:
-    groups: dict = {}
-    for idx, c in enumerate(chambers):
-        groups.setdefault(key_fn(c), []).append(idx)
-    return sorted(tuple(g) for g in groups.values())
-
-
 def gen_pg2(q: int) -> Building:
     """Flag building of the projective plane PG(2, q), type A2."""
     _check_q(q)
     points = _points(q, 3)
-    lines = _lines(points, q)
-    chambers = sorted(
-        (p, tuple(sorted(l))) for l in lines for p in l
-    )
-    # point-type panel: flags sharing the line; line-type panel: sharing the point
-    panels = [
-        _panels_by_key(chambers, lambda c: c[1]),
-        _panels_by_key(chambers, lambda c: c[0]),
-    ]
-    table = enumerate_weyl(matrix_A2())
-    system = ChamberSystem(weyl=table, n=len(chambers), panels=panels)
-    return Building(system, name=f"pg2_{q}")
+    flags = [(p, tuple(sorted(l))) for l in _lines(points, q) for p in l]
+    return _flag_building(flags, matrix_A2(), f"pg2_{q}")
 
 
 def gen_pg3(q: int) -> Building:
@@ -150,24 +142,14 @@ def gen_pg3(q: int) -> Building:
     _check_q(q)
     points = _points(q, 4)
     lines = _lines(points, q)
-    planes = _hyperplanes(q, 4)
-    line_key = {l: tuple(sorted(l)) for l in lines}
-    plane_key = {h: tuple(sorted(h)) for h in planes}
-    chambers = sorted(
-        (p, line_key[l], plane_key[h])
-        for h in planes
+    flags = [
+        (p, tuple(sorted(l)), tuple(sorted(h)))
+        for h in _hyperplanes(q, 4)
         for l in lines
         if l <= h
         for p in l
-    )
-    panels = [
-        _panels_by_key(chambers, lambda c: (c[1], c[2])),
-        _panels_by_key(chambers, lambda c: (c[0], c[2])),
-        _panels_by_key(chambers, lambda c: (c[0], c[1])),
     ]
-    table = enumerate_weyl(matrix_A3())
-    system = ChamberSystem(weyl=table, n=len(chambers), panels=panels)
-    return Building(system, name=f"pg3_{q}")
+    return _flag_building(flags, matrix_A3(), f"pg3_{q}")
 
 
 def _symplectic(u: Sequence[int], v: Sequence[int], q: int) -> int:
@@ -183,14 +165,8 @@ def gen_sp4(q: int) -> Building:
     ti_lines = [
         l for l in _lines(points, q) if _symplectic(*sorted(l)[:2], q) == 0
     ]
-    chambers = sorted((p, tuple(sorted(l))) for l in ti_lines for p in l)
-    panels = [
-        _panels_by_key(chambers, lambda c: c[1]),
-        _panels_by_key(chambers, lambda c: c[0]),
-    ]
-    table = enumerate_weyl(matrix_B2())
-    system = ChamberSystem(weyl=table, n=len(chambers), panels=panels)
-    return Building(system, name=f"sp4_{q}")
+    flags = [(p, tuple(sorted(l))) for l in ti_lines for p in l]
+    return _flag_building(flags, matrix_B2(), f"sp4_{q}")
 
 
 def product(b1: Building, b2: Building) -> Building:

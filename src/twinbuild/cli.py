@@ -27,8 +27,8 @@ from .catalog import (
 from .chambersys import Building, ChamberSystem, validate_building
 from .codistance import Codistance, from_opposite_chamber, validate_codistance
 from .coxeter import CoxeterMatrix, enumerate_weyl
-from .errors import CapExceeded, FormatError, TwinbuildError, UnsupportedQ
-from .homotopy import check_lco, check_lsco, connected, simply_2_connected
+from .errors import CapExceeded, FormatError, NotConnected, TwinbuildError, UnsupportedQ
+from .homotopy import check_lco, check_lsco, simply_2_connected
 from .twinner import CodistanceAtlas, assemble_twin, atlas_component
 
 EXIT_PASS = 0
@@ -42,6 +42,15 @@ THIN_TYPES = {
     "b2": matrix_B2,
     "g2": lambda: matrix_I2(6),
     "a3": matrix_A3,
+}
+
+# family -> building from the parsed `gen` arguments
+GENERATORS = {
+    "pg2": lambda args: gen_pg2(args.q),
+    "pg3": lambda args: gen_pg3(args.q),
+    "sp4": lambda args: gen_sp4(args.q),
+    "digon": lambda args: gen_digon(args.a, args.b),
+    "thin": lambda args: gen_thin(THIN_TYPES[args.type]()),
 }
 
 
@@ -221,18 +230,7 @@ def _write(path: str, text: str) -> None:
 
 def _cmd_gen(args) -> int:
     try:
-        if args.family == "pg2":
-            b = gen_pg2(args.q)
-        elif args.family == "pg3":
-            b = gen_pg3(args.q)
-        elif args.family == "sp4":
-            b = gen_sp4(args.q)
-        elif args.family == "digon":
-            b = gen_digon(args.a, args.b)
-        elif args.family == "thin":
-            b = gen_thin(THIN_TYPES[args.type]())
-        else:
-            raise FormatError(f"unknown family {args.family!r}")
+        b = GENERATORS[args.family](args)
     except (UnsupportedQ, ValueError) as e:
         raise FormatError(str(e))
     _write(args.output, serialize_building(b))
@@ -308,12 +306,13 @@ def _cmd_fop(args) -> int:
     fop = f.fop()
     print("fop " + " ".join(str(c) for c in fop))
     print(f"FOP_SIZE={len(fop)}")
-    conn = connected(fop, range(b.system.rank), b)
-    print(f"connected={'yes' if conn else 'no'}")
-    if not conn:
+    try:
+        verdict = simply_2_connected(fop, b)
+    except NotConnected:
+        print("connected=no")
         print("RESULT=fail")
         return EXIT_VIOLATION
-    verdict = simply_2_connected(fop, b)
+    print("connected=yes")
     print(f"simply_2_connected={verdict.status}")
     if verdict.status == "ProvenTrivial":
         print("RESULT=pass")
@@ -340,8 +339,16 @@ def _twin_report(
         f"LCO={'pass' if lco_ok else 'fail'}",
         f"LSCO={'pass' if lsco_ok else 'fail'}",
         f"TW_AXIOMS={'pass' if report.tw_axioms_ok else 'fail'}",
-        f"SEED_MATCH={seed_match}",
     ]
+    for key, ok in (
+        ("BUILDING", report.building_ok),
+        ("OPPOSITION", report.opposition_ok),
+        ("PLUS_STAR", report.plus_star_ok),
+        ("DIAGRAM", report.diagram_ok),
+    ):
+        if not ok:
+            lines.append(f"{key}=fail")
+    lines.append(f"SEED_MATCH={seed_match}")
     return "\n".join(lines) + "\n"
 
 
@@ -386,15 +393,17 @@ def _cmd_twin_build(args) -> int:
     return EXIT_PASS if assembly.report.ok else EXIT_VIOLATION
 
 
-def _cmd_twin_verify(args) -> int:
-    d = args.directory
-    b = parse_building(_read(os.path.join(d, "minus.bld")))
-    plus = parse_building(_read(os.path.join(d, "plus.bld")))
+def read_twin(directory: str) -> tuple[Building, CodistanceAtlas]:
+    """B- and its codistance atlas from a ``twin build`` directory: B- from
+    minus.bld, one member per codistance file, and the atlas panels (the
+    panels of B+) from plus.bld, whose diagram must be B-'s."""
+    b = parse_building(_read(os.path.join(directory, "minus.bld")))
+    plus = parse_building(_read(os.path.join(directory, "plus.bld")))
     if plus.weyl.matrix != b.weyl.matrix:
         raise FormatError("plus.bld and minus.bld declare different diagrams")
     members = []
     for i in range(plus.n):
-        path = os.path.join(d, f"codistance_{i:04d}.cod")
+        path = os.path.join(directory, f"codistance_{i:04d}.cod")
         members.append(parse_codistance(_read(path), b))
     atlas = CodistanceAtlas(
         building=b,
@@ -402,9 +411,15 @@ def _cmd_twin_verify(args) -> int:
         panels=[list(fam) for fam in plus.system.panels],
         origin=0,
     )
+    return b, atlas
+
+
+def _cmd_twin_verify(args) -> int:
+    b, atlas = read_twin(args.directory)
+    members = atlas.members
     table = b.weyl
     listed = set()
-    for line in _read(os.path.join(d, "costar.tsv")).splitlines():
+    for line in _read(os.path.join(args.directory, "costar.tsv")).splitlines():
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"bad costar line: {line!r}")
@@ -452,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a catalog building")
-    p_gen.add_argument("family", choices=["pg2", "pg3", "sp4", "digon", "thin"])
+    p_gen.add_argument("family", choices=list(GENERATORS))
     p_gen.add_argument("--q", type=int, default=2)
     p_gen.add_argument("--a", type=int, default=3)
     p_gen.add_argument("--b", type=int, default=3)

@@ -115,8 +115,8 @@ class WeylTable:
     right: list[list[int]]
     left: list[list[int]]
     word: list[tuple[int, ...]]
-    _subgroup_cache: dict = field(default_factory=dict, repr=False)
-    _longest_cache: dict = field(default_factory=dict, repr=False)
+    _subgroup_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _longest_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _inverse: Optional[list[int]] = field(default=None, repr=False, compare=False)
 
     @property

@@ -517,11 +517,13 @@ def check_lsco(b: Building) -> LocalConditionReport:
     def decide(R: ResidueRef, opp: frozenset) -> TrivialityVerdict:
         if not opp:
             return TrivialityVerdict(PROVEN_NONTRIVIAL, certificate="empty")
-        if not connected(opp, R.J, b):
+        # opp lies in R: the presentation's spanning tree tests R.J-connectivity
+        try:
+            return simply_2_connected(opp, b)
+        except NotConnected:
             return TrivialityVerdict(
                 PROVEN_NONTRIVIAL, certificate=("disconnected", tuple(sorted(opp)))
             )
-        return simply_2_connected(opp, b)
 
     return _opposite_sets(b, 3, decide)
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from twinbuild.catalog import (
@@ -12,6 +14,7 @@ from twinbuild.catalog import (
     product,
 )
 from twinbuild.chambersys import validate_building
+from twinbuild.cli import serialize_building
 from twinbuild.errors import NameClash, UnsupportedQ
 
 
@@ -79,3 +82,18 @@ def test_sp4_is_generalized_quadrangle(sp42):
     table = sp42.weyl
     assert table.length[table.longest_element((0, 1))] == 4
     assert validate_building(sp42).ok
+
+
+# sha256 of serialize_building: the chamber numbering and every panel
+@pytest.mark.parametrize("gen, args, digest", [
+    (gen_pg2, (2,), "d27ea9290f571b7345076a9478fea37980f1c09671d445415a069e54f90a82c1"),
+    (gen_pg2, (3,), "191f0c8463b018376de76826b74b000da71a501e45804e0d80e8e832bec6ec57"),
+    (gen_pg3, (2,), "e86f4ff60d51c33410b6e98428a165667de7da698af4f9e0a37377eefd0593b8"),
+    (gen_sp4, (2,), "0d92dd6475be6332298d0e9848e3e7d4cef4c2ba0bdcbe61c60cf0e20256eb47"),
+    (gen_sp4, (3,), "5e9f066e8f62e980173b83b1d421f0cd683fce2517e1ee44b9dfcf93a4799ee8"),
+    (gen_digon, (3, 3), "bf3ea12a0f05dea01a548be7d8fe4afaf1a3459c2b06375f3298aa372c31b066"),
+    (gen_digon, (2, 4), "1304061f51407236e64a9f890e5b5a15f30f7706286b55a1e356c55c992e97be"),
+])
+def test_catalog_bytes_pinned(gen, args, digest):
+    text = serialize_building(gen(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

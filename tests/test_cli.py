@@ -1,5 +1,6 @@
 """Command line interface: file formats, exit codes, and determinism."""
 
+import dataclasses
 import filecmp
 import hashlib
 import itertools
@@ -21,10 +22,11 @@ from twinbuild.cli import (
     main,
     parse_building,
     parse_codistance,
+    read_twin,
     serialize_building,
     serialize_codistance,
 )
-from twinbuild import twinner
+from twinbuild import cli, twinner
 from twinbuild.codistance import from_opposite_chamber
 from twinbuild.coxeter import enumerate_weyl
 from twinbuild.errors import FormatError
@@ -119,6 +121,33 @@ def test_gen_unsupported_q(tmp_path):
     assert main(["gen", "pg2", "--q", "6", "-o", out]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["pg2"], EXIT_PASS, "wrote pg2_2: 21 chambers, rank 2\n", ""),
+    (["pg3"], EXIT_PASS, "wrote pg3_2: 315 chambers, rank 3\n", ""),
+    (["sp4", "--q", "3"], EXIT_PASS, "wrote sp4_3: 160 chambers, rank 2\n", ""),
+    (["digon"], EXIT_PASS, "wrote digon_3_3: 9 chambers, rank 2\n", ""),
+    (["thin", "--type", "a3"], EXIT_PASS, "wrote thin_pxlxh: 24 chambers, rank 3\n", ""),
+    (["digon", "--a", "1"], EXIT_INPUT, "", "input error: digon sizes must be >= 2\n"),
+    (["pg2", "--q", "4"], EXIT_INPUT, "",
+     "input error: q=4 not supported (prime fields F2, F3 only)\n"),
+])
+def test_gen_output(tmp_path, capsys, argv, code, out, err):
+    assert main(["gen", *argv, "-o", str(tmp_path / "b.bld")]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_gen_unknown_family(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "foo", "-o", str(tmp_path / "b.bld")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "{pg2,pg3,sp4,digon,thin}" in captured.err
+    assert captured.err.splitlines()[-1].startswith(
+        "twinbuild gen: error: argument family: invalid choice: 'foo'"
+    )
+
+
 def test_validate_codistance(fano_file, fano_cod_file, capsys):
     code = main(
         ["validate", "codistance", fano_cod_file, "--building", fano_file]
@@ -182,6 +211,21 @@ def test_fop_command(fano_file, fano_cod_file, capsys):
     assert "FOP_SIZE=8" in out
     assert "connected=yes" in out
     assert "simply_2_connected=ProvenTrivial" in out
+
+
+def test_fop_command_disconnected(tmp_path, sp42, capsys):
+    # f^op of sp4(2) opposite chamber 0 is disconnected: the verdict comes
+    # from the presentation's spanning tree, with the same output
+    bld, cod = tmp_path / "sp42.bld", tmp_path / "sp42.cod"
+    bld.write_text(serialize_building(sp42))
+    cod.write_text(serialize_codistance(from_opposite_chamber(sp42, 0)))
+    assert main(["fop", "--codistance", str(cod), "--building", str(bld)]) == EXIT_VIOLATION
+    assert capsys.readouterr().out == (
+        "fop 4 5 7 8 16 17 19 20 27 29 30 32 39 41 42 44\n"
+        "FOP_SIZE=16\n"
+        "connected=no\n"
+        "RESULT=fail\n"
+    )
 
 
 def test_weyl_enumerate(fano_file, capsys):
@@ -656,14 +700,75 @@ def test_twin_verify_runs_the_plus_building_check(
     assert main(["twin", "verify", out]) == EXIT_VIOLATION
     assert "RESULT=fail" in capsys.readouterr().out.splitlines()
 
-    with open(os.path.join(out, "minus.bld")) as fh:
-        b = parse_building(fh.read())
-    members = []
-    for i in range(plus.n):
-        with open(os.path.join(out, f"codistance_{i:04d}.cod")) as fh:
-            members.append(parse_codistance(fh.read(), b))
-    atlas = twinner.CodistanceAtlas(
-        building=b, members=members,
-        panels=[list(fam) for fam in plus.system.panels], origin=0,
-    )
+    b, atlas = read_twin(out)
     assert twinner.assemble_twin(atlas, b).report.building_ok is False
+
+
+def _first_failing_plus_swap(text):
+    """The first p-panel swap of a plus.bld text that parses but is no
+    building."""
+    for tampered in _plus_panel_swaps(text):
+        try:
+            plus = parse_building(tampered)
+        except FormatError:
+            continue
+        if not validate_building(plus).ok:
+            return tampered
+    pytest.fail("no p-panel swap parses and fails validation")
+
+
+def test_twin_report_names_each_failed_check(
+    tmp_path, fano_file, fano_cod_file, capsys
+):
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    path = os.path.join(out, "plus.bld")
+    with open(path) as fh:
+        tampered = _first_failing_plus_swap(fh.read())
+    with open(path, "w") as fh:
+        fh.write(tampered)
+    b, atlas = read_twin(out)
+    assert twinner.assemble_twin(atlas, b).report == twinner.TwinReport(
+        building_ok=False, tw_axioms_ok=False, opposition_ok=False,
+        plus_star_ok=False, diagram_ok=False, seed_ok=None,
+    )
+    capsys.readouterr()
+    assert main(["twin", "verify", out]) == EXIT_VIOLATION
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index("TW_AXIOMS=fail"):] == [
+        "TW_AXIOMS=fail",
+        "BUILDING=fail",
+        "OPPOSITION=fail",
+        "PLUS_STAR=fail",
+        "DIAGRAM=fail",
+        "SEED_MATCH=n/a",
+    ]
+
+
+@pytest.mark.parametrize("flag, line", [
+    ("building_ok", "BUILDING=fail"),
+    ("opposition_ok", "OPPOSITION=fail"),
+    ("plus_star_ok", "PLUS_STAR=fail"),
+    ("diagram_ok", "DIAGRAM=fail"),
+])
+def test_twin_report_line_only_for_a_false_flag(
+    tmp_path, fano_file, fano_cod_file, capsys, monkeypatch, flag, line
+):
+    # one flag of a passing twin turned false: the report gains exactly its
+    # line, before SEED_MATCH, and RESULT turns to fail
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    capsys.readouterr()
+    assert main(["twin", "verify", out]) == EXIT_PASS
+    passing = capsys.readouterr().out
+    assert "=fail" not in passing
+    assemble = cli.assemble_twin
+
+    def one_flag_false(atlas, b, seed=None):
+        assembly = assemble(atlas, b, seed=seed)
+        assembly.report = dataclasses.replace(assembly.report, **{flag: False})
+        return assembly
+
+    monkeypatch.setattr(cli, "assemble_twin", one_flag_false)
+    assert main(["twin", "verify", out]) == EXIT_VIOLATION
+    assert capsys.readouterr().out == passing.replace(
+        "RESULT=pass", "RESULT=fail"
+    ).replace("SEED_MATCH", line + "\nSEED_MATCH")

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from twinbuild.catalog import gen_pg2
 from twinbuild.coxeter import CoxeterMatrix, WeylTable, enumerate_weyl
 from twinbuild.errors import CapExceeded, UnsupportedEntry
 
@@ -288,3 +289,19 @@ def test_three_spherical_detection():
         ((1, 3, 3), (3, 1, 3), (3, 3, 1)),
     )
     assert not affine.is_3_spherical()
+
+
+def test_equality_ignores_the_caches():
+    # two tables (and chamber systems) built from one matrix stay equal after
+    # either has answered, and so cached, longest_element and subgroup
+    matrix = mA(3, "abc")
+    x, y = enumerate_weyl(matrix), enumerate_weyl(matrix)
+    x.longest_element((0, 1))
+    y.subgroup((1, 2))
+    assert x == y
+    bx, by = gen_pg2(2), gen_pg2(2)
+    assert bx.system == by.system
+    bx.weyl.longest_element((0, 1))
+    by.weyl.subgroup((0,))
+    assert bx.weyl == by.weyl
+    assert bx.system == by.system

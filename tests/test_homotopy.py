@@ -2,6 +2,7 @@
 
 import pytest
 
+from twinbuild.catalog import gen_thin, matrix_A1, product
 from twinbuild.codistance import Codistance, from_opposite_chamber
 from twinbuild.errors import EndpointMismatch, NotConnected
 from twinbuild.homotopy import (
@@ -232,6 +233,24 @@ def test_lsco_on_thin_rank3(thin_a3, thin_a1cubed):
 def test_lsco_vacuous_in_rank2(fano):
     # no rank-3 residues to check
     assert check_lsco(fano).ok
+
+
+def test_lsco_disconnected_opposite_sets(sp42):
+    # sp4(2) x thin A1 is its own rank-3 residue; an opposite set there is an
+    # sp4(2) opposite set times one chamber, and sp4(2) fails lco, so every
+    # one of the 90 sets is disconnected
+    b = product(sp42, gen_thin(matrix_A1()))
+    assert b.n == 90
+    report = check_lsco(b)
+    assert not report.ok
+    assert len(report.entries) == 90
+    R = b.residue(0, (0, 1, 2))
+    for e in report.entries:
+        assert e.J == (0, 1, 2)
+        assert e.verdict.status == PROVEN_NONTRIVIAL
+        opp = opposite_set(b, R, e.chamber)
+        assert not connected(opp, e.J, b)
+        assert e.verdict.certificate == ("disconnected", tuple(sorted(opp)))
 
 
 # -- residual filtration ------------------------------------------------------
