@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .coxeter import WeylTable
 from .errors import Disconnected, NotInResidue
@@ -254,33 +254,18 @@ class Building:
         return ref
 
     def are_parallel(self, R1: ResidueRef, R2: ResidueRef) -> bool:
-        c1, c2 = R1.chambers(), R2.chambers()
-        if len(c1) != len(c2):
-            return False
-        fwd = {x: self.proj_chamber(R2, x) for x in c1}
-        bwd = {y: self.proj_chamber(R1, y) for y in c2}
-        if sorted(fwd.values()) != list(c2) or sorted(bwd.values()) != list(c1):
-            return False
-        if any(bwd[fwd[x]] != x for x in c1):
-            return False
-        adj1 = self._adjacent_pairs(c1)
-        adj2 = self._adjacent_pairs(c2)
-        for a, b in adj1:
-            if (min(fwd[a], fwd[b]), max(fwd[a], fwd[b])) not in adj2 and fwd[a] != fwd[b]:
-                return False
-        for a, b in adj2:
-            if (min(bwd[a], bwd[b]), max(bwd[a], bwd[b])) not in adj1 and bwd[a] != bwd[b]:
-                return False
-        return True
+        """Whether R1 and R2 are parallel: proj_R2 maps R1 bijectively onto
+        R2, with inverse proj_R1.
 
-    def _adjacent_pairs(self, chambers: Sequence[int]) -> set[tuple[int, int]]:
-        cs = set(chambers)
-        pairs = set()
-        for x in chambers:
-            for _, z in self.system.neighbors(x):
-                if z in cs and x < z:
-                    pairs.add((x, z))
-        return pairs
+        proj_R1 . proj_R2 = id on R1 makes proj_R2 injective on R1, so with
+        equal sizes it is a bijection onto R2 whose inverse is proj_R1.
+        Adjacency needs no check: a projection maps each panel onto a panel
+        or onto one chamber (Abramenko-Brown, *Buildings*, Ch. 5), and an
+        injective one onto a panel.
+        """
+        return len(R1) == len(R2) and all(
+            self.proj_chamber(R1, self.proj_chamber(R2, x)) == x for x in R1
+        )
 
     # -- opposition --------------------------------------------------------
 

@@ -28,7 +28,7 @@ from .chambersys import Building, ChamberSystem, validate_building
 from .codistance import Codistance, from_opposite_chamber, validate_codistance
 from .coxeter import CoxeterMatrix, enumerate_weyl
 from .errors import CapExceeded, FormatError, NotConnected, TwinbuildError, UnsupportedQ
-from .homotopy import check_lco, check_lsco, simply_2_connected
+from .homotopy import INCONCLUSIVE, PROVEN_TRIVIAL, check_lco, check_lsco, simply_2_connected
 from .twinner import CodistanceAtlas, assemble_twin, atlas_component
 
 EXIT_PASS = 0
@@ -93,55 +93,38 @@ class _Cursor:
 
 def parse_building(text: str) -> Building:
     cur = _Cursor(text)
-    header = cur.next()
-    if header != "%building 1":
-        raise FormatError(f"unsupported building format: {header!r}")
-    name = cur.expect_prefix("name")
     try:
+        header = cur.next()
+        if header != "%building 1":
+            raise FormatError(f"unsupported building format: {header!r}")
+        name = cur.expect_prefix("name")
         rank = int(cur.expect_prefix("rank"))
-    except ValueError as e:
-        raise FormatError(str(e))
-    gens = tuple(cur.expect_prefix("gens").split())
-    if len(gens) != rank:
-        raise FormatError("generator count does not match rank")
-    if cur.next() != "matrix":
-        raise FormatError("expected matrix block")
-    rows = []
-    for _ in range(rank):
-        try:
-            rows.append(tuple(int(e) for e in cur.next().split()))
-        except ValueError as e:
-            raise FormatError(str(e))
-    try:
+        gens = tuple(cur.expect_prefix("gens").split())
+        if len(gens) != rank:
+            raise FormatError("generator count does not match rank")
+        if cur.next() != "matrix":
+            raise FormatError("expected matrix block")
+        rows = [tuple(int(e) for e in cur.next().split()) for _ in range(rank)]
         n = int(cur.expect_prefix("chambers"))
-    except ValueError as e:
-        raise FormatError(str(e))
-    try:
         matrix = CoxeterMatrix(gens, tuple(rows))
-    except TwinbuildError as e:
-        raise FormatError(str(e))
-    panels: list[list[tuple[int, ...]]] = []
-    for gname in gens:
-        tag = cur.expect_prefix("panels")
-        if tag != gname:
-            raise FormatError(f"expected panels for {gname!r}, got {tag!r}")
-        fam: list[tuple[int, ...]] = []
-        while cur.pos < len(cur.lines):
-            line = cur.lines[cur.pos]
-            if line.startswith("panels ") or line == "end":
-                break
-            cur.pos += 1
-            try:
+        panels: list[list[tuple[int, ...]]] = []
+        for gname in gens:
+            tag = cur.expect_prefix("panels")
+            if tag != gname:
+                raise FormatError(f"expected panels for {gname!r}, got {tag!r}")
+            fam: list[tuple[int, ...]] = []
+            while cur.pos < len(cur.lines):
+                line = cur.lines[cur.pos]
+                if line.startswith("panels ") or line == "end":
+                    break
+                cur.pos += 1
                 ids = tuple(int(x) for x in line.split())
-            except ValueError as e:
-                raise FormatError(str(e))
-            if list(ids) != sorted(set(ids)):
-                raise FormatError(f"panel ids not strictly ascending: {line!r}")
-            fam.append(ids)
-        panels.append(fam)
-    if cur.next() != "end":
-        raise FormatError("missing end marker")
-    try:
+                if list(ids) != sorted(set(ids)):
+                    raise FormatError(f"panel ids not strictly ascending: {line!r}")
+                fam.append(ids)
+            panels.append(fam)
+        if cur.next() != "end":
+            raise FormatError("missing end marker")
         table = enumerate_weyl(matrix)
         system = ChamberSystem(table, n, panels)
         return Building(system, name=name)
@@ -177,11 +160,8 @@ def parse_codistance(text: str, b: Building) -> Codistance:
             raise FormatError(f"bad value line: {' '.join(parts)!r}")
         try:
             c = int(parts[0])
-        except ValueError as e:
-            raise FormatError(str(e))
-        if not 0 <= c < b.n or seen[c]:
-            raise FormatError(f"bad or repeated chamber id {parts[0]}")
-        try:
+            if not 0 <= c < b.n or seen[c]:
+                raise FormatError(f"bad or repeated chamber id {parts[0]}")
             w = table.parse_word(parts[1])
         except ValueError as e:
             raise FormatError(str(e))
@@ -239,9 +219,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate_building(args) -> int:
-    b = parse_building(_read(args.file))
+    text = _read(args.file)
+    b = parse_building(text)
     report = validate_building(b)
-    if serialize_building(b) != _read(args.file):
+    if serialize_building(b) != text:
         print("note: input was not in canonical form", file=sys.stderr)
     if report.ok:
         print(f"{b.name}: {b.n} chambers, thick={b.system.is_thick()}")
@@ -294,7 +275,7 @@ def _cmd_check(args) -> int:
             f"residue type {e.J} at {e.residue_base}, chamber {e.chamber}: "
             f"{e.verdict.status}"
         )
-        if e.verdict.status == "Inconclusive":
+        if e.verdict.status == INCONCLUSIVE:
             inconclusive = True
     print(f"{key}=fail")
     return EXIT_INCONCLUSIVE if inconclusive else EXIT_VIOLATION
@@ -314,10 +295,10 @@ def _cmd_fop(args) -> int:
         return EXIT_VIOLATION
     print("connected=yes")
     print(f"simply_2_connected={verdict.status}")
-    if verdict.status == "ProvenTrivial":
+    if verdict.status == PROVEN_TRIVIAL:
         print("RESULT=pass")
         return EXIT_PASS
-    if verdict.status == "Inconclusive":
+    if verdict.status == INCONCLUSIVE:
         print("RESULT=inconclusive")
         return EXIT_INCONCLUSIVE
     print("RESULT=fail")

@@ -89,17 +89,19 @@ def validate_codistance(f: Codistance) -> CodistanceReport:
                 and vals.count(short) == len(vals) - 1
             ):
                 continue
-            violation = _panel_violation(table, s, panel, tuple(vals))
-            if violation is not None:
-                return CodistanceReport(False, violation)
+            return CodistanceReport(False, _panel_violation(table, s, panel, tuple(vals)))
     return CodistanceReport(True)
 
 
 def _panel_violation(
     table: WeylTable, s: int, panel: tuple[int, ...], vals: tuple[int, ...]
-) -> Optional[PanelViolation]:
-    """The first of the panel axiom's four tests that ``vals`` fails on an
-    s-panel, or None."""
+) -> PanelViolation:
+    """The first of the panel axiom's tests that ``vals`` fails on an s-panel
+    that ``validate_codistance`` did not accept at once.
+
+    Once the panel holds exactly two values w and ws = w*s, ws is the
+    longer one, by exactly one, so the accept can only have failed on the
+    count of ws."""
     distinct = sorted(set(vals), key=lambda v: table.length[v])
     if len(distinct) != 2:
         return PanelViolation(
@@ -109,13 +111,9 @@ def _panel_violation(
     short, long_ = distinct
     if table.right[short][s] != long_:
         return PanelViolation(s, panel, vals, "values are not of the form {w, ws}")
-    if table.length[long_] != table.length[short] + 1:
-        return PanelViolation(s, panel, vals, "value lengths do not differ by 1")
-    if sum(1 for v in vals if v == long_) != 1:
-        return PanelViolation(
-            s, panel, vals, "longest value not attained by a unique chamber",
-        )
-    return None
+    return PanelViolation(
+        s, panel, vals, "longest value not attained by a unique chamber",
+    )
 
 
 def from_opposite_chamber(b: Building, c: int) -> Codistance:

@@ -11,7 +11,6 @@ the identity).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, UnsupportedEntry
@@ -77,11 +76,11 @@ class CoxeterMatrix:
         if len(J) == 2:
             return self.m[J[0]][J[1]] != 0
         if len(J) == 3:
-            orders = [self.m[a][b] for a, b in
-                      ((J[0], J[1]), (J[0], J[2]), (J[1], J[2]))]
-            if 0 in orders:
-                return False
-            return sum(Fraction(1, o) for o in orders) > 1
+            a, b, c = (self.m[x][y] for x, y in
+                       ((J[0], J[1]), (J[0], J[2]), (J[1], J[2])))
+            # 1/a + 1/b + 1/c > 1 multiplied by abc; an infinite bond (0)
+            # makes W_J infinite
+            return 0 not in (a, b, c) and b * c + a * c + a * b > a * b * c
         raise ValueError("criterion implemented for |J| <= 3 only")
 
     def is_3_spherical(self) -> bool:

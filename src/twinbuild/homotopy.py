@@ -544,64 +544,48 @@ class Filtration:
 def residual_filtration(f: Codistance, validate: bool = True) -> Filtration:
     """The level sets C_n = {x : |f(x)| <= n} for the ShortLex injection.
 
-    Validates (F1)-(F3) globally and residually and the identities
-    C_0 = f^op and aff(R) = A_f(R) when ``validate`` is set.
+    The levels are nested, start at C_0 = f^op (value id 0 is the identity)
+    and end at every chamber by construction.  When ``validate`` is set,
+    each J-residue R, J nonempty, is checked for aff(R) = A_f(R) and then
+    for (F3) at each level above R's lowest; the (F3) generator of the
+    whole building at level n is recorded as ``witnesses[n]``.
     """
     b = f.building
-    table = b.weyl
-    top = max(f.values)
+    length = b.weyl.length
+    values = f.values
+    top = max(values)
     levels = [
-        frozenset(c for c, v in enumerate(f.values) if v <= n)
+        frozenset(c for c, v in enumerate(values) if v <= n)
         for n in range(top + 1)
     ]
     filt = Filtration(codistance=f, levels=levels)
     if not validate:
         return filt
-    if set(f.fop()) != levels[0]:
-        raise FiltrationViolation("C0=fop", 0, tuple(sorted(levels[0])))
-    for n in range(1, len(levels)):
-        if not levels[n - 1] <= levels[n]:
-            raise FiltrationViolation("F1", n, None)
-    if levels[-1] != frozenset(range(b.n)):
-        raise FiltrationViolation("F2", len(levels) - 1, None)
-
     rank = b.system.rank
-    subsets = []
+    panel_members = b.system.panel_members
     for mask in range(1, 1 << rank):
-        subsets.append(frozenset(s for s in range(rank) if mask & (1 << s)))
-
-    def f3_witness(chambers: tuple[int, ...], J: frozenset, n: int) -> Optional[int]:
-        cur = [c for c in chambers if f.values[c] <= n]
-        prev = {c for c in chambers if f.values[c] <= n - 1}
-        for t in sorted(J):
-            if all(
-                any(z in prev for z in b.system.panel_members(c, t))
-                for c in cur
-            ):
-                return t
-        return None
-
-    for J in subsets:
+        J = tuple(s for s in range(rank) if mask & (1 << s))
         for R in b.residues_of_type(J):
             chambers = R.chambers()
-            ids = sorted(f.values[c] for c in chambers)
-            minlevel = ids[0]
             # aff(R) = A_f(R): minimal-level chambers are the minimal-f-length ones
-            aff = {c for c in chambers if f.values[c] == minlevel}
-            lmin = min(table.length[f.values[c]] for c in chambers)
-            afr = {c for c in chambers if table.length[f.values[c]] == lmin}
+            minlevel = min(values[c] for c in chambers)
+            lmin = min(length[values[c]] for c in chambers)
+            aff = {c for c in chambers if values[c] == minlevel}
+            afr = {c for c in chambers if length[values[c]] == lmin}
             if aff != afr:
-                raise FiltrationViolation("aff=A_f", minlevel, (tuple(J), R.base))
-            for n in range(1, len(levels)):
-                prev = [c for c in chambers if f.values[c] <= n - 1]
-                cur = [c for c in chambers if f.values[c] <= n]
-                if not prev:
-                    continue
-                if not cur:
-                    continue
-                t = f3_witness(chambers, J, n)
+                raise FiltrationViolation("aff=A_f", minlevel, (J, R.base))
+            # (F3): the first t in J that gives each chamber of R at level n
+            # a t-neighbour below level n; a chamber below level n is in its
+            # own t-panel, so only those at level n are tested
+            for n in range(minlevel + 1, top + 1):
+                entering = [c for c in chambers if values[c] == n]
+                t = next((
+                    t for t in J
+                    if all(min(values[z] for z in panel_members(c, t)) < n
+                           for c in entering)
+                ), None)
                 if t is None:
-                    raise FiltrationViolation("F3", n, (tuple(sorted(J)), R.base))
-                if J == frozenset(range(rank)):
+                    raise FiltrationViolation("F3", n, (J, R.base))
+                if len(J) == rank:
                     filt.witnesses[n] = t
     return filt

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 from collections import deque
@@ -8,6 +9,7 @@ import pytest
 from twinbuild.catalog import (
     gen_digon,
     gen_pg2,
+    gen_sp4,
     gen_thin,
     matrix_A2,
     matrix_B2,
@@ -270,6 +272,56 @@ def test_parallel_panels(fano):
     # panels of equal type through adjacent chambers are not parallel here
     z = next(z for z in range(fano.n) if fano.delta(0, z) == fano.weyl.gen(1))
     assert not fano.are_parallel(P, fano.panel(z, 0))
+
+
+def are_parallel_reference(b: Building, R1, R2) -> bool:
+    """Parallelism checked in full: mutually inverse projections between R1
+    and R2 that carry adjacent chambers to adjacent chambers both ways."""
+    c1, c2 = R1.chambers(), R2.chambers()
+    if len(c1) != len(c2):
+        return False
+    fwd = {x: b.proj_chamber(R2, x) for x in c1}
+    bwd = {y: b.proj_chamber(R1, y) for y in c2}
+    if sorted(fwd.values()) != list(c2) or sorted(bwd.values()) != list(c1):
+        return False
+    if any(bwd[fwd[x]] != x for x in c1):
+        return False
+
+    def adjacent_pairs(chambers):
+        return {(x, z) for x in chambers for _, z in b.system.neighbors(x)
+                if z in chambers and x < z}
+
+    adj1, adj2 = adjacent_pairs(c1), adjacent_pairs(c2)
+    for adj, other, proj in ((adj1, adj2, fwd), (adj2, adj1, bwd)):
+        for x, y in adj:
+            if proj[x] != proj[y] and tuple(sorted((proj[x], proj[y]))) not in other:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("make, pairs", [
+    (lambda: gen_pg2(3), 676),
+    (lambda: gen_sp4(2), 900),
+    (lambda: gen_digon(3, 4), 49),
+], ids=["pg2_3", "sp4_2", "digon_3_4"])
+def test_parallel_panels_match_reference(make, pairs):
+    b = make()
+    panels = [P for s in range(b.system.rank) for P in b.all_panels(s)]
+    assert len(panels) ** 2 == pairs
+    for P, Q in itertools.product(panels, panels):
+        assert b.are_parallel(P, Q) == are_parallel_reference(b, P, Q)
+
+
+def test_parallel_residues_match_reference_on_pg32(pg32):
+    residues = [P for s in range(3) for P in pg32.all_panels(s)] + pg32.rank2_residues()
+    rng = random.Random(7)
+    parallel = 0
+    for _ in range(10_000):
+        R1, R2 = rng.choice(residues), rng.choice(residues)
+        verdict = pg32.are_parallel(R1, R2)
+        assert verdict == are_parallel_reference(pg32, R1, R2)
+        parallel += verdict
+    assert parallel > 100
 
 
 def test_proj_residue_panel(fano):

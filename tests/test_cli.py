@@ -5,12 +5,15 @@ import filecmp
 import hashlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twinbuild.catalog import gen_thin, matrix_A2, matrix_I2
 from twinbuild.chambersys import Building, ChamberSystem, validate_building
@@ -772,3 +775,161 @@ def test_twin_report_line_only_for_a_false_flag(
     assert capsys.readouterr().out == passing.replace(
         "RESULT=pass", "RESULT=fail"
     ).replace("SEED_MATCH", line + "\nSEED_MATCH")
+
+
+# -- readers under malformed input ----------------------------------------------
+
+
+def test_validate_building_reads_its_file_once(fano_file, capsys, monkeypatch):
+    reads = []
+    read = cli._read
+
+    def counting_read(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(cli, "_read", counting_read)
+    assert main(["validate", "building", fano_file]) == EXIT_PASS
+    assert reads == [fano_file]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("21 x", "bad or repeated chamber id 21"),
+    ("0 x", "cannot parse word 'x' at position 0"),
+    ("z x", "invalid literal for int() with base 10: 'z'"),
+])
+def test_codistance_value_line_faults_in_order(fano, line, message):
+    # the chamber id is read, then range-checked, then the word is parsed
+    lines = serialize_codistance(from_opposite_chamber(fano, 0)).splitlines()
+    lines[3] = line
+    with pytest.raises(FormatError) as exc:
+        parse_codistance("\n".join(lines) + "\n", fano)
+    assert str(exc.value) == message
+
+
+def _line_edits(text):
+    """Every single-line deletion of text, then every replacement of one
+    line by ``x``."""
+    lines = text.splitlines(keepends=True)
+    for i in range(len(lines)):
+        yield "".join(lines[:i] + lines[i + 1:])
+        yield "".join(lines[:i] + ["x\n"] + lines[i + 1:])
+
+
+def test_reader_outcomes_on_line_edits_pinned(fano, fano_file, tmp_path, capsys):
+    # exit code, stdout and stderr of both validators on every line edit of
+    # the pg2(2) bundle and of its codistance file, fixed byte for byte
+    bad_bld = tmp_path / "bad.bld"
+    bad_cod = tmp_path / "bad.cod"
+    h = hashlib.sha256()
+    runs = [
+        (bad_bld, serialize_building(fano), ["validate", "building", str(bad_bld)]),
+        (bad_cod, serialize_codistance(from_opposite_chamber(fano, 0)),
+         ["validate", "codistance", str(bad_cod), "--building", fano_file]),
+    ]
+    codes = []
+    for path, text, argv in runs:
+        for edited in _line_edits(text):
+            path.write_text(edited)
+            codes.append(main(argv))
+            out = capsys.readouterr()
+            h.update(f"{codes[-1]}\0{out.out}\0{out.err}\0".encode())
+    assert len(codes) == 100
+    assert set(codes) <= {EXIT_VIOLATION, EXIT_INPUT}
+    assert h.hexdigest() == (
+        "50780fe5f33e491c3c5811984ed89e27f386a50844d1f6c9f8394a3f601fd9d2"
+    )
+
+
+@st.composite
+def one_edit(draw, text, tokens):
+    """text changed by one edit: a line deleted, duplicated or replaced by
+    another of its lines, or one whitespace-separated token replaced."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["delete", "duplicate", "replace", "token"]))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "replace":
+        lines[i] = lines[draw(st.integers(0, len(lines) - 1))]
+    else:
+        parts = re.split(r"(\s+)", lines[i])
+        parts[2 * draw(st.integers(0, len(parts) // 2))] = draw(st.sampled_from(tokens))
+        lines[i] = "".join(parts)
+    edited = "\n".join(lines) + "\n"
+    assume(edited != text)
+    return edited
+
+
+def fuzz_tokens(b):
+    return ["x", "-1", "0", str(2**64), "-", *b.weyl.matrix.gens]
+
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def test_building_reader_raises_only_format_error(fano):
+    @FUZZ
+    @given(one_edit(serialize_building(fano), fuzz_tokens(fano)))
+    def check(text):
+        try:
+            parse_building(text)
+        except FormatError:
+            pass
+
+    check()
+
+
+def test_codistance_reader_raises_only_format_error(fano):
+    text = serialize_codistance(from_opposite_chamber(fano, 0))
+
+    @FUZZ
+    @given(one_edit(text, fuzz_tokens(fano)))
+    def check(edited):
+        try:
+            parse_codistance(edited, fano)
+        except FormatError:
+            pass
+
+    check()
+
+
+def test_twin_verify_on_one_edited_file(tmp_path, fano_file, fano_cod_file):
+    # an edited file of a twin directory is a violation or malformed input,
+    # unless the directory still holds the same twin (the name in plus.bld
+    # is a label, and lines after an end marker are not read)
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    files = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), encoding="utf-8") as fh:
+            files[name] = fh.read()
+    del files["report.txt"]
+    b, atlas = read_twin(out)
+    twin = (serialize_building(b), [g.values for g in atlas.members], atlas.panels)
+    tokens = fuzz_tokens(b)
+
+    members = sorted(name for name in files if name.endswith(".cod"))
+
+    @settings(FUZZ, max_examples=200)
+    @given(st.sampled_from(["costar.tsv", "plus.bld", "minus.bld", "member"]), st.data())
+    def check(name, data):
+        if name == "member":
+            name = data.draw(st.sampled_from(members))
+        path = os.path.join(out, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(data.draw(one_edit(files[name], tokens)))
+        try:
+            code = main(["twin", "verify", out])
+            if code == EXIT_PASS:
+                b, atlas = read_twin(out)
+                assert (serialize_building(b), [g.values for g in atlas.members],
+                        atlas.panels) == twin
+            else:
+                assert code in (EXIT_VIOLATION, EXIT_INPUT)
+        finally:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(files[name])
+
+    check()

@@ -1,5 +1,9 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -289,6 +293,29 @@ def test_three_spherical_detection():
         ((1, 3, 3), (3, 1, 3), (3, 3, 1)),
     )
     assert not affine.is_3_spherical()
+
+
+def test_spherical_triples_match_the_reciprocal_sum():
+    # W_J on three generators is finite iff no bond is infinite (0) and
+    # 1/a + 1/b + 1/c > 1
+    for a, b, c in itertools.product((0, 2, 3, 4, 5, 6), repeat=3):
+        matrix = CoxeterMatrix(("x", "y", "z"), ((1, a, b), (a, 1, c), (b, c, 1)))
+        finite = 0 not in (a, b, c) and sum(Fraction(1, e) for e in (a, b, c)) > 1
+        assert matrix.is_spherical_subset((0, 1, 2)) == finite
+
+
+def test_cli_import_loads_no_fraction_modules():
+    code = (
+        "import sys\n"
+        "import twinbuild.cli\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_equality_ignores_the_caches():

@@ -1,5 +1,7 @@
 """Gallery homotopy, connectivity certificates, and residual filtrations."""
 
+import random
+
 import pytest
 
 from twinbuild.catalog import gen_thin, matrix_A1, product
@@ -290,3 +292,92 @@ def test_filtration_violation_detected(fano):
     with pytest.raises(FiltrationViolation) as exc:
         residual_filtration(Codistance(fano, values))
     assert exc.value.axiom == "F3"
+
+
+def test_filtration_aff_violation_detected(fano):
+    # chambers 0, 3 and 6 form the first p-panel: its least level is chamber
+    # 0's, but chamber 3's value is shorter, so aff(R) != A_f(R) there
+    table = fano.weyl
+    values = [table.longest_element(range(2))] * fano.n
+    values[0] = table.parse_word("p")
+    values[3] = table.parse_word("l")
+    assert fano.panel(0, 0).chambers() == (0, 3, 6)
+    with pytest.raises(FiltrationViolation) as exc:
+        residual_filtration(Codistance(fano, values))
+    assert (exc.value.axiom, exc.value.level, exc.value.witness) == ("aff=A_f", 1, ((0,), 0))
+
+
+def residual_filtration_reference(f):
+    """The filtration of f with every axiom checked, those that hold by
+    construction included: C_0 = f^op, (F1) nesting, (F2) exhaustion, then
+    per residue aff(R) = A_f(R) and (F3) at every level.  Returns (levels,
+    witnesses), or (axiom, level, witness) of the first violation."""
+    b = f.building
+    table = b.weyl
+    top = max(f.values)
+    levels = [
+        frozenset(c for c, v in enumerate(f.values) if v <= n)
+        for n in range(top + 1)
+    ]
+    if set(f.fop()) != levels[0]:
+        return ("C0=fop", 0, tuple(sorted(levels[0])))
+    for n in range(1, len(levels)):
+        if not levels[n - 1] <= levels[n]:
+            return ("F1", n, None)
+    if levels[-1] != frozenset(range(b.n)):
+        return ("F2", len(levels) - 1, None)
+    rank = b.system.rank
+    witnesses = {}
+    for mask in range(1, 1 << rank):
+        J = frozenset(s for s in range(rank) if mask & (1 << s))
+        for R in b.residues_of_type(J):
+            chambers = R.chambers()
+            minlevel = min(f.values[c] for c in chambers)
+            aff = {c for c in chambers if f.values[c] == minlevel}
+            lmin = min(table.length[f.values[c]] for c in chambers)
+            afr = {c for c in chambers if table.length[f.values[c]] == lmin}
+            if aff != afr:
+                return ("aff=A_f", minlevel, (tuple(J), R.base))
+            for n in range(1, len(levels)):
+                prev = {c for c in chambers if f.values[c] <= n - 1}
+                cur = [c for c in chambers if f.values[c] <= n]
+                if not prev:
+                    continue
+                t = next((
+                    t for t in sorted(J)
+                    if all(any(z in prev for z in b.system.panel_members(c, t))
+                           for c in cur)
+                ), None)
+                if t is None:
+                    return ("F3", n, (tuple(sorted(J)), R.base))
+                if J == frozenset(range(rank)):
+                    witnesses[n] = t
+    return (levels, witnesses)
+
+
+def filtration_outcome(f):
+    try:
+        filt = residual_filtration(f)
+    except FiltrationViolation as e:
+        return (e.axiom, e.level, e.witness)
+    return (filt.levels, filt.witnesses)
+
+
+def test_filtration_matches_reference(fano, sp42, thin_a3, digon33):
+    # every opposite-chamber codistance of four buildings, then 250 random
+    # overwrites of one to three values per building
+    rng = random.Random(5)
+    axioms = set()
+    for b in (fano, sp42, thin_a3, digon33):
+        bases = [from_opposite_chamber(b, c).values for c in range(b.n)]
+        cases = [Codistance(b, values) for values in bases]
+        for _ in range(250):
+            values = list(rng.choice(bases))
+            for _ in range(rng.randint(1, 3)):
+                values[rng.randrange(b.n)] = rng.randrange(b.weyl.size)
+            cases.append(Codistance(b, values))
+        for f in cases:
+            outcome = filtration_outcome(f)
+            assert outcome == residual_filtration_reference(f)
+            axioms.add(outcome[0] if isinstance(outcome[0], str) else "pass")
+    assert axioms == {"pass", "aff=A_f", "F3"}
