@@ -279,10 +279,7 @@ class Building:
             raise NotInResidue("R1 or R2 not contained in R")
         rJ = self.weyl.longest_element(R.J)
         table = self.weyl
-        K2conj = frozenset(
-            table.gen_index(table.mult(table.mult(rJ, table.gen(k)), rJ))
-            for k in R2.J
-        )
+        K2conj = frozenset(table.gen_index(table.conj_by(rJ, k)) for k in R2.J)
         if K2conj != R1.J:
             return False
         row_has = any(

@@ -90,6 +90,13 @@ class _Cursor:
             raise FormatError(f"expected {prefix!r}, got {line!r}")
         return line[len(prefix):].strip()
 
+    def expect_end(self) -> None:
+        """The end marker, which must be the last line."""
+        if self.next() != "end":
+            raise FormatError("missing end marker")
+        if self.pos < len(self.lines):
+            raise FormatError(f"line after end marker: {self.lines[self.pos]!r}")
+
 
 def parse_building(text: str) -> Building:
     cur = _Cursor(text)
@@ -123,8 +130,7 @@ def parse_building(text: str) -> Building:
                     raise FormatError(f"panel ids not strictly ascending: {line!r}")
                 fam.append(ids)
             panels.append(fam)
-        if cur.next() != "end":
-            raise FormatError("missing end marker")
+        cur.expect_end()
         table = enumerate_weyl(matrix)
         system = ChamberSystem(table, n, panels)
         return Building(system, name=name)
@@ -173,8 +179,7 @@ def parse_codistance(text: str, b: Building) -> Codistance:
             )
         seen[c] = True
         values[c] = w
-    if cur.next() != "end":
-        raise FormatError("missing end marker")
+    cur.expect_end()
     return Codistance(b, values)
 
 
@@ -335,6 +340,9 @@ def _twin_report(
 
 def _cmd_twin_build(args) -> int:
     b = parse_building(_read(args.building))
+    v = validate_building(b).violation
+    if v is not None:
+        raise FormatError(f"not a building: {v.axiom} {v.witness}: {v.detail}")
     f = _read_codistance(args.codistance, b)
     try:
         os.makedirs(args.output, exist_ok=True)

@@ -22,7 +22,7 @@ class Codistance:
         self.values = tuple(values)
         self._fop: Optional[tuple[int, ...]] = None
         self._fop_set: Optional[frozenset] = None
-        # s -> the s-panels meeting f^op, filled by panelcalc.panels_op
+        # s -> the s-panels meeting f^op, filled by panels_op
         self._psop_cache: dict[int, tuple[ResidueRef, ...]] = {}
 
     def __eq__(self, other) -> bool:
@@ -171,6 +171,16 @@ def fop_c(f: Codistance, c: int) -> tuple[int, ...]:
     rows = f.building.rows
     w = f(c)
     return tuple(x for x in f.fop() if rows[x][c] == w)
+
+
+def panels_op(f: Codistance, s: int) -> tuple[ResidueRef, ...]:
+    """The s-panels meeting f^op in ascending base, memoized on f."""
+    got = f._psop_cache.get(s)
+    if got is None:
+        b = f.building
+        got = tuple(sorted({b.panel(x, s) for x in f.fop()}, key=lambda P: P.base))
+        f._psop_cache[s] = got
+    return got
 
 
 def unique_chamber(f: Codistance, x: int, w: int) -> int:

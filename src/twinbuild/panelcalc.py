@@ -17,7 +17,7 @@ from operator import eq
 from typing import Optional, Sequence
 
 from .chambersys import Building, ResidueRef
-from .codistance import Codistance, fop_c, unique_chamber
+from .codistance import Codistance, fop_c, panels_op, unique_chamber
 from .errors import (
     HomotopyInconclusive,
     NoWitnessPair,
@@ -166,7 +166,7 @@ def _compatible_neighbors(b: Building, P0: ResidueRef, L: ResidueRef):
 def _opposite_panels_in(b: Building, R: ResidueRef, L: ResidueRef):
     table = b.weyl
     rJ = table.longest_element(R.J)
-    tt = table.gen_index(table.mult(table.mult(rJ, table.gen(panel_type(L))), rJ))
+    tt = table.gen_index(table.conj_by(rJ, panel_type(L)))
     seen = set()
     for x in L.chambers():
         for y in R.chambers():
@@ -220,19 +220,6 @@ def l_c_of_w(b: Building, w: int, s: int) -> int:
 # -- panels in f^op and the bijections ---------------------------------------
 
 
-def panels_op(f: Codistance, s: int) -> tuple[ResidueRef, ...]:
-    """The s-panels meeting f^op, memoized on the codistance."""
-    cache = f._psop_cache
-    got = cache.get(s)
-    if got is None:
-        b = f.building
-        got = tuple(
-            sorted({b.panel(x, s) for x in f.fop()}, key=panel_key)
-        )
-        cache[s] = got
-    return got
-
-
 def panels_op_c(f: Codistance, s: int, c: int) -> tuple[ResidueRef, ...]:
     """The s-panels of the chambers x of f^op with delta(x, c) = f(c), in
     ascending ``panel_key``."""
@@ -261,7 +248,7 @@ def panels_op_choices(f: Codistance, s: int) -> list[tuple[ResidueRef, ...]]:
     return [tuple(entry) for entry in choices]
 
 
-def _op_panel_gap(f: Codistance, P: ResidueRef) -> int:
+def op_panel_gap(f: Codistance, P: ResidueRef) -> int:
     """The single chamber of an f^op panel outside f^op (its f-value is the
     panel type, as a one-letter word)."""
     values = f.values
@@ -282,7 +269,7 @@ def pi(f: Codistance, P: ResidueRef, w: int) -> ResidueRef:
         raise PreconditionFailed(f"{table.word_str(w)} not in X_{s}")
     if P not in panels_op(f, s):
         raise PreconditionFailed("panel does not meet f^op")
-    p = _op_panel_gap(f, P)
+    p = op_panel_gap(f, P)
     c = unique_chamber(f, p, w)
     return b.panel(c, t)
 
@@ -357,53 +344,40 @@ def beta_w(f: Codistance, P: ResidueRef, Q: ResidueRef, w: int) -> PanelBijectio
     return PanelBijection(P, Q, mapping)
 
 
-def _fop_search(f: Codistance, start: int):
-    """Breadth-first search inside f^op from start.
+def _fop_search(f: Codistance, Ptilde: ResidueRef):
+    """Breadth-first search inside f^op from the least f^op chamber of
+    Ptilde, an s-panel.
 
-    Yields each reached chamber, in the order it is reached, together with
-    the parent map built so far (start is its own parent).  Neighbours are
-    visited by type and then by ascending id, so the order and the parent
-    pointers depend only on f and start.
+    Yields, for each chamber reached and in the order reached, its s-panel
+    and the chamber map of Ptilde composed along the path in the search
+    tree.  A tree edge of type t != s moves the map by beta_w from the
+    s-panel of one end to that of the other, w = s r_{st}; an edge of type s
+    stays in one s-panel and maps nothing.  Neighbours are visited by type
+    and then by ascending id, so the order and the maps depend only on f
+    and Ptilde.
     """
     b = f.building
+    table = b.weyl
+    s = panel_type(Ptilde)
     inside = f.fop_set()
-    parent = {start: start}
+    start = min(x for x in Ptilde.chambers() if x in inside)
+    image = {start: {c: c for c in Ptilde.chambers()}}
+    yield Ptilde, image[start]
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        yield x, parent
-        for s in range(b.system.rank):
-            for z in b.system.panel_members(x, s):
-                if z != x and z in inside and z not in parent:
-                    parent[z] = x
-                    queue.append(z)
-
-
-def _fop_gallery(f: Codistance, start: int, targets: frozenset) -> list[int]:
-    """Shortest gallery inside f^op from start to any target chamber."""
-    for x, parent in _fop_search(f, start):
-        if x in targets:
-            path = [x]
-            while parent[path[-1]] != path[-1]:
-                path.append(parent[path[-1]])
-            return list(reversed(path))
-    raise NotOpposite("no gallery in f^op joins the panels")
-
-
-def _gallery_step(
-    f: Codistance, s: int, x: int, y: int
-) -> Optional[PanelBijection]:
-    """The bijection beta composes across the step x ~ y of a gallery in
-    f^op: beta_w from the s-panel of x to the s-panel of y, or None when the
-    step stays in one s-panel."""
-    b = f.building
-    prev_panel, next_panel = b.panel(x, s), b.panel(y, s)
-    if next_panel == prev_panel:
-        return None
-    table = b.weyl
-    t = next(tt for tt, z in b.system.neighbors(x) if z == y)
-    xJ = table.mult(table.gen(s), table.longest_element((s, t)))
-    return beta_w(f, prev_panel, next_panel, xJ)
+        for t in range(b.system.rank):
+            for y in b.system.panel_members(x, t):
+                if y not in inside or y in image:
+                    continue
+                mapping = image[x]
+                if t != s:
+                    xJ = table.left[table.longest_element((s, t))][s]
+                    step = beta_w(f, b.panel(x, s), b.panel(y, s), xJ).mapping
+                    mapping = {c: step[v] for c, v in mapping.items()}
+                image[y] = mapping
+                queue.append(y)
+                yield b.panel(y, s), mapping
 
 
 def beta(
@@ -426,16 +400,21 @@ def beta(
     ps = panels_op(f, s)
     if P not in ps or Q not in ps:
         raise NotOpposite("panel does not meet f^op")
-    if P == Q:
-        return identity_bijection(P)
-    start = min(x for x in P.chambers() if f(x) == 0)
-    targets = frozenset(x for x in Q.chambers() if f(x) == 0)
-    gallery = _fop_gallery(f, start, targets)
-    current = identity_bijection(P)
-    for x, y in zip(gallery, gallery[1:]):
-        step = _gallery_step(f, s, x, y)
-        if step is not None:
-            current = step.compose(current)
-    if current.target != Q:
-        raise NotOpposite("gallery did not end in the target panel")
-    return current
+    for R, mapping in _fop_search(f, P):
+        if R == Q:
+            return PanelBijection(P, Q, mapping)
+    raise NotOpposite("no gallery in f^op joins the panels")
+
+
+def beta_maps(f: Codistance, Ptilde: ResidueRef) -> dict[ResidueRef, dict[int, int]]:
+    """The chamber map of beta(Ptilde, Q) for every panel Q of P_s^op(f), in
+    ``panels_op`` order, from one search: the first map it brings to Q."""
+    ps = panels_op(f, panel_type(Ptilde))
+    if Ptilde not in ps:
+        raise NotOpposite("panel does not meet f^op")
+    maps: dict[ResidueRef, dict[int, int]] = {}
+    for Q, mapping in _fop_search(f, Ptilde):
+        maps.setdefault(Q, mapping)
+    if len(maps) != len(ps):
+        raise NotOpposite("no gallery in f^op joins the panels")
+    return {Q: maps[Q] for Q in ps}

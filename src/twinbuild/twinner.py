@@ -16,21 +16,17 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .chambersys import Building, ChamberSystem, ResidueRef, validate_building
-from .codistance import Codistance, proj_f, validate_codistance
+from .codistance import Codistance, panels_op, proj_f, validate_codistance
 from .errors import (
     BuildingMismatch,
     CapExceeded,
-    NotOpposite,
     PreconditionFailed,
     TwinbuildError,
 )
 from .panelcalc import (
-    _fop_search,
-    _gallery_step,
-    _op_panel_gap,
     beta,  # re-exported: perfbench/selftest.py checks twinner.beta
-    panel_type,
-    panels_op,
+    beta_maps,
+    op_panel_gap,
     panels_op_choices,
 )
 
@@ -46,39 +42,6 @@ def s_adjacent(f: Codistance, g: Codistance, s: int) -> bool:
     if f.building is not g.building:
         raise BuildingMismatch("codistances live on different buildings")
     return panels_op(f, s) == panels_op(g, s)
-
-
-def beta_maps(f: Codistance, Ptilde: ResidueRef) -> dict[ResidueRef, dict[int, int]]:
-    """The chamber map of beta(Ptilde, Q) for each panel Q meeting f^op.
-
-    ``beta`` composes its steps along the gallery by which a breadth-first
-    search inside f^op, started at the least f^op chamber of Ptilde, first
-    reaches an f^op chamber of Q.  The search visits chambers in an order
-    that does not depend on Q, so its parent pointers are the same for every
-    target, and the gallery ``beta`` picks for Q is the path in the search
-    tree to the first f^op chamber of Q that the search reaches.  One search
-    therefore serves every Q: Ptilde's chamber map is carried down each tree
-    edge by the same step ``beta`` composes across it, and the result equals
-    ``{Q: beta(f, Ptilde, Q).mapping}`` chamber for chamber.
-    """
-    s = panel_type(Ptilde)
-    if Ptilde not in panels_op(f, s):
-        raise NotOpposite("panel does not meet f^op")
-    b = f.building
-    start = min(x for x in Ptilde.chambers() if f(x) == 0)
-    image = {start: {c: c for c in Ptilde.chambers()}}
-    maps: dict[ResidueRef, dict[int, int]] = {}
-    for x, parent in _fop_search(f, start):
-        if x != start:
-            step = _gallery_step(f, s, parent[x], x)
-            y = image[parent[x]]
-            if step is not None:
-                y = {c: step.mapping[v] for c, v in y.items()}
-            image[x] = y
-        maps.setdefault(b.panel(x, s), image[x])
-    if any(Q not in maps for Q in panels_op(f, s)):
-        raise NotOpposite("no gallery in f^op joins the panels")
-    return {Q: maps[Q] for Q in panels_op(f, s)}
 
 
 def adjacent_codistances(
@@ -99,7 +62,7 @@ def adjacent_codistances(
     if Ptilde not in panels_op(f, s):
         raise PreconditionFailed("Ptilde does not meet f^op")
     maps = beta_maps(f, Ptilde)
-    gaps = {P: _op_panel_gap(f, P) for P in maps}
+    gaps = {P: op_panel_gap(f, P) for P in maps}
     projections = []
     for c, choices in enumerate(panels_op_choices(f, s)):
         if not choices:
@@ -262,7 +225,7 @@ def alpha_check(
     adjacency_ok = True
     panel_of = atlas.plus.system.panel_of
     for s in sorted(J):
-        sbar = table.gen_index(table.mult(table.mult(rJ, table.gen(s)), rJ))
+        sbar = table.gen_index(table.conj_by(rJ, s))
         for j1 in tilde:
             for j2 in tilde:
                 lhs = panel_of[s][j1] == panel_of[s][j2]

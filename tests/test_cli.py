@@ -322,6 +322,50 @@ def test_twin_build_reports_member_in_two_panels(
     assert capsys.readouterr().err.startswith("violation: ")
 
 
+def test_twin_build_rejects_a_chamber_system_that_is_not_a_building(
+    tmp_path, pg23, capsys
+):
+    # two p-panels of pg2(3) trade chambers 16 and 28: Bu3 fails, while the
+    # codistance opposite chamber 0 still passes the panel axiom
+    text = serialize_building(pg23)
+    assert "\n1 16 20 24\n2 28 32 36\n" in text
+    bpath, cpath, out = tmp_path / "bad.bld", tmp_path / "bad.cod", tmp_path / "twin"
+    bpath.write_text(text.replace("\n1 16 20 24\n2 28 32 36\n", "\n1 20 24 28\n2 16 32 36\n"))
+    assert main(["codist", "from-opposite", "--building", str(bpath),
+                 "--chamber", "0", "-o", str(cpath)]) == EXIT_PASS
+    assert main(["validate", "codistance", str(cpath), "--building", str(bpath)]) == EXIT_PASS
+    capsys.readouterr()
+    assert main(["twin", "build", "--building", str(bpath),
+                 "--codistance", str(cpath), "-o", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "RESULT=" not in captured.out
+    assert "not a building: Bu3 (1, 9, 0)" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", ["x", "end"])
+def test_line_after_end_is_input_error(tmp_path, fano_file, fano_cod_file, capsys, extra):
+    # every file ends at its end line
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    runs = [
+        (fano_file, ["validate", "building", fano_file]),
+        (fano_cod_file, ["validate", "codistance", fano_cod_file, "--building", fano_file]),
+        (os.path.join(out, "plus.bld"), ["twin", "verify", out]),
+        (os.path.join(out, "codistance_0003.cod"), ["twin", "verify", out]),
+    ]
+    for path, argv in runs:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(extra + "\n")
+        capsys.readouterr()
+        assert main(argv) == EXIT_INPUT
+        assert f"line after end marker: {extra!r}" in capsys.readouterr().err
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    assert main(["twin", "verify", out]) == EXIT_PASS
+
+
 def test_twin_verify(tmp_path, fano_file, fano_cod_file, capsys):
     _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
     assert main(["twin", "verify", out]) == EXIT_PASS
@@ -899,7 +943,7 @@ def test_codistance_reader_raises_only_format_error(fano):
 def test_twin_verify_on_one_edited_file(tmp_path, fano_file, fano_cod_file):
     # an edited file of a twin directory is a violation or malformed input,
     # unless the directory still holds the same twin (the name in plus.bld
-    # is a label, and lines after an end marker are not read)
+    # is a label)
     _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
     files = {}
     for name in sorted(os.listdir(out)):

@@ -7,6 +7,7 @@ panel filters), not the routines under test.
 """
 
 import itertools
+from collections import Counter, deque
 
 import pytest
 
@@ -40,6 +41,7 @@ from twinbuild.panelcalc import (
     residue_between,
     reverse_pi,
 )
+from twinbuild.twinner import adjacent_codistances, beta_maps
 
 
 def all_panels(b: Building):
@@ -449,3 +451,81 @@ def test_panels_op_choices_is_panels_op_c_per_chamber(request, name):
         assert len(choices) == b.n
         for c in range(b.n):
             assert choices[c] == panels_op_c(f, s, c)
+
+
+# -- beta against step-by-step composition --------------------------------------
+
+
+def beta_reference(f, P, Q):
+    """beta composed step by step: the breadth-first gallery inside f^op from
+    the least f^op chamber of P to the first f^op chamber of Q it reaches
+    (neighbours by type, then by id), one beta_w per change of s-panel,
+    joined with PanelBijection.compose."""
+    b = f.building
+    table = b.weyl
+    s = panel_type(P)
+    inside = f.fop_set()
+    start = min(x for x in P.chambers() if x in inside)
+    parent = {start: start}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        if x in Q:
+            break
+        for t in range(b.system.rank):
+            for z in b.system.panel_members(x, t):
+                if z in inside and z not in parent:
+                    parent[z] = x
+                    queue.append(z)
+    else:
+        raise NotOpposite("no gallery in f^op joins the panels")
+    gallery = [x]
+    while parent[gallery[-1]] != gallery[-1]:
+        gallery.append(parent[gallery[-1]])
+    gallery.reverse()
+    current = identity_bijection(P)
+    for x, y in zip(gallery, gallery[1:]):
+        here, there = b.panel(x, s), b.panel(y, s)
+        if here != there:
+            t = next(tt for tt, z in b.system.neighbors(x) if z == y)
+            xJ = table.mult(table.gen(s), table.longest_element((s, t)))
+            current = beta_w(f, here, there, xJ).compose(current)
+    return current
+
+
+@pytest.mark.parametrize("name, sources", [("pg23", None), ("sp43", None), ("pg32", 2)])
+def test_beta_matches_step_by_step_composition(request, name, sources):
+    # every ordered pair of f^op panels on the rank-2 fixtures; the first
+    # two sources of each type on pg3(2)
+    b = request.getfixturevalue(name)
+    f = from_opposite_chamber(b, 0)
+    for s in range(b.system.rank):
+        ps = panels_op(f, s)
+        for P in ps[:sources]:
+            for Q in ps:
+                assert beta(f, P, Q).mapping == beta_reference(f, P, Q).mapping
+
+
+@pytest.mark.parametrize("chamber", [0, 9, 18, 27, 36])
+def test_beta_on_disconnected_fop_matches_step_by_step_composition(sp42, chamber):
+    # f^op of the generalized quadrangle sp4(2) is not connected: pairs in
+    # different components have no beta, and the atlas step refuses
+    f = from_opposite_chamber(sp42, chamber)
+    outcomes = Counter()
+    for s in range(2):
+        ps = panels_op(f, s)
+        for P, Q in itertools.product(ps, ps):
+            try:
+                expected = beta_reference(f, P, Q).mapping
+            except NotOpposite:
+                with pytest.raises(NotOpposite, match="no gallery in f\\^op joins"):
+                    beta(f, P, Q)
+                outcomes["NotOpposite"] += 1
+            else:
+                assert beta(f, P, Q).mapping == expected
+                outcomes["bijection"] += 1
+        with pytest.raises(NotOpposite, match="no gallery in f\\^op joins"):
+            beta_maps(f, ps[0])
+    assert outcomes == {"bijection": 64, "NotOpposite": 64}
+    with pytest.raises(NotOpposite, match="no gallery in f\\^op joins the panels"):
+        adjacent_codistances(f, 0, panels_op(f, 0)[0])
