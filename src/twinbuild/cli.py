@@ -189,6 +189,17 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise FormatError(str(e))
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: {e}")
+
+
+def _read_building(path: str) -> Building:
+    """Parse a building bundle, rejecting one that fails Bu1-Bu3."""
+    b = parse_building(_read(path))
+    v = validate_building(b).violation
+    if v is not None:
+        raise FormatError(f"not a building: {v.axiom} {v.witness}: {v.detail}")
+    return b
 
 
 def _read_codistance(path: str, b: Building) -> Codistance:
@@ -339,10 +350,7 @@ def _twin_report(
 
 
 def _cmd_twin_build(args) -> int:
-    b = parse_building(_read(args.building))
-    v = validate_building(b).violation
-    if v is not None:
-        raise FormatError(f"not a building: {v.axiom} {v.witness}: {v.detail}")
+    b = _read_building(args.building)
     f = _read_codistance(args.codistance, b)
     try:
         os.makedirs(args.output, exist_ok=True)
@@ -384,9 +392,9 @@ def _cmd_twin_build(args) -> int:
 
 def read_twin(directory: str) -> tuple[Building, CodistanceAtlas]:
     """B- and its codistance atlas from a ``twin build`` directory: B- from
-    minus.bld, one member per codistance file, and the atlas panels (the
-    panels of B+) from plus.bld, whose diagram must be B-'s."""
-    b = parse_building(_read(os.path.join(directory, "minus.bld")))
+    minus.bld through ``_read_building``, one member per codistance file,
+    and the panels of B+ from plus.bld, whose diagram must be B-'s."""
+    b = _read_building(os.path.join(directory, "minus.bld"))
     plus = parse_building(_read(os.path.join(directory, "plus.bld")))
     if plus.weyl.matrix != b.weyl.matrix:
         raise FormatError("plus.bld and minus.bld declare different diagrams")

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq
 from typing import Optional, Sequence
 
 from .chambersys import Building, ResidueRef
@@ -227,40 +225,10 @@ def panels_op_c(f: Codistance, s: int, c: int) -> tuple[ResidueRef, ...]:
     return tuple(sorted({b.panel(x, s) for x in fop_c(f, c)}, key=panel_key))
 
 
-def panels_op_choices(f: Codistance, s: int) -> list[tuple[ResidueRef, ...]]:
-    """``panels_op_c(f, s, c)`` for every chamber c, in one pass over f^op.
-
-    Each f^op chamber lies in one panel of ``panels_op(f, s)``, which is in
-    ascending ``panel_key``; appending a panel to the entry of every chamber
-    that one of its f^op chambers realizes keeps each entry in that order."""
-    rows = f.building.rows
-    values = f.values
-    n = len(values)
-    choices: list[list[ResidueRef]] = [[] for _ in range(n)]
-    for P in panels_op(f, s):
-        for x in P.chambers():
-            if values[x] != 0:
-                continue
-            for c in compress(range(n), map(eq, rows[x], values)):
-                entry = choices[c]
-                if not entry or entry[-1] is not P:
-                    entry.append(P)
-    return [tuple(entry) for entry in choices]
-
-
-def op_panel_gap(f: Codistance, P: ResidueRef) -> int:
-    """The single chamber of an f^op panel outside f^op (its f-value is the
-    panel type, as a one-letter word)."""
-    values = f.values
-    outside = [x for x in P.chambers() if values[x] != 0]
-    if len(outside) != 1 or values[outside[0]] != f.building.weyl.gen(panel_type(P)):
-        raise PreconditionFailed("panel does not meet f^op correctly")
-    return outside[0]
-
-
 def pi(f: Codistance, P: ResidueRef, w: int) -> ResidueRef:
     """The panel of type w^-1 s w at distance w from P characterized by
-    containing a chamber with f-value w."""
+    containing a chamber with f-value w, seen from the gap of P: its one
+    chamber outside f^op, of f-value s."""
     b = f.building
     table = b.weyl
     s = panel_type(P)
@@ -269,9 +237,10 @@ def pi(f: Codistance, P: ResidueRef, w: int) -> ResidueRef:
         raise PreconditionFailed(f"{table.word_str(w)} not in X_{s}")
     if P not in panels_op(f, s):
         raise PreconditionFailed("panel does not meet f^op")
-    p = op_panel_gap(f, P)
-    c = unique_chamber(f, p, w)
-    return b.panel(c, t)
+    gap = [x for x in P.chambers() if f.values[x] != 0]
+    if len(gap) != 1 or f.values[gap[0]] != table.gen(s):
+        raise PreconditionFailed("panel does not meet f^op correctly")
+    return b.panel(unique_chamber(f, gap[0], w), t)
 
 
 def reverse_pi(f: Codistance, Q: ResidueRef) -> ResidueRef:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
+from operator import eq
 from typing import Iterable, Optional
 
 from .chambersys import Building, ChamberSystem, ResidueRef, validate_building
@@ -26,8 +28,6 @@ from .errors import (
 from .panelcalc import (
     beta,  # re-exported: perfbench/selftest.py checks twinner.beta
     beta_maps,
-    op_panel_gap,
-    panels_op_choices,
 )
 
 DEFAULT_ATLAS_CAP = 50_000
@@ -48,43 +48,45 @@ def adjacent_codistances(
     f: Codistance, s: int, Ptilde: ResidueRef, check_choices: bool = False
 ) -> dict[int, Codistance]:
     """The s-neighbours of f, one per chamber p of Ptilde in f^op, in
-    ascending p: the codistance obtained from f by moving its trace on each
-    panel of P_s^op(f) to the beta-orbit of p.
+    ascending p: f with its trace on each panel of P_s^op(f) moved to the
+    beta-orbit of p.  Each neighbour g_p is f or s f at every chamber c.
 
-    g(c) = s f(c) when the projection of c to a panel P meeting f^op_c hits
-    the old or the new marked chamber of P, and g(c) = f(c) otherwise.  The
-    choice of P does not matter; ``check_choices`` recomputes with every
-    admissible P and demands agreement.  The beta maps, the panel choices
-    and the projections of each chamber are computed once for every p.
+    Take an s-panel P meeting f^op and a chamber x of P in f^op with
+    delta(x, c) = f(c); g_p moves c exactly when proj_P(c) is the gap of P
+    (its chamber outside f^op) or beta_P(p).  (i) If s shortens f(c), then
+    y = proj_P(c) is the gap: delta(c, y) = f(c)^-1 s has length
+    l(f(c)) - 1, and along a minimal gallery from c to y the panel axiom
+    lowers f one letter per step, so f(y) = s.  (ii) Otherwise x is the
+    projection, delta(x, c) = f(c) being the shorter distance in P.  So
+    g_p(c) = s f(c) exactly when s shortens f(c) or x lies in the beta-orbit
+    of p, and no chamber is projected.  The owner of c is the first such p,
+    panels in ``panels_op`` order; ``check_choices`` demands that no chamber
+    outside case (i) lies in two orbits.
     """
     b = f.building
     table = b.weyl
     if Ptilde not in panels_op(f, s):
         raise PreconditionFailed("Ptilde does not meet f^op")
-    maps = beta_maps(f, Ptilde)
-    gaps = {P: op_panel_gap(f, P) for P in maps}
-    projections = []
-    for c, choices in enumerate(panels_op_choices(f, s)):
-        if not choices:
-            raise PreconditionFailed(f"no panel of f^op_{c} of type {s}")
-        use = choices if check_choices else choices[:1]
-        projections.append([(P, b.proj_chamber(P, c)) for P in use])
+    values = f.values
+    moved = [table.left[w][s] for w in values]
+    down = [table.length[v] < table.length[w] for v, w in zip(moved, values)]
+    marks = [p for p in sorted(Ptilde.chambers()) if values[p] == 0]
+    owner: list[Optional[int]] = [None] * b.n
+    for mapping in beta_maps(f, Ptilde).values():
+        for p in marks:
+            for c in compress(range(b.n), map(eq, b.rows[mapping[p]], values)):
+                if owner[c] is None:
+                    owner[c] = p
+                elif check_choices and owner[c] != p and not down[c]:
+                    raise PreconditionFailed(
+                        f"panel choice changes the value at chamber {c}"
+                    )
+    if None in owner:
+        raise PreconditionFailed(f"no panel of f^op_{owner.index(None)} of type {s}")
+    cells = list(zip(moved, down, owner, values))
     neighbours = {}
-    for p in sorted(Ptilde.chambers()):
-        if f(p) != 0:
-            continue
-        values = []
-        for c, (w, projs) in enumerate(zip(f.values, projections)):
-            vals = {
-                table.left[w][s] if m == gaps[P] or m == maps[P][p] else w
-                for P, m in projs
-            }
-            if len(vals) != 1:
-                raise PreconditionFailed(
-                    f"panel choice changes the value at chamber {c}"
-                )
-            values.append(vals.pop())
-        g = Codistance(b, values)
+    for p in marks:
+        g = Codistance(b, [v if d or o == p else w for v, d, o, w in cells])
         report = validate_codistance(g)
         if not report.ok:
             raise PreconditionFailed(f"constructed map is not a codistance: {report}")

@@ -343,6 +343,53 @@ def test_twin_build_rejects_a_chamber_system_that_is_not_a_building(
     assert not out.exists()
 
 
+def test_twin_verify_rejects_a_minus_half_that_is_not_a_building(
+    tmp_path, pg23, capsys
+):
+    # B- is checked before the twin: the Bu3 failure above, copied over a
+    # good twin's minus.bld, is malformed input, not a failed twin
+    bpath, cpath, out = tmp_path / "b.bld", tmp_path / "f.cod", tmp_path / "twin"
+    text = serialize_building(pg23)
+    bpath.write_text(text)
+    cpath.write_text(serialize_codistance(from_opposite_chamber(pg23, 0)))
+    assert main(["twin", "build", "--building", str(bpath),
+                 "--codistance", str(cpath), "-o", str(out)]) == EXIT_PASS
+    (out / "minus.bld").write_text(
+        text.replace("\n1 16 20 24\n2 28 32 36\n", "\n1 20 24 28\n2 16 32 36\n")
+    )
+    capsys.readouterr()
+    assert main(["twin", "verify", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "not a building: Bu3 (1, 9, 0)" in captured.err
+    assert "RESULT=" not in captured.out
+
+
+def test_non_utf8_file_is_input_error(tmp_path, fano_file, fano_cod_file, capsys):
+    # bytes that do not decode as UTF-8 are malformed input in every reader
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    runs = [
+        (fano_file, ["validate", "building", fano_file]),
+        (fano_file, ["validate", "codistance", fano_cod_file, "--building", fano_file]),
+        (fano_cod_file, ["validate", "codistance", fano_cod_file, "--building", fano_file]),
+        (os.path.join(out, "costar.tsv"), ["twin", "verify", out]),
+        (os.path.join(out, "codistance_0003.cod"), ["twin", "verify", out]),
+    ]
+    for path, argv in runs:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe" + data)
+        capsys.readouterr()
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {path}: 'utf-8' codec can't decode byte 0xff in"
+            " position 0: invalid start byte\n"
+        )
+        with open(path, "wb") as fh:
+            fh.write(data)
+    assert main(["twin", "verify", out]) == EXIT_PASS
+
+
 @pytest.mark.parametrize("extra", ["x", "end"])
 def test_line_after_end_is_input_error(tmp_path, fano_file, fano_cod_file, capsys, extra):
     # every file ends at its end line

@@ -36,7 +36,6 @@ from twinbuild.panelcalc import (
     panel_type,
     panels_op,
     panels_op_c,
-    panels_op_choices,
     pi,
     residue_between,
     reverse_pi,
@@ -440,17 +439,6 @@ def test_panel_bijection_validation(fano):
     ident = identity_bijection(P)
     assert ident.is_identity()
     assert ident.inverse().mapping == ident.mapping
-
-
-@pytest.mark.parametrize("name", ["fano", "pg23", "sp43", "pg32"])
-def test_panels_op_choices_is_panels_op_c_per_chamber(request, name):
-    b = request.getfixturevalue(name)
-    f = from_opposite_chamber(b, 0)
-    for s in range(b.system.rank):
-        choices = panels_op_choices(f, s)
-        assert len(choices) == b.n
-        for c in range(b.n):
-            assert choices[c] == panels_op_c(f, s, c)
 
 
 # -- beta against step-by-step composition --------------------------------------

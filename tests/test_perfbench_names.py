@@ -55,8 +55,8 @@ def test_tracer_counts_local_condition_verdicts(fano, thin_a3):
 
 def test_twin_step_runs_every_check(pg23):
     # the twin step of pg2(3) from chamber 0 makes exactly these checks; a
-    # speed-up that drops a validation changes a count here.  The per-chamber
-    # panel choices come from panels_op_choices, one pass per (g, s) step.
+    # speed-up that drops a validation changes a count here.  Adjacent
+    # codistances are read off beta-orbits and project no chamber.
     f = from_opposite_chamber(pg23, 0)
     tracer = load_spans().Tracer()
     tracer.install()
@@ -66,7 +66,7 @@ def test_twin_step_runs_every_check(pg23):
         assert tracer.call_count("codistance.validate_codistance") == 182
         assert tracer.call_count("twinner.alpha_check") == 235
         assert tracer.call_count("codistance.proj_f") == 988
-        assert tracer.call_count("chambersys.proj_chamber") == 4056
+        assert tracer.call_count("chambersys.proj_chamber") == 2704
         assert tracer.call_count("chambersys.validate_building") == 1
         assert tracer.call_count("panelcalc.panels_op_c") == 0
         assert tracer.call_count("codistance.fop_c") == 0

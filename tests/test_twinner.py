@@ -1,22 +1,41 @@
 """Adjacent codistances, atlas closure, and exhaustive twin verification."""
 
 import itertools
+import random
 from collections import deque
 
 import pytest
 
-from twinbuild.catalog import gen_digon, matrix_A2, matrix_I2
+from twinbuild.catalog import (
+    gen_digon,
+    gen_pg2,
+    gen_thin,
+    matrix_A2,
+    matrix_I2,
+    product,
+)
 from twinbuild.chambersys import Building, ChamberSystem
-from twinbuild.codistance import Codistance, from_opposite_chamber, proj_f
+from twinbuild.codistance import (
+    Codistance,
+    from_opposite_chamber,
+    proj_f,
+    validate_codistance,
+)
 from twinbuild.coxeter import WeylTable, enumerate_weyl
-from twinbuild.errors import BuildingMismatch, PreconditionFailed
-from twinbuild.panelcalc import beta, panel_key, panels_op
+from twinbuild.errors import (
+    BuildingMismatch,
+    NotOpposite,
+    PreconditionFailed,
+    TwinbuildError,
+)
+from twinbuild.panelcalc import beta, panel_key, panels_op, panels_op_c
 from twinbuild.twinner import (
     CodistanceAtlas,
     _check_plus_star,
     _check_tw_axioms,
     _gonality,
     adjacent_codistance,
+    adjacent_codistances,
     alpha_check,
     assemble_twin,
     atlas_component,
@@ -534,6 +553,135 @@ def test_beta_orbit_matches_beta(request, fixture):
             assert beta_maps(f, Ptilde) == {
                 Q: beta(f, Ptilde, Q).mapping for Q in panels_op(f, s)
             }
+
+
+def adjacent_codistances_reference(f, s, Ptilde, check_choices=False):
+    """The s-neighbours of f by projection: per p, g_p(c) = s f(c) when the
+    projection of c to a panel P of ``panels_op_c(f, s, c)`` is the gap of
+    P (its one chamber outside f^op, of f-value s) or beta_P(p), with every
+    such P agreeing when ``check_choices``."""
+    b = f.building
+    table = b.weyl
+    if Ptilde not in panels_op(f, s):
+        raise PreconditionFailed("Ptilde does not meet f^op")
+    maps = beta_maps(f, Ptilde)
+    gaps = {}
+    for P in maps:
+        outside = [x for x in P.chambers() if f(x) != 0]
+        if len(outside) != 1 or f(outside[0]) != table.gen(s):
+            raise PreconditionFailed("panel does not meet f^op correctly")
+        gaps[P] = outside[0]
+    projections = []
+    for c in range(b.n):
+        choices = panels_op_c(f, s, c)
+        if not choices:
+            raise PreconditionFailed(f"no panel of f^op_{c} of type {s}")
+        use = choices if check_choices else choices[:1]
+        projections.append([(P, b.proj_chamber(P, c)) for P in use])
+    neighbours = {}
+    for p in sorted(Ptilde.chambers()):
+        if f(p) != 0:
+            continue
+        values = []
+        for c, projs in enumerate(projections):
+            w = f(c)
+            vals = {
+                table.left[w][s] if m in (gaps[P], maps[P][p]) else w
+                for P, m in projs
+            }
+            if len(vals) != 1:
+                raise PreconditionFailed(
+                    f"panel choice changes the value at chamber {c}"
+                )
+            values.append(vals.pop())
+        g = Codistance(b, values)
+        if not validate_codistance(g).ok:
+            raise PreconditionFailed("constructed map is not a codistance")
+        neighbours[p] = g
+    return neighbours
+
+
+def first_members(b, k=20):
+    """Up to k atlas members of the codistance from chamber 0, breadth
+    first; just the seed where beta is undefined."""
+    f = from_opposite_chamber(b, 0)
+    members = [f]
+    queue = deque(members)
+    while queue and len(members) < k:
+        g = queue.popleft()
+        for s in range(b.system.rank):
+            try:
+                found = adjacent_codistances(g, s, panels_op(g, s)[0]).values()
+            except NotOpposite:
+                continue
+            for h in found:
+                if h not in members:
+                    members.append(h)
+                    queue.append(h)
+    return members[:k]
+
+
+def outcome(kernel, *args):
+    """The kernel's neighbours in order, or the type of what it raised."""
+    try:
+        return list(kernel(*args).items())
+    except TwinbuildError as e:
+        return type(e)
+
+
+def kernel_outcomes(*args):
+    kernels = (adjacent_codistances, adjacent_codistances_reference)
+    return [outcome(kernel, *args) for kernel in kernels]
+
+
+@pytest.fixture(scope="module")
+def reference_buildings(fano, pg23, sp43, sp42, thin_a3, digon33):
+    return {
+        "fano": fano, "pg23": pg23, "sp43": sp43, "sp42": sp42,
+        "thin_a3": thin_a3, "digon33": digon33,
+        "a2_x_fano": product(gen_thin(matrix_A2(("a", "b"))), gen_pg2(2)),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "fano", "pg23", "sp43", "sp42", "thin_a3", "digon33", "a2_x_fano",
+])
+def test_adjacent_codistances_match_reference(reference_buildings, name):
+    b = reference_buildings[name]
+    raised = set()
+    for g in first_members(b):
+        for s in range(b.system.rank):
+            for Ptilde in panels_op(g, s)[:2]:
+                for check_choices in (False, True):
+                    new, ref = kernel_outcomes(g, s, Ptilde, check_choices)
+                    assert new == ref
+                    if isinstance(new, type):
+                        raised.add(new)
+    # sp4(2) has no beta: its f^op joins no two panels of one type
+    assert raised == ({NotOpposite} if name == "sp42" else set())
+
+
+@pytest.mark.parametrize("name", ["fano", "pg23", "thin_a3"])
+def test_adjacent_codistances_match_reference_on_corruptions(
+    reference_buildings, name
+):
+    b = reference_buildings[name]
+    members = first_members(b)
+    rng = random.Random(name)
+    kinds = set()
+    for _ in range(100):
+        values = list(rng.choice(members).values)
+        for c in rng.sample(range(b.n), rng.randint(1, 2)):
+            values[c] = rng.randrange(b.weyl.size)
+        g = Codistance(b, values)
+        s = rng.randrange(b.system.rank)
+        ops = panels_op(g, s)
+        if not ops:
+            continue
+        new, ref = kernel_outcomes(g, s, rng.choice(ops), rng.random() < 0.5)
+        assert new == ref
+        kinds.add(new if isinstance(new, type) else "result")
+    assert "result" in kinds and PreconditionFailed in kinds
 
 
 def gonality_reference(b, R):
