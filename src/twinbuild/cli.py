@@ -139,10 +139,10 @@ def parse_building(text: str) -> Building:
 
 
 def serialize_codistance(f: Codistance) -> str:
-    table = f.building.weyl
+    words = f.building.weyl.word_strs()
     lines = ["%codistance 1", f"building {f.building.name}", "values"]
     for c, v in enumerate(f.values):
-        lines.append(f"{c} {table.word_str(v)}")
+        lines.append(f"{c} {words[v]}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .chambersys import Building, ResidueRef
+from .chambersys import Building, ResidueRef, panel_axiom
 from .coxeter import WeylTable
 from .errors import PreconditionFailed
 
@@ -69,39 +69,32 @@ class CodistanceReport:
 def validate_codistance(f: Codistance) -> CodistanceReport:
     """Check the panel axiom on every panel of the building.
 
-    A panel passes exactly when its longest value is attained once and every
-    other chamber takes that value times s, one shorter; such a panel is
-    accepted at once, and any other panel is examined test by test for the
-    violation to report."""
+    A type s is accepted at once by ``panel_axiom`` with the longer value
+    marked: every s-panel then holds its longest value once and that value
+    times s, one shorter, everywhere else.  A type it rejects is examined
+    panel by panel, in order, for the violation to report."""
     b = f.building
-    table = b.weyl
-    length = table.length
-    right = table.right
+    system = b.system
     values = f.values
-    for s in range(b.system.rank):
-        for panel in b.system.panels[s]:
-            vals = [values[c] for c in panel]
-            long_ = max(vals, key=length.__getitem__)
-            short = right[long_][s]
-            if (
-                length[short] + 1 == length[long_]
-                and vals.count(long_) == 1
-                and vals.count(short) == len(vals) - 1
-            ):
-                continue
-            return CodistanceReport(False, _panel_violation(table, s, panel, tuple(vals)))
+    for s in range(system.rank):
+        if panel_axiom(system, values, s, longer=True):
+            continue
+        for panel in system.panels[s]:
+            vals = tuple(values[c] for c in panel)
+            violation = _panel_violation(b.weyl, s, panel, vals)
+            if violation is not None:
+                return CodistanceReport(False, violation)
     return CodistanceReport(True)
 
 
 def _panel_violation(
     table: WeylTable, s: int, panel: tuple[int, ...], vals: tuple[int, ...]
-) -> PanelViolation:
-    """The first of the panel axiom's tests that ``vals`` fails on an s-panel
-    that ``validate_codistance`` did not accept at once.
+) -> Optional[PanelViolation]:
+    """The first of the panel axiom's tests that ``vals`` fails on an
+    s-panel, or None.
 
     Once the panel holds exactly two values w and ws = w*s, ws is the
-    longer one, by exactly one, so the accept can only have failed on the
-    count of ws."""
+    longer one, by exactly one, so only the count of ws is left to test."""
     distinct = sorted(set(vals), key=lambda v: table.length[v])
     if len(distinct) != 2:
         return PanelViolation(
@@ -111,9 +104,11 @@ def _panel_violation(
     short, long_ = distinct
     if table.right[short][s] != long_:
         return PanelViolation(s, panel, vals, "values are not of the form {w, ws}")
-    return PanelViolation(
-        s, panel, vals, "longest value not attained by a unique chamber",
-    )
+    if vals.count(long_) != 1:
+        return PanelViolation(
+            s, panel, vals, "longest value not attained by a unique chamber",
+        )
+    return None
 
 
 def from_opposite_chamber(b: Building, c: int) -> Codistance:

@@ -117,6 +117,9 @@ class WeylTable:
     _subgroup_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _longest_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _inverse: Optional[list[int]] = field(default=None, repr=False, compare=False)
+    _floors: Optional[list[list[int]]] = field(default=None, repr=False, compare=False)
+    _word_strs: Optional[list[str]] = field(default=None, repr=False, compare=False)
+    _word_ids: Optional[dict[str, int]] = field(default=None, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -143,16 +146,34 @@ class WeylTable:
             self._inverse = inverse
         return inverse[a]
 
+    def floor(self, s: int) -> list[int]:
+        """By w, the shorter of w and ws: the smaller id, as ids refine
+        length.  Built once."""
+        if self._floors is None:
+            self._floors = [[min(w, ws[t]) for w, ws in enumerate(self.right)]
+                            for t in range(self.rank)]
+        return self._floors[s]
+
+    def word_strs(self) -> list[str]:
+        """The canonical word string of every element by id, ``-`` for the
+        identity; built once, with its inverse for ``parse_word``."""
+        if self._word_strs is None:
+            gens = self.matrix.gens
+            self._word_strs = ["-"] + ["".join(gens[s] for s in w) for w in self.word[1:]]
+            self._word_ids = {text: w for w, text in enumerate(self._word_strs)}
+        return self._word_strs
+
     def word_str(self, w: int) -> str:
-        if w == 0:
-            return "-"
-        return "".join(self.matrix.gens[s] for s in self.word[w])
+        return self.word_strs()[w]
 
     def parse_word(self, text: str) -> int:
-        """Parse a word over generator names; the names are prefix-free, so
-        at most one of them matches at any position."""
-        if text == "-" or text == "":
-            return 0
+        """Parse a word over generator names: a canonical word is one lookup;
+        any other is read letter by letter, and since the names are
+        prefix-free, at most one of them matches at any position."""
+        self.word_strs()
+        w = self._word_ids.get(text)  # type: ignore[union-attr]
+        if w is not None:
+            return w
         w = 0
         i = 0
         while i < len(text):

@@ -15,6 +15,7 @@ from twinbuild.catalog import (
 )
 from twinbuild.chambersys import validate_building
 from twinbuild.cli import serialize_building
+from twinbuild.codistance import from_opposite_chamber, validate_codistance
 from twinbuild.errors import NameClash, UnsupportedQ
 
 
@@ -57,10 +58,17 @@ def test_digon(digon33):
 
 
 def test_unsupported_q():
-    with pytest.raises(UnsupportedQ):
-        gen_pg2(4)
-    with pytest.raises(UnsupportedQ):
-        gen_sp4(5)
+    # every prime q is supported; prime powers and other q are not
+    for gen, q in ((gen_pg2, 4), (gen_pg3, 6), (gen_sp4, 9), (gen_pg2, 1), (gen_pg2, 0)):
+        with pytest.raises(UnsupportedQ):
+            gen(q)
+
+
+def test_prime_q_beyond_3():
+    b = gen_pg2(5)
+    assert b.n == 186 == poincare_count(b.weyl, 5)
+    assert validate_building(b).ok
+    assert validate_codistance(from_opposite_chamber(b, 0)).ok
 
 
 def test_product():

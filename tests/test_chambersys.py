@@ -1,3 +1,4 @@
+import copy
 import itertools
 import os
 import random
@@ -14,6 +15,7 @@ from twinbuild.catalog import (
     matrix_A2,
     matrix_B2,
     matrix_I2,
+    product,
 )
 from twinbuild.chambersys import (
     AxiomViolation,
@@ -222,6 +224,63 @@ def test_validator_matches_reference_on_panel_swaps(request, name):
     rng = random.Random(f"swap-{name}")
     for mutated in panel_swaps(b, rng, 100):
         assert validate_building(mutated) == validate_building_reference(mutated)
+
+
+MORE_FIXTURES = {
+    "pg2_5": lambda: gen_pg2(5),
+    "digon_2_4": lambda: gen_digon(2, 4),
+    "thin_a2_x_pg2_2": lambda: product(gen_thin(matrix_A2(("a", "b"))), gen_pg2(2)),
+}
+
+
+@pytest.mark.parametrize("name", ["thin_a2", "thin_a1cubed", *MORE_FIXTURES])
+def test_validator_matches_reference_on_more_fixtures(request, name):
+    make = MORE_FIXTURES.get(name)
+    b = make() if make else request.getfixturevalue(name)
+    report = validate_building(b)
+    assert report.ok
+    assert report == validate_building_reference(b)
+
+
+def delta_changes(b: Building, rng: random.Random, count: int):
+    """``count`` copies of b, each with one delta entry changed: to a random
+    other Weyl id, or to its product with a random generator, which keeps
+    the value in the panel axiom's pair {w, ws}."""
+    table = b.weyl
+    for _ in range(count):
+        x, y = rng.randrange(b.n), rng.randrange(b.n)
+        w = b.rows[x][y]
+        if rng.random() < 0.5:
+            new = rng.choice([v for v in range(table.size) if v != w])
+        else:
+            new = table.right[w][rng.randrange(table.rank)]
+        mutated = copy.copy(b)
+        mutated.rows = [list(row) for row in b.rows]
+        mutated.rows[x][y] = new
+        yield mutated
+
+
+@pytest.mark.parametrize("name, count", [
+    ("fano", 200), ("pg23", 200), ("sp42", 200), ("sp43", 30), ("pg32", 10),
+    ("digon33", 100), ("thin_a1cubed", 100), ("thin_a2", 100), ("thin_a3", 100),
+])
+def test_validator_matches_reference_on_delta_changes(request, name, count):
+    b = request.getfixturevalue(name)
+    for mutated in delta_changes(b, random.Random(f"delta-{name}"), count):
+        report = validate_building(mutated)
+        assert not report.ok
+        assert report == validate_building_reference(mutated)
+
+
+@pytest.mark.parametrize("name, count", [("sp43", 20), ("pg32", 10)])
+def test_validator_matches_reference_on_large_panel_swaps(request, name, count):
+    b = request.getfixturevalue(name)
+    rng = random.Random(f"swap-{name}")
+    checked = 0
+    for mutated in panel_swaps(b, rng, count):
+        assert validate_building(mutated) == validate_building_reference(mutated)
+        checked += 1
+    assert checked >= count // 2
 
 
 def test_disconnected_raises():

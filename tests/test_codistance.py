@@ -6,6 +6,7 @@ The expected values below are produced by independent brute-force scans
 test.
 """
 
+import random
 from collections import deque
 
 import pytest
@@ -25,6 +26,7 @@ from twinbuild.codistance import (
     validate_codistance,
 )
 from twinbuild.errors import PreconditionFailed
+from twinbuild.twinner import atlas_component
 
 
 def graph_distances(b: Building, sources) -> list:
@@ -373,6 +375,34 @@ def test_panel_axiom_matches_reference_on_random_vectors(request, name):
         assert_same_report(Codistance(b, values))
 
     check()
+
+
+def test_panel_axiom_matches_reference_on_atlas_members(pg32):
+    atlas = atlas_component(from_opposite_chamber(pg32, 0))
+    assert len(atlas.members) == 315
+    for g in atlas.members:
+        assert_same_report(g)
+
+
+def seeded_corruptions(b: Building, rng: random.Random, count: int):
+    """``count`` codistances of b from random chambers, each with one or two
+    values changed to other random Weyl ids."""
+    size = b.weyl.size
+    for _ in range(count):
+        values = list(from_opposite_chamber(b, rng.randrange(b.n)).values)
+        for c in rng.sample(range(b.n), rng.randint(1, 2)):
+            values[c] = rng.choice([w for w in range(size) if w != values[c]])
+        yield Codistance(b, values)
+
+
+@pytest.mark.parametrize("name", ["pg32", "sp43"])
+def test_panel_axiom_matches_reference_on_seeded_corruptions(request, name):
+    b = request.getfixturevalue(name)
+    failures = 0
+    for g in seeded_corruptions(b, random.Random(f"corrupt-{name}"), 200):
+        assert_same_report(g)
+        failures += not validate_codistance(g).ok
+    assert failures == 200
 
 
 # -- proj_f against the residue profile ----------------------------------------
