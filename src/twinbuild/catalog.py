@@ -82,8 +82,7 @@ def gen_digon(a: int, b: int) -> Building:
 
 def _check_q(q: int) -> None:
     if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
-        # the wording predates prime q beyond 3; tests/test_cli.py pins it
-        raise UnsupportedQ(f"q={q} not supported (prime fields F2, F3 only)")
+        raise UnsupportedQ(f"q={q} not supported (prime q only)")
 
 
 def _vectors(q: int, dim: int):
@@ -205,8 +204,3 @@ def product(b1: Building, b2: Building) -> Building:
         panels.append(sorted(fam))
     system = ChamberSystem(weyl=table, n=n1 * n2, panels=panels)
     return Building(system, name=f"{b1.name}_x_{b2.name}")
-
-
-def poincare_count(table: WeylTable, q: int) -> int:
-    """Sum of q^l(w) over the enumerated group."""
-    return sum(q ** l for l in table.length)

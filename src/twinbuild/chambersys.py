@@ -100,9 +100,6 @@ class ChamberSystem:
     def is_thick(self) -> bool:
         return all(len(p) >= 3 for fam in self.panels for p in fam)
 
-    def is_thin(self) -> bool:
-        return all(len(p) == 2 for fam in self.panels for p in fam)
-
     def neighbors(self, c: int) -> tuple[tuple[int, int], ...]:
         """(s, d) over all chambers d != c adjacent to c, by type, then by
         panel order."""

@@ -201,9 +201,6 @@ class WeylTable:
             self._subgroup_cache[key] = cached
         return cached
 
-    def in_subgroup(self, w: int, J: Iterable[int]) -> bool:
-        return set(self.word[w]) <= set(J)
-
     def min_coset_rep(self, w: int, J: Iterable[int]) -> int:
         J = tuple(J)
         changed = True

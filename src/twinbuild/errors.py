@@ -39,10 +39,6 @@ class NotParallel(TwinbuildError):
     """The two residues are not parallel."""
 
 
-class NoWitnessPair(TwinbuildError):
-    """No panel pair at the requested Weyl distance exists in this building."""
-
-
 class NotAdjacent(TwinbuildError):
     """Consecutive panels of a path are not adjacent in the panel graph."""
 
@@ -59,16 +55,8 @@ class HomotopyInconclusive(TwinbuildError):
     """An upstream simple-2-connectivity verdict was not ProvenTrivial."""
 
 
-class EndpointMismatch(TwinbuildError):
-    """Galleries do not share their endpoints."""
-
-
 class NotConnected(TwinbuildError):
     """The chamber subset is not gallery-connected."""
-
-
-class BuildingMismatch(TwinbuildError):
-    """The two objects live on different buildings."""
 
 
 class FormatError(TwinbuildError):

@@ -1,4 +1,5 @@
-"""Galleries, 2-homotopy, connectivity verdicts, and residual filtrations.
+"""Connectivity verdicts, the local conditions (lco) and (lsco), and residual
+filtrations.
 
 Simple 2-connectivity is decided, never assumed, on the edge-path group
 presentation of a chamber subset, in three steps that each certify only what
@@ -22,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 from .chambersys import Building, ResidueRef
 from .codistance import Codistance
 from .coxeter import coset_table
-from .errors import CapExceeded, EndpointMismatch, NotConnected, TwinbuildError
+from .errors import CapExceeded, NotConnected, TwinbuildError
 
 PROVEN_TRIVIAL = "ProvenTrivial"
 PROVEN_NONTRIVIAL = "ProvenNontrivial"
@@ -42,35 +43,6 @@ class FiltrationViolation(TwinbuildError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Gallery:
-    chambers: tuple[int, ...]
-    types: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.chambers) != len(self.types) + 1:
-            raise ValueError("need one type per step")
-
-    @staticmethod
-    def check(b: Building, chambers: Sequence[int], types: Sequence[int]) -> "Gallery":
-        g = Gallery(tuple(chambers), tuple(types))
-        for (x, y), s in zip(zip(chambers, chambers[1:]), types):
-            if x != y and b.system.panel_of[s][x] != b.system.panel_of[s][y]:
-                raise ValueError(f"{x} and {y} are not {s}-adjacent")
-        return g
-
-    @property
-    def start(self) -> int:
-        return self.chambers[0]
-
-    @property
-    def end(self) -> int:
-        return self.chambers[-1]
-
-    def __len__(self) -> int:
-        return len(self.types)
-
-
 @dataclass
 class TrivialityVerdict:
     status: str
@@ -79,92 +51,6 @@ class TrivialityVerdict:
     @property
     def proven_trivial(self) -> bool:
         return self.status == PROVEN_TRIVIAL
-
-
-def elementary_2_homotopic(G: Gallery, H: Gallery) -> bool:
-    """Whether G = X G0 Y and H = X H0 Y with G0, H0 J-galleries, |J| <= 2,
-    sharing endpoints."""
-    kg, kh = len(G), len(H)
-    for p in range(min(kg, kh) + 1):
-        if G.chambers[:p + 1] != H.chambers[:p + 1] or G.types[:p] != H.types[:p]:
-            break
-        for q in range(min(kg, kh) - p + 1):
-            if q and (
-                G.chambers[kg - q:] != H.chambers[kh - q:]
-                or G.types[kg - q:] != H.types[kh - q:]
-            ):
-                break
-            if G.chambers[kg - q] != H.chambers[kh - q]:
-                continue
-            mid_types = set(G.types[p:kg - q]) | set(H.types[p:kh - q])
-            if len(mid_types) <= 2:
-                return True
-    return False
-
-
-def _j_galleries(b: Building, start: int, end: int, J: tuple[int, ...], maxlen: int):
-    """All stutter-free J-galleries from start to end of length <= maxlen."""
-    out = []
-    stack = [((start,), ())]
-    while stack:
-        chambers, types = stack.pop()
-        if chambers[-1] == end:
-            out.append((chambers, types))
-        if len(types) == maxlen:
-            continue
-        cur = chambers[-1]
-        for s in J:
-            for z in b.system.panel_members(cur, s):
-                if z != cur:
-                    stack.append((chambers + (z,), types + (s,)))
-    return out
-
-
-def two_homotopic(
-    G: Gallery, H: Gallery, bound: int = 2000, *, b: Building,
-    max_replace: int = 6,
-) -> TrivialityVerdict:
-    """Bounded BFS over elementary 2-homotopies from G towards H."""
-    if (G.start, G.end) != (H.start, H.end):
-        raise EndpointMismatch("galleries must share endpoints")
-    gens = list(range(b.system.rank))
-    start = (G.chambers, G.types)
-    target = (H.chambers, H.types)
-    if start == target:
-        return TrivialityVerdict(PROVEN_TRIVIAL, certificate=0)
-    seen = {start}
-    queue = deque([start])
-    while queue and len(seen) <= bound:
-        chambers, types = queue.popleft()
-        k = len(types)
-        for p in range(k + 1):
-            for r in range(p, k + 1):
-                seg_types = set(types[p:r])
-                if len(seg_types) > 2:
-                    continue
-                js: list[tuple[int, ...]] = []
-                if len(seg_types) == 2:
-                    js = [tuple(sorted(seg_types))]
-                else:
-                    base = tuple(seg_types)
-                    js = [tuple(sorted(set(base) | {t})) for t in gens]
-                    js = sorted(set(js))
-                for J in js:
-                    for rc, rt in _j_galleries(
-                        b, chambers[p], chambers[r], J, max_replace
-                    ):
-                        cand = (
-                            chambers[:p] + rc + chambers[r + 1:],
-                            types[:p] + rt + types[r:],
-                        )
-                        if cand == target:
-                            return TrivialityVerdict(
-                                PROVEN_TRIVIAL, certificate=len(seen)
-                            )
-                        if cand not in seen:
-                            seen.add(cand)
-                            queue.append(cand)
-    return TrivialityVerdict(INCONCLUSIVE, certificate=len(seen))
 
 
 def _bfs_forest(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, int]:
@@ -536,9 +422,6 @@ class Filtration:
     codistance: Codistance
     levels: list[frozenset]                  # C_0 .. C_max (C_max = all chambers)
     witnesses: dict[int, int] = field(default_factory=dict)  # level -> generator
-
-    def level_of(self, c: int) -> int:
-        return self.codistance(c)  # ShortLex id doubles as the injection value
 
 
 def residual_filtration(f: Codistance, validate: bool = True) -> Filtration:

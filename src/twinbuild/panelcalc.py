@@ -1,4 +1,4 @@
-"""The panel calculus: the graph of mutually opposite panels, compatible
+"""The panel calculus: panels opposite in a rank-2 residue, compatible
 paths, the transported panels pi(P, w), and the bijections beta.
 
 Panels are ResidueRef views of rank 1.  The central objects are the sets
@@ -18,7 +18,6 @@ from .chambersys import Building, ResidueRef
 from .codistance import Codistance, fop_c, panels_op, unique_chamber
 from .errors import (
     HomotopyInconclusive,
-    NoWitnessPair,
     NotAdjacent,
     NotEquivalent,
     NotInResidue,
@@ -70,35 +69,6 @@ def residue_between(b: Building, P: ResidueRef, Q: ResidueRef) -> Optional[Resid
         if b.opposite_residues(R, P, Q):
             return R
     return None
-
-
-class PanelGraph:
-    """Panels of the building, two being adjacent when they are opposite in
-    a (necessarily unique) common rank-2 residue."""
-
-    def __init__(self, b: Building) -> None:
-        self.building = b
-        self.nodes: list[ResidueRef] = sorted(
-            (P for s in range(b.system.rank) for P in b.all_panels(s)),
-            key=panel_key,
-        )
-        self.edge_residue: dict[frozenset, ResidueRef] = {}
-        self._adj: dict[ResidueRef, list[ResidueRef]] = {P: [] for P in self.nodes}
-        for i, P in enumerate(self.nodes):
-            for Q in self.nodes[i + 1:]:
-                R = residue_between(b, P, Q)
-                if R is not None:
-                    self.edge_residue[frozenset((P, Q))] = R
-                    self._adj[P].append(Q)
-                    self._adj[Q].append(P)
-        for P in self._adj:
-            self._adj[P].sort(key=panel_key)
-
-    def neighbors(self, P: ResidueRef) -> list[ResidueRef]:
-        return self._adj[P]
-
-    def adjacent(self, P: ResidueRef, Q: ResidueRef) -> bool:
-        return frozenset((P, Q)) in self.edge_residue
 
 
 def is_compatible_path(b: Building, path: Sequence[ResidueRef]) -> bool:
@@ -198,23 +168,6 @@ def l_c(b: Building, P: ResidueRef, Q: ResidueRef) -> int:
     return len(compatible_path(b, P, Q)) - 1
 
 
-def l_c_of_w(b: Building, w: int, s: int) -> int:
-    """l_c of any pair of parallel panels at Weyl distance w, the first
-    panel of type s."""
-    table = b.weyl
-    ok, t = table.in_X_s(w, s)
-    if not ok:
-        raise PreconditionFailed(f"{table.word_str(w)} is not in X_{s}")
-    for P in b.all_panels(s):
-        x = P.base
-        target = {y for y in range(b.n) if b.delta(x, y) == w}
-        for y in sorted(target):
-            Q = b.panel(y, t)
-            if b.are_parallel(P, Q) and delta_panels(b, P, Q) == w:
-                return l_c(b, P, Q)
-    raise NoWitnessPair(f"no parallel pair at distance {table.word_str(w)}")
-
-
 # -- panels in f^op and the bijections ---------------------------------------
 
 
@@ -243,25 +196,6 @@ def pi(f: Codistance, P: ResidueRef, w: int) -> ResidueRef:
     return b.panel(unique_chamber(f, gap[0], w), t)
 
 
-def reverse_pi(f: Codistance, Q: ResidueRef) -> ResidueRef:
-    """An s-panel P meeting f^op with Q = pi(P, w), w the shorter f-value
-    on Q."""
-    b = f.building
-    table = b.weyl
-    t = panel_type(Q)
-    vals = sorted({f(x) for x in Q.chambers()}, key=lambda v: table.length[v])
-    w = vals[0]
-    s = table.gen_index(table.mult(table.mult(w, table.gen(t)), table.inv(w)))
-    if s is None:
-        raise PreconditionFailed("w t w^-1 is not a generator")
-    x = min(y for y in Q.chambers() if f(y) == w)
-    ys = fop_c(f, x)
-    if not ys:
-        raise PreconditionFailed("no chamber of f^op realizes f at x")
-    P = b.panel(min(ys), s)
-    return P
-
-
 @dataclass
 class PanelBijection:
     source: ResidueRef
@@ -286,19 +220,10 @@ class PanelBijection:
             {c: self.mapping[v] for c, v in other.mapping.items()},
         )
 
-    def inverse(self) -> "PanelBijection":
-        return PanelBijection(
-            self.target, self.source, {v: c for c, v in self.mapping.items()}
-        )
-
     def is_identity(self) -> bool:
         return self.source == self.target and all(
             c == v for c, v in self.mapping.items()
         )
-
-
-def identity_bijection(P: ResidueRef) -> PanelBijection:
-    return PanelBijection(P, P, {c: c for c in P.chambers()})
 
 
 def beta_w(f: Codistance, P: ResidueRef, Q: ResidueRef, w: int) -> PanelBijection:

@@ -20,7 +20,6 @@ from typing import Iterable, Optional
 from .chambersys import Building, ChamberSystem, ResidueRef, validate_building
 from .codistance import Codistance, panels_op, proj_f, validate_codistance
 from .errors import (
-    BuildingMismatch,
     CapExceeded,
     PreconditionFailed,
     TwinbuildError,
@@ -35,13 +34,6 @@ DEFAULT_ATLAS_CAP = 50_000
 
 class TwinViolation(TwinbuildError):
     """The atlas closure put one member into two distinct s-panels."""
-
-
-def s_adjacent(f: Codistance, g: Codistance, s: int) -> bool:
-    """Equality of the s-panel opposition sets."""
-    if f.building is not g.building:
-        raise BuildingMismatch("codistances live on different buildings")
-    return panels_op(f, s) == panels_op(g, s)
 
 
 def adjacent_codistances(
@@ -224,20 +216,29 @@ def alpha_check(
     bijective = sorted(alpha.values()) == sorted(R.chambers())
     if not bijective:
         witnesses.append(("bijection", sorted(alpha.values())))
+    # alpha matches adjacency when the s-panels of the members and the
+    # sbar-panels of their images partition tilde alike: every member's
+    # label of one kind agrees with that of the first member sharing its
+    # label of the other kind
     adjacency_ok = True
-    panel_of = atlas.plus.system.panel_of
     for s in sorted(J):
-        sbar = table.gen_index(table.conj_by(rJ, s))
-        for j1 in tilde:
-            for j2 in tilde:
-                lhs = panel_of[s][j1] == panel_of[s][j2]
-                rhs = (
-                    b.system.panel_of[sbar][alpha[j1]]
-                    == b.system.panel_of[sbar][alpha[j2]]
-                )
-                if lhs != rhs:
-                    adjacency_ok = False
-                    witnesses.append(("adjacency", s, j1, j2))
+        plus_panel = atlas.plus.system.panel_of[s]
+        minus_panel = b.system.panel_of[table.gen_index(table.conj_by(rJ, s))]
+        first_plus: dict[int, int] = {}
+        first_minus: dict[int, int] = {}
+        for j in tilde:
+            lp, lm = plus_panel[j], minus_panel[alpha[j]]
+            jp = first_plus.setdefault(lp, j)
+            jm = first_minus.setdefault(lm, j)
+            if minus_panel[alpha[jp]] != lm:
+                j0 = jp
+            elif plus_panel[jm] != lp:
+                j0 = jm
+            else:
+                continue
+            adjacency_ok = False
+            witnesses.append(("adjacency", s, j0, j))
+            break
     opposition_ok = True
     for j in tilde:
         values = atlas.members[j].values
@@ -279,17 +280,6 @@ class TwinAssembly:
     def costar(self, i: int, c: int) -> int:
         """delta*(member i of B+, chamber c of B-)."""
         return self.atlas.members[i](c)
-
-    def costar_rev(self, c: int, i: int) -> int:
-        """delta*(chamber c of B-, member i of B+)."""
-        return self.atlas.minus_rows[c][i]
-
-    def opposition(self) -> set[tuple[int, int]]:
-        return {
-            (i, c)
-            for i, g in enumerate(self.atlas.members)
-            for c in g.fop()
-        }
 
 
 def _halves(minus: Building, plus: Building, atlas: CodistanceAtlas):

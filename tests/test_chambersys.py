@@ -35,7 +35,7 @@ def test_validate_fixtures(fano, digon33, sp42, thin_a3):
         assert b.system.is_thick()
     report = validate_building(thin_a3)
     assert report.ok
-    assert thin_a3.system.is_thin()
+    assert all(len(p) == 2 for fam in thin_a3.system.panels for p in fam)
 
 
 def test_delta_symmetry_and_length(fano):

@@ -132,7 +132,7 @@ def test_gen_unsupported_q(tmp_path):
     (["thin", "--type", "a3"], EXIT_PASS, "wrote thin_pxlxh: 24 chambers, rank 3\n", ""),
     (["digon", "--a", "1"], EXIT_INPUT, "", "input error: digon sizes must be >= 2\n"),
     (["pg2", "--q", "4"], EXIT_INPUT, "",
-     "input error: q=4 not supported (prime fields F2, F3 only)\n"),
+     "input error: q=4 not supported (prime q only)\n"),
 ])
 def test_gen_output(tmp_path, capsys, argv, code, out, err):
     assert main(["gen", *argv, "-o", str(tmp_path / "b.bld")]) == code

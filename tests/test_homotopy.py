@@ -1,4 +1,4 @@
-"""Gallery homotopy, connectivity certificates, and residual filtrations."""
+"""Connectivity certificates, local conditions, and residual filtrations."""
 
 import random
 
@@ -6,34 +6,23 @@ import pytest
 
 from twinbuild.catalog import gen_thin, matrix_A1, product
 from twinbuild.codistance import Codistance, from_opposite_chamber
-from twinbuild.errors import EndpointMismatch, NotConnected
+from twinbuild.errors import NotConnected
 from twinbuild.homotopy import (
     FiltrationViolation,
-    Gallery,
-    INCONCLUSIVE,
     PROVEN_NONTRIVIAL,
     PROVEN_TRIVIAL,
     check_lco,
     check_lsco,
     connected,
-    elementary_2_homotopic,
     opposite_set,
     residual_filtration,
     simply_2_connected,
-    two_homotopic,
 )
 
 
 def step(b, c, s):
     """The first chamber other than c in the s-panel of c."""
     return next(z for z in b.system.panel_members(c, s) if z != c)
-
-
-def walk(b, start, types):
-    chambers = [start]
-    for s in types:
-        chambers.append(step(b, chambers[-1], s))
-    return Gallery.check(b, chambers, types)
 
 
 def coxeter_cycle(b):
@@ -46,113 +35,6 @@ def coxeter_cycle(b):
             if c == 0:
                 return orbit
             orbit.append(c)
-
-
-# -- galleries ----------------------------------------------------------------
-
-
-def test_gallery_check_accepts_panel_walk(fano):
-    g = walk(fano, 0, [0, 1, 0])
-    assert g.start == 0
-    assert len(g) == 3
-
-
-def test_gallery_check_rejects_non_adjacent(fano):
-    far = next(
-        c for c in range(fano.n) if fano.ldist(0, c) > 1
-    )
-    with pytest.raises(ValueError):
-        Gallery.check(fano, [0, far], [0])
-
-
-def test_gallery_shape_mismatch():
-    with pytest.raises(ValueError):
-        Gallery((0, 1, 2), (0,))
-
-
-# -- elementary 2-homotopy ----------------------------------------------------
-
-
-def test_identical_galleries_elementary(fano):
-    g = walk(fano, 0, [0, 1])
-    assert elementary_2_homotopic(g, g)
-
-
-def test_rank2_detour_is_elementary(fano):
-    # replace the first step 0 ~0~ m with a two-step tour of the 0-panel
-    g = walk(fano, 0, [0, 1])
-    m = g.chambers[1]
-    m2 = next(
-        z for z in fano.system.panel_members(0, 0) if z not in (0, m)
-    )
-    h = Gallery.check(fano, [0, m2, m, g.chambers[2]], [0, 0, 1])
-    assert elementary_2_homotopic(g, h)
-    assert elementary_2_homotopic(h, g)
-
-
-def test_three_type_middles_are_not_elementary(thin_a1cubed):
-    # in the thin A1 x A1 x A1 building the generators commute, so the
-    # reversed type sequence reaches the same endpoint
-    b = thin_a1cubed
-    g = walk(b, 0, [0, 1, 2])
-    h = walk(b, 0, [2, 1, 0])
-    assert g.end == h.end
-    assert g.chambers != h.chambers
-    assert not elementary_2_homotopic(g, h)
-
-
-def test_two_homotopic_identity(fano):
-    g = walk(fano, 0, [0, 1, 0])
-    v = two_homotopic(g, g, b=fano)
-    assert v.status == PROVEN_TRIVIAL
-
-
-def test_two_homotopic_requires_shared_endpoints(fano):
-    g = walk(fano, 0, [0, 1])
-    h = walk(fano, 0, [1, 0])
-    if g.end == h.end:
-        pytest.skip("chose galleries with equal endpoints")
-    with pytest.raises(EndpointMismatch):
-        two_homotopic(g, h, b=fano)
-
-
-def test_two_homotopic_in_rank2_building(fano):
-    # the whole building is one rank-2 residue, so any two galleries with
-    # the same endpoints are one elementary move apart
-    g = walk(fano, 0, [0, 1, 0])
-    target = g.end
-    h = None
-    for types in ([1, 0, 1], [0, 1, 0]):
-        for cand_ch in _all_walks(fano, 0, types):
-            if cand_ch[-1] == target and cand_ch != g.chambers:
-                h = Gallery.check(fano, cand_ch, types)
-                break
-        if h is not None:
-            break
-    assert h is not None
-    v = two_homotopic(g, h, b=fano)
-    assert v.status == PROVEN_TRIVIAL
-
-
-def _all_walks(b, start, types):
-    partial = [(start,)]
-    for s in types:
-        nxt = []
-        for ch in partial:
-            for z in b.system.panel_members(ch[-1], s):
-                if z != ch[-1]:
-                    nxt.append(ch + (z,))
-        partial = nxt
-    return partial
-
-
-def test_two_homotopic_bounded_exploration(thin_a3):
-    b = thin_a3
-    g = walk(b, 0, [0, 1, 2, 0, 1, 2])
-    h = walk(b, 0, [0, 1, 2, 0, 1, 2, 2, 2])
-    assert g.end == h.end
-    v = two_homotopic(g, h, bound=1, b=b, max_replace=1)
-    assert v.status == INCONCLUSIVE
 
 
 # -- connectivity -------------------------------------------------------------
@@ -270,10 +152,11 @@ def test_filtration_levels(fano):
 
 
 def test_filtration_level_of(fano):
+    # a chamber enters the filtration at its f-value id
     f = from_opposite_chamber(fano, 0)
     filt = residual_filtration(f)
     for c in range(fano.n):
-        lvl = filt.level_of(c)
+        lvl = f.values[c]
         assert c in filt.levels[lvl]
         assert lvl == 0 or c not in filt.levels[lvl - 1]
 

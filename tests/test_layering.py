@@ -4,14 +4,21 @@ A module of ``src/twinbuild`` keeps its private (underscore) names to
 itself: no module imports one from a sibling, and no module reaches into a
 private attribute of an object unless a class of that same module assigns
 that attribute.  A fact two modules need is given a public name by its owner.
+
+Every public function, class and method of the package is reached from
+outside its own definition: from another module, from its own module, from
+the acceptance tests, or from the benchmark under ``perfbench/``.  A name
+only unit tests call is a second API to keep in step with the pipeline.
 """
 
 import ast
 import os
+import re
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "twinbuild")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "twinbuild")
 
 
 def private(name):
@@ -58,10 +65,14 @@ def crossings(source):
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 
 
+def read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_takes_a_private_name_from_another(module):
-    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
-        assert crossings(fh.read()) == []
+    assert crossings(read(os.path.join(SRC, module))) == []
 
 
 def test_crossings_are_found():
@@ -82,3 +93,98 @@ def test_crossings_are_found():
         (2, "imports _helper from twinbuild.chambersys"),
         (10, "reads g._psop_cache"),
     ]
+
+
+# -- unreached public names ---------------------------------------------------
+
+
+def named(tree, strings=False, skip=None):
+    """The names a tree mentions: Name ids, imported names, and Attribute
+    attrs, these also as ``.attr``; with ``strings``, every word of a string
+    constant both ways.  Nodes inside ``skip`` do not count."""
+    hidden = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in hidden:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.update((node.attr, "." + node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(a.name.rpartition(".")[2] for a in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for word in re.findall(r"\w+", node.value):
+                found.update((word, "." + word))
+    return found
+
+
+def definitions(tree):
+    """(qualified name, node) of each public top-level function and class
+    and of each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef):
+                    yield f"{node.name}.{m.name}", m
+
+
+def unreached(sources, external):
+    """(module, qualified name) of each public definition in ``sources``
+    ({module: source}) that neither another module, nor its own module
+    outside the definition, nor the set ``external`` names.  A method is
+    named only as an attribute: a bare name of the same spelling is some
+    other variable."""
+    trees = {m: ast.parse(src) for m, src in sources.items()}
+    mentions = {m: named(tree) for m, tree in trees.items()}
+    found = []
+    for m, tree in trees.items():
+        others = set().union(*(v for k, v in mentions.items() if k != m))
+        for qualname, node in definitions(tree):
+            _, dot, name = qualname.rpartition(".")
+            key = dot + name
+            if name.startswith("_") or key in others or key in external:
+                continue
+            if key not in named(tree, skip=node):
+                found.append((m, qualname))
+    return found
+
+
+def test_every_public_name_is_reached():
+    # the benchmark's tracer names its targets by string
+    external = named(ast.parse(read(os.path.join(ROOT, "tests", "test_acceptance.py"))))
+    for folder, _, files in os.walk(os.path.join(ROOT, "perfbench")):
+        for name in files:
+            if name.endswith(".py"):
+                tree = ast.parse(read(os.path.join(folder, name)))
+                external |= named(tree, strings=True)
+    sources = {m: read(os.path.join(SRC, m)) for m in MODULES}
+    assert unreached(sources, external) == []
+
+
+def test_unreached_names_are_found():
+    sources = {
+        "a.py": (
+            "def used():\n"
+            "    return spare\n"
+            "def spare():\n"
+            "    return spare()\n"
+            "def lonely():\n"
+            "    return lonely()\n"
+            "class K:\n"
+            "    def m(self):\n"
+            "        return self.k\n"
+            "    def k(self):\n"
+            "        pass\n"
+            "    def n(self):\n"
+            "        return n\n"
+            "    def _p(self):\n"
+            "        pass\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+        ),
+        "b.py": "from .a import used\nused().m\nn = 1\n",
+    }
+    assert unreached(sources, {"K"}) == [("a.py", "lonely"), ("a.py", "K.n")]

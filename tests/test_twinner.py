@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -23,12 +23,12 @@ from twinbuild.codistance import (
 )
 from twinbuild.coxeter import WeylTable, enumerate_weyl
 from twinbuild.errors import (
-    BuildingMismatch,
     NotOpposite,
     PreconditionFailed,
     TwinbuildError,
 )
 from twinbuild.panelcalc import beta, panel_key, panels_op, panels_op_c
+import twinbuild.twinner as twinner
 from twinbuild.twinner import (
     CodistanceAtlas,
     _check_plus_star,
@@ -40,7 +40,6 @@ from twinbuild.twinner import (
     assemble_twin,
     atlas_component,
     beta_maps,
-    s_adjacent,
 )
 
 
@@ -71,19 +70,6 @@ def digon_twin(digon33, digon_atlas):
 # -- adjacency ----------------------------------------------------------------
 
 
-def test_s_adjacent_is_reflexive(fano):
-    f = from_opposite_chamber(fano, 0)
-    for s in range(2):
-        assert s_adjacent(f, f, s)
-
-
-def test_s_adjacent_rejects_different_buildings(fano, digon33):
-    f = from_opposite_chamber(fano, 0)
-    g = from_opposite_chamber(digon33, 0)
-    with pytest.raises(BuildingMismatch):
-        s_adjacent(f, g, 0)
-
-
 def test_adjacent_codistance_basic_properties(fano):
     b = fano
     table = b.weyl
@@ -96,7 +82,7 @@ def test_adjacent_codistance_basic_properties(fano):
                 continue
             g = adjacent_codistance(f, s, Ptilde, p)
             results.add(g)
-            assert s_adjacent(f, g, s)
+            assert panels_op(g, s) == panels_op(f, s)
             for c in range(b.n):
                 assert g(c) in (f(c), table.left[f(c)][s])
         # one distinct panel mate per fop chamber of the base panel, and
@@ -207,14 +193,15 @@ def test_atlas_panels_partition(fano_atlas):
 
 def test_atlas_panel_mates_are_adjacent(fano_atlas):
     f, atlas = fano_atlas
+    # s-adjacent members are those with the same s-panels meeting f^op
     for s, fam in enumerate(atlas.panels):
         for pan in fam:
             for i, j in itertools.combinations(pan, 2):
-                assert s_adjacent(atlas.members[i], atlas.members[j], s)
+                assert panels_op(atlas.members[i], s) == panels_op(atlas.members[j], s)
         # members in different panels are not s-adjacent
         for pan1, pan2 in itertools.combinations(fam, 2):
-            assert not s_adjacent(
-                atlas.members[pan1[0]], atlas.members[pan2[0]], s
+            assert panels_op(atlas.members[pan1[0]], s) != panels_op(
+                atlas.members[pan2[0]], s
             )
 
 
@@ -302,6 +289,117 @@ def test_alpha_check_all_types(fano_atlas):
             assert report.ok, report.witnesses
 
 
+def alpha_adjacency_reference(atlas, i, J, R):
+    """The adjacency failures (s, j1, j2) of alpha on the atlas J-residue of
+    member i, by the definition: every ordered pair of members, per s in J,
+    lies in one s-panel exactly when its images lie in one sbar-panel of R,
+    sbar = r_J s r_J."""
+    b = atlas.building
+    table = b.weyl
+    rJ = table.longest_element(J)
+    tilde = atlas.residue_members(i, J)
+    alpha = {j: proj_f(atlas.members[j], R) for j in tilde}
+    panel_of = atlas.plus.system.panel_of
+    failures = []
+    for s in sorted(J):
+        sbar = table.gen_index(table.conj_by(rJ, s))
+        for j1 in tilde:
+            for j2 in tilde:
+                lhs = panel_of[s][j1] == panel_of[s][j2]
+                rhs = (
+                    b.system.panel_of[sbar][alpha[j1]]
+                    == b.system.panel_of[sbar][alpha[j2]]
+                )
+                if lhs != rhs:
+                    failures.append((s, j1, j2))
+    return failures
+
+
+def assert_alpha_matches_reference(atlas, i, J, R):
+    report = alpha_check(atlas, i, J, R=R)
+    failures = alpha_adjacency_reference(atlas, i, J, R)
+    assert report.adjacency_ok == (not failures)
+    assert report.ok == (report.bijective and not failures and report.opposition_ok)
+    found = [w[1:] for w in report.witnesses if w[0] == "adjacency"]
+    # one witness per failing type, each a pair the definition reports
+    assert set(found) <= set(failures)
+    assert sorted(s for s, _, _ in found) == sorted({s for s, _, _ in failures})
+    return report
+
+
+@pytest.mark.parametrize("fixture", ["pg23", "sp43"])
+def test_alpha_check_matches_reference_in_assembly(request, monkeypatch, fixture):
+    # every alpha_check call that assemble_twin makes
+    b = request.getfixturevalue(fixture)
+    f = from_opposite_chamber(b, 0)
+    atlas = atlas_component(f)
+    calls = []
+
+    def recording(atlas, i, J, R=None):
+        report = alpha_check(atlas, i, J, R=R)
+        calls.append((i, J, R))
+        return report
+
+    monkeypatch.setattr(twinner, "alpha_check", recording)
+    assert assemble_twin(atlas, b, seed=f).report.ok
+    assert calls
+    for i, J, R in calls:
+        assert assert_alpha_matches_reference(atlas, i, J, R).ok
+
+
+def corrupt_panels(rng, fam):
+    """One seeded change to a family of member panels: two members swapped
+    between panels, two panels merged, or one panel split in two."""
+    fam = list(fam)
+    kind = rng.choice(("swap", "merge", "split"))
+    p1, p2 = rng.sample(range(len(fam)), 2)
+    if kind == "swap":
+        a, c = rng.choice(fam[p1]), rng.choice(fam[p2])
+        swap = {a: c, c: a}
+        for p in (p1, p2):
+            fam[p] = tuple(sorted(swap.get(j, j) for j in fam[p]))
+    elif kind == "merge":
+        fam[p1] = tuple(sorted(fam[p1] + fam[p2]))
+        del fam[p2]
+    else:
+        members = rng.sample(fam[p1], len(fam[p1]))
+        half = len(members) // 2
+        fam[p1] = tuple(sorted(members[:half]))
+        fam.append(tuple(sorted(members[half:])))
+    return kind, fam
+
+
+@pytest.mark.parametrize("fixture, kinds", [
+    # two lines of a projective plane meet, so merging two panels of pg2(3)
+    # always makes two members adjacent for both types
+    ("pg23", {"swap", "split"}),
+    ("sp43", {"swap", "merge", "split"}),
+], ids=["pg23", "sp43"])
+def test_alpha_check_rejects_corrupted_atlas_panels(request, fixture, kinds):
+    # a swap changes both partitions' classes, a merge makes the members'
+    # s-panels coarser than their images' panels and a split makes them
+    # finer; each breaks adjacency on the whole building, the one rank-2
+    # residue, and alpha_check says so
+    b = request.getfixturevalue(fixture)
+    f = from_opposite_chamber(b, 0)
+    atlas = atlas_component(f)
+    J = frozenset((0, 1))
+    rng = random.Random(fixture)
+    seen = Counter()
+    for _ in range(30):
+        s = rng.randrange(2)
+        kind, fam = corrupt_panels(rng, atlas.panels[s])
+        panels = [fam if t == s else atlas.panels[t] for t in range(2)]
+        try:
+            bad = CodistanceAtlas(b, atlas.members, panels)
+        except ValueError:
+            continue  # two members would share panels of both types
+        seen[kind] += 1
+        report = assert_alpha_matches_reference(bad, 0, J, b.residue(0, J))
+        assert report.bijective and not report.adjacency_ok
+    assert set(seen) == kinds
+
+
 def test_twin_report_all_green(fano_twin, digon_twin):
     for tw in (fano_twin, digon_twin):
         r = tw.report
@@ -318,11 +416,16 @@ def test_twin_costar_extends_seed(fano, fano_twin):
 
 
 def test_twin_opposition_relation(fano, fano_twin):
+    # member i and chamber c are opposite when delta*(i, c) = 1
     tw = fano_twin
-    O = tw.opposition()
+    O = {
+        (i, c)
+        for i in range(len(tw.atlas.members))
+        for c in range(fano.n)
+        if tw.costar(i, c) == 0
+    }
     for i, g in enumerate(tw.atlas.members):
-        for c in range(fano.n):
-            assert ((i, c) in O) == (g(c) == 0)
+        assert {c for j, c in O if j == i} == g.fop_set()
     # every chamber on either side has an opposite
     assert {i for i, _ in O} == set(range(len(tw.atlas.members)))
     assert {c for _, c in O} == set(range(fano.n))
@@ -333,7 +436,7 @@ def test_twin_costar_rev_is_inverse_value(fano, fano_twin):
     table = fano.weyl
     for i in range(len(tw.atlas.members)):
         for c in range(fano.n):
-            assert tw.costar_rev(c, i) == table.inv(tw.costar(i, c))
+            assert tw.atlas.minus_rows[c][i] == table.inv(tw.costar(i, c))
 
 
 def test_twin_checks_read_the_costar_tables(monkeypatch, fano, fano_atlas):
