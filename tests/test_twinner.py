@@ -28,7 +28,6 @@ from twinbuild.errors import (
     TwinbuildError,
 )
 from twinbuild.panelcalc import beta, panel_key, panels_op, panels_op_c
-import twinbuild.twinner as twinner
 from twinbuild.twinner import (
     CodistanceAtlas,
     _check_plus_star,
@@ -340,7 +339,7 @@ def test_alpha_check_matches_reference_in_assembly(request, monkeypatch, fixture
         calls.append((i, J, R))
         return report
 
-    monkeypatch.setattr(twinner, "alpha_check", recording)
+    monkeypatch.setattr("twinbuild.twinner.alpha_check", recording)
     assert assemble_twin(atlas, b, seed=f).report.ok
     assert calls
     for i, J, R in calls:
