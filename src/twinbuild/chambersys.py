@@ -2,13 +2,13 @@
 
 A Building wraps a ChamberSystem together with the Weyl-valued distance
 delta computed from minimal galleries.  Each residue is one interned
-ResidueRef carrying its chambers; its closure is computed once and the ref
-is stored under every one of its chambers, so finding the residue of a
-chamber is a lookup.  The full delta table is computed once, eagerly, one
-row per chamber: validation reads every row anyway, and computing row 0
-checks that the chamber system is gallery-connected.  Building validation
-is the Bu1-Bu3 pass of ``validate_building``; those axioms imply that delta
-is symmetric and that its length is the gallery distance.
+ResidueRef carrying its chambers, kept in the partition of its type J: the
+J-residues by least chamber and a chamber -> residue-index list, built in
+one sweep when J is first asked for.  The delta table is computed eagerly,
+one row per chamber: validation reads every row anyway, and row 0 checks
+that the chamber system is gallery-connected.  Building validation is the
+Bu1-Bu3 pass of ``validate_building``; those axioms imply that delta is
+symmetric and that its length is the gallery distance.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ class ChamberSystem:
     panel_of: list[list[int]] = field(init=False)  # per generator: chamber -> panel idx
     # per chamber: (s, d) for every d != c adjacent to c, by type, then by panel order
     adjacency: list[tuple[tuple[int, int], ...]] = field(init=False, repr=False)
-    _successors: Optional[list] = field(init=False, default=None, repr=False, compare=False)
+    # per generator: gathers, for each chamber, the next chamber of its panel,
+    # cyclically (a tuple, as a panel has at least 2 chambers)
+    successors: list[itemgetter] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rank = self.weyl.rank
@@ -71,11 +73,14 @@ class ChamberSystem:
                                 f"chambers {a},{b} adjacent for types {prev} and {s}"
                             )
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        nxt = [[0] * self.n for _ in range(rank)]
         for s in range(rank):
             for p in self.panels[s]:
-                for c in p:
-                    adjacency[c].extend((s, d) for d in p if d != c)
+                for c, d in zip(p, p[1:] + p[:1]):
+                    adjacency[c].extend((s, e) for e in p if e != c)
+                    nxt[s][c] = d
         self.adjacency = [tuple(a) for a in adjacency]
+        self.successors = [itemgetter(*row) for row in nxt]
 
     @property
     def rank(self) -> int:
@@ -83,19 +88,6 @@ class ChamberSystem:
 
     def panel_members(self, c: int, s: int) -> tuple[int, ...]:
         return self.panels[s][self.panel_of[s][c]]
-
-    def successor(self, s: int) -> itemgetter:
-        """Gathers, for each chamber, the next chamber of its s-panel,
-        cyclically; built once.  There are at least 2 chambers, so it
-        gathers a tuple."""
-        if self._successors is None:
-            nxt = [[0] * self.n for _ in self.panels]
-            for t, fam in enumerate(self.panels):
-                for p in fam:
-                    for a, b in zip(p, p[1:] + p[:1]):
-                        nxt[t][a] = b
-            self._successors = [itemgetter(*row) for row in nxt]
-        return self._successors[s]
 
     def is_thick(self) -> bool:
         return all(len(p) >= 3 for fam in self.panels for p in fam)
@@ -111,10 +103,10 @@ class ResidueRef:
     """The J-residue containing ``base`` (base = least chamber), with its
     chambers in ascending order.
 
-    ``Building.residue`` is the only place a ResidueRef is made, and it makes
-    one per residue, returned for every chamber of it.  So a ResidueRef is
-    the residue's interned id: equality and hashing are object identity,
-    and refs of different Building objects are never equal.
+    ``Building.partition`` is the only place a ResidueRef is made, and it
+    makes one per residue, returned for every chamber of it.  So a
+    ResidueRef is the residue's interned id: equality and hashing are object
+    identity, and refs of different Building objects are never equal.
     """
 
     building: "Building"
@@ -162,8 +154,8 @@ class Building:
         self.weyl = system.weyl
         self.name = name
         self.n = system.n
-        # (J, c) -> the J-residue of c, one object for every chamber c of it
-        self._residues: dict[tuple[frozenset, int], ResidueRef] = {}
+        # J -> (the J-residues by base, chamber -> index of its J-residue)
+        self._partitions: dict[frozenset, tuple[list[ResidueRef], list[int]]] = {}
         # rows[x][y] = delta(x, y); every row reaches every chamber once row 0
         # does, so connectivity is checked on row 0 alone
         row0 = self._compute_row(0)
@@ -196,30 +188,37 @@ class Building:
 
     # -- residues ----------------------------------------------------------
 
-    def _closure(self, c: int, J: frozenset[int]) -> tuple[int, ...]:
-        seen = {c}
-        queue = deque([c])
-        while queue:
-            y = queue.popleft()
-            for s in J:
-                for z in self.system.panel_members(y, s):
-                    if z not in seen:
-                        seen.add(z)
-                        queue.append(z)
-        return tuple(sorted(seen))
+    def partition(self, J: Iterable[int]) -> tuple[list[ResidueRef], list[int]]:
+        """The J-residues in ascending order of their least chamber, and for
+        each chamber the index of its J-residue; built once per J.
+
+        The sweep meets each residue first at its least chamber, which no
+        earlier residue has labelled, and labels the rest of it from there."""
+        J = frozenset(J)
+        part = self._partitions.get(J)
+        if part is None:
+            residues: list[ResidueRef] = []
+            index = [-1] * self.n
+            for c in range(self.n):
+                if index[c] == -1:
+                    index[c] = len(residues)
+                    members = [c]
+                    for y in members:
+                        for s, z in self.system.adjacency[y]:
+                            if s in J and index[z] == -1:
+                                index[z] = index[c]
+                                members.append(z)
+                    members.sort()
+                    residues.append(ResidueRef(self, J, c, tuple(members), frozenset(members)))
+            part = self._partitions[J] = (residues, index)
+        return part
 
     def residue(self, c: int, J: Iterable[int]) -> ResidueRef:
-        J = frozenset(J)
-        R = self._residues.get((J, c))
-        if R is None:
-            members = self._closure(c, J)
-            R = ResidueRef(self, J, members[0], members, frozenset(members))
-            for x in members:
-                self._residues[(J, x)] = R
-        return R
+        residues, index = self.partition(J)
+        return residues[index[c]]
 
     def panel(self, c: int, s: int) -> ResidueRef:
-        return self.residue(c, frozenset((s,)))
+        return self.residue(c, (s,))
 
     def all_panels(self, s: int) -> list[ResidueRef]:
         return self.residues_of_type((s,))
@@ -232,8 +231,7 @@ class Building:
 
     def residues_of_type(self, J: Iterable[int]) -> list[ResidueRef]:
         """The J-residues in ascending order of their least chamber."""
-        J = frozenset(J)
-        return list(dict.fromkeys(self.residue(c, J) for c in range(self.n)))
+        return list(self.partition(J)[0])
 
     # -- projections -------------------------------------------------------
 
@@ -312,8 +310,8 @@ def panel_axiom(
     (or the shorter) value, meet each panel once exactly when they are as
     many as the panels and lie in distinct ones.  A panel has at least 2
     chambers, so it then holds both values; the converse is plain."""
-    floors = tuple(map(system.weyl.floor(s).__getitem__, values))
-    if system.successor(s)(floors) != floors:
+    floors = tuple(map(system.weyl.floors[s].__getitem__, values))
+    if system.successors[s](floors) != floors:
         return False
     marks = map(ne if longer else eq, values, floors)
     marked = list(compress(system.panel_of[s], marks))

@@ -251,7 +251,7 @@ def _cmd_validate_building(args) -> int:
 
 
 def _cmd_validate_codistance(args) -> int:
-    b = parse_building(_read(args.building))
+    b = _read_building(args.building)
     f = parse_codistance(_read(args.file), b)
     report = validate_codistance(f)
     if report.ok:
@@ -265,7 +265,7 @@ def _cmd_validate_codistance(args) -> int:
 
 
 def _cmd_from_opposite(args) -> int:
-    b = parse_building(_read(args.building))
+    b = _read_building(args.building)
     if not 0 <= args.chamber < b.n:
         raise FormatError(f"chamber {args.chamber} out of range")
     f = from_opposite_chamber(b, args.chamber)
@@ -275,7 +275,7 @@ def _cmd_from_opposite(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    b = parse_building(_read(args.building))
+    b = _read_building(args.building)
     if args.condition == "lco":
         report = check_lco(b)
         key = "LCO"
@@ -298,7 +298,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fop(args) -> int:
-    b = parse_building(_read(args.building))
+    b = _read_building(args.building)
     f = _read_codistance(args.codistance, b)
     fop = f.fop()
     print("fop " + " ".join(str(c) for c in fop))

@@ -169,11 +169,12 @@ def fop_c(f: Codistance, c: int) -> tuple[int, ...]:
 
 
 def panels_op(f: Codistance, s: int) -> tuple[ResidueRef, ...]:
-    """The s-panels meeting f^op in ascending base, memoized on f."""
+    """The s-panels meeting f^op in ascending base, memoized on f: ascending
+    index in the building's s-partition is ascending base."""
     got = f._psop_cache.get(s)
     if got is None:
-        b = f.building
-        got = tuple(sorted({b.panel(x, s) for x in f.fop()}, key=lambda P: P.base))
+        panels, index = f.building.partition((s,))
+        got = tuple(map(panels.__getitem__, sorted(set(map(index.__getitem__, f.fop())))))
         f._psop_cache[s] = got
     return got
 

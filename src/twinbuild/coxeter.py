@@ -114,12 +114,23 @@ class WeylTable:
     right: list[list[int]]
     left: list[list[int]]
     word: list[tuple[int, ...]]
+    inverse: list[int] = field(init=False, repr=False, compare=False)  # by w: w^-1
+    # by s and w: the shorter of w and ws, the smaller id, as ids refine length
+    floors: list[list[int]] = field(init=False, repr=False, compare=False)
     _subgroup_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _longest_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _inverse: Optional[list[int]] = field(default=None, repr=False, compare=False)
-    _floors: Optional[list[list[int]]] = field(default=None, repr=False, compare=False)
     _word_strs: Optional[list[str]] = field(default=None, repr=False, compare=False)
     _word_ids: Optional[dict[str, int]] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # the inverse of w*s is s*(w^-1), and word[w] minus its last letter
+        # is the word of an element with a smaller id
+        self.inverse = [0] * self.size
+        for w in range(1, self.size):
+            s = self.word[w][-1]
+            self.inverse[w] = self.left[self.inverse[self.right[w][s]]][s]
+        self.floors = [[min(w, ws[s]) for w, ws in enumerate(self.right)]
+                       for s in range(self.rank)]
 
     @property
     def rank(self) -> int:
@@ -135,24 +146,7 @@ class WeylTable:
         return w
 
     def inv(self, a: int) -> int:
-        inverse = self._inverse
-        if inverse is None:
-            # the inverse of w*s is s*(w^-1), and word[w] minus its last
-            # letter is the word of an element with a smaller id
-            inverse = [0] * self.size
-            for w in range(1, self.size):
-                s = self.word[w][-1]
-                inverse[w] = self.left[inverse[self.right[w][s]]][s]
-            self._inverse = inverse
-        return inverse[a]
-
-    def floor(self, s: int) -> list[int]:
-        """By w, the shorter of w and ws: the smaller id, as ids refine
-        length.  Built once."""
-        if self._floors is None:
-            self._floors = [[min(w, ws[t]) for w, ws in enumerate(self.right)]
-                            for t in range(self.rank)]
-        return self._floors[s]
+        return self.inverse[a]
 
     def word_strs(self) -> list[str]:
         """The canonical word string of every element by id, ``-`` for the

@@ -123,9 +123,8 @@ class CodistanceAtlas:
     @cached_property
     def minus_rows(self) -> list[tuple[int, ...]]:
         """Row c is delta*(c, member i) = g_i(c)^-1 over the members i: the
-        value vectors transposed and inverted through one inverse list."""
-        table = self.building.weyl
-        inverse = [table.inv(w) for w in range(table.size)]
+        value vectors transposed and inverted through the table's inverse list."""
+        inverse = self.building.weyl.inverse
         return [
             tuple(map(inverse.__getitem__, col))
             for col in zip(*(g.values for g in self.members))
@@ -396,11 +395,11 @@ def assemble_twin(
     small_J = [frozenset((s,)) for s in range(rank)] + [
         frozenset((s, t)) for s in range(rank) for t in range(s + 1, rank)
     ]
+    partitions = [(J, *b.partition(J)) for J in small_J]
     for i, g in enumerate(atlas.members):
-        tildes = [plus.residue(i, J) for J in small_J]
-        for c in g.fop():
-            for J, tilde in zip(small_J, tildes):
-                R = b.residue(c, J)
+        for J, residues, index in partitions:
+            tilde = plus.residue(i, J)
+            for R in map(residues.__getitem__, sorted(set(map(index.__getitem__, g.fop())))):
                 key = (tilde, R)
                 if key in checked:
                     continue

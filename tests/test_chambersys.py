@@ -10,6 +10,7 @@ import pytest
 from twinbuild.catalog import (
     gen_digon,
     gen_pg2,
+    gen_pg3,
     gen_sp4,
     gen_thin,
     matrix_A2,
@@ -24,8 +25,10 @@ from twinbuild.chambersys import (
     ChamberSystem,
     validate_building,
 )
+from twinbuild.codistance import from_opposite_chamber
 from twinbuild.coxeter import CoxeterMatrix, enumerate_weyl
 from twinbuild.errors import Disconnected, NotInResidue
+from twinbuild.twinner import atlas_component
 
 
 def test_validate_fixtures(fano, digon33, sp42, thin_a3):
@@ -421,6 +424,51 @@ def test_residues_of_separate_buildings_differ():
     assert R1.chambers() == R2.chambers() and R1.J == R2.J
     assert R1 != R2
     assert len({R1, R2}) == 2
+
+
+def closure_reference(b: Building, c: int, J) -> tuple[int, ...]:
+    """The chambers of c's J-residue, sorted: a breadth-first search over
+    the J-panels from c alone, one search per chamber."""
+    seen = {c}
+    queue = deque([c])
+    while queue:
+        y = queue.popleft()
+        for s in J:
+            for z in b.system.panel_members(y, s):
+                if z not in seen:
+                    seen.add(z)
+                    queue.append(z)
+    return tuple(sorted(seen))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_thin(matrix_A2()),
+    lambda: gen_pg2(2),
+    lambda: gen_sp4(2),
+    lambda: gen_pg3(2),
+    lambda: product(gen_thin(matrix_A2(("a", "b"))), gen_pg2(2)),
+    lambda: atlas_component(from_opposite_chamber(gen_pg2(3), 0)).plus,
+], ids=["thin_a2", "pg2_2", "sp4_2", "pg3_2", "thin_a2_x_pg2_2", "pg2_3_plus"])
+def test_partition_matches_closure_reference(make):
+    """Every J, the empty set and S included: the partition's residues are
+    the per-chamber closures, each once, by ascending base, and every
+    chamber of a residue gets that same object back."""
+    b = make()
+    rank = b.weyl.rank
+    for J in (frozenset(J) for k in range(rank + 1) for J in combinations(range(rank), k)):
+        closures = [closure_reference(b, c, J) for c in range(b.n)]
+        residues = b.residues_of_type(J)
+        assert [R.chambers() for R in residues] == sorted(set(closures))
+        bases = [R.base for R in residues]
+        assert bases == sorted(bases) and len(set(bases)) == len(bases)
+        for R in residues:
+            assert R.J == J and R.base == min(R.chambers())
+            assert list(R.chambers()) == sorted(R.chambers())
+            assert R.member_set == frozenset(R.chambers())
+            for x in R:
+                assert b.residue(x, J) is R and b.residue(x, sorted(J)) is R
+        for c, closure in enumerate(closures):
+            assert b.residue(c, J).chambers() == closure
 
 
 def test_opposite_residues_rejects_residue_outside(fano):

@@ -30,7 +30,7 @@ from twinbuild.cli import (
     serialize_codistance,
 )
 from twinbuild import cli, twinner
-from twinbuild.codistance import from_opposite_chamber
+from twinbuild.codistance import from_opposite_chamber, validate_codistance
 from twinbuild.coxeter import enumerate_weyl
 from twinbuild.errors import FormatError
 
@@ -331,16 +331,42 @@ def test_twin_build_rejects_a_chamber_system_that_is_not_a_building(
     assert "\n1 16 20 24\n2 28 32 36\n" in text
     bpath, cpath, out = tmp_path / "bad.bld", tmp_path / "bad.cod", tmp_path / "twin"
     bpath.write_text(text.replace("\n1 16 20 24\n2 28 32 36\n", "\n1 20 24 28\n2 16 32 36\n"))
-    assert main(["codist", "from-opposite", "--building", str(bpath),
-                 "--chamber", "0", "-o", str(cpath)]) == EXIT_PASS
-    assert main(["validate", "codistance", str(cpath), "--building", str(bpath)]) == EXIT_PASS
-    capsys.readouterr()
+    # the CLI's own codistance commands refuse the bundle, so f is made here
+    f = from_opposite_chamber(parse_building(bpath.read_text()), 0)
+    assert validate_codistance(f).ok
+    cpath.write_text(serialize_codistance(f))
     assert main(["twin", "build", "--building", str(bpath),
                  "--codistance", str(cpath), "-o", str(out)]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert "RESULT=" not in captured.out
     assert "not a building: Bu3 (1, 9, 0)" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "lco"],
+    ["check", "lsco"],
+    ["fop", "--codistance", "f.cod"],
+    ["codist", "from-opposite", "--chamber", "0", "-o", "out.cod"],
+    ["validate", "codistance", "f.cod"],
+], ids=["check-lco", "check-lsco", "fop", "from-opposite", "validate-codistance"])
+def test_building_commands_reject_a_chamber_system_that_is_not_a_building(
+    tmp_path, pg23, capsys, monkeypatch, command
+):
+    # chambers 4 and 16 trade p-panels: Bu3 fails, and every command that
+    # reads a building for its own use says so before printing a verdict
+    monkeypatch.chdir(tmp_path)
+    text = serialize_building(pg23)
+    assert "\n0 4 8 12\n1 16 20 24\n" in text
+    (tmp_path / "bad.bld").write_text(
+        text.replace("\n0 4 8 12\n1 16 20 24\n", "\n0 8 12 16\n1 4 20 24\n")
+    )
+    (tmp_path / "f.cod").write_text(serialize_codistance(from_opposite_chamber(pg23, 0)))
+    assert main(command + ["--building", "bad.bld"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "=" not in captured.out
+    assert "not a building: Bu3 (0, 6, 0)" in captured.err
+    assert not (tmp_path / "out.cod").exists()
 
 
 def test_twin_verify_rejects_a_minus_half_that_is_not_a_building(
