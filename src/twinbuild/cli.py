@@ -27,7 +27,9 @@ from .catalog import (
 from .chambersys import Building, ChamberSystem, validate_building
 from .codistance import Codistance, from_opposite_chamber, validate_codistance
 from .coxeter import CoxeterMatrix, enumerate_weyl
-from .errors import CapExceeded, FormatError, NotConnected, TwinbuildError, UnsupportedQ
+from .errors import (
+    CapExceeded, Disconnected, FormatError, NotConnected, TwinbuildError, UnsupportedQ,
+)
 from .homotopy import INCONCLUSIVE, PROVEN_TRIVIAL, check_lco, check_lsco, simply_2_connected
 from .twinner import CodistanceAtlas, assemble_twin, atlas_component
 
@@ -98,7 +100,9 @@ class _Cursor:
             raise FormatError(f"line after end marker: {self.lines[self.pos]!r}")
 
 
-def parse_building(text: str) -> Building:
+def parse_chamber_system(text: str) -> tuple[str, ChamberSystem]:
+    """The name and chamber system of a building bundle, after every syntax
+    and panel-partition check; no distance row is computed."""
     cur = _Cursor(text)
     try:
         header = cur.next()
@@ -131,15 +135,21 @@ def parse_building(text: str) -> Building:
                 fam.append(ids)
             panels.append(fam)
         cur.expect_end()
-        table = enumerate_weyl(matrix)
-        system = ChamberSystem(table, n, panels)
-        return Building(system, name=name)
+        return name, ChamberSystem(enumerate_weyl(matrix), n, panels)
     except (TwinbuildError, ValueError) as e:
         raise FormatError(str(e))
 
 
+def parse_building(text: str) -> Building:
+    name, system = parse_chamber_system(text)
+    try:
+        return Building(system, name=name)
+    except Disconnected as e:
+        raise FormatError(str(e))
+
+
 def serialize_codistance(f: Codistance) -> str:
-    words = f.building.weyl.word_strs()
+    words = f.building.weyl.word_strs
     lines = ["%codistance 1", f"building {f.building.name}", "values"]
     for c, v in enumerate(f.values):
         lines.append(f"{c} {words[v]}")
@@ -393,21 +403,20 @@ def _cmd_twin_build(args) -> int:
 def read_twin(directory: str) -> tuple[Building, CodistanceAtlas]:
     """B- and its codistance atlas from a ``twin build`` directory: B- from
     minus.bld through ``_read_building``, one member per codistance file,
-    and the panels of B+ from plus.bld, whose diagram must be B-'s."""
+    and the panels of B+ from plus.bld, whose diagram must be B-'s.  The
+    atlas builds B+, so a disconnected plus.bld is input error there."""
     b = _read_building(os.path.join(directory, "minus.bld"))
-    plus = parse_building(_read(os.path.join(directory, "plus.bld")))
+    _, plus = parse_chamber_system(_read(os.path.join(directory, "plus.bld")))
     if plus.weyl.matrix != b.weyl.matrix:
         raise FormatError("plus.bld and minus.bld declare different diagrams")
     members = []
     for i in range(plus.n):
         path = os.path.join(directory, f"codistance_{i:04d}.cod")
         members.append(parse_codistance(_read(path), b))
-    atlas = CodistanceAtlas(
-        building=b,
-        members=members,
-        panels=[list(fam) for fam in plus.system.panels],
-        origin=0,
-    )
+    try:
+        atlas = CodistanceAtlas(b, members, [list(fam) for fam in plus.panels])
+    except Disconnected as e:
+        raise FormatError(str(e))
     return b, atlas
 
 
@@ -448,8 +457,9 @@ def _cmd_twin_verify(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
-    b = parse_building(_read(args.building))
-    table = b.weyl
+    """The order and length histogram of W, which need no distance row."""
+    _, system = parse_chamber_system(_read(args.building))
+    table = system.weyl
     print(f"order {table.size}")
     hist: dict[int, int] = {}
     for w in range(table.size):

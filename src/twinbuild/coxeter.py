@@ -11,6 +11,7 @@ the identity).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, UnsupportedEntry
@@ -117,10 +118,11 @@ class WeylTable:
     inverse: list[int] = field(init=False, repr=False, compare=False)  # by w: w^-1
     # by s and w: the shorter of w and ws, the smaller id, as ids refine length
     floors: list[list[int]] = field(init=False, repr=False, compare=False)
-    _subgroup_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _longest_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _word_strs: Optional[list[str]] = field(default=None, repr=False, compare=False)
-    _word_ids: Optional[dict[str, int]] = field(default=None, repr=False, compare=False)
+    # by w: the canonical word string, ``-`` for the identity; and its inverse
+    word_strs: list[str] = field(init=False, repr=False, compare=False)
+    word_ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    # by J (a frozenset of generator indices, every J of S): r_J
+    longest: dict[frozenset, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the inverse of w*s is s*(w^-1), and word[w] minus its last letter
@@ -131,6 +133,18 @@ class WeylTable:
             self.inverse[w] = self.left[self.inverse[self.right[w][s]]][s]
         self.floors = [[min(w, ws[s]) for w, ws in enumerate(self.right)]
                        for s in range(self.rank)]
+        gens = self.matrix.gens
+        self.word_strs = ["-"] + ["".join(gens[s] for s in w) for w in self.word[1:]]
+        self.word_ids = {text: w for w, text in enumerate(self.word_strs)}
+        # r_J for every J: lengthen by a letter of J while one does; a
+        # longer element has a larger id
+        self.longest = {}
+        for k in range(self.rank + 1):
+            for J in combinations(range(self.rank), k):
+                w = 0
+                while (up := max((self.right[w][t] for t in J), default=0)) > w:
+                    w = up
+                self.longest[frozenset(J)] = w
 
     @property
     def rank(self) -> int:
@@ -148,26 +162,15 @@ class WeylTable:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def word_strs(self) -> list[str]:
-        """The canonical word string of every element by id, ``-`` for the
-        identity; built once, with its inverse for ``parse_word``."""
-        if self._word_strs is None:
-            gens = self.matrix.gens
-            self._word_strs = ["-"] + ["".join(gens[s] for s in w) for w in self.word[1:]]
-            self._word_ids = {text: w for w, text in enumerate(self._word_strs)}
-        return self._word_strs
-
     def word_str(self, w: int) -> str:
-        return self.word_strs()[w]
+        return self.word_strs[w]
 
     def parse_word(self, text: str) -> int:
         """Parse a word over generator names: a canonical word is one lookup;
         any other is read letter by letter, and since the names are
         prefix-free, at most one of them matches at any position."""
-        self.word_strs()
-        w = self._word_ids.get(text)  # type: ignore[union-attr]
-        if w is not None:
-            return w
+        if text in self.word_ids:
+            return self.word_ids[text]
         w = 0
         i = 0
         while i < len(text):
@@ -186,14 +189,8 @@ class WeylTable:
         Membership uses the fact that every reduced word of an element of
         W_J has all its letters in J.
         """
-        key = frozenset(J)
-        cached = self._subgroup_cache.get(key)
-        if cached is None:
-            cached = tuple(
-                w for w in range(self.size) if set(self.word[w]) <= key
-            )
-            self._subgroup_cache[key] = cached
-        return cached
+        J = frozenset(J)
+        return tuple(w for w in range(self.size) if J.issuperset(self.word[w]))
 
     def min_coset_rep(self, w: int, J: Iterable[int]) -> int:
         J = tuple(J)
@@ -208,21 +205,7 @@ class WeylTable:
         return w
 
     def longest_element(self, J: Iterable[int]) -> int:
-        key = frozenset(J)
-        cached = self._longest_cache.get(key)
-        if cached is not None:
-            return cached
-        w = 0
-        changed = True
-        while changed:
-            changed = False
-            for t in sorted(key):
-                wt = self.right[w][t]
-                if self.length[wt] > self.length[w]:
-                    w = wt
-                    changed = True
-        self._longest_cache[key] = w
-        return w
+        return self.longest[frozenset(J)]
 
     def max_coset_rep(self, w: int, J: Iterable[int]) -> int:
         J = tuple(J)

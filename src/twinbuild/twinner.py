@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 from operator import eq
 from typing import Iterable, Optional
@@ -101,13 +100,15 @@ def adjacent_codistance(
 class CodistanceAtlas:
     """The atlas of a codistance: its members are the chambers of B+, and
     ``panels`` holds, per generator, the member indices of each s-panel.
-    ``plus`` is B+ itself, built once from ``panels``."""
+    ``plus`` is B+ itself, built once from ``panels``, and row c of
+    ``minus_rows`` is delta*(c, member i) = g_i(c)^-1 over the members i."""
 
     building: Building
     members: list[Codistance]
     panels: list[list[tuple[int, ...]]]   # per generator, member-index panels
     origin: int = 0
     plus: Building = field(init=False, repr=False, compare=False)
+    minus_rows: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         system = ChamberSystem(
@@ -115,28 +116,23 @@ class CodistanceAtlas:
             [sorted(fam) for fam in self.panels],
         )
         self.plus = Building(system, name=self.building.name + "_plus")
+        inverse = self.building.weyl.inverse
+        self.minus_rows = [
+            tuple(map(inverse.__getitem__, col))
+            for col in zip(*(g.values for g in self.members))
+        ]
 
     def residue_members(self, i: int, J: Iterable[int]) -> tuple[int, ...]:
         """Member indices J-connected to member i."""
         return self.plus.residue(i, J).chambers()
 
-    @cached_property
-    def minus_rows(self) -> list[tuple[int, ...]]:
-        """Row c is delta*(c, member i) = g_i(c)^-1 over the members i: the
-        value vectors transposed and inverted through the table's inverse list."""
-        inverse = self.building.weyl.inverse
-        return [
-            tuple(map(inverse.__getitem__, col))
-            for col in zip(*(g.values for g in self.members))
-        ]
 
-
-def atlas_component(f: Codistance, cap: int = DEFAULT_ATLAS_CAP) -> CodistanceAtlas:
+def atlas_component(f: Codistance) -> CodistanceAtlas:
     """Close the seed codistance under the adjacent-codistance construction.
 
     For each member g and type s the s-panel is enumerated from the
     smallest-id panel of P_s^op(g); members are deduplicated by their value
-    vectors.
+    vectors.  More than ``DEFAULT_ATLAS_CAP`` members raise ``CapExceeded``.
     """
     b = f.building
     rank = b.system.rank
@@ -161,8 +157,8 @@ def atlas_component(f: Codistance, cap: int = DEFAULT_ATLAS_CAP) -> CodistanceAt
                 j = index.get(h.values)
                 if j is None:
                     j = len(members)
-                    if j >= cap:
-                        raise CapExceeded(f"atlas exceeds {cap} members")
+                    if j >= DEFAULT_ATLAS_CAP:
+                        raise CapExceeded(f"atlas exceeds {DEFAULT_ATLAS_CAP} members")
                     members.append(h)
                     index[h.values] = j
                     queue.append(j)

@@ -238,6 +238,26 @@ def test_weyl_enumerate(fano_file, capsys):
     assert "length 3: 1" in out
 
 
+def no_delta_rows(self, x):
+    raise AssertionError("a delta row was computed")
+
+
+@pytest.mark.parametrize("fixture, lengths", [
+    ("fano", [1, 2, 2, 1]),
+    ("sp43", [1, 2, 2, 2, 1]),
+    ("pg32", [1, 3, 5, 6, 5, 3, 1]),
+])
+def test_weyl_enumerate_reads_only_the_diagram_and_panels(
+    request, tmp_path, capsys, monkeypatch, fixture, lengths
+):
+    path = tmp_path / "b.bld"
+    path.write_text(serialize_building(request.getfixturevalue(fixture)))
+    monkeypatch.setattr(Building, "_compute_row", no_delta_rows)
+    assert main(["weyl", "enumerate", "--building", str(path)]) == EXIT_PASS
+    assert capsys.readouterr().out == f"order {sum(lengths)}\n" + "".join(
+        f"length {l}: {k}\n" for l, k in enumerate(lengths))
+
+
 # -- twin build ---------------------------------------------------------------
 
 
@@ -300,6 +320,16 @@ def test_twin_build_bytes_pinned(request, tmp_path, capsys, fixture, chamber, di
     assert main(["twin", "build", "--building", str(bpath),
                  "--codistance", str(cpath), "-o", str(out)]) == EXIT_PASS
     assert digest_dir(out) == digest
+
+
+def test_twin_build_atlas_cap_is_inconclusive(
+    monkeypatch, tmp_path, fano_file, fano_cod_file, capsys
+):
+    # pg2(2) has 21 members; the cap is read when the atlas is closed
+    monkeypatch.setattr(twinner, "DEFAULT_ATLAS_CAP", 10)
+    code, _ = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    assert code == EXIT_INCONCLUSIVE
+    assert "RESULT=inconclusive (atlas exceeds 10 members)\n" in capsys.readouterr().out
 
 
 def test_twin_build_reports_member_in_two_panels(
@@ -443,6 +473,23 @@ def test_twin_verify(tmp_path, fano_file, fano_cod_file, capsys):
     _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
     assert main(["twin", "verify", out]) == EXIT_PASS
     assert "RESULT=pass" in capsys.readouterr().out
+
+
+def test_twin_verify_computes_each_delta_row_once(
+    tmp_path, fano_file, fano_cod_file, capsys, monkeypatch
+):
+    # 21 rows of B- and 21 of B+, each half built once
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    rows = []
+    compute_row = Building._compute_row
+
+    def counting(self, x):
+        rows.append(x)
+        return compute_row(self, x)
+
+    monkeypatch.setattr(Building, "_compute_row", counting)
+    assert main(["twin", "verify", out]) == EXIT_PASS
+    assert len(rows) == 42
 
 
 def test_twin_verify_rejects_plus_diagram_mismatch(
@@ -653,6 +700,27 @@ def test_disconnected_bundle_is_malformed_input(thin_a2, tmp_path, capsys, comma
     path.write_text(two_hexagons_bundle(thin_a2))
     assert main(command + [str(path)]) == EXIT_INPUT
     assert "not gallery-connected" in capsys.readouterr().err
+
+
+def test_weyl_enumerate_on_a_disconnected_bundle(thin_a2, tmp_path, capsys):
+    # the order needs the diagram alone, as for a connected bundle failing Bu3
+    path = tmp_path / "hexagons.bld"
+    path.write_text(two_hexagons_bundle(thin_a2))
+    assert main(["weyl", "enumerate", "--building", str(path)]) == EXIT_PASS
+    assert capsys.readouterr().out.startswith("order 6\n")
+
+
+def test_twin_verify_rejects_a_disconnected_plus(
+    thin_a2, tmp_path, fano_file, fano_cod_file, capsys
+):
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    with open(os.path.join(out, "plus.bld"), "w") as fh:
+        fh.write(two_hexagons_bundle(thin_a2))
+    capsys.readouterr()
+    assert main(["twin", "verify", out]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "RESULT=" not in captured.out
+    assert "not gallery-connected" in captured.err
 
 
 def test_startup_and_fop_import_no_sympy(fano_file, fano_cod_file):

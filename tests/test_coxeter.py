@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from twinbuild.catalog import gen_pg2
+from twinbuild.catalog import gen_pg2, gen_thin, matrix_A2, product
 from twinbuild.coxeter import CoxeterMatrix, WeylTable, enumerate_weyl
 from twinbuild.errors import CapExceeded, UnsupportedEntry
 
@@ -320,7 +320,8 @@ def test_cli_import_loads_no_fraction_modules():
 
 def test_equality_ignores_the_caches():
     # two tables (and chamber systems) built from one matrix stay equal after
-    # either has answered, and so cached, longest_element and subgroup
+    # either has answered longest_element and subgroup; the derived fields
+    # do not take part in equality
     matrix = mA(3, "abc")
     x, y = enumerate_weyl(matrix), enumerate_weyl(matrix)
     x.longest_element((0, 1))
@@ -332,3 +333,55 @@ def test_equality_ignores_the_caches():
     by.weyl.subgroup((0,))
     assert bx.weyl == by.weyl
     assert bx.system == by.system
+
+
+TABLES = {
+    "A1": lambda: enumerate_weyl(mA(1, "a")),
+    "A2": lambda: enumerate_weyl(mA(2, "ab")),
+    "B2": lambda: enumerate_weyl(mB(2, "ab")),
+    "G2": lambda: enumerate_weyl(mI2(6)),
+    "I2(5)": lambda: enumerate_weyl(mI2(5)),
+    "A3": lambda: enumerate_weyl(mA(3, "abc")),
+    "B3": lambda: enumerate_weyl(mB(3, "abc")),
+    "A1^3": lambda: enumerate_weyl(
+        CoxeterMatrix(("a", "b", "c"), ((1, 2, 2), (2, 1, 2), (2, 2, 1)))),
+    "A2xpg2(2)": lambda: product(gen_thin(matrix_A2(("a", "b"))), gen_pg2(2)).weyl,
+}
+
+
+def greedy_longest(table, J):
+    """r_J by a greedy walk from the identity: right-multiply by the first
+    letter of J, ascending, that lengthens, until none does."""
+    w = 0
+    changed = True
+    while changed:
+        changed = False
+        for t in sorted(J):
+            wt = table.right[w][t]
+            if table.length[wt] > table.length[w]:
+                w = wt
+                changed = True
+    return w
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_longest_holds_the_greedy_walk_for_every_J(name):
+    table = TABLES[name]()
+    subsets = all_subsets(table.rank)
+    assert len(table.longest) == len(subsets) == 2 ** table.rank
+    for J in subsets:
+        assert table.longest[frozenset(J)] == greedy_longest(table, J)
+        assert table.longest_element(J) == greedy_longest(table, J)
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_word_strings_and_ids_are_inverse(name):
+    table = TABLES[name]()
+    assert table.word_strs[0] == "-"
+    assert len(table.word_ids) == table.size
+    gens = table.matrix.gens
+    for w in range(table.size):
+        if w:
+            assert table.word_strs[w] == "".join(gens[s] for s in table.word[w])
+        assert table.word_ids[table.word_strs[w]] == w
+        assert table.parse_word(table.word_str(w)) == w

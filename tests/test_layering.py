@@ -5,6 +5,12 @@ itself: no module imports one from a sibling, and no module reaches into a
 private attribute of an object unless a class of that same module assigns
 that attribute.  A fact two modules need is given a public name by its owner.
 
+A derived table is built with its owner: no module uses
+``functools.cached_property``, and no method but ``__init__`` and
+``__post_init__`` stores a ``self`` attribute its class does not declare in
+its body or set in those two.  On CPython 3.11 a key added to an instance
+``__dict__`` after construction slows every attribute read on the instance.
+
 Every public function, class and method of the package is reached from
 outside its own definition: from another module, from its own module, from
 the acceptance tests, or from the benchmark under ``perfbench/``.  A name
@@ -29,15 +35,22 @@ def is_self(node):
     return isinstance(node, ast.Name) and node.id in ("self", "cls")
 
 
+def body_names(cls):
+    """Names a class body assigns: class attributes and dataclass fields."""
+    names = set()
+    for stmt in cls.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [
+            getattr(stmt, "target", None)]
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 def owned_attributes(tree):
     """Private attributes a class of the module assigns: class-body names
     and ``self.x`` / ``cls.x`` stores in its methods."""
     owned = set()
     for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-        for stmt in cls.body:
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [
-                getattr(stmt, "target", None)]
-            owned.update(t.id for t in targets if isinstance(t, ast.Name))
+        owned |= body_names(cls)
         for node in ast.walk(cls):
             if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                     and is_self(node.value)):
@@ -92,6 +105,74 @@ def test_crossings_are_found():
         (1, "imports _fop_search from panelcalc"),
         (2, "imports _helper from twinbuild.chambersys"),
         (10, "reads g._psop_cache"),
+    ]
+
+
+# -- attributes added after construction -------------------------------------
+
+
+CONSTRUCTORS = ("__init__", "__post_init__")
+
+
+def self_stores(node):
+    return {n.attr: n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"}
+
+
+def late_attributes(source):
+    """(line, description) for each use of ``cached_property`` and each
+    ``self.x`` store, in a method other than a constructor, of an x that the
+    class body, dataclass fields and constructors do not set."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, f"imports {a.name}")
+                      for a in node.names if a.name == "cached_property"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            found.append((node.lineno, f"uses {ast.unparse(node)}"))
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        declared = body_names(cls)
+        for stmt in cls.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in CONSTRUCTORS:
+                declared.update(self_stores(stmt))
+        for stmt in cls.body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name not in CONSTRUCTORS:
+                found += [(line, f"{cls.name}.{stmt.name} adds self.{attr}")
+                          for attr, line in self_stores(stmt).items()
+                          if attr not in declared]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_attribute_is_added_after_construction(module):
+    assert late_attributes(read(os.path.join(SRC, module))) == []
+
+
+def test_late_attributes_are_found():
+    source = (
+        "from functools import cached_property, partial\n"
+        "import functools\n"
+        "class A:\n"
+        "    slot = None\n"
+        "    size: int\n"
+        "    def __init__(self):\n"
+        "        self.own = 1\n"
+        "    def __post_init__(self):\n"
+        "        self.rows = []\n"
+        "    def m(self, other):\n"
+        "        self.own = self.slot = self.size = other.late = 2\n"
+        "        self.rows.append(1)\n"
+        "        self.late = 3\n"
+        "    @functools.cached_property\n"
+        "    def n(self):\n"
+        "        return 4\n"
+    )
+    assert late_attributes(source) == [
+        (1, "imports cached_property"),
+        (13, "A.m adds self.late"),
+        (14, "uses functools.cached_property"),
     ]
 
 
