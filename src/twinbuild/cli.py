@@ -100,9 +100,9 @@ class _Cursor:
             raise FormatError(f"line after end marker: {self.lines[self.pos]!r}")
 
 
-def parse_chamber_system(text: str) -> tuple[str, ChamberSystem]:
-    """The name and chamber system of a building bundle, after every syntax
-    and panel-partition check; no distance row is computed."""
+def _parse_bundle(text: str) -> tuple[str, CoxeterMatrix, int, list]:
+    """The name, diagram, chamber count and panels of a building bundle,
+    after every syntax check; W is not enumerated."""
     cur = _Cursor(text)
     try:
         header = cur.next()
@@ -135,6 +135,16 @@ def parse_chamber_system(text: str) -> tuple[str, ChamberSystem]:
                 fam.append(ids)
             panels.append(fam)
         cur.expect_end()
+        return name, matrix, n, panels
+    except (TwinbuildError, ValueError) as e:
+        raise FormatError(str(e))
+
+
+def parse_chamber_system(text: str) -> tuple[str, ChamberSystem]:
+    """The name and chamber system of a building bundle, after every syntax
+    and panel-partition check; no distance row is computed."""
+    name, matrix, n, panels = _parse_bundle(text)
+    try:
         return name, ChamberSystem(enumerate_weyl(matrix), n, panels)
     except (TwinbuildError, ValueError) as e:
         raise FormatError(str(e))
@@ -332,8 +342,7 @@ def _cmd_fop(args) -> int:
 
 
 def _twin_report(
-    b: Building, atlas: CodistanceAtlas, report, lco_ok: bool, lsco_ok: bool,
-    seed_fop: int,
+    b: Building, atlas: CodistanceAtlas, report, lco_ok: bool, lsco_ok: bool
 ) -> str:
     seed_match = {True: "pass", False: "fail", None: "n/a"}[report.seed_ok]
     lines = [
@@ -342,7 +351,7 @@ def _twin_report(
         "",
         f"RESULT={'pass' if report.ok else 'fail'}",
         f"ATLAS_SIZE={len(atlas.members)}",
-        f"FOP_SIZE={seed_fop}",
+        f"FOP_SIZE={len(atlas.members[atlas.origin].fop())}",
         f"LCO={'pass' if lco_ok else 'fail'}",
         f"LSCO={'pass' if lsco_ok else 'fail'}",
         f"TW_AXIOMS={'pass' if report.tw_axioms_ok else 'fail'}",
@@ -394,7 +403,7 @@ def _cmd_twin_build(args) -> int:
         for i in range(len(atlas.members)):
             costar_lines.append(f"{c}\t{i}\t{table.word_str(atlas.members[i](c))}")
     _write(os.path.join(args.output, "costar.tsv"), "\n".join(costar_lines) + "\n")
-    report_text = _twin_report(b, atlas, assembly.report, lco_ok, lsco_ok, len(f.fop()))
+    report_text = _twin_report(b, atlas, assembly.report, lco_ok, lsco_ok)
     _write(os.path.join(args.output, "report.txt"), report_text)
     sys.stdout.write(report_text)
     return EXIT_PASS if assembly.report.ok else EXIT_VIOLATION
@@ -404,18 +413,19 @@ def read_twin(directory: str) -> tuple[Building, CodistanceAtlas]:
     """B- and its codistance atlas from a ``twin build`` directory: B- from
     minus.bld through ``_read_building``, one member per codistance file,
     and the panels of B+ from plus.bld, whose diagram must be B-'s.  The
-    atlas builds B+, so a disconnected plus.bld is input error there."""
+    atlas builds B+ on B-'s Weyl table, once, so a plus.bld whose panels
+    are no partition or are not gallery-connected is input error there."""
     b = _read_building(os.path.join(directory, "minus.bld"))
-    _, plus = parse_chamber_system(_read(os.path.join(directory, "plus.bld")))
-    if plus.weyl.matrix != b.weyl.matrix:
+    _, matrix, n, panels = _parse_bundle(_read(os.path.join(directory, "plus.bld")))
+    if matrix != b.weyl.matrix:
         raise FormatError("plus.bld and minus.bld declare different diagrams")
     members = []
-    for i in range(plus.n):
+    for i in range(n):
         path = os.path.join(directory, f"codistance_{i:04d}.cod")
         members.append(parse_codistance(_read(path), b))
     try:
-        atlas = CodistanceAtlas(b, members, [list(fam) for fam in plus.panels])
-    except Disconnected as e:
+        atlas = CodistanceAtlas(b, members, panels)
+    except (ValueError, Disconnected) as e:
         raise FormatError(str(e))
     return b, atlas
 
@@ -449,9 +459,7 @@ def _cmd_twin_verify(args) -> int:
     lco_ok = check_lco(b).ok
     lsco_ok = check_lsco(b).ok
     assembly = assemble_twin(atlas, b)
-    report_text = _twin_report(
-        b, atlas, assembly.report, lco_ok, lsco_ok, len(members[0].fop())
-    )
+    report_text = _twin_report(b, atlas, assembly.report, lco_ok, lsco_ok)
     sys.stdout.write(report_text)
     return EXIT_PASS if assembly.report.ok else EXIT_VIOLATION
 

@@ -14,11 +14,11 @@ count). An enumeration that reaches its cap is reported as Inconclusive.
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, count
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .chambersys import Building, ResidueRef
 from .codistance import Codistance
@@ -53,58 +53,34 @@ class TrivialityVerdict:
         return self.status == PROVEN_TRIVIAL
 
 
-def _bfs_forest(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Breadth-first spanning forest as parent pointers.
+def _neighbours(b: Building, subset: frozenset) -> dict[int, list[tuple[int, int]]]:
+    """For each chamber of ``subset``, its (neighbour, type) pairs inside
+    ``subset`` in ascending neighbour id, read off the chamber system's
+    adjacency (two chambers are adjacent for one type only)."""
+    adj = b.system.adjacency
+    return {x: sorted((y, s) for s, y in adj[x] if y in subset) for x in subset}
 
-    Roots are taken in ascending order and are their own parents; each
-    vertex visits its neighbours in ascending order.
-    """
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b2 in edges:
-        adj[a].append(b2)
-        adj[b2].append(a)
+
+def _forest(nbrs: dict[int, list[tuple[int, int]]], J: Container[int]) -> dict[int, int]:
+    """Breadth-first forest of the J-typed edges as parent pointers: roots, in
+    ascending order, are their own parents; neighbours go in ascending id."""
     parent: dict[int, int] = {}
-    for root in sorted(adj):
+    for root in sorted(nbrs):
         if root in parent:
             continue
         parent[root] = root
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in sorted(adj[x]):
-                if y not in parent:
+        queue = [root]
+        for x in queue:
+            for y, s in nbrs[x]:
+                if s in J and y not in parent:
                     parent[y] = x
                     queue.append(y)
     return parent
 
 
-def _forest_edges(parent: dict[int, int]) -> frozenset:
-    return frozenset((min(x, p), max(x, p)) for x, p in parent.items() if x != p)
-
-
 def connected(subset: Iterable[int], gens: Iterable[int], b: Building) -> bool:
-    subset = frozenset(subset)
-    parent = _bfs_forest(subset, _subset_edges(b, subset, gens))
+    parent = _forest(_neighbours(b, frozenset(subset)), frozenset(gens))
     return sum(x == p for x, p in parent.items()) <= 1
-
-
-def _subset_edges(b: Building, subset: frozenset, gens: Iterable[int]):
-    """Undirected edges (a < b) with their type, within subset."""
-    edges = {}
-    for x in subset:
-        for s in gens:
-            for z in b.system.panel_members(x, s):
-                if z != x and z in subset and x < z:
-                    edges[(x, z)] = s
-    return edges
-
-
-def _spanning_tree(vertices: Sequence[int], edges: dict) -> dict[int, int]:
-    """BFS tree as parent pointers; edges is {(a,b): type} with a < b."""
-    parent = _bfs_forest(vertices, edges)
-    if sum(x == p for x, p in parent.items()) > 1:
-        raise NotConnected("subset is not gallery-connected")
-    return parent
 
 
 def _tree_path(parent: dict[int, int], x: int) -> list[int]:
@@ -115,21 +91,20 @@ def _tree_path(parent: dict[int, int], x: int) -> list[int]:
 
 
 def _cycle_word(
-    cycle: Sequence[int],
-    tree_edges: frozenset,
-    gen_index: dict[tuple[int, int], int],
+    cycle: Sequence[int], gen_index: dict[tuple[int, int], int]
 ) -> tuple[tuple[int, int], ...]:
-    """Relator of a closed vertex path as (generator, exponent) pairs."""
+    """Relator of a closed vertex path as (generator, exponent) pairs; an
+    edge without a generator is a spanning-tree edge and is skipped."""
     word: list[tuple[int, int]] = []
     for a, b2 in zip(cycle, cycle[1:]):
-        key = (min(a, b2), max(a, b2))
-        if key in tree_edges:
+        g = gen_index.get((min(a, b2), max(a, b2)))
+        if g is None:
             continue
         exp = 1 if a < b2 else -1
-        if word and word[-1][0] == gen_index[key] and word[-1][1] == -exp:
+        if word and word[-1] == (g, -exp):
             word.pop()
         else:
-            word.append((gen_index[key], exp))
+            word.append((g, exp))
     return tuple(word)
 
 
@@ -142,26 +117,25 @@ def _presentation(b: Building, subset: frozenset):
     J-residue: these are the fundamental cycles of each rank <= 2 residue's
     restriction to the subset.
     """
-    vertices = sorted(subset)
     rank = b.system.rank
-    edges = _subset_edges(b, subset, range(rank))
-    parent = _spanning_tree(vertices, edges)
-    tree_edges = _forest_edges(parent)
-    non_tree = sorted(e for e in edges if e not in tree_edges)
+    nbrs = _neighbours(b, subset)
+    edges = [(x, y, s) for x in sorted(nbrs) for y, s in nbrs[x] if x < y]
+    parent = _forest(nbrs, range(rank))
+    if sum(x == p for x, p in parent.items()) > 1:
+        raise NotConnected("subset is not gallery-connected")
+    non_tree = [(x, y) for x, y, _ in edges if parent[x] != y and parent[y] != x]
     gen_index = {e: i for i, e in enumerate(non_tree)}
 
     relators: set[tuple[tuple[int, int], ...]] = set()
     for k in (1, 2):
         for J in combinations(range(rank), k):
-            j_edges = [e for e, s in edges.items() if s in J]
-            forest = _bfs_forest(vertices, j_edges)
-            local_tree = _forest_edges(forest)
-            for a, c in j_edges:
-                if (a, c) in local_tree:
+            forest = _forest(nbrs, J)
+            for a, c, s in edges:
+                if s not in J or forest[a] == c or forest[c] == a:
                     continue
                 # fundamental cycle: root -> a, edge (a, c), c -> root
                 cyc = _tree_path(forest, a)[::-1] + _tree_path(forest, c)
-                rel = _cycle_word(cyc, tree_edges, gen_index)
+                rel = _cycle_word(cyc, gen_index)
                 if rel:
                     relators.add(rel)
     return non_tree, sorted(relators)

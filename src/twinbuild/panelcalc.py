@@ -246,9 +246,9 @@ def _fop_search(f: Codistance, Ptilde: ResidueRef):
     and the chamber map of Ptilde composed along the path in the search
     tree.  A tree edge of type t != s moves the map by beta_w from the
     s-panel of one end to that of the other, w = s r_{st}; an edge of type s
-    stays in one s-panel and maps nothing.  Neighbours are visited by type
-    and then by ascending id, so the order and the maps depend only on f
-    and Ptilde.
+    stays in one s-panel and maps nothing.  Neighbours are read off the
+    chamber system's adjacency, by type and then by ascending id, so the
+    order and the maps depend only on f and Ptilde.
     """
     b = f.building
     table = b.weyl
@@ -260,18 +260,17 @@ def _fop_search(f: Codistance, Ptilde: ResidueRef):
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        for t in range(b.system.rank):
-            for y in b.system.panel_members(x, t):
-                if y not in inside or y in image:
-                    continue
-                mapping = image[x]
-                if t != s:
-                    xJ = table.left[table.longest_element((s, t))][s]
-                    step = beta_w(f, b.panel(x, s), b.panel(y, s), xJ).mapping
-                    mapping = {c: step[v] for c, v in mapping.items()}
-                image[y] = mapping
-                queue.append(y)
-                yield b.panel(y, s), mapping
+        for t, y in b.system.adjacency[x]:
+            if y not in inside or y in image:
+                continue
+            mapping = image[x]
+            if t != s:
+                xJ = table.left[table.longest_element((s, t))][s]
+                step = beta_w(f, b.panel(x, s), b.panel(y, s), xJ).mapping
+                mapping = {c: step[v] for c, v in mapping.items()}
+            image[y] = mapping
+            queue.append(y)
+            yield b.panel(y, s), mapping
 
 
 def beta(

@@ -31,7 +31,7 @@ from twinbuild.cli import (
 )
 from twinbuild import cli, twinner
 from twinbuild.codistance import from_opposite_chamber, validate_codistance
-from twinbuild.coxeter import enumerate_weyl
+from twinbuild.coxeter import WeylTable, enumerate_weyl
 from twinbuild.errors import FormatError
 
 
@@ -490,6 +490,42 @@ def test_twin_verify_computes_each_delta_row_once(
     monkeypatch.setattr(Building, "_compute_row", counting)
     assert main(["twin", "verify", out]) == EXIT_PASS
     assert len(rows) == 42
+
+
+def test_twin_verify_enumerates_w_once_and_builds_each_half_once(
+    tmp_path, fano_file, fano_cod_file, capsys, monkeypatch
+):
+    # B+ is built by the atlas on B-'s Weyl table: one W, one system per half
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    capsys.readouterr()
+    built = []
+    weyl_post_init = WeylTable.__post_init__
+    system_post_init = ChamberSystem.__post_init__
+
+    def counting_weyl(self):
+        built.append("W")
+        weyl_post_init(self)
+
+    def counting_system(self):
+        built.append("system")
+        system_post_init(self)
+
+    monkeypatch.setattr(WeylTable, "__post_init__", counting_weyl)
+    monkeypatch.setattr(ChamberSystem, "__post_init__", counting_system)
+    assert main(["twin", "verify", out]) == EXIT_PASS
+    assert sorted(built) == ["W", "system", "system"]
+    assert capsys.readouterr().out == (
+        "twin building over pg2_2 with 21 chambers\n"
+        "atlas members: 21\n"
+        "\n"
+        "RESULT=pass\n"
+        "ATLAS_SIZE=21\n"
+        "FOP_SIZE=8\n"
+        "LCO=pass\n"
+        "LSCO=pass\n"
+        "TW_AXIOMS=pass\n"
+        "SEED_MATCH=n/a\n"
+    )
 
 
 def test_twin_verify_rejects_plus_diagram_mismatch(

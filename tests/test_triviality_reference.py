@@ -10,11 +10,17 @@ nontrivial.
 ``reference_presentation`` is the edge-path presentation as it was built
 residue by residue; ``_presentation`` reads the same 2-cells off one BFS
 forest of the J-typed edges per type set and must return the same
-generators and relators.
+generators and relators. It builds its graphs with its own copy of the
+edge-list helpers that ``_presentation`` used before it read the chamber
+system's adjacency, so it shares no graph code with what it checks.
 """
 
+from collections import deque
+from itertools import combinations
+from typing import Iterable, Sequence
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
@@ -30,15 +36,10 @@ from twinbuild.homotopy import (
     PROVEN_NONTRIVIAL,
     PROVEN_TRIVIAL,
     TrivialityVerdict,
-    _bfs_forest,
-    _cycle_word,
     _decide,
-    _forest_edges,
     _presentation,
     _smith_invariants,
-    _spanning_tree,
-    _subset_edges,
-    _tree_path,
+    connected,
     opposite_set,
     residual_filtration,
     simply_2_connected,
@@ -198,6 +199,80 @@ def test_smith_invariants_match_sympy(rows):
 # -- the presentation against its per-residue construction -------------------
 
 
+def _bfs_forest(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Breadth-first spanning forest as parent pointers.
+
+    Roots are taken in ascending order and are their own parents; each
+    vertex visits its neighbours in ascending order.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for a, b2 in edges:
+        adj[a].append(b2)
+        adj[b2].append(a)
+    parent: dict[int, int] = {}
+    for root in sorted(adj):
+        if root in parent:
+            continue
+        parent[root] = root
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in sorted(adj[x]):
+                if y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+    return parent
+
+
+def _forest_edges(parent: dict[int, int]) -> frozenset:
+    return frozenset((min(x, p), max(x, p)) for x, p in parent.items() if x != p)
+
+
+def _subset_edges(b: Building, subset: frozenset, gens: Iterable[int]):
+    """Undirected edges (a < b) with their type, within subset."""
+    edges = {}
+    for x in subset:
+        for s in gens:
+            for z in b.system.panel_members(x, s):
+                if z != x and z in subset and x < z:
+                    edges[(x, z)] = s
+    return edges
+
+
+def _spanning_tree(vertices: Sequence[int], edges: dict) -> dict[int, int]:
+    """BFS tree as parent pointers; edges is {(a,b): type} with a < b."""
+    parent = _bfs_forest(vertices, edges)
+    if sum(x == p for x, p in parent.items()) > 1:
+        raise NotConnected("subset is not gallery-connected")
+    return parent
+
+
+def _tree_path(parent: dict[int, int], x: int) -> list[int]:
+    path = [x]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+    return path
+
+
+def _cycle_word(
+    cycle: Sequence[int],
+    tree_edges: frozenset,
+    gen_index: dict[tuple[int, int], int],
+) -> tuple[tuple[int, int], ...]:
+    """Relator of a closed vertex path as (generator, exponent) pairs."""
+    word: list[tuple[int, int]] = []
+    for a, b2 in zip(cycle, cycle[1:]):
+        key = (min(a, b2), max(a, b2))
+        if key in tree_edges:
+            continue
+        exp = 1 if a < b2 else -1
+        if word and word[-1][0] == gen_index[key] and word[-1][1] == -exp:
+            word.pop()
+        else:
+            word.append((gen_index[key], exp))
+    return tuple(word)
+
+
 def reference_presentation(b, subset):
     """Edge-path group presentation of the 2-complex on ``subset``.
 
@@ -294,3 +369,47 @@ def test_presentation_looks_up_no_residue(fano, monkeypatch):
 
     monkeypatch.setattr(Building, "residue", no_residue)
     assert _presentation(fano, frozenset(range(fano.n)))[1]
+
+
+# -- arbitrary subsets ---------------------------------------------------------
+
+
+def bfs_connected(b, subset, J):
+    """Whether ``subset`` is J-connected, by a breadth-first search over
+    panel members."""
+    subset = set(subset)
+    if not subset:
+        return True
+    start = min(subset)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for s in J:
+            for y in b.system.panel_members(x, s):
+                if y in subset and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+    return seen == subset
+
+
+@pytest.mark.parametrize("name", ["pg23", "sp42", "thin_a3"])
+def test_graph_layer_on_arbitrary_subsets(request, name):
+    # sparse draws are mostly disconnected, complements of sparse draws
+    # mostly connected with many cycles; both kinds must occur
+    b = request.getfixturevalue(name)
+    rank = b.system.rank
+    type_sets = [J for k in (1, 2) for J in combinations(range(rank), k)]
+    sparse = st.frozensets(st.integers(0, b.n - 1))
+    kinds = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(sparse, sparse.map(lambda s: frozenset(range(b.n)) - s)))
+    @example(frozenset())
+    def check(subset):
+        kinds.add(assert_same_presentation(b, subset) is not None)
+        for J in type_sets:
+            assert connected(subset, J, b) == bfs_connected(b, subset, J), J
+
+    check()
+    assert kinds == {True, False}
