@@ -16,33 +16,33 @@ from math import isqrt
 from typing import Iterable, Sequence
 
 from .chambersys import Building, ChamberSystem
-from .coxeter import CoxeterMatrix, WeylTable, enumerate_weyl
+from .coxeter import CoxeterMatrix, enumerate_weyl
 from .errors import NameClash, UnsupportedQ
 
 
-def matrix_A1(name: str = "a") -> CoxeterMatrix:
-    return CoxeterMatrix((name,), ((1,),))
+def matrix_A1() -> CoxeterMatrix:
+    return CoxeterMatrix(("a",), ((1,),))
 
 
-def matrix_A2(names: tuple[str, str] = ("p", "l")) -> CoxeterMatrix:
-    return CoxeterMatrix(names, ((1, 3), (3, 1)))
+def matrix_A2() -> CoxeterMatrix:
+    return CoxeterMatrix(("p", "l"), ((1, 3), (3, 1)))
 
 
-def matrix_B2(names: tuple[str, str] = ("p", "l")) -> CoxeterMatrix:
-    return CoxeterMatrix(names, ((1, 4), (4, 1)))
+def matrix_B2() -> CoxeterMatrix:
+    return CoxeterMatrix(("p", "l"), ((1, 4), (4, 1)))
 
 
-def matrix_I2(m: int, names: tuple[str, str] = ("p", "l")) -> CoxeterMatrix:
-    return CoxeterMatrix(names, ((1, m), (m, 1)))
+def matrix_I2(m: int) -> CoxeterMatrix:
+    return CoxeterMatrix(("p", "l"), ((1, m), (m, 1)))
 
 
-def matrix_A3(names: tuple[str, str, str] = ("p", "l", "h")) -> CoxeterMatrix:
-    return CoxeterMatrix(names, ((1, 3, 2), (3, 1, 3), (2, 3, 1)))
+def matrix_A3() -> CoxeterMatrix:
+    return CoxeterMatrix(("p", "l", "h"), ((1, 3, 2), (3, 1, 3), (2, 3, 1)))
 
 
-def gen_thin(matrix: CoxeterMatrix | WeylTable) -> Building:
+def gen_thin(matrix: CoxeterMatrix) -> Building:
     """Coxeter complex: chambers are group elements, delta(x,y) = x^-1 y."""
-    table = matrix if isinstance(matrix, WeylTable) else enumerate_weyl(matrix)
+    table = enumerate_weyl(matrix)
     n = table.size
     panels = []
     for s in range(table.rank):

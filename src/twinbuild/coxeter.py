@@ -339,21 +339,21 @@ def coset_table(
     return [[index[rep(d)] for d in table[c]] for c in live]
 
 
-def enumerate_weyl(matrix: CoxeterMatrix, cap: int = DEFAULT_CAP) -> WeylTable:
+def enumerate_weyl(matrix: CoxeterMatrix) -> WeylTable:
     """Enumerate W as the coset table of the trivial subgroup in its Coxeter
     presentation <S | s^2, (st)^m(s,t)>.
 
-    ``cap`` bounds the cosets the enumeration defines.  That is at least
-    |W|, so CapExceeded is raised whenever |W| > cap; but the enumeration
-    may define a few times |W| before coincidences collapse them (2.2-2.7x
-    on E6, A7 and B6), so a finite group of more than about 75,000 elements
-    may hit the default cap as well.  A matrix that is not 3-spherical (an
-    infinite bond, or an affine or hyperbolic triangle such as Ã2) has an
-    infinite parabolic subgroup of rank <= 3, so W is infinite, no cap can
-    be met, and CapExceeded is raised before any enumeration.
+    ``DEFAULT_CAP``, read at each call, bounds the cosets the enumeration
+    defines.  That is at least |W|, so CapExceeded is raised whenever
+    |W| > cap; but the enumeration may define a few times |W| before
+    coincidences collapse them (2.2-2.7x on E6, A7 and B6), so a finite
+    group of more than about 75,000 elements may hit the cap as well.  A
+    matrix that is not 3-spherical (an infinite bond, or an affine or
+    hyperbolic triangle such as Ã2) has an infinite parabolic subgroup of
+    rank <= 3, so W is infinite, no cap can be met, and CapExceeded is
+    raised before any enumeration.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    cap = DEFAULT_CAP
     if not matrix.is_3_spherical():
         raise CapExceeded(
             f"more than {cap} elements; a non-spherical parabolic subgroup "

@@ -51,10 +51,6 @@ class NotOpposite(TwinbuildError):
     """Panel does not meet the opposition set of the codistance."""
 
 
-class HomotopyInconclusive(TwinbuildError):
-    """An upstream simple-2-connectivity verdict was not ProvenTrivial."""
-
-
 class NotConnected(TwinbuildError):
     """The chamber subset is not gallery-connected."""
 

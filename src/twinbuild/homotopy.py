@@ -141,16 +141,14 @@ def _presentation(b: Building, subset: frozenset):
     return non_tree, sorted(relators)
 
 
-def simply_2_connected(
-    subset: Iterable[int], b: Building, coset_cap: int = DEFAULT_COSET_CAP
-) -> TrivialityVerdict:
+def simply_2_connected(subset: Iterable[int], b: Building) -> TrivialityVerdict:
     subset = frozenset(subset)
     if not subset:
         return TrivialityVerdict(PROVEN_TRIVIAL, certificate="empty")
     non_tree, relators = _presentation(b, subset)
     if not non_tree:
         return TrivialityVerdict(PROVEN_TRIVIAL, certificate="forest")
-    return _decide(len(non_tree), relators, coset_cap)
+    return _decide(len(non_tree), relators, DEFAULT_COSET_CAP)
 
 
 def _decide(
@@ -395,7 +393,7 @@ def check_lsco(b: Building) -> LocalConditionReport:
 class Filtration:
     codistance: Codistance
     levels: list[frozenset]                  # C_0 .. C_max (C_max = all chambers)
-    witnesses: dict[int, int] = field(default_factory=dict)  # level -> generator
+    witnesses: dict[int, int] = field(init=False, default_factory=dict)  # level -> generator
 
 
 def residual_filtration(f: Codistance, validate: bool = True) -> Filtration:

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 from .chambersys import Building, ResidueRef
 from .codistance import Codistance, fop_c, panels_op, unique_chamber
 from .errors import (
-    HomotopyInconclusive,
     NotAdjacent,
     NotEquivalent,
     NotInResidue,
@@ -25,6 +24,8 @@ from .errors import (
     NotParallel,
     PreconditionFailed,
 )
+
+MAX_PATH_LENGTH = 6
 
 
 def panel_type(P: ResidueRef) -> int:
@@ -146,9 +147,10 @@ def _opposite_panels_in(b: Building, R: ResidueRef, L: ResidueRef):
 
 
 def all_compatible_paths(
-    b: Building, P: ResidueRef, Q: ResidueRef, max_len: int = 6
+    b: Building, P: ResidueRef, Q: ResidueRef
 ) -> list[tuple[ResidueRef, ...]]:
-    """Exhaustive enumeration, for well-definedness checks of l_c."""
+    """Exhaustive enumeration, for well-definedness checks of l_c, of the
+    paths of at most ``MAX_PATH_LENGTH`` steps."""
     out = []
     stack = [(P,)]
     while stack:
@@ -156,7 +158,7 @@ def all_compatible_paths(
         if path[-1] == Q and (len(path) > 1 or P == Q):
             out.append(path)
             continue
-        if len(path) > max_len:
+        if len(path) > MAX_PATH_LENGTH:
             continue
         for nxt in _compatible_neighbors(b, P, path[-1]):
             if nxt not in path:
@@ -273,20 +275,11 @@ def _fop_search(f: Codistance, Ptilde: ResidueRef):
             yield b.panel(y, s), mapping
 
 
-def beta(
-    f: Codistance,
-    P: ResidueRef,
-    Q: ResidueRef,
-    fop_verdict=None,
-) -> PanelBijection:
+def beta(f: Codistance, P: ResidueRef, Q: ResidueRef) -> PanelBijection:
     """The canonical bijection between two s-panels meeting f^op, composed
     along a gallery in f^op; independence of the gallery is a theorem whose
-    hypotheses (f^op connected and simply 2-connected) the caller certifies
-    through ``fop_verdict``."""
-    if fop_verdict is not None and not fop_verdict.proven_trivial:
-        raise HomotopyInconclusive(
-            f"f^op triviality verdict is {fop_verdict.status}"
-        )
+    hypotheses (f^op connected and simply 2-connected) the caller
+    certifies."""
     s = panel_type(P)
     if panel_type(Q) != s:
         raise NotOpposite("panels have different types")

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import eq
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 from .chambersys import Building, ChamberSystem, ResidueRef, validate_building
 from .codistance import Codistance, panels_op, proj_f, validate_codistance
@@ -106,7 +106,7 @@ class CodistanceAtlas:
     building: Building
     members: list[Codistance]
     panels: list[list[tuple[int, ...]]]   # per generator, member-index panels
-    origin: int = 0
+    origin: ClassVar[int] = 0             # the member index of the seed
     plus: Building = field(init=False, repr=False, compare=False)
     minus_rows: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
@@ -175,7 +175,7 @@ def atlas_component(f: Codistance) -> CodistanceAtlas:
                         f"member {j} falls into two distinct {s}-panels"
                     )
                 panel_of[s][j] = pidx
-    return CodistanceAtlas(building=b, members=members, panels=panels, origin=0)
+    return CodistanceAtlas(building=b, members=members, panels=panels)
 
 
 # -- alpha bijections ---------------------------------------------------------
@@ -190,18 +190,15 @@ class AlphaReport:
     witnesses: list = field(default_factory=list)
 
 
-def alpha_check(
-    atlas: CodistanceAtlas, i: int, J: Iterable[int], R: Optional[ResidueRef] = None
-) -> AlphaReport:
+def alpha_check(atlas: CodistanceAtlas, i: int, R: ResidueRef) -> AlphaReport:
     """Verify that h -> proj_R h is a bijection from the atlas J-residue of
-    member i onto a J-residue R in its f^op, matching adjacency through
-    conjugation by r_J and opposition through distance r_J."""
+    member i, J the type of R, onto R, a residue of the atlas's building in
+    member i's f^op, matching adjacency through conjugation by r_J and
+    opposition through distance r_J."""
     b = atlas.building
     table = b.weyl
-    J = frozenset(J)
+    J = R.J
     g = atlas.members[i]
-    if R is None:
-        R = b.residue(min(g.fop()), J)
     if not any(g.values[x] == 0 for x in R.chambers()):
         raise PreconditionFailed("residue does not meet the member's f^op")
     rJ = table.longest_element(J)
@@ -267,27 +264,29 @@ class TwinReport:
 
 @dataclass
 class TwinAssembly:
-    minus: Building
-    plus: Building
     atlas: CodistanceAtlas
     report: TwinReport
+
+    @property
+    def plus(self) -> Building:
+        return self.atlas.plus
 
     def costar(self, i: int, c: int) -> int:
         """delta*(member i of B+, chamber c of B-)."""
         return self.atlas.members[i](c)
 
 
-def _halves(minus: Building, plus: Building, atlas: CodistanceAtlas):
+def _halves(atlas: CodistanceAtlas):
     """Each half X of the twin with delta*(x, -) for every chamber x of X,
     as a codistance on the other half: the members for B+, and the rows of
-    ``atlas.minus_rows`` for B-."""
+    ``atlas.minus_rows`` for B-, the atlas's building."""
     return (
-        (plus, atlas.members),
-        (minus, [Codistance(plus, row) for row in atlas.minus_rows]),
+        (atlas.plus, atlas.members),
+        (atlas.building, [Codistance(atlas.plus, row) for row in atlas.minus_rows]),
     )
 
 
-def _check_tw_axioms(minus: Building, plus: Building, atlas: CodistanceAtlas) -> bool:
+def _check_tw_axioms(atlas: CodistanceAtlas) -> bool:
     """The twinning axioms (Tw2) and (Tw3) for delta*(g, c) = g(c), on both
     halves: every row of each half, as a map on the other half, must pass
     ``validate_codistance``.
@@ -302,12 +301,12 @@ def _check_tw_axioms(minus: Building, plus: Building, atlas: CodistanceAtlas) ->
     """
     return all(
         validate_codistance(h).ok
-        for _, rows in _halves(minus, plus, atlas)
+        for _, rows in _halves(atlas)
         for h in rows
     )
 
 
-def _check_plus_star(minus: Building, plus: Building, atlas: CodistanceAtlas) -> bool:
+def _check_plus_star(atlas: CodistanceAtlas) -> bool:
     """delta(x,y) = delta*(x,z) forces y, z opposite; equal opposition sets
     force equality.  Checked on both halves, x and y in one half X, z in the
     other.
@@ -319,7 +318,7 @@ def _check_plus_star(minus: Building, plus: Building, atlas: CodistanceAtlas) ->
     chambers opposite y.  Every (x, y, z) triple is still covered, so the
     predicate is the triple loop's, not a sample of it.
     """
-    for X, rows in _halves(minus, plus, atlas):
+    for X, rows in _halves(atlas):
         ops = [h.fop_set() for h in rows]
         if len(set(ops)) != len(rows):
             return False
@@ -372,15 +371,19 @@ def _gonality(b: Building, R: ResidueRef) -> Optional[int]:
 def assemble_twin(
     atlas: CodistanceAtlas, b: Building, seed: Optional[Codistance] = None
 ) -> TwinAssembly:
-    """Verify the twinning of b and the atlas's B+ exhaustively.
+    """Verify the twinning of b, the atlas's building, and the atlas's B+
+    exhaustively; a b that is not the atlas's building raises
+    ``PreconditionFailed``.
 
     The assembly is returned whether or not its report passes; a failing
     check shows as a false flag of ``report``.
     """
+    if b is not atlas.building:
+        raise PreconditionFailed("b is not the atlas's building")
     plus = atlas.plus
     building_ok = validate_building(plus).ok
 
-    tw_ok = _check_tw_axioms(b, plus, atlas)
+    tw_ok = _check_tw_axioms(atlas)
 
     opposition_ok = True
     checked: set[tuple[ResidueRef, ResidueRef]] = set()
@@ -401,14 +404,14 @@ def assemble_twin(
                     continue
                 checked.add(key)
                 try:
-                    alpha_ok = alpha_check(atlas, i, J, R=R).ok
+                    alpha_ok = alpha_check(atlas, i, R).ok
                 except PreconditionFailed:
                     # a member of the residue has no projection onto R
                     alpha_ok = False
                 if not alpha_ok:
                     opposition_ok = False
 
-    plus_star_ok = _check_plus_star(b, plus, atlas)
+    plus_star_ok = _check_plus_star(atlas)
 
     diagram_ok = all(
         _gonality(X, R) == X.weyl.matrix.m[min(R.J)][max(R.J)]
@@ -428,4 +431,4 @@ def assemble_twin(
         diagram_ok=diagram_ok,
         seed_ok=seed_ok,
     )
-    return TwinAssembly(minus=b, plus=plus, atlas=atlas, report=report)
+    return TwinAssembly(atlas=atlas, report=report)

@@ -14,6 +14,7 @@ from twinbuild.catalog import (
 )
 from twinbuild.chambersys import validate_building
 from twinbuild.cli import serialize_building
+from twinbuild.coxeter import CoxeterMatrix
 from twinbuild.codistance import from_opposite_chamber, validate_codistance
 from twinbuild.errors import NameClash, UnsupportedQ
 
@@ -80,7 +81,7 @@ def test_product():
     b2 = gen_pg2(2)
     with pytest.raises(NameClash):
         product(b1, b2)  # both use generator names p, l
-    b1 = gen_thin(matrix_A2(("a", "b")))
+    b1 = gen_thin(CoxeterMatrix(("a", "b"), ((1, 3), (3, 1))))
     combined = product(b1, b2)
     assert combined.n == b1.n * b2.n
     assert validate_building(combined).ok

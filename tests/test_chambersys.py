@@ -232,7 +232,8 @@ def test_validator_matches_reference_on_panel_swaps(request, name):
 MORE_FIXTURES = {
     "pg2_5": lambda: gen_pg2(5),
     "digon_2_4": lambda: gen_digon(2, 4),
-    "thin_a2_x_pg2_2": lambda: product(gen_thin(matrix_A2(("a", "b"))), gen_pg2(2)),
+    "thin_a2_x_pg2_2": lambda: product(
+        gen_thin(CoxeterMatrix(("a", "b"), ((1, 3), (3, 1)))), gen_pg2(2)),
 }
 
 
@@ -446,7 +447,7 @@ def closure_reference(b: Building, c: int, J) -> tuple[int, ...]:
     lambda: gen_pg2(2),
     lambda: gen_sp4(2),
     lambda: gen_pg3(2),
-    lambda: product(gen_thin(matrix_A2(("a", "b"))), gen_pg2(2)),
+    lambda: product(gen_thin(CoxeterMatrix(("a", "b"), ((1, 3), (3, 1)))), gen_pg2(2)),
     lambda: atlas_component(from_opposite_chamber(gen_pg2(3), 0)).plus,
 ], ids=["thin_a2", "pg2_2", "sp4_2", "pg3_2", "thin_a2_x_pg2_2", "pg2_3_plus"])
 def test_partition_matches_closure_reference(make):

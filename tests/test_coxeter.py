@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from twinbuild.catalog import gen_pg2, gen_thin, matrix_A2, product
+from twinbuild import coxeter
+from twinbuild.catalog import gen_pg2, gen_thin, product
 from twinbuild.coxeter import CoxeterMatrix, WeylTable, enumerate_weyl
 from twinbuild.errors import CapExceeded, UnsupportedEntry
 
@@ -74,7 +75,7 @@ def test_a1_cross_dihedral_orders():
 
 def test_infinite_type_hits_cap():
     with pytest.raises(CapExceeded):
-        enumerate_weyl(mI2(0), cap=100)
+        enumerate_weyl(mI2(0))
 
 
 AFFINE_A3 = CoxeterMatrix(
@@ -83,11 +84,12 @@ AFFINE_A3 = CoxeterMatrix(
 )
 
 
-def test_affine_a3_hits_cap_inside_enumeration():
+def test_affine_a3_hits_cap_inside_enumeration(monkeypatch):
     # Ã3 is 3-spherical, so only the enumeration itself can stop it
     assert AFFINE_A3.is_3_spherical()
+    monkeypatch.setattr(coxeter, "DEFAULT_CAP", 1000)
     with pytest.raises(CapExceeded):
-        enumerate_weyl(AFFINE_A3, cap=1000)
+        enumerate_weyl(AFFINE_A3)
 
 
 def bonds(rank, **m):
@@ -345,7 +347,8 @@ TABLES = {
     "B3": lambda: enumerate_weyl(mB(3, "abc")),
     "A1^3": lambda: enumerate_weyl(
         CoxeterMatrix(("a", "b", "c"), ((1, 2, 2), (2, 1, 2), (2, 2, 1)))),
-    "A2xpg2(2)": lambda: product(gen_thin(matrix_A2(("a", "b"))), gen_pg2(2)).weyl,
+    "A2xpg2(2)": lambda: product(
+        gen_thin(CoxeterMatrix(("a", "b"), ((1, 3), (3, 1)))), gen_pg2(2)).weyl,
 }
 
 

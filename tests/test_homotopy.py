@@ -66,7 +66,7 @@ def test_simply_2_connected_rank3_thin(thin_a3):
 def test_coxeter_cycle_proven_nontrivial(thin_a3):
     orbit = coxeter_cycle(thin_a3)
     assert len(orbit) == 12
-    v = simply_2_connected(orbit, thin_a3, coset_cap=1000)
+    v = simply_2_connected(orbit, thin_a3)
     assert v.status == PROVEN_NONTRIVIAL
     assert v.certificate == ("free", 1)
 

@@ -15,6 +15,10 @@ Every public function, class and method of the package is reached from
 outside its own definition: from another module, from its own module, from
 the acceptance tests, or from the benchmark under ``perfbench/``.  A name
 only unit tests call is a second API to keep in step with the pipeline.
+
+Likewise every defaulted parameter of a public function, method or class
+is set by some call in the package, the acceptance tests or the benchmark:
+a value only unit tests choose is a module constant they monkeypatch.
 """
 
 import ast
@@ -269,3 +273,143 @@ def test_unreached_names_are_found():
         "b.py": "from .a import used\nused().m\nn = 1\n",
     }
     assert unreached(sources, {"K"}) == [("a.py", "lonely"), ("a.py", "K.n")]
+
+
+# -- defaults no caller sets --------------------------------------------------
+
+
+def is_dataclass(cls):
+    return any(ast.unparse(d).partition("(")[0] == "dataclass" for d in cls.decorator_list)
+
+
+def init_fields(cls):
+    """(name, has default) of each ``__init__`` parameter a dataclass body
+    declares: annotated names, less ``ClassVar`` and ``field(init=False)``."""
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+            keys = {k.arg: k.value for k in value.keywords}
+            if "init" in keys and ast.literal_eval(keys["init"]) is False:
+                continue
+            yield stmt.target.id, "default" in keys or "default_factory" in keys
+        else:
+            yield stmt.target.id, value is not None
+
+
+def parameters(fn, method):
+    """(name, has default, positional index or None) of each parameter of a
+    function; a method's index does not count ``self``."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    skip = 1 if method else 0
+    for i, a in enumerate(positional[skip:], skip):
+        yield a.arg, i >= first, i - skip
+    for a, d in zip(args.kwonlyargs, args.kw_defaults):
+        yield a.arg, d is not None, None
+
+
+def defaulted(tree):
+    """(callee name, qualified name, parameter, positional index or None)
+    of each defaulted parameter of a public function or method; a class's
+    ``__init__``, written or a dataclass's, is called by the class name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            for name, default, index in parameters(node, False):
+                if default:
+                    yield node.name, node.name, name, index
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if is_dataclass(node):
+            for index, (name, default) in enumerate(init_fields(node)):
+                if default:
+                    yield node.name, node.name, name, index
+        for m in node.body:
+            if not isinstance(m, ast.FunctionDef) or private(m.name):
+                continue
+            callee = node.name if m.name == "__init__" else m.name
+            for name, default, index in parameters(m, True):
+                if default:
+                    yield callee, f"{node.name}.{m.name}", name, index
+
+
+def unset_defaults(sources, callers):
+    """(module, qualified name, parameter) of each defaulted parameter in
+    ``sources`` ({module: source}) that no call in ``callers`` (a list of
+    sources) sets: by keyword, by a positional argument at its index, or by
+    ``*`` at or before that index or ``**``.  A call is matched to a
+    definition by its bare name, so a call of a same-named function counts
+    as well."""
+    calls: dict[str, list] = {}
+    for tree in map(ast.parse, callers):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+
+    def sets(call, name, index):
+        if any(k.arg in (None, name) for k in call.keywords):
+            return True
+        return index is not None and any(
+            i == index or (i < index and isinstance(a, ast.Starred))
+            for i, a in enumerate(call.args))
+
+    return [(m, qualname, name)
+            for m, src in sources.items()
+            for callee, qualname, name, index in defaulted(ast.parse(src))
+            if not any(sets(call, name, index) for call in calls.get(callee, ()))]
+
+
+def test_every_default_is_set_by_a_caller():
+    sources = {m: read(os.path.join(SRC, m)) for m in MODULES}
+    callers = list(sources.values())
+    callers.append(read(os.path.join(ROOT, "tests", "test_acceptance.py")))
+    for folder, _, files in os.walk(os.path.join(ROOT, "perfbench")):
+        callers += [read(os.path.join(folder, name)) for name in files if name.endswith(".py")]
+    assert unset_defaults(sources, callers) == []
+
+
+def test_unset_defaults_are_found():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar\n"
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    pass\n"
+        "def g(a=1, b=2):\n"
+        "    pass\n"
+        "def h(a=1):\n"
+        "    pass\n"
+        "def _p(a=1):\n"
+        "    pass\n"
+        "class K:\n"
+        "    def __init__(self, a=1, b=2):\n"
+        "        pass\n"
+        "    def m(self, a=1, b=2):\n"
+        "        pass\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: list = field(default_factory=list)\n"
+        "    w: int = field(init=False, default=0)\n"
+        "    v: ClassVar[int] = 5\n"
+    )
+    calls = (
+        "f(0, 1, d=2)\n"
+        "g(*args)\n"
+        "h(**kw)\n"
+        "K(0)\n"
+        "obj.m(b=1)\n"
+        "D(1, 2)\n"
+    )
+    assert unset_defaults({"a.py": source}, [source, calls]) == [
+        ("a.py", "f", "c"),
+        ("a.py", "f", "e"),
+        ("a.py", "K.__init__", "b"),
+        ("a.py", "K.m", "a"),
+        ("a.py", "D", "z"),
+    ]

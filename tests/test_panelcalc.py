@@ -14,12 +14,10 @@ import pytest
 from twinbuild.chambersys import Building
 from twinbuild.codistance import from_opposite_chamber, proj_f
 from twinbuild.errors import (
-    HomotopyInconclusive,
     NotOpposite,
     NotParallel,
     PreconditionFailed,
 )
-from twinbuild.homotopy import TrivialityVerdict, INCONCLUSIVE
 from twinbuild.panelcalc import (
     PanelBijection,
     all_compatible_paths,
@@ -402,13 +400,6 @@ def test_beta_requires_matching_types(fano):
     Q = panels_op(f, 1)[0]
     with pytest.raises(NotOpposite):
         beta(f, P, Q)
-
-
-def test_beta_rejects_uncertified_fop(fano):
-    f = from_opposite_chamber(fano, 0)
-    ps = panels_op(f, 0)
-    with pytest.raises(HomotopyInconclusive):
-        beta(f, ps[0], ps[1], fop_verdict=TrivialityVerdict(INCONCLUSIVE))
 
 
 def test_panel_bijection_validation(fano):

@@ -21,7 +21,7 @@ from twinbuild.codistance import (
     proj_f,
     validate_codistance,
 )
-from twinbuild.coxeter import WeylTable, enumerate_weyl
+from twinbuild.coxeter import CoxeterMatrix, WeylTable, enumerate_weyl
 from twinbuild.errors import (
     NotOpposite,
     PreconditionFailed,
@@ -284,7 +284,8 @@ def test_alpha_check_all_types(fano_atlas):
     f, atlas = fano_atlas
     for i in range(len(atlas.members)):
         for J in (frozenset(), frozenset((0,)), frozenset((1,)), frozenset((0, 1))):
-            report = alpha_check(atlas, i, J)
+            R = atlas.building.residue(min(atlas.members[i].fop()), J)
+            report = alpha_check(atlas, i, R)
             assert report.ok, report.witnesses
 
 
@@ -314,9 +315,9 @@ def alpha_adjacency_reference(atlas, i, J, R):
     return failures
 
 
-def assert_alpha_matches_reference(atlas, i, J, R):
-    report = alpha_check(atlas, i, J, R=R)
-    failures = alpha_adjacency_reference(atlas, i, J, R)
+def assert_alpha_matches_reference(atlas, i, R):
+    report = alpha_check(atlas, i, R)
+    failures = alpha_adjacency_reference(atlas, i, R.J, R)
     assert report.adjacency_ok == (not failures)
     assert report.ok == (report.bijective and not failures and report.opposition_ok)
     found = [w[1:] for w in report.witnesses if w[0] == "adjacency"]
@@ -334,16 +335,16 @@ def test_alpha_check_matches_reference_in_assembly(request, monkeypatch, fixture
     atlas = atlas_component(f)
     calls = []
 
-    def recording(atlas, i, J, R=None):
-        report = alpha_check(atlas, i, J, R=R)
-        calls.append((i, J, R))
+    def recording(atlas, i, R):
+        report = alpha_check(atlas, i, R)
+        calls.append((i, R))
         return report
 
     monkeypatch.setattr("twinbuild.twinner.alpha_check", recording)
     assert assemble_twin(atlas, b, seed=f).report.ok
     assert calls
-    for i, J, R in calls:
-        assert assert_alpha_matches_reference(atlas, i, J, R).ok
+    for i, R in calls:
+        assert assert_alpha_matches_reference(atlas, i, R).ok
     # one call per (tilde, R) pair of the definition, for its first member:
     # tilde the atlas J-residue of member i, R the J-residue of a chamber of
     # its f^op, over every member, f^op chamber and J with |J| in {1, 2}
@@ -354,7 +355,7 @@ def test_alpha_check_matches_reference_in_assembly(request, monkeypatch, fixture
         for c in g.fop():
             for J in small_J:
                 expected.setdefault((atlas.plus.residue(i, J), b.residue(c, J)), i)
-    checked = {(atlas.plus.residue(i, J), R): i for i, J, R in calls}
+    checked = {(atlas.plus.residue(i, R.J), R): i for i, R in calls}
     assert len(checked) == len(calls) and checked == expected
 
 
@@ -406,7 +407,7 @@ def test_alpha_check_rejects_corrupted_atlas_panels(request, fixture, kinds):
         except ValueError:
             continue  # two members would share panels of both types
         seen[kind] += 1
-        report = assert_alpha_matches_reference(bad, 0, J, b.residue(0, J))
+        report = assert_alpha_matches_reference(bad, 0, b.residue(0, J))
         assert report.bijective and not report.adjacency_ok
     assert set(seen) == kinds
 
@@ -454,7 +455,7 @@ def test_twin_checks_read_the_costar_tables(monkeypatch, fano, fano_atlas):
     # both halves read delta* off the value tables: no per-entry codistance
     # call, and the B- rows invert through the table's inverse list
     f, atlas = fano_atlas
-    fresh = CodistanceAtlas(fano, atlas.members, atlas.panels, atlas.origin)
+    fresh = CodistanceAtlas(fano, atlas.members, atlas.panels)
     calls = {"call": 0, "inv": 0}
     call, inv = Codistance.__call__, WeylTable.inv
 
@@ -468,8 +469,8 @@ def test_twin_checks_read_the_costar_tables(monkeypatch, fano, fano_atlas):
 
     monkeypatch.setattr(Codistance, "__call__", counting_call)
     monkeypatch.setattr(WeylTable, "inv", counting_inv)
-    assert _check_tw_axioms(fano, fresh.plus, fresh)
-    assert _check_plus_star(fano, fresh.plus, fresh)
+    assert _check_tw_axioms(fresh)
+    assert _check_plus_star(fresh)
     assert calls == {"call": 0, "inv": 0}
     monkeypatch.undo()
     for c in range(fano.n):
@@ -496,6 +497,15 @@ def test_assemble_without_seed_checks_no_seed(fano, fano_atlas):
     assert report.seed_ok is None and report.ok
 
 
+def test_assemble_rejects_another_building():
+    # a second pg2(2), generated separately, has the same tables, but the
+    # checks read one building only: the atlas's
+    b = gen_pg2(2)
+    atlas = atlas_component(from_opposite_chamber(b, 0))
+    with pytest.raises(PreconditionFailed):
+        assemble_twin(atlas, gen_pg2(2))
+
+
 def test_assemble_rejects_corrupted_atlas(fano, fano_atlas):
     f, atlas = fano_atlas
     members = list(atlas.members)
@@ -504,7 +514,6 @@ def test_assemble_rejects_corrupted_atlas(fano, fano_atlas):
         building=atlas.building,
         members=members,
         panels=atlas.panels,
-        origin=atlas.origin,
     )
     assert not assemble_twin(bad, fano, seed=f).report.ok
 
@@ -520,7 +529,6 @@ def test_assemble_reports_member_without_projection(fano, fano_atlas):
         building=atlas.building,
         members=members,
         panels=atlas.panels,
-        origin=atlas.origin,
     )
     report = assemble_twin(bad, fano, seed=f).report
     assert not report.opposition_ok and not report.ok
@@ -568,7 +576,7 @@ def corrupted_atlases(atlas):
     n = len(atlas.members)
 
     def with_members(members):
-        return CodistanceAtlas(b, members, atlas.panels, atlas.origin)
+        return CodistanceAtlas(b, members, atlas.panels)
 
     for k, c in ((0, 0), (1, b.n - 1), (n - 1, b.n // 2)):
         values = list(atlas.members[k].values)
@@ -596,10 +604,10 @@ def test_plus_star_matches_reference(request, fixture):
     atlas = atlas_component(f)
     plus = assemble_twin(atlas, b, seed=f).plus
     assert plus_star_reference(b, plus, atlas)
-    assert _check_plus_star(b, plus, atlas)
+    assert _check_plus_star(atlas)
     for bad in corrupted_atlases(atlas):
         assert not plus_star_reference(b, plus, bad)
-        assert not _check_plus_star(b, plus, bad)
+        assert not _check_plus_star(bad)
 
 
 def tw_axioms_reference(minus, plus, atlas):
@@ -652,10 +660,10 @@ def test_tw_axioms_match_reference(request, fixture):
     b = request.getfixturevalue(fixture)
     atlas = atlas_component(from_opposite_chamber(b, 0))
     assert tw_axioms_reference(b, atlas.plus, atlas)
-    assert _check_tw_axioms(b, atlas.plus, atlas)
+    assert _check_tw_axioms(atlas)
     for bad in corrupted_atlases(atlas):
         expected = tw_axioms_reference(b, atlas.plus, bad)
-        assert _check_tw_axioms(b, atlas.plus, bad) == expected
+        assert _check_tw_axioms(bad) == expected
 
 
 @pytest.mark.parametrize("fixture", ["pg23", "sp43", "pg32"])
@@ -753,7 +761,8 @@ def reference_buildings(fano, pg23, sp43, sp42, thin_a3, digon33):
     return {
         "fano": fano, "pg23": pg23, "sp43": sp43, "sp42": sp42,
         "thin_a3": thin_a3, "digon33": digon33,
-        "a2_x_fano": product(gen_thin(matrix_A2(("a", "b"))), gen_pg2(2)),
+        "a2_x_fano": product(
+            gen_thin(CoxeterMatrix(("a", "b"), ((1, 3), (3, 1)))), gen_pg2(2)),
     }
 
 
