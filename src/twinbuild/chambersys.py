@@ -29,7 +29,7 @@ class ChamberSystem:
 
     weyl: WeylTable
     n: int
-    panels: list[list[tuple[int, ...]]]       # per generator: sorted panels
+    panels: list[list[tuple[int, ...]]]       # per generator: panels, in input order
     panel_of: list[list[int]] = field(init=False)  # per generator: chamber -> panel idx
     # per chamber: (s, d) for every d != c adjacent to c, by type, then by panel order
     adjacency: list[tuple[tuple[int, int], ...]] = field(init=False, repr=False)
@@ -141,9 +141,11 @@ class AxiomViolation:
 
 @dataclass
 class BuildingReport:
-    ok: bool
-    violation: Optional[AxiomViolation]
-    thick: bool
+    violation: Optional[AxiomViolation]   # the first violation found, if any
+
+    @property
+    def ok(self) -> bool:
+        return self.violation is None
 
 
 class Building:
@@ -347,12 +349,9 @@ def validate_building(b: Building) -> BuildingReport:
     gens = range(b.system.rank)
     panels = b.system.panels
     panel_of = b.system.panel_of
-    thick = b.system.is_thick()
 
     def fail(axiom: str, witness: tuple, detail: str) -> BuildingReport:
-        return BuildingReport(
-            ok=False, violation=AxiomViolation(axiom, witness, detail), thick=thick
-        )
+        return BuildingReport(AxiomViolation(axiom, witness, detail))
 
     for x, row in enumerate(rows):
         if row[x] == 0 and row.count(0) == 1 and all(
@@ -384,4 +383,4 @@ def validate_building(b: Building) -> BuildingReport:
                         )
                 if not found_ws:
                     return fail("Bu3", (x, y, s), "no z with delta(x,z)=ws")
-    return BuildingReport(ok=True, violation=None, thick=thick)
+    return BuildingReport(None)

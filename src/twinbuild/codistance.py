@@ -62,8 +62,11 @@ class PanelViolation:
 
 @dataclass
 class CodistanceReport:
-    ok: bool
-    violation: Optional[PanelViolation] = None
+    violation: Optional[PanelViolation]   # the first violation found, if any
+
+    @property
+    def ok(self) -> bool:
+        return self.violation is None
 
 
 def validate_codistance(f: Codistance) -> CodistanceReport:
@@ -83,8 +86,8 @@ def validate_codistance(f: Codistance) -> CodistanceReport:
             vals = tuple(values[c] for c in panel)
             violation = _panel_violation(b.weyl, s, panel, vals)
             if violation is not None:
-                return CodistanceReport(False, violation)
-    return CodistanceReport(True)
+                return CodistanceReport(violation)
+    return CodistanceReport(None)
 
 
 def _panel_violation(
@@ -116,8 +119,8 @@ def from_opposite_chamber(b: Building, c: int) -> Codistance:
     f(x) = r_S * delta(c, x)."""
     table = b.weyl
     r = table.longest_element(range(table.rank))
-    values = [table.mult(r, b.delta(c, x)) for x in range(b.n)]
-    return Codistance(b, values)
+    products = [table.mult(r, w) for w in range(table.size)]
+    return Codistance(b, list(map(products.__getitem__, b.rows[c])))
 
 
 @dataclass
@@ -125,7 +128,6 @@ class ResidueProfile:
     image: frozenset[int]          # the coset f(x) W_J as a set of Weyl ids
     l_f: int
     A_f: tuple[int, ...]
-    proj_f: Optional[int]          # chamber of maximal f-length (spherical J)
 
 
 def residue_profile(f: Codistance, R: ResidueRef) -> ResidueProfile:
@@ -137,28 +139,20 @@ def residue_profile(f: Codistance, R: ResidueRef) -> ResidueProfile:
     lengths = [f.vlen(x) for x in chambers]
     l_f = min(lengths)
     A_f = tuple(x for x, l in zip(chambers, lengths) if l == l_f)
-    return ResidueProfile(
-        image=coset, l_f=l_f, A_f=A_f, proj_f=_longest_chamber(f, chambers)
-    )
-
-
-def _longest_chamber(f: Codistance, chambers: Sequence[int]) -> Optional[int]:
-    """The unique chamber of maximal f-length among ``chambers``, or None
-    when the maximum is attained twice."""
-    length = f.building.weyl.length
-    values = f.values
-    lengths = [length[values[x]] for x in chambers]
-    l_max = max(lengths)
-    if lengths.count(l_max) != 1:
-        return None
-    return chambers[lengths.index(l_max)]
+    return ResidueProfile(image=coset, l_f=l_f, A_f=A_f)
 
 
 def proj_f(f: Codistance, R: ResidueRef) -> int:
-    p = _longest_chamber(f, R.chambers())
-    if p is None:
+    """The unique chamber of maximal f-length in R; ``PreconditionFailed``
+    when the maximum is attained twice."""
+    length = f.building.weyl.length
+    values = f.values
+    chambers = R.chambers()
+    lengths = [length[values[x]] for x in chambers]
+    l_max = max(lengths)
+    if lengths.count(l_max) != 1:
         raise PreconditionFailed("no unique chamber of maximal f-length in residue")
-    return p
+    return chambers[lengths.index(l_max)]
 
 
 def fop_c(f: Codistance, c: int) -> tuple[int, ...]:

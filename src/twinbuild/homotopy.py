@@ -326,14 +326,14 @@ class OppositeSetEntry:
 
 @dataclass
 class LocalConditionReport:
-    ok: bool
-    entries: list[OppositeSetEntry]
+    entries: list[OppositeSetEntry]   # the opposite sets not proven trivial
+
+    @property
+    def ok(self) -> bool:
+        return not self.entries
 
     def first_failure(self) -> Optional[OppositeSetEntry]:
-        for e in self.entries:
-            if not e.verdict.proven_trivial:
-                return e
-        return None
+        return self.entries[0] if self.entries else None
 
 
 def opposite_set(b: Building, R: ResidueRef, x: int) -> frozenset:
@@ -352,7 +352,7 @@ def _opposite_sets(b: Building, k: int, decide) -> LocalConditionReport:
                 if not verdict.proven_trivial:
                     entries.append(OppositeSetEntry(R.base, J, x, verdict))
     entries.sort(key=lambda e: (e.J, e.residue_base, e.chamber))
-    return LocalConditionReport(ok=not entries, entries=entries)
+    return LocalConditionReport(entries)
 
 
 def check_lco(b: Building) -> LocalConditionReport:
@@ -391,7 +391,6 @@ def check_lsco(b: Building) -> LocalConditionReport:
 
 @dataclass
 class Filtration:
-    codistance: Codistance
     levels: list[frozenset]                  # C_0 .. C_max (C_max = all chambers)
     witnesses: dict[int, int] = field(init=False, default_factory=dict)  # level -> generator
 
@@ -413,7 +412,7 @@ def residual_filtration(f: Codistance, validate: bool = True) -> Filtration:
         frozenset(c for c, v in enumerate(values) if v <= n)
         for n in range(top + 1)
     ]
-    filt = Filtration(codistance=f, levels=levels)
+    filt = Filtration(levels)
     if not validate:
         return filt
     rank = b.system.rank

@@ -181,21 +181,19 @@ def atlas_component(f: Codistance) -> CodistanceAtlas:
 # -- alpha bijections ---------------------------------------------------------
 
 
-@dataclass
-class AlphaReport:
-    ok: bool
-    bijective: bool
-    adjacency_ok: bool
-    opposition_ok: bool
-    witnesses: list = field(default_factory=list)
-
-
-def alpha_check(atlas: CodistanceAtlas, i: int, R: ResidueRef) -> AlphaReport:
+def alpha_check(atlas: CodistanceAtlas, i: int, R: ResidueRef) -> list[tuple]:
     """Verify that h -> proj_R h is a bijection from the atlas J-residue of
     member i, J the type of R, onto R, a residue of the atlas's building in
     member i's f^op, matching adjacency through conjugation by r_J and
-    opposition through distance r_J."""
+    opposition through distance r_J.
+
+    Returns the witnesses of failure, empty when alpha passes: a
+    ("bijection", images), one ("adjacency", s, j0, j) per failing type s,
+    and each ("opposition", j, c).  An R of another building raises
+    ``PreconditionFailed``."""
     b = atlas.building
+    if R.building is not b:
+        raise PreconditionFailed("R is not a residue of the atlas's building")
     table = b.weyl
     J = R.J
     g = atlas.members[i]
@@ -204,15 +202,13 @@ def alpha_check(atlas: CodistanceAtlas, i: int, R: ResidueRef) -> AlphaReport:
     rJ = table.longest_element(J)
     tilde = atlas.residue_members(i, J)
     alpha = {j: proj_f(atlas.members[j], R) for j in tilde}
-    witnesses = []
-    bijective = sorted(alpha.values()) == sorted(R.chambers())
-    if not bijective:
+    witnesses: list[tuple] = []
+    if sorted(alpha.values()) != sorted(R.chambers()):
         witnesses.append(("bijection", sorted(alpha.values())))
     # alpha matches adjacency when the s-panels of the members and the
     # sbar-panels of their images partition tilde alike: every member's
     # label of one kind agrees with that of the first member sharing its
     # label of the other kind
-    adjacency_ok = True
     for s in sorted(J):
         plus_panel = atlas.plus.system.panel_of[s]
         minus_panel = b.system.panel_of[table.gen_index(table.conj_by(rJ, s))]
@@ -228,18 +224,14 @@ def alpha_check(atlas: CodistanceAtlas, i: int, R: ResidueRef) -> AlphaReport:
                 j0 = jm
             else:
                 continue
-            adjacency_ok = False
             witnesses.append(("adjacency", s, j0, j))
             break
-    opposition_ok = True
     for j in tilde:
         values = atlas.members[j].values
         for c in R.chambers():
             if (values[c] == 0) != (b.delta(alpha[j], c) == rJ):
-                opposition_ok = False
                 witnesses.append(("opposition", j, c))
-    ok = bijective and adjacency_ok and opposition_ok
-    return AlphaReport(ok, bijective, adjacency_ok, opposition_ok, witnesses)
+    return witnesses
 
 
 # -- twin assembly ------------------------------------------------------------
@@ -404,11 +396,10 @@ def assemble_twin(
                     continue
                 checked.add(key)
                 try:
-                    alpha_ok = alpha_check(atlas, i, R).ok
+                    if alpha_check(atlas, i, R):
+                        opposition_ok = False
                 except PreconditionFailed:
                     # a member of the residue has no projection onto R
-                    alpha_ok = False
-                if not alpha_ok:
                     opposition_ok = False
 
     plus_star_ok = _check_plus_star(atlas)

@@ -322,6 +322,27 @@ def test_twin_build_bytes_pinned(request, tmp_path, capsys, fixture, chamber, di
     assert digest_dir(out) == digest
 
 
+def test_panels_out_of_order(tmp_path, fano, fano_file, fano_cod_file, capsys):
+    # with its p panels reversed, ChamberSystem.panel_of and
+    # Building.partition number the panels differently; the verdict and the
+    # twin's bytes are those of the canonical bundle
+    text = serialize_building(fano)
+    head, rest = text.split("panels p\n")
+    p_lines, tail = rest.split("panels l\n")
+    reversed_text = (head + "panels p\n" + "".join(reversed(p_lines.splitlines(True)))
+                     + "panels l\n" + tail)
+    assert reversed_text != text
+    path = tmp_path / "reversed.bld"
+    path.write_text(reversed_text)
+    assert main(["validate", "building", str(path)]) == EXIT_PASS
+    captured = capsys.readouterr()
+    assert "RESULT=pass" in captured.out.splitlines()
+    assert "note: input was not in canonical form" in captured.err
+    _, canonical = run_twin_build(tmp_path, fano_file, fano_cod_file, "canonical")
+    _, out = run_twin_build(tmp_path, str(path), fano_cod_file, "reversed")
+    assert digest_dir(out) == digest_dir(canonical)
+
+
 def test_twin_build_atlas_cap_is_inconclusive(
     monkeypatch, tmp_path, fano_file, fano_cod_file, capsys
 ):

@@ -19,6 +19,10 @@ only unit tests call is a second API to keep in step with the pipeline.
 Likewise every defaulted parameter of a public function, method or class
 is set by some call in the package, the acceptance tests or the benchmark:
 a value only unit tests choose is a module constant they monkeypatch.
+
+Every dataclass field is read, by the package, the acceptance tests or the
+benchmark, and no dataclass stores a field named ``ok``: a report's verdict
+is a property derived from the evidence it carries.
 """
 
 import ast
@@ -412,4 +416,71 @@ def test_unset_defaults_are_found():
         ("a.py", "K.__init__", "b"),
         ("a.py", "K.m", "a"),
         ("a.py", "D", "z"),
+    ]
+
+
+# -- fields nothing reads -----------------------------------------------------
+
+
+def dataclass_fields(tree):
+    """(class name, field name) of each dataclass field a tree declares, in
+    order, less ``ClassVar``s."""
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        if not is_dataclass(cls):
+            continue
+        for stmt in cls.body:
+            if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)):
+                yield cls.name, stmt.target.id
+
+
+def attribute_reads(tree):
+    """The attribute names a tree loads; a store or a string is no read."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def unread_fields(sources, readers):
+    """(module, qualified name) of each dataclass field in ``sources``
+    ({module: source}) that no attribute load in ``readers`` (a list of
+    sources) names, and of each field named ``ok``: a report's verdict is a
+    property derived from its evidence, never a second stored copy."""
+    reads = set().union(*(attribute_reads(ast.parse(src)) for src in readers))
+    return [(m, f"{cls}.{name}")
+            for m, src in sources.items()
+            for cls, name in dataclass_fields(ast.parse(src))
+            if name == "ok" or name not in reads]
+
+
+def test_every_field_is_read():
+    sources = {m: read(os.path.join(SRC, m)) for m in MODULES}
+    readers = list(sources.values())
+    readers.append(read(os.path.join(ROOT, "tests", "test_acceptance.py")))
+    bench = os.path.join(ROOT, "perfbench")
+    readers += [read(os.path.join(bench, name))
+                for name in sorted(os.listdir(bench)) if name.endswith(".py")]
+    assert unread_fields(sources, readers) == []
+
+
+def test_unread_fields_are_found():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar\n"
+        "@dataclass(frozen=True)\n"
+        "class R:\n"
+        "    ok: bool\n"
+        "    kept: int\n"
+        "    spare: int\n"
+        "    late: list = field(init=False)\n"
+        "    origin: ClassVar[int] = 0\n"
+        "class Plain:\n"
+        "    loose: int\n"
+        "def use(r):\n"
+        "    r.late = []\n"
+        "    return r.kept, r.ok, 'r.spare'\n"
+    )
+    assert unread_fields({"a.py": source}, [source, "x.spare_part\n"]) == [
+        ("a.py", "R.ok"),
+        ("a.py", "R.spare"),
+        ("a.py", "R.late"),
     ]

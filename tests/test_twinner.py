@@ -285,8 +285,18 @@ def test_alpha_check_all_types(fano_atlas):
     for i in range(len(atlas.members)):
         for J in (frozenset(), frozenset((0,)), frozenset((1,)), frozenset((0, 1))):
             R = atlas.building.residue(min(atlas.members[i].fop()), J)
-            report = alpha_check(atlas, i, R)
-            assert report.ok, report.witnesses
+            assert alpha_check(atlas, i, R) == []
+
+
+def test_alpha_check_refuses_a_residue_of_another_building(fano_atlas):
+    # a second, separately generated pg2(2) numbers its chambers alike
+    f, atlas = fano_atlas
+    other = gen_pg2(2)
+    for J in (frozenset(), frozenset((0,)), frozenset((0, 1))):
+        R = atlas.building.residue(min(f.fop()), J)
+        assert alpha_check(atlas, 0, R) == []
+        with pytest.raises(PreconditionFailed):
+            alpha_check(atlas, 0, other.residue(R.base, J))
 
 
 def alpha_adjacency_reference(atlas, i, J, R):
@@ -316,15 +326,13 @@ def alpha_adjacency_reference(atlas, i, J, R):
 
 
 def assert_alpha_matches_reference(atlas, i, R):
-    report = alpha_check(atlas, i, R)
+    witnesses = alpha_check(atlas, i, R)
     failures = alpha_adjacency_reference(atlas, i, R.J, R)
-    assert report.adjacency_ok == (not failures)
-    assert report.ok == (report.bijective and not failures and report.opposition_ok)
-    found = [w[1:] for w in report.witnesses if w[0] == "adjacency"]
+    found = [w[1:] for w in witnesses if w[0] == "adjacency"]
     # one witness per failing type, each a pair the definition reports
     assert set(found) <= set(failures)
     assert sorted(s for s, _, _ in found) == sorted({s for s, _, _ in failures})
-    return report
+    return witnesses
 
 
 @pytest.mark.parametrize("fixture", ["pg23", "sp43"])
@@ -336,15 +344,15 @@ def test_alpha_check_matches_reference_in_assembly(request, monkeypatch, fixture
     calls = []
 
     def recording(atlas, i, R):
-        report = alpha_check(atlas, i, R)
+        witnesses = alpha_check(atlas, i, R)
         calls.append((i, R))
-        return report
+        return witnesses
 
     monkeypatch.setattr("twinbuild.twinner.alpha_check", recording)
     assert assemble_twin(atlas, b, seed=f).report.ok
     assert calls
     for i, R in calls:
-        assert assert_alpha_matches_reference(atlas, i, R).ok
+        assert assert_alpha_matches_reference(atlas, i, R) == []
     # one call per (tilde, R) pair of the definition, for its first member:
     # tilde the atlas J-residue of member i, R the J-residue of a chamber of
     # its f^op, over every member, f^op chamber and J with |J| in {1, 2}
@@ -407,8 +415,9 @@ def test_alpha_check_rejects_corrupted_atlas_panels(request, fixture, kinds):
         except ValueError:
             continue  # two members would share panels of both types
         seen[kind] += 1
-        report = assert_alpha_matches_reference(bad, 0, b.residue(0, J))
-        assert report.bijective and not report.adjacency_ok
+        witnesses = assert_alpha_matches_reference(bad, 0, b.residue(0, J))
+        found = {w[0] for w in witnesses}
+        assert "bijection" not in found and "adjacency" in found
     assert set(seen) == kinds
 
 
