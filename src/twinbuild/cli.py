@@ -540,7 +540,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed a usage error and exits 2, meaning inconclusive
+        if e.code != 2:
+            raise
+        return EXIT_INPUT
     try:
         return args.func(args)
     except FormatError as e:

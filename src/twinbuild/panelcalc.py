@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .chambersys import Building, ResidueRef
 from .codistance import Codistance, fop_c, panels_op, unique_chamber
@@ -184,18 +184,35 @@ def pi(f: Codistance, P: ResidueRef, w: int) -> ResidueRef:
     """The panel of type w^-1 s w at distance w from P characterized by
     containing a chamber with f-value w, seen from the gap of P: its one
     chamber outside f^op, of f-value s."""
+    return _transport(f, panel_type(P), w, {})(P)
+
+
+def _transport(
+    f: Codistance, s: int, w: int, gaps: dict[ResidueRef, int]
+) -> Callable[[ResidueRef], ResidueRef]:
+    """P -> pi(P, w) on the s-panels of f, with w tested for X_s once, each
+    image found once, and the gap of each panel kept in ``gaps``."""
     b = f.building
     table = b.weyl
-    s = panel_type(P)
     ok, t = table.in_X_s(w, s)
     if not ok:
         raise PreconditionFailed(f"{table.word_str(w)} not in X_{s}")
-    if P not in panels_op(f, s):
-        raise PreconditionFailed("panel does not meet f^op")
-    gap = [x for x in P.chambers() if f.values[x] != 0]
-    if len(gap) != 1 or f.values[gap[0]] != table.gen(s):
-        raise PreconditionFailed("panel does not meet f^op correctly")
-    return b.panel(unique_chamber(f, gap[0], w), t)
+    values = f.values
+    images: dict[ResidueRef, ResidueRef] = {}
+
+    def pi_w(P: ResidueRef) -> ResidueRef:
+        if P not in images:
+            if P not in gaps:
+                if P not in panels_op(f, s):
+                    raise PreconditionFailed("panel does not meet f^op")
+                gap = [x for x in P.chambers() if values[x] != 0]
+                if len(gap) != 1 or values[gap[0]] != table.gen(s):
+                    raise PreconditionFailed("panel does not meet f^op correctly")
+                gaps[P] = gap[0]
+            images[P] = b.panel(unique_chamber(f, gaps[P], w), t)
+        return images[P]
+
+    return pi_w
 
 
 @dataclass
@@ -230,14 +247,19 @@ class PanelBijection:
 
 def beta_w(f: Codistance, P: ResidueRef, Q: ResidueRef, w: int) -> PanelBijection:
     """proj_Q proj_{pi(P,w)} restricted to P, defined when pi(P,w) = pi(Q,w)."""
-    b = f.building
-    M = pi(f, P, w)
-    if pi(f, Q, w) != M:
+    step = _follow(f.building, pi(f, P, w), pi(f, Q, w), Q, {c: c for c in P.chambers()})
+    return PanelBijection(P, Q, step)
+
+
+def _follow(b: Building, M: ResidueRef, N: ResidueRef, Q: ResidueRef, mapping: dict) -> dict:
+    """``mapping``, a chamber map onto an s-panel P, followed by beta_w(P, Q),
+    given M = pi(P, w) and N = pi(Q, w)."""
+    if N != M:
         raise NotEquivalent("pi(P, w) != pi(Q, w)")
-    mapping = {
-        c: b.proj_chamber(Q, b.proj_chamber(M, c)) for c in P.chambers()
-    }
-    return PanelBijection(P, Q, mapping)
+    out = {c: b.proj_chamber(Q, b.proj_chamber(M, v)) for c, v in mapping.items()}
+    if set(out.values()) != Q.member_set:
+        raise ValueError("mapping is not a bijection between the panels")
+    return out
 
 
 def _fop_search(f: Codistance, Ptilde: ResidueRef):
@@ -248,13 +270,20 @@ def _fop_search(f: Codistance, Ptilde: ResidueRef):
     and the chamber map of Ptilde composed along the path in the search
     tree.  A tree edge of type t != s moves the map by beta_w from the
     s-panel of one end to that of the other, w = s r_{st}; an edge of type s
-    stays in one s-panel and maps nothing.  Neighbours are read off the
-    chamber system's adjacency, by type and then by ascending id, so the
-    order and the maps depend only on f and Ptilde.
+    stays in one s-panel and maps nothing.  The word of each t, its X_s
+    test, each panel's gap and each pi are found once per search.
+    Neighbours are read off the chamber system's adjacency, by type and then
+    by ascending id, so the order and the maps depend only on f and Ptilde.
     """
     b = f.building
     table = b.weyl
     s = panel_type(Ptilde)
+    panels, index = b.partition((s,))
+    gaps: dict[ResidueRef, int] = {}
+    transports = {
+        t: _transport(f, s, table.left[table.longest_element((s, t))][s], gaps)
+        for t in range(b.system.rank) if t != s
+    }
     inside = f.fop_set()
     start = min(x for x in Ptilde.chambers() if x in inside)
     image = {start: {c: c for c in Ptilde.chambers()}}
@@ -262,17 +291,18 @@ def _fop_search(f: Codistance, Ptilde: ResidueRef):
     queue = deque([start])
     while queue:
         x = queue.popleft()
+        P = panels[index[x]]
         for t, y in b.system.adjacency[x]:
             if y not in inside or y in image:
                 continue
+            Q = panels[index[y]]
             mapping = image[x]
             if t != s:
-                xJ = table.left[table.longest_element((s, t))][s]
-                step = beta_w(f, b.panel(x, s), b.panel(y, s), xJ).mapping
-                mapping = {c: step[v] for c, v in mapping.items()}
+                pi_w = transports[t]
+                mapping = _follow(b, pi_w(P), pi_w(Q), Q, mapping)
             image[y] = mapping
             queue.append(y)
-            yield b.panel(y, s), mapping
+            yield Q, mapping
 
 
 def beta(f: Codistance, P: ResidueRef, Q: ResidueRef) -> PanelBijection:

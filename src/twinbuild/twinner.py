@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import eq
 from typing import ClassVar, Iterable, Optional
 
 from .chambersys import Building, ChamberSystem, ResidueRef, validate_building
@@ -51,7 +49,9 @@ def adjacent_codistances(
     projection, delta(x, c) = f(c) being the shorter distance in P.  So
     g_p(c) = s f(c) exactly when s shortens f(c) or x lies in the beta-orbit
     of p, and no chamber is projected.  The owner of c is the first such p,
-    panels in ``panels_op`` order; ``check_choices`` demands that no chamber
+    panels in ``panels_op`` order: the rows of delta at the chambers beta_P(p),
+    listed by panel and then by ascending p, are transposed once, and c's
+    column is searched for f(c).  ``check_choices`` demands that no chamber
     outside case (i) lies in two orbits.
     """
     b = f.building
@@ -62,18 +62,20 @@ def adjacent_codistances(
     moved = [table.left[w][s] for w in values]
     down = [table.length[v] < table.length[w] for v, w in zip(moved, values)]
     marks = [p for p in sorted(Ptilde.chambers()) if values[p] == 0]
-    owner: list[Optional[int]] = [None] * b.n
-    for mapping in beta_maps(f, Ptilde).values():
-        for p in marks:
-            for c in compress(range(b.n), map(eq, b.rows[mapping[p]], values)):
-                if owner[c] is None:
-                    owner[c] = p
-                elif check_choices and owner[c] != p and not down[c]:
-                    raise PreconditionFailed(
-                        f"panel choice changes the value at chamber {c}"
-                    )
-    if None in owner:
-        raise PreconditionFailed(f"no panel of f^op_{owner.index(None)} of type {s}")
+    maps = beta_maps(f, Ptilde).values()
+    labels = [p for _ in maps for p in marks]
+    rows = [b.rows[mapping[p]] for mapping in maps for p in marks]
+    owner = []
+    for c, (col, v) in enumerate(zip(zip(*rows), values)):
+        try:
+            p = labels[col.index(v)]
+        except ValueError:
+            raise PreconditionFailed(f"no panel of f^op_{c} of type {s}") from None
+        if check_choices and not down[c] and any(
+            x == v and q != p for x, q in zip(col, labels)
+        ):
+            raise PreconditionFailed(f"panel choice changes the value at chamber {c}")
+        owner.append(p)
     cells = list(zip(moved, down, owner, values))
     neighbours = {}
     for p in marks:

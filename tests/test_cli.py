@@ -140,15 +140,30 @@ def test_gen_output(tmp_path, capsys, argv, code, out, err):
 
 
 def test_gen_unknown_family(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "foo", "-o", str(tmp_path / "b.bld")])
-    assert exc.value.code == 2
+    assert main(["gen", "foo", "-o", str(tmp_path / "b.bld")]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "{pg2,pg3,sp4,digon,thin}" in captured.err
     assert captured.err.splitlines()[-1].startswith(
         "twinbuild gen: error: argument family: invalid choice: 'foo'"
     )
+
+
+def test_unknown_option_of_a_subcommand(fano_file, fano_cod_file, capsys):
+    argv = ["fop", "--building", fano_file, "--codistance", fano_cod_file, "--chamber", "3"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "twinbuild: error: unrecognized arguments: --chamber 3"
+    )
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fop", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: twinbuild fop")
 
 
 def test_validate_codistance(fano_file, fano_cod_file, capsys):

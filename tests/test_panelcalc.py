@@ -7,16 +7,20 @@ panel filters), not the routines under test.
 """
 
 import itertools
+import random
 from collections import Counter, deque
 
 import pytest
 
 from twinbuild.chambersys import Building
-from twinbuild.codistance import from_opposite_chamber, proj_f
+from twinbuild import panelcalc
+from twinbuild.codistance import Codistance, from_opposite_chamber, proj_f
 from twinbuild.errors import (
+    NotEquivalent,
     NotOpposite,
     NotParallel,
     PreconditionFailed,
+    TwinbuildError,
 )
 from twinbuild.panelcalc import (
     PanelBijection,
@@ -296,6 +300,18 @@ def test_pi_rejects_foreign_panel(fano):
         pi(f, outside, 0)
 
 
+def test_pi_and_beta_w_keep_their_checks(fano):
+    f = from_opposite_chamber(fano, 0)
+    table = fano.weyl
+    P, *others = panels_op(f, 0)
+    with pytest.raises(PreconditionFailed, match="not in X_0"):
+        pi(f, P, table.gen(0))
+    w = next(w for w in table.X_s(0) if len({pi(f, Q, w) for Q in others}) > 1)
+    Q = next(Q for Q in others if pi(f, Q, w) != pi(f, P, w))
+    with pytest.raises(NotEquivalent, match=r"pi\(P, w\) != pi\(Q, w\)"):
+        beta_w(f, P, Q, w)
+
+
 @pytest.mark.parametrize("name", ["fano", "digon33"])
 def test_beta_group_laws(request, name):
     b = request.getfixturevalue(name)
@@ -486,3 +502,77 @@ def test_beta_on_disconnected_fop_matches_step_by_step_composition(sp42, chamber
     assert outcomes == {"bijection": 64, "NotOpposite": 64}
     with pytest.raises(NotOpposite, match="no gallery in f\\^op joins the panels"):
         adjacent_codistances(f, 0, panels_op(f, 0)[0])
+
+
+# -- the search behind beta_maps against per-edge beta_w ---------------------
+
+
+def fop_search_reference(f, Ptilde):
+    """``panelcalc._fop_search`` with each tree edge of type t != s moved by
+    the public beta_w, w = s r_{st}, and its map composed with the path's."""
+    b = f.building
+    table = b.weyl
+    s = panel_type(Ptilde)
+    inside = f.fop_set()
+    start = min(x for x in Ptilde.chambers() if x in inside)
+    image = {start: {c: c for c in Ptilde.chambers()}}
+    yield Ptilde, image[start]
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for t, y in b.system.adjacency[x]:
+            if y not in inside or y in image:
+                continue
+            mapping = image[x]
+            if t != s:
+                xJ = table.left[table.longest_element((s, t))][s]
+                step = beta_w(f, b.panel(x, s), b.panel(y, s), xJ).mapping
+                mapping = {c: step[v] for c, v in mapping.items()}
+            image[y] = mapping
+            queue.append(y)
+            yield b.panel(y, s), mapping
+
+
+def beta_maps_outcome(f, Ptilde):
+    """The maps of beta_maps, or the type and message of what it raised."""
+    try:
+        return beta_maps(f, Ptilde)
+    except (TwinbuildError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("name", ["pg23", "pg32"])
+def test_beta_maps_match_reference_search_on_corruptions(request, monkeypatch, name):
+    b = request.getfixturevalue(name)
+    rng = random.Random(name)
+    kinds = Counter()
+    for _ in range(100):
+        values = list(from_opposite_chamber(b, rng.randrange(b.n)).values)
+        for c in rng.sample(range(b.n), rng.randint(1, 2)):
+            values[c] = rng.randrange(b.weyl.size)
+        f = Codistance(b, values)
+        ops = panels_op(f, rng.randrange(b.system.rank))
+        if not ops:
+            continue
+        Ptilde = rng.choice(ops)
+        new = beta_maps_outcome(f, Ptilde)
+        with monkeypatch.context() as m:
+            m.setattr(panelcalc, "_fop_search", fop_search_reference)
+            assert beta_maps_outcome(f, Ptilde) == new
+        kinds[new if isinstance(new, tuple) else "maps"] += 1
+    assert kinds["maps"] and len(kinds) >= 4
+
+
+@pytest.mark.parametrize(
+    "search", [panelcalc._fop_search, fop_search_reference], ids=["search", "reference"]
+)
+def test_beta_maps_keeps_the_equivalence_check(fano, monkeypatch, search):
+    # three values changed: the search meets a tree edge whose two panels
+    # pi sends to different panels
+    values = list(from_opposite_chamber(fano, 19).values)
+    for c, v in ((11, 4), (20, 3), (10, 5)):
+        values[c] = v
+    f = Codistance(fano, values)
+    monkeypatch.setattr(panelcalc, "_fop_search", search)
+    with pytest.raises(NotEquivalent, match=r"pi\(P, w\) != pi\(Q, w\)"):
+        beta_maps(f, panels_op(f, 1)[3])

@@ -1,5 +1,6 @@
 """Adjacent codistances, atlas closure, and exhaustive twin verification."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter, deque
@@ -17,6 +18,7 @@ from twinbuild.catalog import (
 from twinbuild.chambersys import Building, ChamberSystem
 from twinbuild.codistance import (
     Codistance,
+    fop_c,
     from_opposite_chamber,
     proj_f,
     validate_codistance,
@@ -760,28 +762,40 @@ def outcome(kernel, *args):
         return type(e)
 
 
+KERNELS = (adjacent_codistances, adjacent_codistances_reference)
+
+
 def kernel_outcomes(*args):
-    kernels = (adjacent_codistances, adjacent_codistances_reference)
-    return [outcome(kernel, *args) for kernel in kernels]
+    return [outcome(kernel, *args) for kernel in KERNELS]
+
+
+def raised_message(kernel, *args):
+    with pytest.raises(PreconditionFailed) as info:
+        kernel(*args)
+    return str(info.value)
+
+
+# the members drawn per building: the rank-3 pg3(2) reference is slow
+FIRST_MEMBERS = {"pg32": 5}
 
 
 @pytest.fixture(scope="module")
-def reference_buildings(fano, pg23, sp43, sp42, thin_a3, digon33):
+def reference_buildings(fano, pg23, sp43, sp42, thin_a3, digon33, pg32):
     return {
         "fano": fano, "pg23": pg23, "sp43": sp43, "sp42": sp42,
-        "thin_a3": thin_a3, "digon33": digon33,
+        "thin_a3": thin_a3, "digon33": digon33, "pg32": pg32,
         "a2_x_fano": product(
             gen_thin(CoxeterMatrix(("a", "b"), ((1, 3), (3, 1)))), gen_pg2(2)),
     }
 
 
 @pytest.mark.parametrize("name", [
-    "fano", "pg23", "sp43", "sp42", "thin_a3", "digon33", "a2_x_fano",
+    "fano", "pg23", "sp43", "sp42", "thin_a3", "digon33", "a2_x_fano", "pg32",
 ])
 def test_adjacent_codistances_match_reference(reference_buildings, name):
     b = reference_buildings[name]
     raised = set()
-    for g in first_members(b):
+    for g in first_members(b, FIRST_MEMBERS.get(name, 20)):
         for s in range(b.system.rank):
             for Ptilde in panels_op(g, s)[:2]:
                 for check_choices in (False, True):
@@ -793,27 +807,59 @@ def test_adjacent_codistances_match_reference(reference_buildings, name):
     assert raised == ({NotOpposite} if name == "sp42" else set())
 
 
-@pytest.mark.parametrize("name", ["fano", "pg23", "thin_a3"])
+@pytest.mark.parametrize("name", ["fano", "pg23", "thin_a3", "pg32"])
 def test_adjacent_codistances_match_reference_on_corruptions(
     reference_buildings, name
 ):
+    # one or two values changed; two can break two chambers at once
     b = reference_buildings[name]
-    members = first_members(b)
+    members = first_members(b, FIRST_MEMBERS.get(name, 20))
     rng = random.Random(name)
     kinds = set()
+    named = 0
     for _ in range(100):
         values = list(rng.choice(members).values)
-        for c in rng.sample(range(b.n), rng.randint(1, 2)):
+        changed = rng.sample(range(b.n), rng.randint(1, 2))
+        for c in changed:
             values[c] = rng.randrange(b.weyl.size)
         g = Codistance(b, values)
         s = rng.randrange(b.system.rank)
         ops = panels_op(g, s)
         if not ops:
             continue
-        new, ref = kernel_outcomes(g, s, rng.choice(ops), rng.random() < 0.5)
+        args = (g, s, rng.choice(ops), rng.random() < 0.5)
+        new, ref = kernel_outcomes(*args)
         assert new == ref
-        kinds.add(new if isinstance(new, type) else "result")
-    assert "result" in kinds and PreconditionFailed in kinds
+        kinds.add((len(changed), new if isinstance(new, type) else "result"))
+        if new is PreconditionFailed and not args[3] and not any(
+            fop_c(g, c) for c in changed
+        ):
+            # every chamber changed has lost its panels; where the reference
+            # names one, both name the least
+            messages = [raised_message(kernel, *args) for kernel in KERNELS]
+            if messages[1].startswith("no panel of"):
+                assert messages[0] == messages[1]
+                named += 1
+    assert {(1, "result"), (1, PreconditionFailed), (2, PreconditionFailed)} <= kinds
+    assert named
+
+
+@pytest.mark.parametrize("name, base, changes, s, i", [
+    ("fano", 10, ((1, 3), (2, 1), (0, 3)), 1, 0),
+    ("pg32", 109, ((182, 10), (39, 14)), 1, 10),
+], ids=["fano", "pg32"])
+def test_panel_choice_conflict_is_refused(reference_buildings, name, base, changes, s, i):
+    # corruptions that put a chamber no shorter under s into the beta-orbits
+    # of two marks: with check_choices, both kernels name it
+    b = reference_buildings[name]
+    values = list(from_opposite_chamber(b, base).values)
+    for c, v in changes:
+        values[c] = v
+    g = Codistance(b, values)
+    args = (g, s, panels_op(g, s)[i], True)
+    messages = [raised_message(kernel, *args) for kernel in KERNELS]
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("panel choice changes the value at chamber ")
 
 
 def gonality_reference(b, R):
@@ -888,10 +934,31 @@ def test_gonality_rejects_two_squares_sharing_a_vertex():
 # -- the rank-3 twin ----------------------------------------------------------
 
 
+def atlas_digest(atlas):
+    """The first 16 hex digits of the SHA-256 of the members' value vectors
+    in atlas order and of the member-index panels."""
+    data = ([g.values for g in atlas.members], atlas.panels)
+    return hashlib.sha256(repr(data).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("pg23", "1441e1ec36dd98bb"),
+    ("sp43", "d72e365e390ed427"),
+])
+def test_atlas_order_from_chamber_0(request, name, digest):
+    # the order of the members and panels, not only their set, is output:
+    # `twin build` writes B+ in atlas order
+    atlas = atlas_component(from_opposite_chamber(request.getfixturevalue(name), 0))
+    assert atlas_digest(atlas) == digest
+
+
 def test_pg32_twin_from_chamber_0(pg32):
     f = from_opposite_chamber(pg32, 0)
     atlas = atlas_component(f)
     assert len(atlas.members) == 315
+    # pg3(2) fails lsco, so the first-owner rule of adjacent_codistances, not
+    # a theorem, picks each neighbour: pin the order, not only the set
+    assert atlas_digest(atlas) == "4c9372cbd3e26955"
     oracle = {from_opposite_chamber(pg32, c).values for c in range(pg32.n)}
     assert {g.values for g in atlas.members} == oracle
     twin = assemble_twin(atlas, pg32, seed=f)
