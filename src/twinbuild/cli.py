@@ -305,16 +305,22 @@ def _cmd_check(args) -> int:
     if report.ok:
         print(f"{key}=pass")
         return EXIT_PASS
-    inconclusive = False
     for e in report.entries:
         print(
             f"residue type {e.J} at {e.residue_base}, chamber {e.chamber}: "
             f"{e.verdict.status}"
         )
-        if e.verdict.status == INCONCLUSIVE:
-            inconclusive = True
     print(f"{key}=fail")
-    return EXIT_INCONCLUSIVE if inconclusive else EXIT_VIOLATION
+    return _local_exit(report)
+
+
+def _local_exit(*reports) -> int:
+    """A proven violation in any report exits 1; otherwise an inconclusive
+    entry exits 2, and no entry at all exits 0."""
+    statuses = {e.verdict.status for r in reports for e in r.entries}
+    if not statuses:
+        return EXIT_PASS
+    return EXIT_INCONCLUSIVE if statuses == {INCONCLUSIVE} else EXIT_VIOLATION
 
 
 def _cmd_fop(args) -> int:
@@ -375,12 +381,15 @@ def _cmd_twin_build(args) -> int:
         os.makedirs(args.output, exist_ok=True)
     except OSError as e:
         raise FormatError(str(e))
-    lco_ok = check_lco(b).ok
-    lsco_ok = check_lsco(b).ok
-    if not (lco_ok and lsco_ok):
+    lco, lsco = check_lco(b), check_lsco(b)
+    code = _local_exit(lco, lsco)
+    if code == EXIT_VIOLATION:
         print("building fails lco/lsco; twin construction not attempted")
         print("RESULT=fail")
-        return EXIT_VIOLATION
+        return code
+    if code == EXIT_INCONCLUSIVE:
+        print("RESULT=inconclusive (lco/lsco not decided)")
+        return code
     try:
         atlas = atlas_component(f)
     except CapExceeded as e:
@@ -403,7 +412,7 @@ def _cmd_twin_build(args) -> int:
         for i in range(len(atlas.members)):
             costar_lines.append(f"{c}\t{i}\t{table.word_str(atlas.members[i](c))}")
     _write(os.path.join(args.output, "costar.tsv"), "\n".join(costar_lines) + "\n")
-    report_text = _twin_report(b, atlas, assembly.report, lco_ok, lsco_ok)
+    report_text = _twin_report(b, atlas, assembly.report, lco.ok, lsco.ok)
     _write(os.path.join(args.output, "report.txt"), report_text)
     sys.stdout.write(report_text)
     return EXIT_PASS if assembly.report.ok else EXIT_VIOLATION

@@ -3,20 +3,20 @@ filtrations.
 
 Simple 2-connectivity is decided, never assumed, on the edge-path group
 presentation of a chamber subset, in three steps that each certify only what
-they prove: Tietze elimination that removes every generator proves the group
-trivial (certificate: the elimination order); otherwise a nonzero
-abelianization, read off an integer Smith normal form, proves it nontrivial
-(certificate: the abelianization invariants); otherwise a completed coset
-enumeration over the trivial subgroup gives its order (certificate: the coset
-count). An enumeration that reaches its cap is reported as Inconclusive.
+they prove: a kill closure that kills every generator proves the group
+trivial (certificate: the kill order, each kill with its original relator);
+otherwise, with the killed letters deleted, a nonzero abelianization, read
+off an integer Smith normal form, proves it nontrivial (certificate: the
+abelianization invariants); otherwise a completed coset enumeration over the
+trivial subgroup gives its order (certificate: the coset count). An
+enumeration that reaches its cap is reported as Inconclusive.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, count
+from itertools import combinations
 from math import gcd
 from typing import Container, Iterable, Optional, Sequence
 
@@ -30,7 +30,6 @@ PROVEN_NONTRIVIAL = "ProvenNontrivial"
 INCONCLUSIVE = "Inconclusive"
 
 DEFAULT_COSET_CAP = 100_000
-TIETZE_MAX_LENGTH = 1000
 
 
 class FiltrationViolation(TwinbuildError):
@@ -155,21 +154,22 @@ def _decide(
     ngens: int, relators: Sequence[tuple[tuple[int, int], ...]], coset_cap: int
 ) -> TrivialityVerdict:
     """Whether the group on ``ngens`` generators with ``relators``, words of
-    (generator, exponent) pairs, is trivial.
+    (generator, exponent) pairs, is trivial: the kill closure, then Smith
+    and coset enumeration on the words left once the killed letters, trivial
+    in the group, are deleted.
 
     Letters are encoded as ``2 * generator`` and ``2 * generator + 1`` for
     its inverse, so that ``a ^ 1`` is the inverse of letter ``a``.
     """
     words = [tuple(2 * g + (e < 0) for g, e in rel) for rel in relators]
-    order, words = _tietze(words)
-    gone = {g for g, _ in order}
-    gens = [g for g in range(ngens) if g not in gone]
-    if not gens:
-        certificate = tuple(
-            (g, tuple((a >> 1, -1 if a & 1 else 1) for a in word))
-            for g, word in order
-        )
+    killed = _closure(words)
+    if len(killed) == ngens:
+        certificate = tuple((g, relators[i]) for g, i in killed.items())
         return TrivialityVerdict(PROVEN_TRIVIAL, certificate=("elimination", certificate))
+    gens = [g for g in range(ngens) if g not in killed]
+    words = [w for w in (
+        _cyclic_reduce(a for a in word if a >> 1 not in killed) for word in words
+    ) if w]
     if not words:
         return TrivialityVerdict(PROVEN_NONTRIVIAL, certificate=("free", len(gens)))
     rows = []
@@ -196,8 +196,33 @@ def _decide(
     return TrivialityVerdict(PROVEN_NONTRIVIAL, certificate=("order", n))
 
 
-def _inverse(word: Sequence[int]) -> tuple[int, ...]:
-    return tuple(a ^ 1 for a in reversed(word))
+def _closure(words: Sequence[tuple[int, ...]]) -> dict[int, int]:
+    """The generators the relators ``words`` kill, in kill order, each with
+    the index of the relator that kills it.
+
+    A letter is live while its generator is not killed. A relator whose
+    only live letter is a single occurrence of g proves g = 1, so g is
+    killed. One pass: a live-letter count per relator, the relators holding
+    each generator (once per occurrence), and a first-in first-out queue of
+    the relators whose count has reached 1, starting in relator order.
+    """
+    live = [len(w) for w in words]
+    holders: dict[int, list[int]] = {}
+    for i, word in enumerate(words):
+        for a in word:
+            holders.setdefault(a >> 1, []).append(i)
+    killed: dict[int, int] = {}
+    queue = [i for i, n in enumerate(live) if n == 1]
+    for i in queue:
+        if live[i] != 1:
+            continue
+        g = next(a >> 1 for a in words[i] if a >> 1 not in killed)
+        killed[g] = i
+        for j in holders[g]:
+            live[j] -= 1
+            if live[j] == 1:
+                queue.append(j)
+    return killed
 
 
 def _cyclic_reduce(word: Iterable[int]) -> tuple[int, ...]:
@@ -212,68 +237,6 @@ def _cyclic_reduce(word: Iterable[int]) -> tuple[int, ...]:
         i += 1
         j -= 1
     return tuple(out[i:j + 1])
-
-
-def _tietze(words: Sequence[tuple[int, ...]]):
-    """Eliminate generators that occur exactly once in some relator.
-
-    Each step takes the shortest relator ``u x^e v`` in which a generator
-    ``x`` occurs once, substitutes ``x^e = (v u)^-1`` into every other
-    relator and drops that relator; the group stays the same. It stops when
-    no relator has such a generator, or when a substitution would make a
-    relator longer than ``TIETZE_MAX_LENGTH``. Returns the elimination order
-    as (generator, relator) pairs and the relators left.
-    """
-    rels: dict[int, tuple[int, ...]] = {}       # live relators by id
-    holders: dict[int, set[int]] = {}           # generator -> relator ids
-    heap: list[tuple[int, int]] = []            # (length, id), stale ids skipped
-    ids = count()
-
-    def add(word: tuple[int, ...]) -> None:
-        if not word:
-            return
-        rid = next(ids)
-        rels[rid] = word
-        for a in word:
-            holders.setdefault(a >> 1, set()).add(rid)
-        heapq.heappush(heap, (len(word), rid))
-
-    def remove(rid: int) -> None:
-        for a in rels.pop(rid):
-            holders[a >> 1].discard(rid)
-
-    order: list[tuple[int, tuple[int, ...]]] = []
-    for word in words:
-        add(_cyclic_reduce(word))
-    while heap:
-        _, rid = heapq.heappop(heap)
-        word = rels.get(rid)
-        if word is None:
-            continue
-        once = [g for g, k in Counter(a >> 1 for a in word).items() if k == 1]
-        if not once:
-            continue
-        x = min(once)
-        i = next(k for k, a in enumerate(word) if a >> 1 == x)
-        image = word[i + 1:] + word[:i]  # v u, equal to x^-e
-        if not word[i] & 1:
-            image = _inverse(image)
-        images = {2 * x: image, 2 * x + 1: _inverse(image)}
-        changed = {
-            other: _cyclic_reduce(
-                b for a in rels[other] for b in images.get(a, (a,))
-            )
-            for other in sorted(holders[x] - {rid})
-        }
-        if any(len(w) > TIETZE_MAX_LENGTH for w in changed.values()):
-            break
-        remove(rid)
-        for other in changed:
-            remove(other)
-        for w in changed.values():
-            add(w)
-        order.append((x, word))
-    return order, list(rels.values())
 
 
 def _smith_invariants(rows: Sequence[dict[int, int]]) -> list[int]:
@@ -395,14 +358,14 @@ class Filtration:
     witnesses: dict[int, int] = field(init=False, default_factory=dict)  # level -> generator
 
 
-def residual_filtration(f: Codistance, validate: bool = True) -> Filtration:
+def residual_filtration(f: Codistance) -> Filtration:
     """The level sets C_n = {x : |f(x)| <= n} for the ShortLex injection.
 
     The levels are nested, start at C_0 = f^op (value id 0 is the identity)
-    and end at every chamber by construction.  When ``validate`` is set,
-    each J-residue R, J nonempty, is checked for aff(R) = A_f(R) and then
-    for (F3) at each level above R's lowest; the (F3) generator of the
-    whole building at level n is recorded as ``witnesses[n]``.
+    and end at every chamber by construction.  Each J-residue R, J
+    nonempty, is checked for aff(R) = A_f(R) and then for (F3) at each
+    level above R's lowest; the (F3) generator of the whole building at
+    level n is recorded as ``witnesses[n]``.
     """
     b = f.building
     length = b.weyl.length
@@ -413,8 +376,6 @@ def residual_filtration(f: Codistance, validate: bool = True) -> Filtration:
         for n in range(top + 1)
     ]
     filt = Filtration(levels)
-    if not validate:
-        return filt
     rank = b.system.rank
     panel_members = b.system.panel_members
     for mask in range(1, 1 << rank):

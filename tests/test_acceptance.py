@@ -351,7 +351,7 @@ def test_ac5_filtration():
     for b in (gen_pg2(2), gen_digon(3, 3), gen_sp4(2), gen_thin(matrix_A3())):
         for base in range(0, b.n, 5):
             f = from_opposite_chamber(b, base)
-            filt = residual_filtration(f, validate=True)
+            filt = residual_filtration(f)
             assert filt.levels[0] == f.fop_set()
             assert filt.levels[-1] == frozenset(range(b.n))
     b = gen_pg2(2)

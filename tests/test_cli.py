@@ -33,6 +33,13 @@ from twinbuild import cli, twinner
 from twinbuild.codistance import from_opposite_chamber, validate_codistance
 from twinbuild.coxeter import WeylTable, enumerate_weyl
 from twinbuild.errors import FormatError
+from twinbuild.homotopy import (
+    INCONCLUSIVE,
+    PROVEN_NONTRIVIAL,
+    LocalConditionReport,
+    OppositeSetEntry,
+    TrivialityVerdict,
+)
 
 
 @pytest.fixture
@@ -222,6 +229,25 @@ def test_check_lco_fail_on_quadrangle(tmp_path, sp42, capsys):
     assert "LCO=fail" in capsys.readouterr().out
 
 
+def crafted_report(*statuses):
+    """A local-condition report with one entry per verdict status."""
+    return LocalConditionReport([
+        OppositeSetEntry(0, (0, 1, 2), c, TrivialityVerdict(status))
+        for c, status in enumerate(statuses)
+    ])
+
+
+@pytest.mark.parametrize("condition", ["lco", "lsco"])
+def test_check_with_a_proven_violation_exits_1(fano_file, capsys, monkeypatch, condition):
+    # a verified violation outweighs an undecided set beside it
+    mixed = crafted_report(PROVEN_NONTRIVIAL, INCONCLUSIVE)
+    monkeypatch.setattr(cli, f"check_{condition}", lambda b: mixed)
+    assert main(["check", condition, "--building", fano_file]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert f"{condition.upper()}=fail" in captured.out
+    assert captured.err == ""
+
+
 def test_fop_command(fano_file, fano_cod_file, capsys):
     code = main(["fop", "--codistance", fano_cod_file, "--building", fano_file])
     assert code == EXIT_PASS
@@ -356,6 +382,19 @@ def test_panels_out_of_order(tmp_path, fano, fano_file, fano_cod_file, capsys):
     _, canonical = run_twin_build(tmp_path, fano_file, fano_cod_file, "canonical")
     _, out = run_twin_build(tmp_path, str(path), fano_cod_file, "reversed")
     assert digest_dir(out) == digest_dir(canonical)
+
+
+@pytest.mark.parametrize("condition", ["lco", "lsco"])
+def test_twin_build_with_undecided_conditions_is_inconclusive(
+    monkeypatch, tmp_path, fano_file, fano_cod_file, capsys, condition
+):
+    undecided = crafted_report(INCONCLUSIVE, INCONCLUSIVE)
+    monkeypatch.setattr(cli, f"check_{condition}", lambda b: undecided)
+    code, _ = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    assert code == EXIT_INCONCLUSIVE
+    captured = capsys.readouterr()
+    assert captured.out == "RESULT=inconclusive (lco/lsco not decided)\n"
+    assert captured.err == ""
 
 
 def test_twin_build_atlas_cap_is_inconclusive(
