@@ -37,6 +37,8 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+# the key-line word (LCO=, LSCO=) of each exit code ``_local_exit`` gives
+LOCAL_WORDS = {EXIT_PASS: "pass", EXIT_VIOLATION: "fail", EXIT_INCONCLUSIVE: "inconclusive"}
 
 THIN_TYPES = {
     "a1": matrix_A1,
@@ -302,16 +304,14 @@ def _cmd_check(args) -> int:
     else:
         report = check_lsco(b)
         key = "LSCO"
-    if report.ok:
-        print(f"{key}=pass")
-        return EXIT_PASS
     for e in report.entries:
         print(
             f"residue type {e.J} at {e.residue_base}, chamber {e.chamber}: "
             f"{e.verdict.status}"
         )
-    print(f"{key}=fail")
-    return _local_exit(report)
+    code = _local_exit(report)
+    print(f"{key}={LOCAL_WORDS[code]}")
+    return code
 
 
 def _local_exit(*reports) -> int:
@@ -347,9 +347,7 @@ def _cmd_fop(args) -> int:
     return EXIT_VIOLATION
 
 
-def _twin_report(
-    b: Building, atlas: CodistanceAtlas, report, lco_ok: bool, lsco_ok: bool
-) -> str:
+def _twin_report(b: Building, atlas: CodistanceAtlas, report, lco, lsco) -> str:
     seed_match = {True: "pass", False: "fail", None: "n/a"}[report.seed_ok]
     lines = [
         f"twin building over {b.name} with {b.n} chambers",
@@ -358,8 +356,8 @@ def _twin_report(
         f"RESULT={'pass' if report.ok else 'fail'}",
         f"ATLAS_SIZE={len(atlas.members)}",
         f"FOP_SIZE={len(atlas.members[atlas.origin].fop())}",
-        f"LCO={'pass' if lco_ok else 'fail'}",
-        f"LSCO={'pass' if lsco_ok else 'fail'}",
+        f"LCO={LOCAL_WORDS[_local_exit(lco)]}",
+        f"LSCO={LOCAL_WORDS[_local_exit(lsco)]}",
         f"TW_AXIOMS={'pass' if report.tw_axioms_ok else 'fail'}",
     ]
     for key, ok in (
@@ -412,7 +410,7 @@ def _cmd_twin_build(args) -> int:
         for i in range(len(atlas.members)):
             costar_lines.append(f"{c}\t{i}\t{table.word_str(atlas.members[i](c))}")
     _write(os.path.join(args.output, "costar.tsv"), "\n".join(costar_lines) + "\n")
-    report_text = _twin_report(b, atlas, assembly.report, lco.ok, lsco.ok)
+    report_text = _twin_report(b, atlas, assembly.report, lco, lsco)
     _write(os.path.join(args.output, "report.txt"), report_text)
     sys.stdout.write(report_text)
     return EXIT_PASS if assembly.report.ok else EXIT_VIOLATION
@@ -465,10 +463,9 @@ def _cmd_twin_verify(args) -> int:
         raise FormatError(
             f"costar.tsv lists {len(listed)} of {b.n * len(members)} entries"
         )
-    lco_ok = check_lco(b).ok
-    lsco_ok = check_lsco(b).ok
+    lco, lsco = check_lco(b), check_lsco(b)
     assembly = assemble_twin(atlas, b)
-    report_text = _twin_report(b, atlas, assembly.report, lco_ok, lsco_ok)
+    report_text = _twin_report(b, atlas, assembly.report, lco, lsco)
     sys.stdout.write(report_text)
     return EXIT_PASS if assembly.report.ok else EXIT_VIOLATION
 

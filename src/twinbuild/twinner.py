@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Optional
+from itertools import combinations
+from operator import itemgetter, or_
+from typing import ClassVar, Iterable, Optional, Sequence
 
 from .chambersys import Building, ChamberSystem, ResidueRef, validate_building
-from .codistance import Codistance, panels_op, proj_f, validate_codistance
+from .codistance import Codistance, panels_op, validate_codistance
 from .errors import (
     CapExceeded,
     PreconditionFailed,
@@ -183,6 +185,77 @@ def atlas_component(f: Codistance) -> CodistanceAtlas:
 # -- alpha bijections ---------------------------------------------------------
 
 
+def _mask(chambers: Iterable[int]) -> int:
+    return sum(1 << c for c in chambers)
+
+
+def _alpha_kernel(atlas: CodistanceAtlas, J: frozenset, fop_masks: Sequence[int]):
+    """The alpha test of type J, built once per J: ``pair(tilde, R)`` lists
+    the witnesses of ``alpha_check`` for the atlas J-residue ``tilde`` and a
+    J-residue R of B, the atlas's building, with ``fop_masks[j]`` member j's
+    f^op as a bit mask.  alpha_j is the unique chamber of R of longest
+    g_j-value; opposition compares the masks of g_j^op within R and of the
+    r_J-opposites of alpha_j.  For J = {s}, tilde and R are s-panels and
+    sbar = s, so adjacency holds; it is compared for |J| > 1 only."""
+    b = atlas.building
+    table = b.weyl
+    rJ = table.longest_element(J)
+    values = [g.values for g in atlas.members]
+    length = table.length
+    residues, index = b.partition(J)
+    # a one-chamber residue (J = {}) is gathered as a slice, giving a tuple
+    gathers = [itemgetter(*R) if len(R) > 1 else itemgetter(slice(R.base, R.base + 1))
+               for R in residues]
+    masks = [_mask(R) for R in residues]
+    opposite = [_mask(c for c in residues[index[a]] if row[c] == rJ)
+                for a, row in enumerate(b.rows)]
+    labels = [
+        (s, atlas.plus.system.panel_of[s],
+         b.system.panel_of[table.gen_index(table.conj_by(rJ, s))])
+        for s in sorted(J)
+    ] if len(J) > 1 else []
+
+    def pair(tilde: tuple[int, ...], R: ResidueRef) -> list[tuple]:
+        r = index[R.base]
+        chambers = R.members
+        images, wrong = [], []
+        for j in tilde:
+            lengths = list(map(length.__getitem__, gathers[r](values[j])))
+            top = max(lengths)
+            if lengths.count(top) != 1:
+                raise PreconditionFailed("no unique chamber of maximal f-length in residue")
+            a = chambers[lengths.index(top)]
+            images.append(a)
+            diff = fop_masks[j] & masks[r] ^ opposite[a]
+            if diff:
+                wrong += [("opposition", j, c) for c in chambers if diff >> c & 1]
+        witnesses: list[tuple] = []
+        if sorted(images) != list(chambers):
+            witnesses.append(("bijection", sorted(images)))
+        # alpha matches adjacency when the s-panels of the members and the
+        # sbar-panels of their images partition tilde alike: every member's
+        # label of one kind agrees with that of the first member sharing its
+        # label of the other kind
+        for s, plus_panel, minus_panel in labels:
+            first_plus: dict[int, tuple[int, int]] = {}
+            first_minus: dict[int, tuple[int, int]] = {}
+            for j, a in zip(tilde, images):
+                lp, lm = plus_panel[j], minus_panel[a]
+                jp, mp = first_plus.setdefault(lp, (j, lm))
+                jm, pm = first_minus.setdefault(lm, (j, lp))
+                if mp != lm:
+                    j0 = jp
+                elif pm != lp:
+                    j0 = jm
+                else:
+                    continue
+                witnesses.append(("adjacency", s, j0, j))
+                break
+        return witnesses + wrong
+
+    return pair
+
+
 def alpha_check(atlas: CodistanceAtlas, i: int, R: ResidueRef) -> list[tuple]:
     """Verify that h -> proj_R h is a bijection from the atlas J-residue of
     member i, J the type of R, onto R, a residue of the atlas's building in
@@ -193,47 +266,38 @@ def alpha_check(atlas: CodistanceAtlas, i: int, R: ResidueRef) -> list[tuple]:
     ("bijection", images), one ("adjacency", s, j0, j) per failing type s,
     and each ("opposition", j, c).  An R of another building raises
     ``PreconditionFailed``."""
-    b = atlas.building
-    if R.building is not b:
+    if R.building is not atlas.building:
         raise PreconditionFailed("R is not a residue of the atlas's building")
-    table = b.weyl
-    J = R.J
     g = atlas.members[i]
     if not any(g.values[x] == 0 for x in R.chambers()):
         raise PreconditionFailed("residue does not meet the member's f^op")
-    rJ = table.longest_element(J)
-    tilde = atlas.residue_members(i, J)
-    alpha = {j: proj_f(atlas.members[j], R) for j in tilde}
-    witnesses: list[tuple] = []
-    if sorted(alpha.values()) != sorted(R.chambers()):
-        witnesses.append(("bijection", sorted(alpha.values())))
-    # alpha matches adjacency when the s-panels of the members and the
-    # sbar-panels of their images partition tilde alike: every member's
-    # label of one kind agrees with that of the first member sharing its
-    # label of the other kind
-    for s in sorted(J):
-        plus_panel = atlas.plus.system.panel_of[s]
-        minus_panel = b.system.panel_of[table.gen_index(table.conj_by(rJ, s))]
-        first_plus: dict[int, int] = {}
-        first_minus: dict[int, int] = {}
-        for j in tilde:
-            lp, lm = plus_panel[j], minus_panel[alpha[j]]
-            jp = first_plus.setdefault(lp, j)
-            jm = first_minus.setdefault(lm, j)
-            if minus_panel[alpha[jp]] != lm:
-                j0 = jp
-            elif plus_panel[jm] != lp:
-                j0 = jm
-            else:
-                continue
-            witnesses.append(("adjacency", s, j0, j))
-            break
-    for j in tilde:
-        values = atlas.members[j].values
-        for c in R.chambers():
-            if (values[c] == 0) != (b.delta(alpha[j], c) == rJ):
-                witnesses.append(("opposition", j, c))
-    return witnesses
+    tilde = atlas.residue_members(i, R.J)
+    pair = _alpha_kernel(atlas, R.J, {j: _mask(atlas.members[j].fop()) for j in tilde})
+    return pair(tilde, R)
+
+
+def _check_opposition(atlas: CodistanceAtlas) -> bool:
+    """Whether alpha passes on every pair of a J-residue tilde of B+ and a
+    J-residue R of B meeting g^op for a member g of tilde, |J| in {1, 2}.
+    J = {} is not checked: R = {c} meets member i only, the bijection is
+    i -> c, and opposition reduces to g(c) = 1, true as c is in g^op."""
+    b = atlas.building
+    fops = [g.fop() for g in atlas.members]
+    fop_masks = list(map(_mask, fops))
+    rank = b.system.rank
+    try:
+        for J in [frozenset(J) for k in (1, 2) for J in combinations(range(rank), k)]:
+            pair = _alpha_kernel(atlas, J, fop_masks)
+            residues, index = b.partition(J)
+            if any(
+                pair(tilde.members, residues[r])
+                for tilde in atlas.plus.partition(J)[0]
+                for r in {index[c] for i in tilde for c in fops[i]}
+            ):
+                return False
+    except PreconditionFailed:
+        return False  # a member of some tilde has no projection onto R
+    return True
 
 
 # -- twin assembly ------------------------------------------------------------
@@ -271,12 +335,12 @@ class TwinAssembly:
 
 
 def _halves(atlas: CodistanceAtlas):
-    """Each half X of the twin with delta*(x, -) for every chamber x of X,
-    as a codistance on the other half: the members for B+, and the rows of
+    """Each half X of the twin, the other half Y, and for every chamber x of
+    X the row of Weyl ids delta*(x, -) on Y: the members' values for B+, and
     ``atlas.minus_rows`` for B-, the atlas's building."""
     return (
-        (atlas.plus, atlas.members),
-        (atlas.building, [Codistance(atlas.plus, row) for row in atlas.minus_rows]),
+        (atlas.plus, atlas.building, [g.values for g in atlas.members]),
+        (atlas.building, atlas.plus, atlas.minus_rows),
     )
 
 
@@ -294,9 +358,9 @@ def _check_tw_axioms(atlas: CodistanceAtlas) -> bool:
     longer, while y is the (Tw3) witness.
     """
     return all(
-        validate_codistance(h).ok
-        for _, rows in _halves(atlas)
-        for h in rows
+        validate_codistance(Codistance(Y, row)).ok
+        for _, Y, rows in _halves(atlas)
+        for row in rows
     )
 
 
@@ -306,24 +370,26 @@ def _check_plus_star(atlas: CodistanceAtlas) -> bool:
     other.
 
     The first condition reads: for all x, y in X and z in the other half,
-    delta*(x, z) = delta(x, y) implies delta*(y, z) = 1.  Grouping the z by
-    their value delta*(x, z) turns the inner loop over z into one test per
-    pair: the z with delta*(x, z) = delta(x, y) must form a subset of the
-    chambers opposite y.  Every (x, y, z) triple is still covered, so the
-    predicate is the triple loop's, not a sample of it.
+    delta*(x, z) = delta(x, y) implies delta*(y, z) = 1.  With Z_x(d) the
+    bit mask of the z with delta*(x, z) = d, and op(y) = Z_y(1) that of the
+    z opposite y, it says Z_x(delta(x, y)) <= op(y) for all x and y, which
+    holds exactly when, for every y, the union over x of Z_x(delta(x, y))
+    lies in op(y).  One pass over x builds that union for every y at once;
+    every (x, y, z) triple is still covered, not a sample of them.
     """
-    for X, rows in _halves(atlas):
-        ops = [h.fop_set() for h in rows]
-        if len(set(ops)) != len(rows):
+    for X, Y, rows in _halves(atlas):
+        size = X.weyl.size
+        bits = [1 << z for z in range(Y.n)]
+        need = [0] * X.n
+        op = []
+        for row, dist in zip(rows, X.rows):
+            Z = [0] * size
+            for v, bit in zip(row, bits):
+                Z[v] |= bit
+            op.append(Z[0])
+            need = list(map(or_, need, map(Z.__getitem__, dist)))
+        if len(set(op)) != len(op) or any(u & ~o for u, o in zip(need, op)):
             return False
-        for x, h in enumerate(rows):
-            by_value: dict[int, set[int]] = {}
-            for z, v in enumerate(h.values):
-                by_value.setdefault(v, set()).add(z)
-            for y, d in enumerate(X.rows[x]):
-                zs = by_value.get(d)
-                if zs is not None and not zs <= ops[y]:
-                    return False
     return True
 
 
@@ -374,54 +440,16 @@ def assemble_twin(
     """
     if b is not atlas.building:
         raise PreconditionFailed("b is not the atlas's building")
-    plus = atlas.plus
-    building_ok = validate_building(plus).ok
-
-    tw_ok = _check_tw_axioms(atlas)
-
-    opposition_ok = True
-    checked: set[tuple[ResidueRef, ResidueRef]] = set()
-    rank = b.system.rank
-    # J = {} is not checked: its residue R = {c} meets member i only, the
-    # bijection is i -> proj R = c, and the opposition test reduces to
-    # g(c) = 1 (Weyl id 0), which holds because c is drawn from g.fop().
-    small_J = [frozenset((s,)) for s in range(rank)] + [
-        frozenset((s, t)) for s in range(rank) for t in range(s + 1, rank)
-    ]
-    partitions = [(J, *b.partition(J)) for J in small_J]
-    for i, g in enumerate(atlas.members):
-        for J, residues, index in partitions:
-            tilde = plus.residue(i, J)
-            for R in map(residues.__getitem__, sorted(set(map(index.__getitem__, g.fop())))):
-                key = (tilde, R)
-                if key in checked:
-                    continue
-                checked.add(key)
-                try:
-                    if alpha_check(atlas, i, R):
-                        opposition_ok = False
-                except PreconditionFailed:
-                    # a member of the residue has no projection onto R
-                    opposition_ok = False
-
-    plus_star_ok = _check_plus_star(atlas)
-
-    diagram_ok = all(
-        _gonality(X, R) == X.weyl.matrix.m[min(R.J)][max(R.J)]
-        for X in (plus, b)
-        for R in X.rank2_residues()
-    )
-
-    seed_ok = None
-    if seed is not None:
-        seed_ok = atlas.members[atlas.origin].values == seed.values
-
     report = TwinReport(
-        building_ok=building_ok,
-        tw_axioms_ok=tw_ok,
-        opposition_ok=opposition_ok,
-        plus_star_ok=plus_star_ok,
-        diagram_ok=diagram_ok,
-        seed_ok=seed_ok,
+        building_ok=validate_building(atlas.plus).ok,
+        tw_axioms_ok=_check_tw_axioms(atlas),
+        opposition_ok=_check_opposition(atlas),
+        plus_star_ok=_check_plus_star(atlas),
+        diagram_ok=all(
+            _gonality(X, R) == X.weyl.matrix.m[min(R.J)][max(R.J)]
+            for X in (atlas.plus, b)
+            for R in X.rank2_residues()
+        ),
+        seed_ok=None if seed is None else atlas.members[atlas.origin].values == seed.values,
     )
     return TwinAssembly(atlas=atlas, report=report)

@@ -248,6 +248,31 @@ def test_check_with_a_proven_violation_exits_1(fano_file, capsys, monkeypatch, c
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("condition", ["lco", "lsco"])
+def test_check_with_only_undecided_sets_says_inconclusive(
+    fano_file, capsys, monkeypatch, condition
+):
+    # the key line names what the exit code says: nothing is proven to fail
+    undecided = crafted_report(INCONCLUSIVE)
+    monkeypatch.setattr(cli, f"check_{condition}", lambda b: undecided)
+    assert main(["check", condition, "--building", fano_file]) == EXIT_INCONCLUSIVE
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"{condition.upper()}=inconclusive"
+    assert not any(line.endswith("=fail") for line in lines)
+
+
+def test_twin_verify_reports_an_undecided_lsco_as_inconclusive(
+    monkeypatch, tmp_path, fano_file, fano_cod_file, capsys
+):
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "check_lsco", lambda b: crafted_report(INCONCLUSIVE))
+    assert main(["twin", "verify", out]) == EXIT_PASS
+    lines = capsys.readouterr().out.splitlines()
+    assert "LCO=pass" in lines and "LSCO=inconclusive" in lines
+    assert not any(line.endswith("=fail") for line in lines)
+
+
 def test_fop_command(fano_file, fano_cod_file, capsys):
     code = main(["fop", "--codistance", fano_cod_file, "--building", fano_file])
     assert code == EXIT_PASS

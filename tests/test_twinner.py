@@ -30,6 +30,7 @@ from twinbuild.errors import (
     TwinbuildError,
 )
 from twinbuild.panelcalc import beta, panel_key, panels_op, panels_op_c
+import twinbuild.twinner as twinner
 from twinbuild.twinner import (
     CodistanceAtlas,
     _check_plus_star,
@@ -327,8 +328,9 @@ def alpha_adjacency_reference(atlas, i, J, R):
     return failures
 
 
-def assert_alpha_matches_reference(atlas, i, R):
-    witnesses = alpha_check(atlas, i, R)
+def assert_alpha_matches_reference(atlas, i, R, witnesses=None):
+    if witnesses is None:
+        witnesses = alpha_check(atlas, i, R)
     failures = alpha_adjacency_reference(atlas, i, R.J, R)
     found = [w[1:] for w in witnesses if w[0] == "adjacency"]
     # one witness per failing type, each a pair the definition reports
@@ -337,27 +339,44 @@ def assert_alpha_matches_reference(atlas, i, R):
     return witnesses
 
 
+def record_alpha_pairs(monkeypatch):
+    """Wrap the per-type alpha kernel of ``assemble_twin``: the list it
+    returns gains (tilde, R, witnesses) for every pair the kernel checks."""
+    pairs = []
+    kernel = twinner._alpha_kernel
+
+    def recording_kernel(atlas, J, fop_masks):
+        pair = kernel(atlas, J, fop_masks)
+
+        def recording_pair(tilde, R):
+            witnesses = pair(tilde, R)
+            pairs.append((tilde, R, witnesses))
+            return witnesses
+
+        return recording_pair
+
+    monkeypatch.setattr(twinner, "_alpha_kernel", recording_kernel)
+    return pairs
+
+
 @pytest.mark.parametrize("fixture", ["pg23", "sp43"])
 def test_alpha_check_matches_reference_in_assembly(request, monkeypatch, fixture):
-    # every alpha_check call that assemble_twin makes
+    # every (tilde, R) pair that assemble_twin checks
     b = request.getfixturevalue(fixture)
     f = from_opposite_chamber(b, 0)
     atlas = atlas_component(f)
-    calls = []
-
-    def recording(atlas, i, R):
-        witnesses = alpha_check(atlas, i, R)
-        calls.append((i, R))
-        return witnesses
-
-    monkeypatch.setattr("twinbuild.twinner.alpha_check", recording)
+    pairs = record_alpha_pairs(monkeypatch)
     assert assemble_twin(atlas, b, seed=f).report.ok
-    assert calls
-    for i, R in calls:
-        assert assert_alpha_matches_reference(atlas, i, R) == []
-    # one call per (tilde, R) pair of the definition, for its first member:
-    # tilde the atlas J-residue of member i, R the J-residue of a chamber of
-    # its f^op, over every member, f^op chamber and J with |J| in {1, 2}
+    assert pairs
+    checked = {}
+    for tilde, R, witnesses in pairs:
+        # the first member of tilde with R in its f^op, as alpha_check takes it
+        i = next(j for j in tilde if any(atlas.members[j](c) == 0 for c in R))
+        assert assert_alpha_matches_reference(atlas, i, R, witnesses) == []
+        checked[(atlas.plus.residue(i, R.J), R)] = i
+    # one pair of the definition each, for its first member: tilde the atlas
+    # J-residue of member i, R the J-residue of a chamber of its f^op, over
+    # every member, f^op chamber and J with |J| in {1, 2}
     gens = range(b.weyl.rank)
     small_J = [frozenset(J) for k in (1, 2) for J in itertools.combinations(gens, k)]
     expected = {}
@@ -365,8 +384,7 @@ def test_alpha_check_matches_reference_in_assembly(request, monkeypatch, fixture
         for c in g.fop():
             for J in small_J:
                 expected.setdefault((atlas.plus.residue(i, J), b.residue(c, J)), i)
-    checked = {(atlas.plus.residue(i, R.J), R): i for i, R in calls}
-    assert len(checked) == len(calls) and checked == expected
+    assert len(checked) == len(pairs) and checked == expected
 
 
 def corrupt_panels(rng, fam):
@@ -549,15 +567,15 @@ def test_assemble_reports_member_without_projection(fano, fano_atlas):
 
 
 def plus_star_reference(minus, plus, atlas):
-    """The plus-star check as a plain loop over every triple."""
+    """The plus-star check as a plain loop over every triple, the innermost
+    one over z a scan of delta*(x, z) over the z not opposite y."""
     nplus = len(atlas.members)
+    rows = [g.values for g in atlas.members]
     for x in range(nplus):
-        gx = atlas.members[x]
         for y in range(nplus):
             d = plus.delta(x, y)
-            for z in range(minus.n):
-                if gx(z) == d and atlas.members[y](z) != 0:
-                    return False
+            if d in itertools.compress(rows[x], rows[y]):
+                return False
     fops = [frozenset(g.fop()) for g in atlas.members]
     if len(set(fops)) != nplus:
         return False
@@ -567,14 +585,13 @@ def plus_star_reference(minus, plus, atlas):
         if key in chamber_ops.values():
             return False
         chamber_ops[c] = key
-    table = minus.weyl
+    inverse = minus.weyl.inverse
+    cols = list(zip(*rows))   # cols[c][z] = delta*(z, c), so delta*(c, z) is its inverse
     for x in range(minus.n):
         for y in range(minus.n):
             d = minus.delta(x, y)
-            for z in range(nplus):
-                gz = atlas.members[z]
-                if table.inv(gz(x)) == d and gz(y) != 0:
-                    return False
+            if d in itertools.compress(map(inverse.__getitem__, cols[x]), cols[y]):
+                return False
     return True
 
 
@@ -608,7 +625,7 @@ def corrupted_atlases(atlas):
         yield with_members(members)
 
 
-@pytest.mark.parametrize("fixture", ["fano", "pg23", "digon33"])
+@pytest.mark.parametrize("fixture", ["fano", "pg23", "sp43", "digon33"])
 def test_plus_star_matches_reference(request, fixture):
     b = request.getfixturevalue(fixture)
     f = from_opposite_chamber(b, 0)
@@ -619,6 +636,149 @@ def test_plus_star_matches_reference(request, fixture):
     for bad in corrupted_atlases(atlas):
         assert not plus_star_reference(b, plus, bad)
         assert not _check_plus_star(bad)
+
+
+def loop_alpha_check(atlas, i, R):
+    """``alpha_check`` as it was before the per-type kernel, verbatim: one
+    ``proj_f`` per member of tilde and one ``b.delta`` per member of tilde
+    and chamber of R."""
+    b = atlas.building
+    if R.building is not b:
+        raise PreconditionFailed("R is not a residue of the atlas's building")
+    table = b.weyl
+    J = R.J
+    g = atlas.members[i]
+    if not any(g.values[x] == 0 for x in R.chambers()):
+        raise PreconditionFailed("residue does not meet the member's f^op")
+    rJ = table.longest_element(J)
+    tilde = atlas.residue_members(i, J)
+    alpha = {j: proj_f(atlas.members[j], R) for j in tilde}
+    witnesses = []
+    if sorted(alpha.values()) != sorted(R.chambers()):
+        witnesses.append(("bijection", sorted(alpha.values())))
+    for s in sorted(J):
+        plus_panel = atlas.plus.system.panel_of[s]
+        minus_panel = b.system.panel_of[table.gen_index(table.conj_by(rJ, s))]
+        first_plus = {}
+        first_minus = {}
+        for j in tilde:
+            lp, lm = plus_panel[j], minus_panel[alpha[j]]
+            jp = first_plus.setdefault(lp, j)
+            jm = first_minus.setdefault(lm, j)
+            if minus_panel[alpha[jp]] != lm:
+                j0 = jp
+            elif plus_panel[jm] != lp:
+                j0 = jm
+            else:
+                continue
+            witnesses.append(("adjacency", s, j0, j))
+            break
+    for j in tilde:
+        values = atlas.members[j].values
+        for c in R.chambers():
+            if (values[c] == 0) != (b.delta(alpha[j], c) == rJ):
+                witnesses.append(("opposition", j, c))
+    return witnesses
+
+
+def loop_opposition_ok(atlas):
+    """``assemble_twin``'s opposition flag as it was before the per-type
+    kernel, verbatim: ``loop_alpha_check`` once per (tilde, R) pair, for
+    the first member i whose f^op meets R."""
+    b = atlas.building
+    plus = atlas.plus
+    opposition_ok = True
+    checked = set()
+    rank = b.system.rank
+    small_J = [frozenset((s,)) for s in range(rank)] + [
+        frozenset((s, t)) for s in range(rank) for t in range(s + 1, rank)
+    ]
+    partitions = [(J, *b.partition(J)) for J in small_J]
+    for i, g in enumerate(atlas.members):
+        for J, residues, index in partitions:
+            tilde = plus.residue(i, J)
+            for R in map(residues.__getitem__, sorted(set(map(index.__getitem__, g.fop())))):
+                key = (tilde, R)
+                if key in checked:
+                    continue
+                checked.add(key)
+                try:
+                    if loop_alpha_check(atlas, i, R):
+                        opposition_ok = False
+                except PreconditionFailed:
+                    opposition_ok = False
+    return opposition_ok
+
+
+def seeded_corruptions(atlas, rng, k):
+    """(kind, atlas) for k seeded corruptions of each kind: one member value
+    changed to any other Weyl id, two members swapped, two chambers swapped
+    in every member, and a ``corrupt_panels`` change to one type's member
+    panels (skipped where no chamber system results)."""
+    b = atlas.building
+    n = len(atlas.members)
+    rank = b.system.rank
+    for _ in range(k):
+        members = list(atlas.members)
+        j, c = rng.randrange(n), rng.randrange(b.n)
+        values = list(members[j].values)
+        values[c] = rng.choice([w for w in range(b.weyl.size) if w != values[c]])
+        members[j] = Codistance(b, values)
+        yield "value", CodistanceAtlas(b, members, atlas.panels)
+        members = list(atlas.members)
+        i, j = rng.sample(range(n), 2)
+        members[i], members[j] = members[j], members[i]
+        yield "members", CodistanceAtlas(b, members, atlas.panels)
+        c1, c2 = rng.sample(range(b.n), 2)
+        members = []
+        for g in atlas.members:
+            values = list(g.values)
+            values[c1], values[c2] = values[c2], values[c1]
+            members.append(Codistance(b, values))
+        yield "chambers", CodistanceAtlas(b, members, atlas.panels)
+        s = rng.randrange(rank)
+        kind, fam = corrupt_panels(rng, atlas.panels[s])
+        panels = [fam if t == s else atlas.panels[t] for t in range(rank)]
+        try:
+            yield kind, CodistanceAtlas(b, atlas.members, panels)
+        except (ValueError, TwinbuildError):
+            pass  # two members adjacent for two types, or B+ disconnected
+
+
+def alpha_outcome(check, *args):
+    """The witnesses of an alpha check, or the type of what it raised."""
+    try:
+        return check(*args)
+    except TwinbuildError as e:
+        return type(e)
+
+
+# the seeded corruptions of each kind per building: the loop is slow on pg3(2)
+CORRUPTIONS = {"pg32": 1, "sp43": 1, "a2_x_fano": 1}
+
+
+@pytest.mark.parametrize("name", [
+    "fano", "pg23", "sp43", "digon33", "thin_a2", "thin_a3", "a2_x_fano", "pg32",
+])
+def test_opposition_matches_the_per_pair_loop(reference_buildings, name):
+    # the opposition flag and alpha_check's witnesses, on the atlas from
+    # chamber 0 and on seeded corruptions of it, against the loop they replace
+    b = reference_buildings[name]
+    atlas = atlas_component(from_opposite_chamber(b, 0))
+    assert twinner._check_opposition(atlas) and loop_opposition_ok(atlas)
+    rng = random.Random(name)
+    outcomes = Counter()
+    for kind, bad in seeded_corruptions(atlas, rng, CORRUPTIONS.get(name, 4)):
+        flag = twinner._check_opposition(bad)
+        assert flag == loop_opposition_ok(bad), kind
+        outcomes[flag] += 1
+        i = rng.randrange(len(bad.members))
+        c = rng.choice(bad.members[i].fop() or (0,))
+        for J in (frozenset((0,)), frozenset((0, 1))):
+            R = b.residue(c, J)
+            assert alpha_outcome(alpha_check, bad, i, R) == alpha_outcome(
+                loop_alpha_check, bad, i, R)
+    assert outcomes[False]
 
 
 def tw_axioms_reference(minus, plus, atlas):
@@ -780,9 +940,9 @@ FIRST_MEMBERS = {"pg32": 5}
 
 
 @pytest.fixture(scope="module")
-def reference_buildings(fano, pg23, sp43, sp42, thin_a3, digon33, pg32):
+def reference_buildings(fano, pg23, sp43, sp42, thin_a2, thin_a3, digon33, pg32):
     return {
-        "fano": fano, "pg23": pg23, "sp43": sp43, "sp42": sp42,
+        "fano": fano, "pg23": pg23, "sp43": sp43, "sp42": sp42, "thin_a2": thin_a2,
         "thin_a3": thin_a3, "digon33": digon33, "pg32": pg32,
         "a2_x_fano": product(
             gen_thin(CoxeterMatrix(("a", "b"), ((1, 3), (3, 1)))), gen_pg2(2)),
