@@ -92,7 +92,7 @@ def _vectors(q: int, dim: int):
 def _normalize(v: Sequence[int], q: int) -> tuple[int, ...]:
     for x in v:
         if x:
-            inv = pow(x, q - 2, q) if q > 2 else 1
+            inv = pow(x, q - 2, q)
             return tuple((inv * y) % q for y in v)
     raise ValueError("zero vector")
 

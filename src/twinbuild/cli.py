@@ -66,7 +66,7 @@ def serialize_building(b: Building) -> str:
     lines = ["%building 1", f"name {b.name}", f"rank {matrix.rank}",
              "gens " + " ".join(matrix.gens), "matrix"]
     for row in matrix.m:
-        lines.append(" ".join(str(0 if e == 0 else e) for e in row))
+        lines.append(" ".join(str(e) for e in row))
     lines.append(f"chambers {b.n}")
     for s, gname in enumerate(matrix.gens):
         lines.append(f"panels {gname}")
@@ -190,15 +190,15 @@ def parse_codistance(text: str, b: Building) -> Codistance:
             c = int(parts[0])
             if not 0 <= c < b.n or seen[c]:
                 raise FormatError(f"bad or repeated chamber id {parts[0]}")
-            w = table.parse_word(parts[1])
+            w = table.word_ids.get(parts[1])
+            if w is None:
+                w = table.parse_word(parts[1])
+                print(
+                    f"warning: word {parts[1]!r} canonicalized to {table.word_str(w)!r}",
+                    file=sys.stderr,
+                )
         except ValueError as e:
             raise FormatError(str(e))
-        canon = table.word_str(w)
-        if canon != parts[1]:
-            print(
-                f"warning: word {parts[1]!r} canonicalized to {canon!r}",
-                file=sys.stderr,
-            )
         seen[c] = True
         values[c] = w
     cur.expect_end()
@@ -404,12 +404,11 @@ def _cmd_twin_build(args) -> int:
             os.path.join(args.output, f"codistance_{i:04d}.cod"),
             serialize_codistance(g),
         )
-    table = b.weyl
-    costar_lines = []
-    for c in range(b.n):
-        for i in range(len(atlas.members)):
-            costar_lines.append(f"{c}\t{i}\t{table.word_str(atlas.members[i](c))}")
-    _write(os.path.join(args.output, "costar.tsv"), "\n".join(costar_lines) + "\n")
+    words = b.weyl.word_strs
+    _write(os.path.join(args.output, "costar.tsv"), "".join(
+        "".join(f"{c}\t{i}\t{words[w]}\n" for i, w in enumerate(col))
+        for c, col in enumerate(zip(*(g.values for g in atlas.members)))
+    ))
     report_text = _twin_report(b, atlas, assembly.report, lco, lsco)
     _write(os.path.join(args.output, "report.txt"), report_text)
     sys.stdout.write(report_text)
@@ -439,9 +438,10 @@ def read_twin(directory: str) -> tuple[Building, CodistanceAtlas]:
 
 def _cmd_twin_verify(args) -> int:
     b, atlas = read_twin(args.directory)
-    members = atlas.members
+    values = [g.values for g in atlas.members]
+    m = len(values)
     table = b.weyl
-    listed = set()
+    listed = bytearray(b.n * m)
     for line in _read(os.path.join(args.directory, "costar.tsv")).splitlines():
         parts = line.split("\t")
         if len(parts) != 3:
@@ -450,19 +450,18 @@ def _cmd_twin_verify(args) -> int:
             c, i, w = int(parts[0]), int(parts[1]), table.parse_word(parts[2])
         except ValueError as e:
             raise FormatError(f"bad costar line {line!r}: {e}")
-        if not (0 <= c < b.n and 0 <= i < len(members)):
+        if not (0 <= c < b.n and 0 <= i < m):
             raise FormatError(f"costar line {line!r}: chamber or member out of range")
-        if (c, i) in listed:
+        if listed[c * m + i]:
             raise FormatError(f"costar line {line!r}: repeated entry")
-        listed.add((c, i))
-        if members[i](c) != w:
+        listed[c * m + i] = 1
+        if values[i][c] != w:
             print(f"costar table mismatch at chamber {c}, member {i}")
             print("RESULT=fail")
             return EXIT_VIOLATION
-    if len(listed) != b.n * len(members):
-        raise FormatError(
-            f"costar.tsv lists {len(listed)} of {b.n * len(members)} entries"
-        )
+    k = listed.count(1)
+    if k != len(listed):
+        raise FormatError(f"costar.tsv lists {k} of {len(listed)} entries")
     lco, lsco = check_lco(b), check_lsco(b)
     assembly = assemble_twin(atlas, b)
     report_text = _twin_report(b, atlas, assembly.report, lco, lsco)

@@ -21,7 +21,6 @@ class Codistance:
         self.building = building
         self.values = tuple(values)
         self._fop: Optional[tuple[int, ...]] = None
-        self._fop_set: Optional[frozenset] = None
         # s -> the s-panels meeting f^op, filled by panels_op
         self._psop_cache: dict[int, tuple[ResidueRef, ...]] = {}
 
@@ -44,12 +43,10 @@ class Codistance:
     def fop(self) -> tuple[int, ...]:
         if self._fop is None:
             self._fop = tuple(c for c, v in enumerate(self.values) if v == 0)
-            self._fop_set = frozenset(self._fop)
         return self._fop
 
     def fop_set(self) -> frozenset:
-        self.fop()
-        return self._fop_set  # type: ignore[return-value]
+        return frozenset(self.fop())
 
 
 @dataclass

@@ -284,8 +284,8 @@ def _fop_search(f: Codistance, Ptilde: ResidueRef):
         t: _transport(f, s, table.left[table.longest_element((s, t))][s], gaps)
         for t in range(b.system.rank) if t != s
     }
-    inside = f.fop_set()
-    start = min(x for x in Ptilde.chambers() if x in inside)
+    values = f.values
+    start = min(x for x in Ptilde.chambers() if values[x] == 0)
     image = {start: {c: c for c in Ptilde.chambers()}}
     yield Ptilde, image[start]
     queue = deque([start])
@@ -293,7 +293,7 @@ def _fop_search(f: Codistance, Ptilde: ResidueRef):
         x = queue.popleft()
         P = panels[index[x]]
         for t, y in b.system.adjacency[x]:
-            if y not in inside or y in image:
+            if values[y] != 0 or y in image:
                 continue
             Q = panels[index[y]]
             mapping = image[x]

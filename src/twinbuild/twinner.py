@@ -93,11 +93,10 @@ def adjacent_codistance(
     f: Codistance, s: int, Ptilde: ResidueRef, p: int, check_choices: bool = False
 ) -> Codistance:
     """The s-neighbour of f that ``adjacent_codistances`` gives for p."""
-    if Ptilde not in panels_op(f, s):
-        raise PreconditionFailed("Ptilde does not meet f^op")
-    if p not in set(Ptilde.chambers()) or f(p) != 0:
+    neighbours = adjacent_codistances(f, s, Ptilde, check_choices)
+    if p not in neighbours:
         raise PreconditionFailed("p must be a chamber of Ptilde inside f^op")
-    return adjacent_codistances(f, s, Ptilde, check_choices)[p]
+    return neighbours[p]
 
 
 @dataclass
@@ -142,14 +141,15 @@ def atlas_component(f: Codistance) -> CodistanceAtlas:
     rank = b.system.rank
     members: list[Codistance] = [f]
     index: dict[tuple[int, ...], int] = {f.values: 0}
-    panel_of: list[dict[int, int]] = [dict() for _ in range(rank)]
+    # per type s, the members already placed in an s-panel
+    placed: list[set[int]] = [set() for _ in range(rank)]
     panels: list[list[tuple[int, ...]]] = [[] for _ in range(rank)]
     queue = deque([0])
     while queue:
         i = queue.popleft()
         g = members[i]
         for s in range(rank):
-            if i in panel_of[s]:
+            if i in placed[s]:
                 continue
             ops = panels_op(g, s)
             if not ops:
@@ -169,16 +169,15 @@ def atlas_component(f: Codistance) -> CodistanceAtlas:
                 if j not in group:
                     group.append(j)
             group_t = tuple(sorted(group))
-            pidx = len(panels[s])
             panels[s].append(group_t)
             for j in group_t:
                 # i has no s-panel yet and lies in group_t, so a j that has
                 # one lies in a different panel
-                if j in panel_of[s]:
+                if j in placed[s]:
                     raise TwinViolation(
                         f"member {j} falls into two distinct {s}-panels"
                     )
-                panel_of[s][j] = pidx
+                placed[s].add(j)
     return CodistanceAtlas(building=b, members=members, panels=panels)
 
 

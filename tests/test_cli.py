@@ -697,6 +697,50 @@ def test_twin_verify_malformed_costar_is_input_error(
     assert "costar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines[::-1],
+        lambda lines: [line.replace("\t-", "\tpp") for line in lines],
+    ],
+    ids=["lines-reversed", "identity-spelled-pp"],
+)
+def test_twin_verify_accepts_costar_in_any_order_and_spelling(
+    tmp_path, fano_file, fano_cod_file, capsys, edit
+):
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    costar = os.path.join(out, "costar.tsv")
+    with open(costar) as fh:
+        text = fh.read()
+    edited = "".join(line + "\n" for line in edit(text.splitlines()))
+    assert edited != text
+    with open(costar, "w") as fh:
+        fh.write(edited)
+    capsys.readouterr()
+    assert main(["twin", "verify", out]) == EXIT_PASS
+    captured = capsys.readouterr()
+    assert "RESULT=pass" in captured.out.splitlines()
+    assert captured.err == ""
+
+
+def test_twin_build_and_verify_peak_memory_on_pg2_5(tmp_path, capsys):
+    # the costar table is written from the members' value rows and checked
+    # against flags, one byte per entry; pg2(5) has 186 x 186 entries
+    bpath, cpath, out = (str(tmp_path / name) for name in ("b.bld", "f.cod", "twin"))
+    assert main(["gen", "pg2", "--q", "5", "-o", bpath]) == EXIT_PASS
+    assert main(["codist", "from-opposite", "--building", bpath,
+                 "--chamber", "0", "-o", cpath]) == EXIT_PASS
+    for argv in (["twin", "build", "--building", bpath, "--codistance", cpath, "-o", out],
+                 ["twin", "verify", out]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_PASS
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, (argv[1], peak)
+
+
 def test_validate_building_rejects_infinite_bond_quickly(fano, tmp_path, capsys):
     text = serialize_building(fano).replace("matrix\n1 3\n3 1\n", "matrix\n1 0\n0 1\n", 1)
     assert "1 0" in text
