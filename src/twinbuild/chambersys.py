@@ -127,10 +127,6 @@ class ResidueRef:
     def __iter__(self):
         return iter(self.members)
 
-    @property
-    def rank(self) -> int:
-        return len(self.J)
-
 
 @dataclass
 class AxiomViolation:

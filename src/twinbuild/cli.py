@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .catalog import (
     gen_digon,
@@ -37,7 +37,7 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
-# the key-line word (LCO=, LSCO=) of each exit code ``_local_exit`` gives
+# the key-line word (LCO=, LSCO=, fop's RESULT=) of each ``_verdict_exit`` code
 LOCAL_WORDS = {EXIT_PASS: "pass", EXIT_VIOLATION: "fail", EXIT_INCONCLUSIVE: "inconclusive"}
 
 THIN_TYPES = {
@@ -315,9 +315,14 @@ def _cmd_check(args) -> int:
 
 
 def _local_exit(*reports) -> int:
-    """A proven violation in any report exits 1; otherwise an inconclusive
-    entry exits 2, and no entry at all exits 0."""
-    statuses = {e.verdict.status for r in reports for e in r.entries}
+    """The exit code of the verdicts of the reports' entries."""
+    return _verdict_exit(e.verdict.status for r in reports for e in r.entries)
+
+
+def _verdict_exit(statuses: Iterable[str]) -> int:
+    """A proven violation exits 1; otherwise an inconclusive verdict exits 2,
+    and ProvenTrivial alone, or no verdict at all, exits 0."""
+    statuses = set(statuses) - {PROVEN_TRIVIAL}
     if not statuses:
         return EXIT_PASS
     return EXIT_INCONCLUSIVE if statuses == {INCONCLUSIVE} else EXIT_VIOLATION
@@ -337,14 +342,9 @@ def _cmd_fop(args) -> int:
         return EXIT_VIOLATION
     print("connected=yes")
     print(f"simply_2_connected={verdict.status}")
-    if verdict.status == PROVEN_TRIVIAL:
-        print("RESULT=pass")
-        return EXIT_PASS
-    if verdict.status == INCONCLUSIVE:
-        print("RESULT=inconclusive")
-        return EXIT_INCONCLUSIVE
-    print("RESULT=fail")
-    return EXIT_VIOLATION
+    code = _verdict_exit([verdict.status])
+    print(f"RESULT={LOCAL_WORDS[code]}")
+    return code
 
 
 def _twin_report(b: Building, atlas: CodistanceAtlas, report, lco, lsco) -> str:

@@ -39,10 +39,6 @@ class NotParallel(TwinbuildError):
     """The two residues are not parallel."""
 
 
-class NotAdjacent(TwinbuildError):
-    """Consecutive panels of a path are not adjacent in the panel graph."""
-
-
 class NotEquivalent(TwinbuildError):
     """The two panels do not share a partner panel for the given element."""
 

@@ -93,17 +93,16 @@ def _cycle_word(
     cycle: Sequence[int], gen_index: dict[tuple[int, int], int]
 ) -> tuple[tuple[int, int], ...]:
     """Relator of a closed vertex path as (generator, exponent) pairs; an
-    edge without a generator is a spanning-tree edge and is skipped."""
+    edge without a generator is a spanning-tree edge and is skipped.  No
+    letters cancel: the walk root -> a, a-c, c -> root over a forest passes
+    an edge twice only on the tree path from the root to the simple cycle
+    it closes, and that cycle, which lies between the two passes, holds an
+    edge outside the spanning tree and so a letter."""
     word: list[tuple[int, int]] = []
     for a, b2 in zip(cycle, cycle[1:]):
         g = gen_index.get((min(a, b2), max(a, b2)))
-        if g is None:
-            continue
-        exp = 1 if a < b2 else -1
-        if word and word[-1] == (g, -exp):
-            word.pop()
-        else:
-            word.append((g, exp))
+        if g is not None:
+            word.append((g, 1 if a < b2 else -1))
     return tuple(word)
 
 
@@ -300,8 +299,9 @@ class LocalConditionReport:
 
 
 def opposite_set(b: Building, R: ResidueRef, x: int) -> frozenset:
-    rJ = b.weyl.longest_element(R.J)
-    return frozenset(y for y in R.chambers() if b.delta(x, y) == rJ)
+    """The chambers of R at distance r_J from x, J the type of R."""
+    rJ, row = b.weyl.longest_element(R.J), b.rows[x]
+    return frozenset(y for y in R.members if row[y] == rJ)
 
 
 def _opposite_sets(b: Building, k: int, decide) -> LocalConditionReport:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .chambersys import Building, ResidueRef
 from .codistance import Codistance, fop_c, panels_op, unique_chamber
+from .homotopy import opposite_set
 from .errors import (
-    NotAdjacent,
     NotEquivalent,
     NotInResidue,
     NotOpposite,
@@ -54,37 +54,12 @@ def delta_panels(b: Building, P: ResidueRef, Q: ResidueRef) -> int:
     return w
 
 
-def residue_between(b: Building, P: ResidueRef, Q: ResidueRef) -> Optional[ResidueRef]:
-    """The rank-2 residue in which P and Q are opposite, if any."""
-    if P == Q:
-        return None
-    s, t = panel_type(P), panel_type(Q)
-    if s != t:
-        candidates = [frozenset((s, t))]
-    else:
-        candidates = [frozenset((s, u)) for u in range(b.system.rank) if u != s]
-    for J in candidates:
-        R = b.residue(P.base, J)
-        if Q.base not in R:
-            continue
-        if b.opposite_residues(R, P, Q):
-            return R
-    return None
-
-
 def is_compatible_path(b: Building, path: Sequence[ResidueRef]) -> bool:
-    """Whether consecutive panels are opposite in rank-2 residues onto which
-    the first panel projects to the preceding one."""
-    if len(set(path)) != len(path):
-        return False
-    P0 = path[0]
-    for prev, cur in zip(path, path[1:]):
-        R = residue_between(b, prev, cur)
-        if R is None:
-            raise NotAdjacent(f"{panel_key(prev)} and {panel_key(cur)}")
-        if b.proj_residue(R, P0) != prev:
-            return False
-    return True
+    """Whether the path repeats no panel and each step is compatible
+    (``_compatible_neighbors``, P0 the first panel)."""
+    steps = zip(path, path[1:])
+    return len(set(path)) == len(path) and all(
+        cur in _compatible_neighbors(b, path[0], prev) for prev, cur in steps)
 
 
 def compatible_path(
@@ -115,7 +90,8 @@ def compatible_path(
 
 
 def _compatible_neighbors(b: Building, P0: ResidueRef, L: ResidueRef):
-    """Panels N with L, N opposite in R(L, N) and proj_{R(L,N)} P0 = L."""
+    """The compatible steps from L on a path from P0, the one definition all
+    path routines use: the N opposite L in R(L, N) with proj_{R(L,N)} P0 = L."""
     s = panel_type(L)
     out = []
     for t in range(b.system.rank):
@@ -127,23 +103,16 @@ def _compatible_neighbors(b: Building, P0: ResidueRef, L: ResidueRef):
                 continue
         except NotInResidue:
             continue
-        for N in _opposite_panels_in(b, R, L):
-            out.append(N)
+        out += _opposite_panels_in(b, R, L)
     return sorted(out, key=panel_key)
 
 
-def _opposite_panels_in(b: Building, R: ResidueRef, L: ResidueRef):
+def _opposite_panels_in(b: Building, R: ResidueRef, L: ResidueRef) -> set[ResidueRef]:
+    """The panels of R opposite L: the (r_J s r_J)-panels, s the type of L,
+    through a chamber of R opposite one of L."""
     table = b.weyl
-    rJ = table.longest_element(R.J)
-    tt = table.gen_index(table.conj_by(rJ, panel_type(L)))
-    seen = set()
-    for x in L.chambers():
-        for y in R.chambers():
-            if b.delta(x, y) == rJ:
-                N = b.panel(y, tt)
-                if N not in seen:
-                    seen.add(N)
-                    yield N
+    tt = table.gen_index(table.conj_by(table.longest_element(R.J), panel_type(L)))
+    return {b.panel(y, tt) for x in L.chambers() for y in opposite_set(b, R, x)}
 
 
 def all_compatible_paths(

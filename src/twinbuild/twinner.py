@@ -13,16 +13,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import itemgetter, or_
+from operator import or_
 from typing import ClassVar, Iterable, Optional, Sequence
 
 from .chambersys import Building, ChamberSystem, ResidueRef, validate_building
-from .codistance import Codistance, panels_op, validate_codistance
+from .codistance import Codistance, panels_op, proj_f, validate_codistance
 from .errors import (
     CapExceeded,
     PreconditionFailed,
     TwinbuildError,
 )
+from .homotopy import opposite_set
 from .panelcalc import (
     beta,  # re-exported: perfbench/selftest.py checks twinner.beta
     beta_maps,
@@ -192,22 +193,18 @@ def _alpha_kernel(atlas: CodistanceAtlas, J: frozenset, fop_masks: Sequence[int]
     """The alpha test of type J, built once per J: ``pair(tilde, R)`` lists
     the witnesses of ``alpha_check`` for the atlas J-residue ``tilde`` and a
     J-residue R of B, the atlas's building, with ``fop_masks[j]`` member j's
-    f^op as a bit mask.  alpha_j is the unique chamber of R of longest
-    g_j-value; opposition compares the masks of g_j^op within R and of the
-    r_J-opposites of alpha_j.  For J = {s}, tilde and R are s-panels and
-    sbar = s, so adjacency holds; it is compared for |J| > 1 only."""
+    f^op as a bit mask.  alpha_j is ``proj_f(g_j, R)``, the unique chamber
+    of R of longest g_j-value; opposition compares the masks of g_j^op
+    within R and of ``opposite_set(b, R, alpha_j)``.  For J = {s}, tilde
+    and R are s-panels and sbar = s, so adjacency holds; it is compared for
+    |J| > 1 only."""
     b = atlas.building
     table = b.weyl
     rJ = table.longest_element(J)
-    values = [g.values for g in atlas.members]
-    length = table.length
+    members = atlas.members
     residues, index = b.partition(J)
-    # a one-chamber residue (J = {}) is gathered as a slice, giving a tuple
-    gathers = [itemgetter(*R) if len(R) > 1 else itemgetter(slice(R.base, R.base + 1))
-               for R in residues]
     masks = [_mask(R) for R in residues]
-    opposite = [_mask(c for c in residues[index[a]] if row[c] == rJ)
-                for a, row in enumerate(b.rows)]
+    opposite = [_mask(opposite_set(b, residues[index[a]], a)) for a in range(b.n)]
     labels = [
         (s, atlas.plus.system.panel_of[s],
          b.system.panel_of[table.gen_index(table.conj_by(rJ, s))])
@@ -215,21 +212,16 @@ def _alpha_kernel(atlas: CodistanceAtlas, J: frozenset, fop_masks: Sequence[int]
     ] if len(J) > 1 else []
 
     def pair(tilde: tuple[int, ...], R: ResidueRef) -> list[tuple]:
-        r = index[R.base]
-        chambers = R.members
+        mask = masks[index[R.base]]
         images, wrong = [], []
         for j in tilde:
-            lengths = list(map(length.__getitem__, gathers[r](values[j])))
-            top = max(lengths)
-            if lengths.count(top) != 1:
-                raise PreconditionFailed("no unique chamber of maximal f-length in residue")
-            a = chambers[lengths.index(top)]
+            a = proj_f(members[j], R)
             images.append(a)
-            diff = fop_masks[j] & masks[r] ^ opposite[a]
+            diff = fop_masks[j] & mask ^ opposite[a]
             if diff:
-                wrong += [("opposition", j, c) for c in chambers if diff >> c & 1]
+                wrong += [("opposition", j, c) for c in R.members if diff >> c & 1]
         witnesses: list[tuple] = []
-        if sorted(images) != list(chambers):
+        if sorted(images) != list(R.members):
             witnesses.append(("bijection", sorted(images)))
         # alpha matches adjacency when the s-panels of the members and the
         # sbar-panels of their images partition tilde alike: every member's
@@ -395,7 +387,8 @@ def _check_plus_star(atlas: CodistanceAtlas) -> bool:
 def _gonality(b: Building, R: ResidueRef) -> Optional[int]:
     """Half the girth of the panel incidence graph of a rank-2 residue; its
     diameter must agree for a generalized m-gon.  Each chamber of R is the
-    edge joining its s-panel and its t-panel; no two chambers share both."""
+    edge joining its s-panel and its t-panel; no two chambers share both.
+    R is gallery-connected, so the graph is connected."""
     s, t = sorted(R.J)
     adj: dict[ResidueRef, list[ResidueRef]] = {}
     for c in R.chambers():
@@ -419,8 +412,6 @@ def _gonality(b: Building, R: ResidueRef) -> Optional[int]:
                     cyc = dist[u] + dist[v] + 1
                     if girth is None or cyc < girth:
                         girth = cyc
-        if len(dist) != len(adj):
-            return None
         diameter = max(diameter, max(dist.values()))
     if girth is None or girth != 2 * diameter:
         return None

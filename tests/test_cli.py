@@ -297,6 +297,31 @@ def test_fop_command_disconnected(tmp_path, sp42, capsys):
     )
 
 
+def test_fop_command_nontrivial(tmp_path, pg32, capsys):
+    # f^op of pg3(2) opposite chamber 0 is connected, and its edge-path
+    # group is proven nontrivial
+    bld, cod = tmp_path / "pg32.bld", tmp_path / "pg32.cod"
+    bld.write_text(serialize_building(pg32))
+    cod.write_text(serialize_codistance(from_opposite_chamber(pg32, 0)))
+    assert main(["fop", "--codistance", str(cod), "--building", str(bld)]) == EXIT_VIOLATION
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "connected=yes", "simply_2_connected=ProvenNontrivial", "RESULT=fail",
+    ]
+
+
+def test_fop_command_inconclusive(fano_file, fano_cod_file, capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "simply_2_connected", lambda subset, b: TrivialityVerdict(INCONCLUSIVE)
+    )
+    code = main(["fop", "--codistance", fano_cod_file, "--building", fano_file])
+    assert code == EXIT_INCONCLUSIVE
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "connected=yes", "simply_2_connected=Inconclusive", "RESULT=inconclusive",
+    ]
+
+
 def test_weyl_enumerate(fano_file, capsys):
     assert main(["weyl", "enumerate", "--building", fano_file]) == EXIT_PASS
     out = capsys.readouterr().out
@@ -666,6 +691,24 @@ def _first_line(edit):
     return lambda lines: ["\t".join(edit(lines[0].split("\t")))] + lines[1:]
 
 
+@pytest.mark.parametrize("fields", [
+    lambda f: f[:2], lambda f: f + ["x"],
+], ids=["two-fields", "four-fields"])
+def test_twin_verify_costar_line_with_wrong_field_count(
+    tmp_path, fano_file, fano_cod_file, capsys, fields
+):
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    costar = os.path.join(out, "costar.tsv")
+    with open(costar) as fh:
+        lines = fh.read().splitlines()
+    bad = "\t".join(fields(lines[0].split("\t")))
+    with open(costar, "w") as fh:
+        fh.write("".join(line + "\n" for line in [bad] + lines[1:]))
+    capsys.readouterr()
+    assert main(["twin", "verify", out]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: bad costar line: {bad!r}\n"
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -970,6 +1013,20 @@ def assert_input_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("input error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.replace("rank 2\ngens p l\nmatrix\n1 3\n3 1\n", "rank 0\ngens\nmatrix\n"),
+     "empty generator set"),
+    (lambda t: t.replace("gens p l\n", "gens p p\n"), "duplicate generator names"),
+])
+def test_validate_building_rejects_bad_generator_names(fano, tmp_path, capsys, edit, message):
+    text = serialize_building(fano)
+    assert edit(text) != text
+    path = tmp_path / "bad.bld"
+    path.write_text(edit(text))
+    assert main(["validate", "building", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_gen_digon_too_small_is_input_error(tmp_path, capsys):

@@ -36,7 +36,6 @@ from twinbuild.panelcalc import (
     panels_op,
     panels_op_c,
     pi,
-    residue_between,
 )
 from twinbuild.twinner import adjacent_codistances, beta_maps
 
@@ -222,18 +221,25 @@ def test_compatible_length_sampled_pg32(pg32):
         assert len(lengths) == 1
 
 
-def test_panel_graph_structure(digon33):
-    # panels are adjacent when opposite in a common rank-2 residue: the
-    # relation is symmetric, and a pair with no such residue has none
-    panels = all_panels(digon33)
-    R0 = digon33.residue(0, (0, 1))
-    for P, Q in itertools.product(panels, panels):
-        R = residue_between(digon33, P, Q)
-        assert R == residue_between(digon33, Q, P)
-        opposite = P != Q and digon33.opposite_residues(R0, P, Q)
-        assert (R is not None) == opposite
-        if opposite:
-            assert R == R0
+def test_step_between_panels_opposite_nowhere_is_not_compatible(fano):
+    # two panels through chamber 0 are opposite in no rank-2 residue
+    P, Q = fano.panel(0, 0), fano.panel(0, 1)
+    assert not fano.opposite_residues(fano.residue(0, (0, 1)), P, Q)
+    assert not is_compatible_path(fano, [P, Q])
+    assert not is_compatible_path(fano, [Q, P])
+
+
+def test_step_failing_the_projection_condition_is_not_compatible(fano):
+    # in a projective plane R(L, N) is the whole building, onto which P0
+    # projects to P0 itself: each step is compatible from its own start, but
+    # the second step of P0, L, N is not, as proj_R P0 = P0 != L
+    R = fano.residue(0, (0, 1))
+    P0 = fano.panel(0, 0)
+    L = next(Q for Q in all_panels(fano) if fano.opposite_residues(R, P0, Q))
+    N = next(Q for Q in all_panels(fano) if Q != P0 and fano.opposite_residues(R, L, Q))
+    assert is_compatible_path(fano, [P0, L])
+    assert is_compatible_path(fano, [L, N])
+    assert not is_compatible_path(fano, [P0, L, N])
 
 
 def test_path_with_repetition_is_not_compatible(thin_a3):
@@ -243,6 +249,19 @@ def test_path_with_repetition_is_not_compatible(thin_a3):
 
 
 # -- pi and the bijections ----------------------------------------------------
+
+
+def test_beta_refuses_a_panel_outside_fop(fano):
+    # no chamber of a panel through chamber 0 is opposite chamber 0
+    f = from_opposite_chamber(fano, 0)
+    outside = fano.panel(0, 0)
+    inside = panels_op(f, 0)[0]
+    assert outside not in panels_op(f, 0)
+    for P, Q in ((outside, inside), (inside, outside)):
+        with pytest.raises(NotOpposite, match="panel does not meet f\\^op"):
+            beta(f, P, Q)
+    with pytest.raises(NotOpposite, match="panel does not meet f\\^op"):
+        beta_maps(f, outside)
 
 
 def codistances(b):

@@ -302,6 +302,16 @@ def test_alpha_check_refuses_a_residue_of_another_building(fano_atlas):
             alpha_check(atlas, 0, other.residue(R.base, J))
 
 
+def test_alpha_check_refuses_a_residue_outside_the_members_fop(fano_atlas):
+    # chamber 0's residues of rank < 2 hold no chamber opposite chamber 0
+    f, atlas = fano_atlas
+    for J in (frozenset(), frozenset((0,)), frozenset((1,))):
+        R = atlas.building.residue(0, J)
+        assert not set(R) & set(f.fop())
+        with pytest.raises(PreconditionFailed, match="does not meet the member's f\\^op"):
+            alpha_check(atlas, 0, R)
+
+
 def alpha_adjacency_reference(atlas, i, J, R):
     """The adjacency failures (s, j1, j2) of alpha on the atlas J-residue of
     member i, by the definition: every ordered pair of members, per s in J,
