@@ -40,6 +40,11 @@ def matrix_A3() -> CoxeterMatrix:
     return CoxeterMatrix(("p", "l", "h"), ((1, 3, 2), (3, 1, 3), (2, 3, 1)))
 
 
+def matrix_B4() -> CoxeterMatrix:
+    m = ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 4), (2, 2, 4, 1))
+    return CoxeterMatrix(("a", "b", "c", "d"), m)
+
+
 def gen_thin(matrix: CoxeterMatrix) -> Building:
     """Coxeter complex: chambers are group elements, delta(x,y) = x^-1 y."""
     table = enumerate_weyl(matrix)

@@ -5,10 +5,10 @@ delta computed from minimal galleries.  Each residue is one interned
 ResidueRef carrying its chambers, kept in the partition of its type J: the
 J-residues by least chamber and a chamber -> residue-index list, built in
 one sweep when J is first asked for.  The delta table is computed eagerly,
-one row per chamber: validation reads every row anyway, and row 0 checks
-that the chamber system is gallery-connected.  Building validation is the
-Bu1-Bu3 pass of ``validate_building``; those axioms imply that delta is
-symmetric and that its length is the gallery distance.
+one row per chamber packed by ``WeylTable.pack``: validation reads every row
+anyway, and row 0 checks that the chamber system is gallery-connected.
+Building validation is the Bu1-Bu3 pass of ``validate_building``; those
+axioms imply that delta is symmetric and that its length is the gallery distance.
 """
 
 from __future__ import annotations
@@ -155,11 +155,12 @@ class Building:
         # J -> (the J-residues by base, chamber -> index of its J-residue)
         self._partitions: dict[frozenset, tuple[list[ResidueRef], list[int]]] = {}
         # rows[x][y] = delta(x, y); every row reaches every chamber once row 0
-        # does, so connectivity is checked on row 0 alone
+        # does, so connectivity is checked on row 0 alone, before packing
         row0 = self._compute_row(0)
         if -1 in row0:
             raise Disconnected("chamber system not gallery-connected from 0")
-        self.rows = [row0] + [self._compute_row(x) for x in range(1, self.n)]
+        pack = self.weyl.pack
+        self.rows = [pack(row0)] + [pack(self._compute_row(x)) for x in range(1, self.n)]
 
     # -- distance ----------------------------------------------------------
 

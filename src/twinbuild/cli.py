@@ -22,6 +22,7 @@ from .catalog import (
     matrix_A2,
     matrix_A3,
     matrix_B2,
+    matrix_B4,
     matrix_I2,
 )
 from .chambersys import Building, ChamberSystem, validate_building
@@ -46,6 +47,7 @@ THIN_TYPES = {
     "b2": matrix_B2,
     "g2": lambda: matrix_I2(6),
     "a3": matrix_A3,
+    "b4": matrix_B4,
 }
 
 # family -> building from the parsed `gen` arguments

@@ -1,7 +1,7 @@
 """Codistances: W-valued maps on chambers satisfying the panel axiom.
 
-Values are stored as a dense array of Weyl ids; equality and hashing use
-the value tuple so atlases can deduplicate members cheaply.
+Values are stored as one row of Weyl ids, one byte each while they fit
+(``WeylTable.pack``); equality and hashing use it to deduplicate atlas members.
 """
 
 from __future__ import annotations
@@ -16,10 +16,15 @@ from .errors import PreconditionFailed
 
 class Codistance:
     def __init__(self, building: Building, values: Sequence[int]) -> None:
+        table = building.weyl
         if len(values) != building.n:
             raise ValueError("one value per chamber required")
+        ids = set(values)
+        if not 0 <= min(ids) <= max(ids) < table.size:
+            c = next(c for c, v in enumerate(values) if not 0 <= v < table.size)
+            raise ValueError(f"value {values[c]} at chamber {c} is not a Weyl id")
         self.building = building
-        self.values = tuple(values)
+        self.values = table.pack(values)
         self._fop: Optional[tuple[int, ...]] = None
         # s -> the s-panels meeting f^op, filled by panels_op
         self._psop_cache: dict[int, tuple[ResidueRef, ...]] = {}

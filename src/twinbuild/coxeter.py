@@ -123,6 +123,7 @@ class WeylTable:
     word_ids: dict[str, int] = field(init=False, repr=False, compare=False)
     # by J (a frozenset of generator indices, every J of S): r_J
     longest: dict[frozenset, int] = field(init=False, repr=False, compare=False)
+    pack: type = field(init=False, repr=False, compare=False)  # a row of ids: bytes if ids fit
 
     def __post_init__(self) -> None:
         # the inverse of w*s is s*(w^-1), and word[w] minus its last letter
@@ -136,6 +137,7 @@ class WeylTable:
         gens = self.matrix.gens
         self.word_strs = ["-"] + ["".join(gens[s] for s in w) for w in self.word[1:]]
         self.word_ids = {text: w for w, text in enumerate(self.word_strs)}
+        self.pack = bytes if self.size <= 256 else tuple
         # r_J for every J: lengthen by a letter of J while one does; a
         # longer element has a larger id
         self.longest = {}

@@ -112,19 +112,14 @@ class CodistanceAtlas:
     panels: list[list[tuple[int, ...]]]   # per generator, member-index panels
     origin: ClassVar[int] = 0             # the member index of the seed
     plus: Building = field(init=False, repr=False, compare=False)
-    minus_rows: list[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    minus_rows: list[Sequence[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        system = ChamberSystem(
-            self.building.weyl, len(self.members),
-            [sorted(fam) for fam in self.panels],
-        )
+        table = self.building.weyl
+        system = ChamberSystem(table, len(self.members), [sorted(fam) for fam in self.panels])
         self.plus = Building(system, name=self.building.name + "_plus")
-        inverse = self.building.weyl.inverse
-        self.minus_rows = [
-            tuple(map(inverse.__getitem__, col))
-            for col in zip(*(g.values for g in self.members))
-        ]
+        self.minus_rows = [table.pack(map(table.inverse.__getitem__, col))
+                           for col in zip(*(g.values for g in self.members))]
 
     def residue_members(self, i: int, J: Iterable[int]) -> tuple[int, ...]:
         """Member indices J-connected to member i."""
@@ -141,7 +136,7 @@ def atlas_component(f: Codistance) -> CodistanceAtlas:
     b = f.building
     rank = b.system.rank
     members: list[Codistance] = [f]
-    index: dict[tuple[int, ...], int] = {f.values: 0}
+    index: dict[Sequence[int], int] = {f.values: 0}
     # per type s, the members already placed in an s-panel
     placed: list[set[int]] = [set() for _ in range(rank)]
     panels: list[list[tuple[int, ...]]] = [[] for _ in range(rank)]

@@ -781,7 +781,7 @@ def test_twin_build_and_verify_peak_memory_on_pg2_5(tmp_path, capsys):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 2**20, (argv[1], peak)
+        assert peak < 4 * 2**20, (argv[1], peak)
 
 
 def test_validate_building_rejects_infinite_bond_quickly(fano, tmp_path, capsys):

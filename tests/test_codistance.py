@@ -282,6 +282,16 @@ def test_value_count_rejected(fano):
         Codistance(fano, [0] * (fano.n - 1))
 
 
+@pytest.mark.parametrize("bad", [-6, -1, 6, 255, 256])
+def test_non_weyl_values_rejected(fano, bad):
+    # |W| = 6 for A2: a negative value or one of 6 or more is no Weyl id,
+    # whether or not it fits in a byte; the first bad chamber is named
+    values = [0] * fano.n
+    values[3] = values[7] = bad
+    with pytest.raises(ValueError, match=f"^value {bad} at chamber 3 is not a Weyl id$"):
+        Codistance(fano, values)
+
+
 # -- the panel axiom's fast accept against its test-by-test definition --------
 
 

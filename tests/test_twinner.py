@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter, deque
 
 import pytest
@@ -12,10 +13,12 @@ from twinbuild.catalog import (
     gen_pg2,
     gen_thin,
     matrix_A2,
+    matrix_B4,
     matrix_I2,
     product,
 )
-from twinbuild.chambersys import Building, ChamberSystem
+from twinbuild.chambersys import Building, ChamberSystem, validate_building
+from twinbuild.cli import parse_codistance, serialize_codistance
 from twinbuild.codistance import (
     Codistance,
     fop_c,
@@ -165,7 +168,7 @@ def test_atlas_rejects_seed_with_empty_fop():
     b = gen_digon(2, 3)
     mistyped = Building(ChamberSystem(enumerate_weyl(matrix_A2()), b.n, b.system.panels))
     f = from_opposite_chamber(mistyped, 0)
-    assert f.values == (5, 4, 4, 3, 1, 1) and not f.fop()
+    assert tuple(f.values) == (5, 4, 4, 3, 1, 1) and not f.fop()
     with pytest.raises(PreconditionFailed, match="member 0 .* 0-panel"):
         atlas_component(f)
 
@@ -1107,7 +1110,7 @@ def test_gonality_rejects_two_squares_sharing_a_vertex():
 def atlas_digest(atlas):
     """The first 16 hex digits of the SHA-256 of the members' value vectors
     in atlas order and of the member-index panels."""
-    data = ([g.values for g in atlas.members], atlas.panels)
+    data = ([tuple(g.values) for g in atlas.members], atlas.panels)
     return hashlib.sha256(repr(data).encode()).hexdigest()[:16]
 
 
@@ -1138,3 +1141,38 @@ def test_pg32_twin_from_chamber_0(pg32):
     assert all(
         twin.costar(atlas.origin, c) == f(c) for c in range(pg32.n)
     )
+
+
+def test_pg32_rows_are_bytes_and_twin_step_peak_memory(pg32):
+    # |W| = 24 for A3, so every row of Weyl ids is stored one byte per value;
+    # with rows of 8-byte pointers to ints this step peaks at about 3.5 MiB
+    f = from_opposite_chamber(pg32, 0)
+    tracemalloc.start()
+    try:
+        atlas = atlas_component(f)
+        twin = assemble_twin(atlas, pg32, seed=f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert twin.report.ok
+    assert peak < 2.5 * 2**20, peak
+    assert all(type(row) is bytes for row in pg32.rows + twin.plus.rows + atlas.minus_rows)
+    assert all(type(g.values) is bytes for g in atlas.members)
+
+
+def test_thin_b4_twin_keeps_tuple_rows():
+    # |W| = 384 does not fit in a byte, so every row stays a tuple of ids
+    b = gen_thin(matrix_B4())
+    assert b.weyl.size == b.n == 384 and b.weyl.pack is tuple
+    assert validate_building(b).ok
+    f = from_opposite_chamber(b, 0)
+    assert validate_codistance(f).ok
+    atlas = atlas_component(f)
+    assert len(atlas.members) == 384
+    r = assemble_twin(atlas, b, seed=f).report
+    assert r.building_ok and r.tw_axioms_ok and r.opposition_ok
+    assert r.plus_star_ok and r.diagram_ok and r.seed_ok
+    assert all(type(row) is tuple for row in b.rows + atlas.plus.rows + atlas.minus_rows)
+    g = atlas.members[-1]
+    assert type(g.values) is tuple
+    assert parse_codistance(serialize_codistance(g), b) == g
