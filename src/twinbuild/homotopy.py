@@ -14,7 +14,6 @@ enumeration that reaches its cap is reported as Inconclusive.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
@@ -53,18 +52,24 @@ class TrivialityVerdict:
 
 
 def _neighbours(b: Building, subset: frozenset) -> dict[int, list[tuple[int, int]]]:
-    """For each chamber of ``subset``, its (neighbour, type) pairs inside
-    ``subset`` in ascending neighbour id, read off the chamber system's
-    adjacency (two chambers are adjacent for one type only)."""
+    """For each chamber of ``subset``, in ascending order, its (neighbour,
+    type) pairs inside ``subset`` in ascending id, read off the chamber
+    system's adjacency (two chambers are adjacent for one type only): each
+    chamber of the sorted subset is appended to the lists of its neighbours."""
     adj = b.system.adjacency
-    return {x: sorted((y, s) for s, y in adj[x] if y in subset) for x in subset}
+    nbrs: dict[int, list[tuple[int, int]]] = {x: [] for x in sorted(subset)}
+    for x in nbrs:
+        for s, y in adj[x]:
+            if y in subset:
+                nbrs[y].append((x, s))
+    return nbrs
 
 
 def _forest(nbrs: dict[int, list[tuple[int, int]]], J: Container[int]) -> dict[int, int]:
     """Breadth-first forest of the J-typed edges as parent pointers: roots, in
-    ascending order, are their own parents; neighbours go in ascending id."""
+    ascending ``nbrs`` order, are their own parents; neighbours ascend too."""
     parent: dict[int, int] = {}
-    for root in sorted(nbrs):
+    for root in nbrs:
         if root in parent:
             continue
         parent[root] = root
@@ -82,28 +87,31 @@ def connected(subset: Iterable[int], gens: Iterable[int], b: Building) -> bool:
     return sum(x == p for x, p in parent.items()) <= 1
 
 
-def _tree_path(parent: dict[int, int], x: int) -> list[int]:
-    path = [x]
-    while parent[path[-1]] != path[-1]:
-        path.append(parent[path[-1]])
-    return path
-
-
-def _cycle_word(
-    cycle: Sequence[int], gen_index: dict[tuple[int, int], int]
-) -> tuple[tuple[int, int], ...]:
-    """Relator of a closed vertex path as (generator, exponent) pairs; an
-    edge without a generator is a spanning-tree edge and is skipped.  No
-    letters cancel: the walk root -> a, a-c, c -> root over a forest passes
-    an edge twice only on the tree path from the root to the simple cycle
-    it closes, and that cycle, which lies between the two passes, holds an
-    edge outside the spanning tree and so a letter."""
-    word: list[tuple[int, int]] = []
-    for a, b2 in zip(cycle, cycle[1:]):
-        g = gen_index.get((min(a, b2), max(a, b2)))
-        if g is not None:
-            word.append((g, 1 if a < b2 else -1))
-    return tuple(word)
+def _cycles(nbrs: dict[int, list[tuple[int, int]]], J: Container[int], letter: dict):
+    """The words of the fundamental cycles root -> a, (a, c), c -> root of the
+    J-forest that ``_forest`` grows, one per edge a < c off it; the search
+    carries each chamber's path word from its root (pot) and that word's
+    inverse (inv).  No letters cancel: the walk passes an edge twice only on
+    the tree path from the root to the simple cycle it closes, and that
+    cycle holds an edge off the spanning tree, so a letter."""
+    pot: dict[int, tuple] = {}
+    inv: dict[int, tuple] = {}
+    for root in nbrs:
+        if root in pot:
+            continue
+        pot[root] = inv[root] = ()
+        queue = [(root, root)]
+        for x, up in queue:
+            px, ix = pot[x], inv[x]
+            for y, s in nbrs[x]:
+                if s not in J:
+                    continue
+                if y not in pot:
+                    pot[y] = px + letter[x, y]
+                    inv[y] = letter[y, x] + ix
+                    queue.append((y, x))
+                elif x < y and y != up:
+                    yield px + letter[x, y] + inv[y]
 
 
 def _presentation(b: Building, subset: frozenset):
@@ -113,29 +121,38 @@ def _presentation(b: Building, subset: frozenset):
     |J| <= 2, the fundamental cycles of a BFS forest of the J-typed edges.
     A component of the J-typed edges is J-connected, so it lies inside one
     J-residue: these are the fundamental cycles of each rank <= 2 residue's
-    restriction to the subset.
+    restriction to the subset.  For J = {s} it is a star from the least
+    chamber m of each clique an s-panel cuts out of the subset, whose cells
+    (``star``) are the cycles m, a, c, m with m < a < c.
     """
     rank = b.system.rank
     nbrs = _neighbours(b, subset)
-    edges = [(x, y, s) for x in sorted(nbrs) for y, s in nbrs[x] if x < y]
     parent = _forest(nbrs, range(rank))
     if sum(x == p for x, p in parent.items()) > 1:
         raise NotConnected("subset is not gallery-connected")
-    non_tree = [(x, y) for x, y, _ in edges if parent[x] != y and parent[y] != x]
-    gen_index = {e: i for i, e in enumerate(non_tree)}
+    # letter[x, y]: the word of the edge x -> y, empty on the spanning tree
+    non_tree: list[tuple[int, int]] = []
+    letter: dict[tuple[int, int], tuple] = {}
+    star: list[tuple[int, int, int]] = []
+    for x, row in nbrs.items():
+        least: dict[int, int] = {}
+        for y, s in row:
+            if y < x:
+                least.setdefault(s, y)
+                continue
+            if s in least:
+                star.append((least[s], x, y))
+            if parent[x] == y or parent[y] == x:
+                letter[x, y] = letter[y, x] = ()
+            else:
+                letter[x, y] = ((len(non_tree), 1),)
+                letter[y, x] = ((len(non_tree), -1),)
+                non_tree.append((x, y))
 
-    relators: set[tuple[tuple[int, int], ...]] = set()
-    for k in (1, 2):
-        for J in combinations(range(rank), k):
-            forest = _forest(nbrs, J)
-            for a, c, s in edges:
-                if s not in J or forest[a] == c or forest[c] == a:
-                    continue
-                # fundamental cycle: root -> a, edge (a, c), c -> root
-                cyc = _tree_path(forest, a)[::-1] + _tree_path(forest, c)
-                rel = _cycle_word(cyc, gen_index)
-                if rel:
-                    relators.add(rel)
+    relators = {letter[m, a] + letter[a, c] + letter[c, m] for m, a, c in star}
+    for J in combinations(range(rank), 2):
+        relators.update(_cycles(nbrs, J, letter))
+    relators.discard(())
     return non_tree, sorted(relators)
 
 
@@ -173,9 +190,9 @@ def _decide(
         return TrivialityVerdict(PROVEN_NONTRIVIAL, certificate=("free", len(gens)))
     rows = []
     for word in words:
-        row: Counter = Counter()
+        row: dict[int, int] = {}
         for a in word:
-            row[a >> 1] += -1 if a & 1 else 1
+            row[a >> 1] = row.get(a >> 1, 0) + (-1 if a & 1 else 1)
         rows.append({g: v for g, v in row.items() if v})
     factors = _smith_invariants(rows)
     if len(factors) < len(gens) or factors[-1] != 1:
@@ -244,7 +261,9 @@ def _smith_invariants(rows: Sequence[dict[int, int]]) -> list[int]:
     rows = [dict(r) for r in rows if r]
     diag = []
     while rows:
-        i, j = min(
+        # the first unit entry, else the least in absolute value
+        i, j = next(((i, j) for i, r in enumerate(rows) for j, v in r.items()
+                     if v == 1 or v == -1), None) or min(
             ((i, j) for i, r in enumerate(rows) for j in r),
             key=lambda ij: abs(rows[ij[0]][ij[1]]),
         )

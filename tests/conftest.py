@@ -35,6 +35,11 @@ def pg32():
 
 
 @pytest.fixture(scope="session")
+def pg33():
+    return gen_pg3(3)
+
+
+@pytest.fixture(scope="session")
 def sp42():
     return gen_sp4(2)
 

@@ -8,9 +8,9 @@ same status from both, and the same abelianization invariants when it is
 nontrivial.
 
 ``reference_presentation`` is the edge-path presentation as it was built
-residue by residue; ``_presentation`` reads the same 2-cells off one BFS
-forest of the J-typed edges per type set and must return the same
-generators and relators. It builds its graphs with its own copy of the
+residue by residue; ``_presentation`` reads the same 2-cells off the panel
+cliques of each type and off one BFS forest of the J-typed edges per pair of
+types, and must return the same generators and relators. It builds its graphs with its own copy of the
 edge-list helpers that ``_presentation`` used before it read the chamber
 system's adjacency, so it shares no graph code with what it checks.
 """
@@ -264,6 +264,8 @@ def test_coset_enumeration(g, relators, cap, expected):
 
 
 @settings(max_examples=200, deadline=None)
+@example([[2, 4], [4, 2]])            # no unit entry: the least |entry| pivots
+@example([[2, 4, 6], [4, -2, -1]])    # the one unit is the last entry
 @given(st.integers(1, 5).flatmap(lambda ncols: st.lists(
     st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols),
     min_size=1, max_size=5,
@@ -420,6 +422,18 @@ def test_presentation_matches_reference_on_pg32_lsco_opposite_sets(pg32):
     R = pg32.residue(0, (0, 1, 2))
     for x in R.chambers():
         assert assert_same_presentation(pg32, opposite_set(pg32, R, x))
+
+
+def test_presentation_matches_reference_on_pg33_lsco_opposite_sets(pg33):
+    # q = 3: the s-panels cut cliques of three chambers out of each set, the
+    # only rank-1 cells with a relator among the fixtures' lsco sets
+    R = pg33.residue(0, (0, 1, 2))
+    for x in random.Random(33).sample(R.chambers(), 8):
+        opp = opposite_set(pg33, R, x)
+        assert len(opp) == 729
+        non_tree, _ = assert_same_presentation(pg33, opp)
+        assert any(sum(c in opp for c in p) == 3 for fam in pg33.system.panels for p in fam)
+        assert replayed_kills(pg33, opp) == len(non_tree) == 1459
 
 
 def test_presentation_matches_reference_on_pg22_fop_from_every_chamber(fano):
