@@ -10,9 +10,10 @@ nontrivial.
 ``reference_presentation`` is the edge-path presentation as it was built
 residue by residue; ``_presentation`` reads the same 2-cells off the panel
 cliques of each type and off one BFS forest of the J-typed edges per pair of
-types, and must return the same generators and relators. It builds its graphs with its own copy of the
-edge-list helpers that ``_presentation`` used before it read the chamber
-system's adjacency, so it shares no graph code with what it checks.
+types, and must return the same generators and relators. It builds its
+graphs with its own copy of the edge-list helpers that ``_presentation``
+used before it read the chamber system's adjacency, so it shares no graph
+code with what it checks.
 """
 
 import random
@@ -265,7 +266,7 @@ def test_coset_enumeration(g, relators, cap, expected):
 
 @settings(max_examples=200, deadline=None)
 @example([[2, 4], [4, 2]])            # no unit entry: the least |entry| pivots
-@example([[2, 4, 6], [4, -2, -1]])    # the one unit is the last entry
+@example([[2, 4, 6], [4, -2, -1]])    # the one unit ends the last row
 @given(st.integers(1, 5).flatmap(lambda ncols: st.lists(
     st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols),
     min_size=1, max_size=5,
