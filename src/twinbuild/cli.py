@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .catalog import (
     gen_digon,
@@ -162,16 +162,28 @@ def parse_building(text: str) -> Building:
         raise FormatError(str(e))
 
 
+def _codistance_text(b: Building, values: Sequence[int]) -> str:
+    """The canonical text of the codistance on b with these values."""
+    words = b.weyl.word_strs
+    return (f"%codistance 1\nbuilding {b.name}\nvalues\n"
+            + "".join([f"{c} {words[v]}\n" for c, v in enumerate(values)]) + "end\n")
+
+
 def serialize_codistance(f: Codistance) -> str:
-    words = f.building.weyl.word_strs
-    lines = ["%codistance 1", f"building {f.building.name}", "values"]
-    for c, v in enumerate(f.values):
-        lines.append(f"{c} {words[v]}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return _codistance_text(f.building, f.values)
 
 
 def parse_codistance(text: str, b: Building) -> Codistance:
+    """A canonical text is accepted in one comparison; any other is read
+    line by line, which warns of each non-canonical word and names the
+    first bad line."""
+    try:
+        values = list(map(b.weyl.word_ids.__getitem__,
+                          text.partition("\nvalues\n")[2].split()[1:-1:2]))
+    except KeyError:
+        values = None
+    if values is not None and len(values) == b.n and _codistance_text(b, values) == text:
+        return Codistance(b, values)
     cur = _Cursor(text)
     header = cur.next()
     if header != "%codistance 1":
@@ -406,10 +418,8 @@ def _cmd_twin_build(args) -> int:
             os.path.join(args.output, f"codistance_{i:04d}.cod"),
             serialize_codistance(g),
         )
-    words = b.weyl.word_strs
     _write(os.path.join(args.output, "costar.tsv"), "".join(
-        "".join(f"{c}\t{i}\t{words[w]}\n" for i, w in enumerate(col))
-        for c, col in enumerate(zip(*(g.values for g in atlas.members)))
+        _costar_rows(b, [g.values for g in atlas.members])
     ))
     report_text = _twin_report(b, atlas, assembly.report, lco, lsco)
     _write(os.path.join(args.output, "report.txt"), report_text)
@@ -438,32 +448,53 @@ def read_twin(directory: str) -> tuple[Building, CodistanceAtlas]:
     return b, atlas
 
 
+def _costar_rows(b: Building, values: Sequence[Sequence[int]]) -> Iterator[str]:
+    """Each chamber's canonical costar.tsv lines from the members' value rows."""
+    words = b.weyl.word_strs
+    for c, col in enumerate(zip(*values)):
+        yield "".join([f"{c}\t{i}\t{words[w]}\n" for i, w in enumerate(col)])
+
+
+def _costar_is_canonical(text: str, b: Building, values: Sequence[Sequence[int]]) -> bool:
+    """Whether text is exactly the rows of ``_costar_rows``, each at its offset."""
+    pos = 0
+    for row in _costar_rows(b, values):
+        if not text.startswith(row, pos):
+            return False
+        pos += len(row)
+    return pos == len(text)
+
+
 def _cmd_twin_verify(args) -> int:
     b, atlas = read_twin(args.directory)
     values = [g.values for g in atlas.members]
-    m = len(values)
-    table = b.weyl
-    listed = bytearray(b.n * m)
-    for line in _read(os.path.join(args.directory, "costar.tsv")).splitlines():
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError(f"bad costar line: {line!r}")
-        try:
-            c, i, w = int(parts[0]), int(parts[1]), table.parse_word(parts[2])
-        except ValueError as e:
-            raise FormatError(f"bad costar line {line!r}: {e}")
-        if not (0 <= c < b.n and 0 <= i < m):
-            raise FormatError(f"costar line {line!r}: chamber or member out of range")
-        if listed[c * m + i]:
-            raise FormatError(f"costar line {line!r}: repeated entry")
-        listed[c * m + i] = 1
-        if values[i][c] != w:
-            print(f"costar table mismatch at chamber {c}, member {i}")
-            print("RESULT=fail")
-            return EXIT_VIOLATION
-    k = listed.count(1)
-    if k != len(listed):
-        raise FormatError(f"costar.tsv lists {k} of {len(listed)} entries")
+    text = _read(os.path.join(args.directory, "costar.tsv"))
+    if not _costar_is_canonical(text, b, values):
+        # any other table is read line by line, in any order and spelling
+        m = len(values)
+        table = b.weyl
+        listed = bytearray(b.n * m)
+        for line in text.splitlines():
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise FormatError(f"bad costar line: {line!r}")
+            try:
+                c, i, w = int(parts[0]), int(parts[1]), table.parse_word(parts[2])
+            except ValueError as e:
+                raise FormatError(f"bad costar line {line!r}: {e}")
+            if not (0 <= c < b.n and 0 <= i < m):
+                raise FormatError(f"costar line {line!r}: chamber or member out of range")
+            if listed[c * m + i]:
+                raise FormatError(f"costar line {line!r}: repeated entry")
+            listed[c * m + i] = 1
+            if values[i][c] != w:
+                print(f"costar table mismatch at chamber {c}, member {i}")
+                print("RESULT=fail")
+                return EXIT_VIOLATION
+        k = listed.count(1)
+        if k != len(listed):
+            raise FormatError(f"costar.tsv lists {k} of {len(listed)} entries")
+    del text
     lco, lsco = check_lco(b), check_lsco(b)
     assembly = assemble_twin(atlas, b)
     report_text = _twin_report(b, atlas, assembly.report, lco, lsco)

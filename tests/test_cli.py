@@ -94,6 +94,44 @@ def test_non_canonical_word_warns(fano, capsys):
     assert "canonicalized" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", [
+    "canonical", "two-lines-swapped", "crlf", "trailing-space", "word-respelled-pp",
+    "last-word-changed", "empty-line-after-end",
+])
+def test_parse_codistance_reads_each_variant_of_a_pg23_member(pg23, capsys, variant):
+    # a canonical text is accepted in one comparison; every other text is
+    # read line by line, with the same values, warnings and errors
+    f = from_opposite_chamber(pg23, 5)
+    text = serialize_codistance(f)
+    lines = text.splitlines()
+    expected, err = list(f.values), ""
+    last = pg23.n + 2  # the value line of the last chamber
+    if variant == "two-lines-swapped":
+        lines[3], lines[4] = lines[4], lines[3]
+    elif variant == "trailing-space":
+        lines[10] += " "
+    elif variant == "word-respelled-pp":
+        c = f.values.index(0)
+        lines[3 + c] = f"{c} pp"
+        err = "warning: word 'pp' canonicalized to '-'\n"
+    elif variant == "last-word-changed":
+        expected[-1] = (expected[-1] + 1) % pg23.weyl.size
+        lines[last] = f"{pg23.n - 1} {pg23.weyl.word_strs[expected[-1]]}"
+    elif variant == "empty-line-after-end":
+        lines.append("")
+    newline = "\r\n" if variant == "crlf" else "\n"
+    edited = newline.join(lines) + newline
+    assert (edited == text) == (variant == "canonical")
+    capsys.readouterr()
+    if variant == "empty-line-after-end":
+        with pytest.raises(FormatError) as excinfo:
+            parse_codistance(edited, pg23)
+        assert str(excinfo.value) == "line after end marker: ''"
+    else:
+        assert list(parse_codistance(edited, pg23).values) == expected
+    assert capsys.readouterr().err == err
+
+
 def test_bad_version_rejected(fano, tmp_path):
     text = serialize_building(fano).replace("%building 1", "%building 2", 1)
     path = tmp_path / "bad.bld"
@@ -766,22 +804,63 @@ def test_twin_verify_accepts_costar_in_any_order_and_spelling(
     assert captured.err == ""
 
 
+def _last_word_changed(lines):
+    c, i, word = lines[-1].split("\t")
+    return lines[:-1] + [f"{c}\t{i}\t{'l' if word == 'p' else 'p'}"]
+
+
+@pytest.mark.parametrize(
+    "edit, code, out, err",
+    [
+        (_last_word_changed, EXIT_VIOLATION,
+         "costar table mismatch at chamber 20, member 20\nRESULT=fail\n", ""),
+        (lambda lines: lines[:-1], EXIT_INPUT,
+         "", "input error: costar.tsv lists 440 of 441 entries\n"),
+        (lambda lines: lines[21:42] + lines[:21] + lines[42:], EXIT_PASS, None, ""),
+    ],
+    ids=["last-word-changed", "last-line-removed", "chamber-rows-0-1-swapped"],
+)
+def test_twin_verify_costar_edits_past_the_first_row(
+    tmp_path, fano_file, fano_cod_file, capsys, edit, code, out, err
+):
+    # the rows before the edit match the members' value rows; the whole
+    # table is then read line by line, with the same verdicts and errors
+    _, twin = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    costar = os.path.join(twin, "costar.tsv")
+    with open(costar) as fh:
+        lines = fh.read().splitlines()
+    assert len(lines) == 441 and lines[21].startswith("1\t0\t")
+    with open(costar, "w") as fh:
+        fh.write("".join(line + "\n" for line in edit(lines)))
+    capsys.readouterr()
+    assert main(["twin", "verify", twin]) == code
+    captured = capsys.readouterr()
+    if out is None:
+        assert "RESULT=pass" in captured.out.splitlines()
+    else:
+        assert captured.out == out
+    assert captured.err == err
+
+
 def test_twin_build_and_verify_peak_memory_on_pg2_5(tmp_path, capsys):
     # the costar table is written from the members' value rows and checked
-    # against flags, one byte per entry; pg2(5) has 186 x 186 entries
+    # against them one chamber row at a time, with no split of its 34,596
+    # lines; verify peaked at 1.12 MiB on pg2(5), build at 1.41 MiB
     bpath, cpath, out = (str(tmp_path / name) for name in ("b.bld", "f.cod", "twin"))
     assert main(["gen", "pg2", "--q", "5", "-o", bpath]) == EXIT_PASS
     assert main(["codist", "from-opposite", "--building", bpath,
                  "--chamber", "0", "-o", cpath]) == EXIT_PASS
-    for argv in (["twin", "build", "--building", bpath, "--codistance", cpath, "-o", out],
-                 ["twin", "verify", out]):
+    for argv, bound in (
+        (["twin", "build", "--building", bpath, "--codistance", cpath, "-o", out], 4 * 2**20),
+        (["twin", "verify", out], 1.375 * 2**20),
+    ):
         tracemalloc.start()
         try:
             assert main(argv) == EXIT_PASS
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20, (argv[1], peak)
+        assert peak < bound, (argv[1], peak)
 
 
 def test_validate_building_rejects_infinite_bond_quickly(fano, tmp_path, capsys):
