@@ -105,7 +105,6 @@ def test_parse_codistance_reads_each_variant_of_a_pg23_member(pg23, capsys, vari
     text = serialize_codistance(f)
     lines = text.splitlines()
     expected, err = list(f.values), ""
-    last = pg23.n + 2  # the value line of the last chamber
     if variant == "two-lines-swapped":
         lines[3], lines[4] = lines[4], lines[3]
     elif variant == "trailing-space":
@@ -116,7 +115,7 @@ def test_parse_codistance_reads_each_variant_of_a_pg23_member(pg23, capsys, vari
         err = "warning: word 'pp' canonicalized to '-'\n"
     elif variant == "last-word-changed":
         expected[-1] = (expected[-1] + 1) % pg23.weyl.size
-        lines[last] = f"{pg23.n - 1} {pg23.weyl.word_strs[expected[-1]]}"
+        lines[-2] = f"{pg23.n - 1} {pg23.weyl.word_strs[expected[-1]]}"
     elif variant == "empty-line-after-end":
         lines.append("")
     newline = "\r\n" if variant == "crlf" else "\n"
