@@ -298,16 +298,22 @@ def test_check_with_only_undecided_sets_says_inconclusive(
     assert not any(line.endswith("=fail") for line in lines)
 
 
-def test_twin_verify_reports_an_undecided_lsco_as_inconclusive(
+def test_twin_verify_decides_neither_lco_nor_lsco(
     monkeypatch, tmp_path, fano_file, fano_cod_file, capsys
 ):
+    # lco and lsco are conditions on B-, which ``check`` decides; the twin
+    # verdict does not read them, so verify prints n/a for both
     _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
     capsys.readouterr()
-    monkeypatch.setattr(cli, "check_lsco", lambda b: crafted_report(INCONCLUSIVE))
+
+    def undecidable(b):
+        raise AssertionError("twin verify decided a local condition")
+
+    monkeypatch.setattr(cli, "check_lco", undecidable)
+    monkeypatch.setattr(cli, "check_lsco", undecidable)
     assert main(["twin", "verify", out]) == EXIT_PASS
     lines = capsys.readouterr().out.splitlines()
-    assert "LCO=pass" in lines and "LSCO=inconclusive" in lines
-    assert not any(line.endswith("=fail") for line in lines)
+    assert "LCO=n/a" in lines and "LSCO=n/a" in lines and "RESULT=pass" in lines
 
 
 def test_fop_command(fano_file, fano_cod_file, capsys):
@@ -410,6 +416,20 @@ def test_twin_build_outputs(tmp_path, fano_file, fano_cod_file, capsys):
     assert "costar.tsv" in files
     assert "report.txt" in files
     assert sum(1 for f in files if f.endswith(".cod")) == 21
+
+
+def test_twin_build_report_says_lco_and_lsco_pass(tmp_path, fano_file, fano_cod_file, capsys):
+    # build reaches its report only after both conditions pass; verify's
+    # report differs from it only in the lines a directory cannot show
+    _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
+    built = capsys.readouterr().out
+    with open(os.path.join(out, "report.txt")) as fh:
+        assert fh.read() == built
+    lines = built.splitlines()
+    assert "LCO=pass" in lines and "LSCO=pass" in lines and "SEED_MATCH=pass" in lines
+    assert main(["twin", "verify", out]) == EXIT_PASS
+    assert capsys.readouterr().out == built.replace("LCO=pass", "LCO=n/a").replace(
+        "LSCO=pass", "LSCO=n/a").replace("SEED_MATCH=pass", "SEED_MATCH=n/a")
 
 
 def test_twin_build_deterministic(tmp_path, fano_file, fano_cod_file):
@@ -683,8 +703,8 @@ def test_twin_verify_enumerates_w_once_and_builds_each_half_once(
         "RESULT=pass\n"
         "ATLAS_SIZE=21\n"
         "FOP_SIZE=8\n"
-        "LCO=pass\n"
-        "LSCO=pass\n"
+        "LCO=n/a\n"
+        "LSCO=n/a\n"
         "TW_AXIOMS=pass\n"
         "SEED_MATCH=n/a\n"
     )
@@ -1080,6 +1100,50 @@ def test_twin_build_refused_without_lco(tmp_path, sp42, capsys):
     )
     assert code == EXIT_VIOLATION
     assert "RESULT=fail" in capsys.readouterr().out
+
+
+def write_spherical_twin(b, out):
+    """The twin of a spherical building B, written as ``twin build`` would:
+    member d is ``from_opposite_chamber(b, d)``, and the s-panels of B+ are
+    B's sbar-panels, sbar = r_S s r_S."""
+    table = b.weyl
+    rank = table.matrix.rank
+    r_S = table.longest_element(range(rank))
+    bar = [table.gen_index(table.conj_by(r_S, s)) for s in range(rank)]
+    plus = Building(ChamberSystem(table, b.n, [b.system.panels[t] for t in bar]), b.name)
+    members = [from_opposite_chamber(b, d) for d in range(b.n)]
+    os.makedirs(out)
+    files = {"minus.bld": serialize_building(b), "plus.bld": serialize_building(plus),
+             "costar.tsv": "".join(cli._costar_rows(b, [g.values for g in members]))}
+    for i, g in enumerate(members):
+        files[f"codistance_{i:04d}.cod"] = serialize_codistance(g)
+    for name, text in files.items():
+        with open(os.path.join(out, name), "w") as fh:
+            fh.write(text)
+
+
+@pytest.mark.parametrize("fixture, condition", [("sp42", "lco"), ("pg32", "lsco")])
+def test_twin_verify_passes_a_twin_whose_minus_half_fails_a_condition(
+    request, tmp_path, capsys, fixture, condition
+):
+    # a spherical building is half of its own twin, whatever lco and lsco
+    # say: verify accepts the twin, check rejects B-, and build refuses it
+    b = request.getfixturevalue(fixture)
+    out = str(tmp_path / "twin")
+    write_spherical_twin(b, out)
+    assert main(["twin", "verify", out]) == EXIT_PASS
+    lines = capsys.readouterr().out.splitlines()
+    assert "RESULT=pass" in lines and "LCO=n/a" in lines and "LSCO=n/a" in lines
+    assert f"ATLAS_SIZE={b.n}" in lines
+    minus = os.path.join(out, "minus.bld")
+    assert main(["check", condition, "--building", minus]) == EXIT_VIOLATION
+    assert f"{condition.upper()}=fail" in capsys.readouterr().out.splitlines()
+    cod = os.path.join(out, "codistance_0000.cod")
+    built = tmp_path / "built"
+    assert main(["twin", "build", "--building", minus, "--codistance", cod,
+                 "-o", str(built)]) == EXIT_VIOLATION
+    assert "RESULT=fail" in capsys.readouterr().out.splitlines()
+    assert os.listdir(built) == []
 
 
 # -- output paths and generator arguments ----------------------------------------
