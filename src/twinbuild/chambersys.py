@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations, compress
-from operator import eq, itemgetter, ne
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .coxeter import WeylTable
@@ -308,12 +308,14 @@ def panel_axiom(
     {u, us} for its floor u.  The marked chambers, those holding the longer
     (or the shorter) value, meet each panel once exactly when they are as
     many as the panels and lie in distinct ones.  A panel has at least 2
-    chambers, so it then holds both values; the converse is plain."""
-    floors = tuple(map(system.weyl.floors[s].__getitem__, values))
-    if system.successors[s](floors) != floors:
+    chambers, so it then holds both values; the converse is plain.  Both
+    rows are whole-row maps of the packed row (``WeylTable.row_map``)."""
+    table = system.weyl
+    values = table.pack(values)
+    floors = table.floor_rows[s](values)
+    if table.pack(system.successors[s](floors)) != floors:
         return False
-    marks = map(ne if longer else eq, values, floors)
-    marked = list(compress(system.panel_of[s], marks))
+    marked = list(compress(system.panel_of[s], table.mark_rows[s][longer](values)))
     return len(marked) == len(system.panels[s]) == len(set(marked))
 
 

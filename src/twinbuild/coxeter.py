@@ -10,9 +10,11 @@ the identity).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from operator import methodcaller
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapExceeded, UnsupportedEntry
 
@@ -116,14 +118,19 @@ class WeylTable:
     left: list[list[int]]
     word: list[tuple[int, ...]]
     inverse: list[int] = field(init=False, repr=False, compare=False)  # by w: w^-1
-    # by s and w: the shorter of w and ws, the smaller id, as ids refine length
-    floors: list[list[int]] = field(init=False, repr=False, compare=False)
     # by w: the canonical word string, ``-`` for the identity; and its inverse
     word_strs: list[str] = field(init=False, repr=False, compare=False)
     word_ids: dict[str, int] = field(init=False, repr=False, compare=False)
     # by J (a frozenset of generator indices, every J of S): r_J
     longest: dict[frozenset, int] = field(init=False, repr=False, compare=False)
     pack: type = field(init=False, repr=False, compare=False)  # a row of ids: bytes if ids fit
+    lane_bits: int = field(init=False, repr=False, compare=False)  # per id in ``lanes``
+    # by s, ``row_map``s: w -> the floor of w, ws (the smaller id); w -> whether
+    # w is the shorter [0] or longer [1] of w, ws; w -> sw; w -> whether sw < w
+    floor_rows: list[Callable] = field(init=False, repr=False, compare=False)
+    mark_rows: list[list[Callable]] = field(init=False, repr=False, compare=False)
+    left_rows: list[Callable] = field(init=False, repr=False, compare=False)
+    down_rows: list[Callable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # the inverse of w*s is s*(w^-1), and word[w] minus its last letter
@@ -132,12 +139,19 @@ class WeylTable:
         for w in range(1, self.size):
             s = self.word[w][-1]
             self.inverse[w] = self.left[self.inverse[self.right[w][s]]][s]
-        self.floors = [[min(w, ws[s]) for w, ws in enumerate(self.right)]
-                       for s in range(self.rank)]
         gens = self.matrix.gens
         self.word_strs = ["-"] + ["".join(gens[s] for s in w) for w in self.word[1:]]
         self.word_ids = {text: w for w, text in enumerate(self.word_strs)}
         self.pack = bytes if self.size <= 256 else tuple
+        self.lane_bits = 8 if self.pack is bytes else 16
+        types = range(self.rank)
+        floors = [[min(w, ws[s]) for w, ws in enumerate(self.right)] for s in types]
+        self.floor_rows = [self.row_map(fl) for fl in floors]
+        self.mark_rows = [[self.row_map([(w != f) == up for w, f in enumerate(fl)])
+                           for up in (False, True)] for fl in floors]
+        self.left_rows = [self.row_map([sw[s] for sw in self.left]) for s in types]
+        self.down_rows = [self.row_map([sw[s] < w for w, sw in enumerate(self.left)])
+                          for s in types]
         # r_J for every J: lengthen by a letter of J while one does; a
         # longer element has a larger id
         self.longest = {}
@@ -151,6 +165,25 @@ class WeylTable:
     @property
     def rank(self) -> int:
         return self.matrix.rank
+
+    def row_map(self, lookup: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
+        """The map of packed rows sending each id w to ``lookup[w]``: one
+        ``bytes.translate`` on bytes rows, a gather on tuple rows."""
+        if self.pack is bytes:
+            return methodcaller("translate", bytes(lookup).ljust(256, b"\0"))
+        return lambda row, get=list(lookup).__getitem__: tuple(map(get, row))
+
+    def lanes(self, row: Sequence[int]) -> int:
+        """A packed row as one int, id c in the c-th ``lane_bits`` bits; 16 bits
+        hold any tuple row, as n >= |W| and n^2 delta values fit in memory."""
+        if self.pack is not bytes:
+            row = struct.pack(f"<{len(row)}H", *row)
+        return int.from_bytes(row, "little")
+
+    def unlanes(self, x: int, n: int) -> Sequence[int]:
+        """The packed row of the n ids in the lanes of x; inverse to ``lanes``."""
+        data = x.to_bytes(n * self.lane_bits // 8, "little")
+        return data if self.pack is bytes else struct.unpack(f"<{n}H", data)
 
     def gen(self, s: int) -> int:
         return self.right[0][s]

@@ -52,42 +52,62 @@ def adjacent_codistances(
     projection, delta(x, c) = f(c) being the shorter distance in P.  So
     g_p(c) = s f(c) exactly when s shortens f(c) or x lies in the beta-orbit
     of p, and no chamber is projected.  The owner of c is the first such p,
-    panels in ``panels_op`` order: the rows of delta at the chambers beta_P(p),
-    listed by panel and then by ascending p, are transposed once, and c's
-    column is searched for f(c).  ``check_choices`` demands that no chamber
-    outside case (i) lies in two orbits.
+    panels in ``panels_op`` order: the delta rows at the chambers beta_P(p),
+    listed by panel and then by ascending p, are compared with f's row whole
+    (``_adjacent_rows``).  ``check_choices`` demands that no chamber outside
+    case (i) lies in two orbits.  Each neighbour is validated.
     """
+    rows = _adjacent_rows(f, s, Ptilde, check_choices)
+    return {p: _member(f.building, row) for p, row in rows.items()}
+
+
+def _member(b: Building, row: Sequence[int]) -> Codistance:
+    """The codistance of b with value row ``row``, validated."""
+    report = validate_codistance(g := Codistance(b, row))
+    if not report.ok:
+        raise PreconditionFailed(f"constructed map is not a codistance: {report}")
+    return g
+
+
+def _adjacent_rows(
+    f: Codistance, s: int, Ptilde: ResidueRef, check_choices: bool = False
+) -> dict[int, Sequence[int]]:
+    """The value rows of ``adjacent_codistances``, packed and not validated.
+
+    Rows are ints of ``WeylTable.lanes``, lane c for chamber c.  With x the
+    XOR of a delta row and f's, and lo and hi the low and the top bits of
+    every lane, ~(((x & lo) + lo) | x) & hi marks the lanes where the two
+    agree (Warren, *Hacker's Delight*, 6-1; no borrow crosses a lane)."""
     b = f.building
     table = b.weyl
     if Ptilde not in panels_op(f, s):
         raise PreconditionFailed("Ptilde does not meet f^op")
-    values = f.values
-    moved = [table.left[w][s] for w in values]
-    down = [table.length[v] < table.length[w] for v, w in zip(moved, values)]
-    marks = [p for p in sorted(Ptilde.chambers()) if values[p] == 0]
-    maps = beta_maps(f, Ptilde).values()
-    labels = [p for _ in maps for p in marks]
-    rows = [b.rows[mapping[p]] for mapping in maps for p in marks]
-    owner = []
-    for c, (col, v) in enumerate(zip(zip(*rows), values)):
-        try:
-            p = labels[col.index(v)]
-        except ValueError:
-            raise PreconditionFailed(f"no panel of f^op_{c} of type {s}") from None
-        if check_choices and not down[c] and any(
-            x == v and q != p for x, q in zip(col, labels)
-        ):
+    row, bits, lanes = f.values, table.lane_bits, table.lanes
+    full = (1 << bits) - 1
+    ones = ((1 << bits * b.n) - 1) // full   # 1 in every lane
+    lo, hi = ones * (full >> 1), ones << bits - 1
+    values = lanes(row)
+    down = lanes(table.down_rows[s](row)) << bits - 1   # where s shortens f(c)
+    marks = [p for p in sorted(Ptilde.chambers()) if row[p] == 0]
+    owned = dict.fromkeys(marks, 0)   # per mark, the lanes it matches first
+    assigned = clash = 0              # the lanes matched, and matched by two marks
+    for mapping in beta_maps(f, Ptilde).values():
+        for p in marks:
+            x = lanes(b.rows[mapping[p]]) ^ values
+            eq = ~(((x & lo) + lo) | x) & hi
+            clash |= eq & assigned & ~owned[p]
+            owned[p] |= eq & ~assigned
+            assigned |= eq
+    # the first failing chamber is the lowest failing lane
+    bad = hi & ~assigned | (clash & ~down if check_choices else 0)
+    if bad:
+        c = ((bad & -bad).bit_length() - 1) // bits
+        if assigned >> c * bits + bits - 1 & 1:
             raise PreconditionFailed(f"panel choice changes the value at chamber {c}")
-        owner.append(p)
-    cells = list(zip(moved, down, owner, values))
-    neighbours = {}
-    for p in marks:
-        g = Codistance(b, [v if d or o == p else w for v, d, o, w in cells])
-        report = validate_codistance(g)
-        if not report.ok:
-            raise PreconditionFailed(f"constructed map is not a codistance: {report}")
-        neighbours[p] = g
-    return neighbours
+        raise PreconditionFailed(f"no panel of f^op_{c} of type {s}")
+    moved = lanes(table.left_rows[s](row))
+    sel = {p: ((owned[p] | down) >> bits - 1) * full for p in marks}   # whole lanes
+    return {p: table.unlanes(moved & S | values & ~S, b.n) for p, S in sel.items()}
 
 
 def adjacent_codistance(
@@ -131,7 +151,9 @@ def atlas_component(f: Codistance) -> CodistanceAtlas:
 
     For each member g and type s the s-panel is enumerated from the
     smallest-id panel of P_s^op(g); members are deduplicated by their value
-    vectors.  More than ``DEFAULT_ATLAS_CAP`` members raise ``CapExceeded``.
+    rows, and a row is validated only when it is new: a repeated row is a
+    member validated when it joined, or the seed.  More than
+    ``DEFAULT_ATLAS_CAP`` members raise ``CapExceeded``.
     """
     b = f.building
     rank = b.system.rank
@@ -153,14 +175,15 @@ def atlas_component(f: Codistance) -> CodistanceAtlas:
                     f"member {i} has an empty f^op: no {s}-panel meets it"
                 )
             group = [i]
-            for h in adjacent_codistances(g, s, ops[0]).values():
-                j = index.get(h.values)
+            for row in _adjacent_rows(g, s, ops[0]).values():
+                j = index.get(row)
                 if j is None:
+                    h = _member(b, row)
                     j = len(members)
                     if j >= DEFAULT_ATLAS_CAP:
                         raise CapExceeded(f"atlas exceeds {DEFAULT_ATLAS_CAP} members")
                     members.append(h)
-                    index[h.values] = j
+                    index[row] = j
                     queue.append(j)
                 if j not in group:
                     group.append(j)

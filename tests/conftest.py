@@ -9,7 +9,8 @@ from twinbuild.catalog import (
     matrix_A2,
     matrix_A3,
 )
-from twinbuild.coxeter import CoxeterMatrix
+from twinbuild.chambersys import Building, ChamberSystem
+from twinbuild.coxeter import CoxeterMatrix, WeylTable
 
 
 def matrix_A1cubed():
@@ -17,6 +18,21 @@ def matrix_A1cubed():
         ("a", "b", "c"),
         ((1, 2, 2), (2, 1, 2), (2, 2, 1)),
     )
+
+
+class TupleRowTable(WeylTable):
+    """A Weyl table that packs rows as tuples, 16-bit lanes, whatever its
+    size: the row path of groups of more than 256 elements, on small ones."""
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, tuple if name == "pack" else value)
+
+
+def tuple_rows(b: Building) -> Building:
+    """A copy of b, same chambers and panels, on a ``TupleRowTable``."""
+    t = b.weyl
+    table = TupleRowTable(t.matrix, t.size, t.length, t.right, t.left, t.word)
+    return Building(ChamberSystem(table, b.n, b.system.panels), name=b.name)
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +83,13 @@ def thin_a2():
 @pytest.fixture(scope="session")
 def thin_a1cubed():
     return gen_thin(matrix_A1cubed())
+
+
+@pytest.fixture(scope="session")
+def fano_tuple(fano):
+    return tuple_rows(fano)
+
+
+@pytest.fixture(scope="session")
+def pg32_tuple(pg32):
+    return tuple_rows(pg32)

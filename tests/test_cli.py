@@ -517,15 +517,15 @@ def test_twin_build_atlas_cap_is_inconclusive(
 def test_twin_build_reports_member_in_two_panels(
     monkeypatch, tmp_path, fano, fano_file, fano_cod_file, capsys
 ):
-    # a neighbourhood that always contains the seed puts the seed into a
-    # second panel of one type
+    # a neighbourhood that always contains the seed's row puts the seed into
+    # a second panel of one type
     seed = from_opposite_chamber(fano, 0)
-    real = twinner.adjacent_codistances
+    real = twinner._adjacent_rows
 
     def overlapping(g, s, Ptilde, check_choices=False):
-        return {**real(g, s, Ptilde, check_choices), -1: seed}
+        return {**real(g, s, Ptilde, check_choices), -1: seed.values}
 
-    monkeypatch.setattr(twinner, "adjacent_codistances", overlapping)
+    monkeypatch.setattr(twinner, "_adjacent_rows", overlapping)
     with pytest.raises(twinner.TwinViolation):
         twinner.atlas_component(seed)
     capsys.readouterr()

@@ -56,7 +56,10 @@ def test_tracer_counts_local_condition_verdicts(fano, thin_a3):
 def test_twin_step_runs_every_check(pg23, monkeypatch):
     # the twin step of pg2(3) from chamber 0 makes exactly these checks; a
     # speed-up that drops a validation changes a count here.  Adjacent
-    # codistances are read off beta-orbits and project no chamber.  Alpha
+    # codistances are read off beta-orbits and project no chamber.  The atlas
+    # validates each of its 51 members beyond the seed once, as it joins, and
+    # the (Tw2)/(Tw3) check one row per chamber of either half, 52 + 52:
+    # 51 + 104 = 155 validations.  Alpha
     # is decided per type J by ``twinner._alpha_kernel``, which the tracer
     # does not see: its pairs are counted by wrapping it, each (tilde, R)
     # once, with one projection onto R per member of tilde.
@@ -79,7 +82,7 @@ def test_twin_step_runs_every_check(pg23, monkeypatch):
     try:
         atlas = twinner.atlas_component(f)
         assert twinner.assemble_twin(atlas, pg23, seed=f).report.ok
-        assert tracer.call_count("codistance.validate_codistance") == 182
+        assert tracer.call_count("codistance.validate_codistance") == 155
         assert len(pairs) == len(set(pairs)) == 235
         assert sum(len(tilde) for tilde, _ in pairs) == 988
         assert tracer.call_count("chambersys.proj_chamber") == 2704

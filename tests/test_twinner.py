@@ -1035,6 +1035,135 @@ def test_panel_choice_conflict_is_refused(reference_buildings, name, base, chang
     assert messages[0].startswith("panel choice changes the value at chamber ")
 
 
+def first_owner_rows(f, s, Ptilde):
+    """Per mark p, f's values with c moved to s f(c) where s shortens f(c)
+    or p is the first mark, panels in ``panels_op`` order, whose beta-orbit
+    chamber x has delta(x, c) = f(c): the rows of ``_adjacent_rows`` without
+    ``check_choices``, one chamber at a time."""
+    b = f.building
+    table = b.weyl
+    marks = [p for p in sorted(Ptilde.chambers()) if f(p) == 0]
+    orbit = [(m[p], p) for m in beta_maps(f, Ptilde).values() for p in marks]
+    owner = [next(p for x, p in orbit if b.delta(x, c) == f(c)) for c in range(b.n)]
+    moved = [table.left[w][s] for w in f.values]
+    down = [table.length[v] < table.length[w] for v, w in zip(moved, f.values)]
+    return {p: [v if d or o == p else w for v, d, o, w in zip(moved, down, owner, f.values)]
+            for p in marks}
+
+
+@pytest.mark.parametrize("name, base, changes, s, i", [
+    ("fano", 10, ((1, 3), (2, 1), (0, 3)), 1, 0),
+    ("pg32", 109, ((182, 10), (39, 14)), 1, 10),
+], ids=["fano", "pg32"])
+@pytest.mark.parametrize("rows", ["bytes", "tuple"])
+def test_a_chamber_in_two_orbits_moves_for_its_first_owner(
+    request, name, base, changes, s, i, rows
+):
+    # the choice conflicts above: without check_choices the chamber the
+    # conflict names moves in the row of one mark only, the first owner's
+    b = request.getfixturevalue(name if rows == "bytes" else name + "_tuple")
+    values = list(from_opposite_chamber(b, base).values)
+    for c, v in changes:
+        values[c] = v
+    g = Codistance(b, values)
+    Ptilde = panels_op(g, s)[i]
+    got = {p: list(row) for p, row in twinner._adjacent_rows(g, s, Ptilde).items()}
+    assert got == first_owner_rows(g, s, Ptilde)
+    c = int(raised_message(twinner._adjacent_rows, g, s, Ptilde, True).split()[-1])
+    assert sum(row[c] != g(c) for row in got.values()) == 1
+
+
+# -- the same differentials on tuple rows: 16-bit lanes -------------------------
+
+
+@pytest.fixture(scope="module")
+def tuple_buildings(fano_tuple, pg32_tuple):
+    # no thick fixture has more than 256 Weyl elements, and thin B4 has one
+    # mark per panel: copies on tuple rows run the 16-bit lanes thickly
+    assert fano_tuple.weyl.lane_bits == pg32_tuple.weyl.lane_bits == 16
+    return {"fano": fano_tuple, "pg32": pg32_tuple}
+
+
+@pytest.mark.parametrize("name", ["fano", "pg32"])
+def test_adjacent_codistances_match_reference_on_tuple_rows(tuple_buildings, name):
+    test_adjacent_codistances_match_reference(tuple_buildings, name)
+
+
+@pytest.mark.parametrize("name", ["fano", "pg32"])
+def test_adjacent_codistances_match_reference_on_tuple_row_corruptions(
+    tuple_buildings, name
+):
+    test_adjacent_codistances_match_reference_on_corruptions(tuple_buildings, name)
+
+
+@pytest.mark.parametrize("name, base, changes, s, i", [
+    ("fano", 10, ((1, 3), (2, 1), (0, 3)), 1, 0),
+    ("pg32", 109, ((182, 10), (39, 14)), 1, 10),
+], ids=["fano", "pg32"])
+def test_panel_choice_conflict_is_refused_on_tuple_rows(
+    tuple_buildings, name, base, changes, s, i
+):
+    test_panel_choice_conflict_is_refused(tuple_buildings, name, base, changes, s, i)
+
+
+def test_pg32_atlas_on_tuple_rows(pg32_tuple):
+    # the digest reads the values as tuples: the same atlas, in the same order,
+    # as on bytes rows
+    atlas = atlas_component(from_opposite_chamber(pg32_tuple, 0))
+    assert type(atlas.members[-1].values) is tuple
+    assert atlas_digest(atlas) == "4c9372cbd3e26955"
+
+
+# -- each atlas member validated once -------------------------------------------
+
+
+def test_atlas_validates_each_new_row_once(monkeypatch, fano):
+    # a row the kernel repeats is a member validated when it joined, or the
+    # seed, so only new rows are validated
+    validated, returned = [], []
+    validate, rows = twinner.validate_codistance, twinner._adjacent_rows
+
+    def counting_validate(g):
+        validated.append(g.values)
+        return validate(g)
+
+    def recording_rows(*args):
+        got = rows(*args)
+        returned.extend(got.values())
+        return got
+
+    monkeypatch.setattr(twinner, "validate_codistance", counting_validate)
+    monkeypatch.setattr(twinner, "_adjacent_rows", recording_rows)
+    atlas = atlas_component(from_opposite_chamber(fano, 0))
+    assert validated == [g.values for g in atlas.members[1:]]
+    assert set(returned) <= {g.values for g in atlas.members}
+    assert len(returned) > len(validated)
+
+
+def test_atlas_refuses_a_corrupted_new_row(monkeypatch, fano):
+    # the kernel's rows are not validated; the atlas validates a new one
+    seed = from_opposite_chamber(fano, 0)
+    rows = twinner._adjacent_rows
+    corrupted = []
+
+    def corrupting(g, s, Ptilde, check_choices=False):
+        got = rows(g, s, Ptilde, check_choices)
+        if not corrupted:
+            p = max(got)
+            values = list(got[p])
+            values[0] = (values[0] + 1) % fano.weyl.size
+            got[p] = fano.weyl.pack(values)
+            corrupted.append(got[p])
+        return got
+
+    monkeypatch.setattr(twinner, "_adjacent_rows", corrupting)
+    with pytest.raises(PreconditionFailed) as info:
+        atlas_component(seed)
+    report = validate_codistance(Codistance(fano, corrupted[0]))
+    assert not report.ok
+    assert str(info.value) == f"constructed map is not a codistance: {report}"
+
+
 def gonality_reference(b, R):
     """Reference gonality: the incidence graph has an edge for each pair of
     an s-panel and a t-panel of R that share a chamber."""
