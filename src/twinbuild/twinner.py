@@ -10,10 +10,11 @@ exhaustively rather than assumed.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cache, reduce
 from itertools import combinations
-from operator import or_
+from operator import and_, or_
 from typing import ClassVar, Iterable, Optional, Sequence
 
 from .chambersys import Building, ChamberSystem, ResidueRef, validate_building
@@ -213,16 +214,16 @@ def _alpha_kernel(atlas: CodistanceAtlas, J: frozenset, fop_masks: Sequence[int]
     J-residue R of B, the atlas's building, with ``fop_masks[j]`` member j's
     f^op as a bit mask.  alpha_j is ``proj_f(g_j, R)``, the unique chamber
     of R of longest g_j-value; opposition compares the masks of g_j^op
-    within R and of ``opposite_set(b, R, alpha_j)``.  For J = {s}, tilde
+    within R and of ``opposite_set(b, R, alpha_j)``, built when alpha_j is
+    first an image, so one pair costs O(|tilde| |R|).  For J = {s}, tilde
     and R are s-panels and sbar = s, so adjacency holds; it is compared for
     |J| > 1 only."""
     b = atlas.building
     table = b.weyl
     rJ = table.longest_element(J)
     members = atlas.members
-    residues, index = b.partition(J)
-    masks = [_mask(R) for R in residues]
-    opposite = [_mask(opposite_set(b, residues[index[a]], a)) for a in range(b.n)]
+    residue_mask = cache(_mask)
+    opposite = [0] * b.n
     labels = [
         (s, atlas.plus.system.panel_of[s],
          b.system.panel_of[table.gen_index(table.conj_by(rJ, s))])
@@ -230,12 +231,15 @@ def _alpha_kernel(atlas: CodistanceAtlas, J: frozenset, fop_masks: Sequence[int]
     ] if len(J) > 1 else []
 
     def pair(tilde: tuple[int, ...], R: ResidueRef) -> list[tuple]:
-        mask = masks[index[R.base]]
+        mask = residue_mask(R)
         images, wrong = [], []
         for j in tilde:
             a = proj_f(members[j], R)
             images.append(a)
-            diff = fop_masks[j] & mask ^ opposite[a]
+            opp = opposite[a]
+            if not opp:
+                opp = opposite[a] = _mask(opposite_set(b, R, a))
+            diff = fop_masks[j] & mask ^ opp
             if diff:
                 wrong += [("opposition", j, c) for c in R.members if diff >> c & 1]
         witnesses: list[tuple] = []
@@ -285,17 +289,45 @@ def alpha_check(atlas: CodistanceAtlas, i: int, R: ResidueRef) -> list[tuple]:
     return pair(tilde, R)
 
 
+def _panel_opposition(atlas: CodistanceAtlas, s: int, fops: list, fop_masks: list) -> bool:
+    """Whether alpha passes on every pair of an s-panel tilde of B+ and an
+    s-panel R of B meeting the f^op of a member of tilde, decided per member.
+
+    A gap of member j in R is a chamber of R outside g_j^op.  As delta(a, y)
+    = s = r_{s} for a != y in R, ``opposite_set(b, R, a)`` is R minus {a}:
+    ``pair(tilde, R)`` passes j exactly when R holds one gap of j, which is
+    then ``proj_f(g_j, R)``, the one chamber of positive length; with none
+    or two (as when g_j^op misses R), ``proj_f`` raises or the masks differ.
+    The bijection needs the gaps of tilde's members distinct and covering R.
+    With k = |tilde|: their f^op meet one set P of s-panels, each of k
+    chambers; each f^op holds k - 1 chambers of each; and no chamber lies
+    in every f^op (k gaps in k chambers are distinct iff they cover them)."""
+    residues, index = atlas.building.partition((s,))
+    for tilde in atlas.panels[s]:
+        k = len(tilde)
+        counts = [Counter(map(index.__getitem__, fops[j])) for j in tilde]
+        P = counts[0].keys()
+        if (any(c.keys() != P or not set(c.values()) <= {k - 1} for c in counts)
+                or not {len(residues[r]) for r in P} <= {k}
+                or reduce(and_, map(fop_masks.__getitem__, tilde))):
+            return False
+    return True
+
+
 def _check_opposition(atlas: CodistanceAtlas) -> bool:
     """Whether alpha passes on every pair of a J-residue tilde of B+ and a
-    J-residue R of B meeting g^op for a member g of tilde, |J| in {1, 2}.
-    J = {} is not checked: R = {c} meets member i only, the bijection is
-    i -> c, and opposition reduces to g(c) = 1, true as c is in g^op."""
+    J-residue R of B meeting g^op for a member g of tilde, |J| in {1, 2}
+    (|J| = 1 per member by ``_panel_opposition``).  J = {} is not checked:
+    R = {c} meets member i only, the bijection is i -> c, and opposition
+    reduces to g(c) = 1, true as c is in g^op."""
     b = atlas.building
     fops = [g.fop() for g in atlas.members]
     fop_masks = list(map(_mask, fops))
     rank = b.system.rank
+    if not all(_panel_opposition(atlas, s, fops, fop_masks) for s in range(rank)):
+        return False
     try:
-        for J in [frozenset(J) for k in (1, 2) for J in combinations(range(rank), k)]:
+        for J in map(frozenset, combinations(range(rank), 2)):
             pair = _alpha_kernel(atlas, J, fop_masks)
             residues, index = b.partition(J)
             if any(

@@ -59,10 +59,12 @@ def test_twin_step_runs_every_check(pg23, monkeypatch):
     # codistances are read off beta-orbits and project no chamber.  The atlas
     # validates each of its 51 members beyond the seed once, as it joins, and
     # the (Tw2)/(Tw3) check one row per chamber of either half, 52 + 52:
-    # 51 + 104 = 155 validations.  Alpha
-    # is decided per type J by ``twinner._alpha_kernel``, which the tracer
-    # does not see: its pairs are counted by wrapping it, each (tilde, R)
-    # once, with one projection onto R per member of tilde.
+    # 51 + 104 = 155 validations.  Alpha on J = {s} is decided per member
+    # from gap counts, with no pair and no projection; on J = {0, 1} it is
+    # decided per pair by ``twinner._alpha_kernel``, which the tracer does
+    # not see: its pairs are counted by wrapping it, each (tilde, R) once,
+    # with one projection onto R per member of tilde.  pg2(3) has rank 2, so
+    # the one pair is B+ against B, 52 members and 52 projections.
     pairs = []
     kernel = twinner._alpha_kernel
 
@@ -83,8 +85,9 @@ def test_twin_step_runs_every_check(pg23, monkeypatch):
         atlas = twinner.atlas_component(f)
         assert twinner.assemble_twin(atlas, pg23, seed=f).report.ok
         assert tracer.call_count("codistance.validate_codistance") == 155
-        assert len(pairs) == len(set(pairs)) == 235
-        assert sum(len(tilde) for tilde, _ in pairs) == 988
+        assert len(pairs) == len(set(pairs)) == 1
+        assert sum(len(tilde) for tilde, _ in pairs) == 52
+        assert tracer.call_count("codistance.proj_f") == 52
         assert tracer.call_count("chambersys.proj_chamber") == 2704
         assert tracer.call_count("chambersys.validate_building") == 1
         assert tracer.call_count("panelcalc.panels_op_c") == 0

@@ -315,6 +315,27 @@ def test_alpha_check_refuses_a_residue_outside_the_members_fop(fano_atlas):
             alpha_check(atlas, 0, R)
 
 
+def test_alpha_check_builds_the_opposite_set_of_each_image_only(monkeypatch, pg32):
+    # one alpha_check builds the opposite set of each image alpha_j as it
+    # first appears, not those of all 315 chambers: a call costs
+    # O(|tilde| |R|), not O(n |R|)
+    f = from_opposite_chamber(pg32, 0)
+    atlas = atlas_component(f)
+    calls = []
+    opposite_set = twinner.opposite_set
+
+    def counting_opposite_set(b, R, a):
+        calls.append(a)
+        return opposite_set(b, R, a)
+
+    monkeypatch.setattr(twinner, "opposite_set", counting_opposite_set)
+    c = min(f.fop())
+    for J in (frozenset(), frozenset((0,)), frozenset((0, 1)), frozenset((0, 2))):
+        calls.clear()
+        assert alpha_check(atlas, 0, pg32.residue(c, J)) == []
+        assert 0 < len(calls) <= len(atlas.residue_members(0, J)) < pg32.n
+
+
 def alpha_adjacency_reference(atlas, i, J, R):
     """The adjacency failures (s, j1, j2) of alpha on the atlas J-residue of
     member i, by the definition: every ordered pair of members, per s in J,
@@ -374,7 +395,8 @@ def record_alpha_pairs(monkeypatch):
 
 @pytest.mark.parametrize("fixture", ["pg23", "sp43"])
 def test_alpha_check_matches_reference_in_assembly(request, monkeypatch, fixture):
-    # every (tilde, R) pair that assemble_twin checks
+    # every (tilde, R) pair that assemble_twin checks per pair, |J| = 2; the
+    # pairs of |J| = 1, decided per member, are checked one by one here
     b = request.getfixturevalue(fixture)
     f = from_opposite_chamber(b, 0)
     atlas = atlas_component(f)
@@ -397,7 +419,13 @@ def test_alpha_check_matches_reference_in_assembly(request, monkeypatch, fixture
         for c in g.fop():
             for J in small_J:
                 expected.setdefault((atlas.plus.residue(i, J), b.residue(c, J)), i)
-    assert len(checked) == len(pairs) and checked == expected
+    rank2 = {key: i for key, i in expected.items() if len(key[1].J) == 2}
+    assert len(checked) == len(pairs) and checked == rank2
+    rank1 = [(i, R) for (_, R), i in expected.items() if len(R.J) == 1]
+    for i, R in rank1:
+        witnesses = alpha_check(atlas, i, R)
+        assert witnesses == loop_alpha_check(atlas, i, R)
+        assert assert_alpha_matches_reference(atlas, i, R, witnesses) == []
 
 
 def corrupt_panels(rng, fam):
@@ -792,6 +820,67 @@ def test_opposition_matches_the_per_pair_loop(reference_buildings, name):
             assert alpha_outcome(alpha_check, bad, i, R) == alpha_outcome(
                 loop_alpha_check, bad, i, R)
     assert outcomes[False]
+
+
+def gap_corruptions(atlas, s):
+    """(kind, atlas) for one change to the f^op of members j1, j2 of the
+    first s-panel of B+ within the s-panel R of B that meets j1's f^op at
+    its least chamber, one per way the per-member rank-1 test can fail.  A
+    gap of member j in R is a chamber of R outside its f^op."""
+    b = atlas.building
+    j1, j2 = atlas.panels[s][0][:2]
+    g1, g2 = atlas.members[j1], atlas.members[j2]
+    R = b.panel(min(g1.fop()), s)
+    (gap1,) = [c for c in R if g1(c)]
+    (gap2,) = [c for c in R if g2(c)]
+    held = [c for c in R if c != gap1]
+
+    def changed(j, g, changes):
+        values = list(g.values)
+        for c, v in changes.items():
+            values[c] = v
+        members = list(atlas.members)
+        members[j] = Codistance(b, values)
+        return CodistanceAtlas(b, members, atlas.panels)
+
+    yield "same gap", changed(j2, g2, {gap1: g2(gap2), gap2: 0})
+    yield "no gap", changed(j1, g1, {gap1: 0})
+    yield "two gaps", changed(j1, g1, {held[0]: g1(gap1)})
+    yield "misses R", changed(j1, g1, dict.fromkeys(held, g1(gap1)))
+
+
+@pytest.mark.parametrize("name", ["fano", "pg23", "fano_tuple"])
+def test_opposition_refuses_each_way_a_gap_count_fails(request, name):
+    # each targeted change breaks alpha on one pair of s-panels; the
+    # per-member test of that type alone refuses it, as does the flag and
+    # the loop it replaces
+    b = request.getfixturevalue(name)
+    atlas = atlas_component(from_opposite_chamber(b, 0))
+    for s in range(b.system.rank):
+        for kind, bad in gap_corruptions(atlas, s):
+            fops = [g.fop() for g in bad.members]
+            assert not twinner._panel_opposition(bad, s, fops, [twinner._mask(f) for f in fops])
+            assert twinner._check_opposition(bad) is loop_opposition_ok(bad) is False, kind
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_opposition_refuses_a_tilde_smaller_than_its_panels(fano, pg23, s):
+    # B+ is the chamber system of pg2(2), panels of 3, over pg2(3), panels of
+    # 4.  Three members of one s-panel hold two chambers each of one s-panel
+    # R of B, and no chamber of R is held by all three: every count reads
+    # k - 1 and the f^op meet in nothing, yet each member has two gaps in R,
+    # and only |R| != k says so.  Every other f^op is empty.
+    R = pg23.panel(0, s)
+    held = dict(zip(fano.system.panels[s][0], ((0, 1), (2, 3), (0, 2))))
+    members = [
+        Codistance(pg23, [0 if c in R and R.members.index(c) in held.get(j, ()) else 1
+                          for c in range(pg23.n)])
+        for j in range(fano.n)
+    ]
+    bad = CodistanceAtlas(pg23, members, fano.system.panels)
+    fops = [g.fop() for g in members]
+    assert not twinner._panel_opposition(bad, s, fops, [twinner._mask(f) for f in fops])
+    assert twinner._check_opposition(bad) is loop_opposition_ok(bad) is False
 
 
 def tw_axioms_reference(minus, plus, atlas):
