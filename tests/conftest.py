@@ -9,8 +9,9 @@ from twinbuild.catalog import (
     matrix_A2,
     matrix_A3,
 )
-from twinbuild.chambersys import Building, ChamberSystem
+from twinbuild.chambersys import Building, ChamberSystem, ResidueRef
 from twinbuild.coxeter import CoxeterMatrix, WeylTable
+from twinbuild.errors import NotInResidue
 
 
 def matrix_A1cubed():
@@ -33,6 +34,28 @@ def tuple_rows(b: Building) -> Building:
     t = b.weyl
     table = TupleRowTable(t.matrix, t.size, t.length, t.right, t.left, t.word)
     return Building(ChamberSystem(table, b.n, b.system.panels), name=b.name)
+
+
+# Opposition in a residue R of type J, delta = r_J, read straight off the
+# delta rows: the oracles the tests hold ``homotopy.opposite_set`` to.
+def opposite_chambers(b: Building, R: ResidueRef, x: int, y: int) -> bool:
+    if x not in R or y not in R:
+        raise NotInResidue(f"{x} or {y} not in residue")
+    return b.delta(x, y) == b.weyl.longest_element(R.J)
+
+
+def opposite_residues(b: Building, R: ResidueRef, R1: ResidueRef, R2: ResidueRef) -> bool:
+    if not R1.member_set <= R.member_set or not R2.member_set <= R.member_set:
+        raise NotInResidue("R1 or R2 not contained in R")
+    rJ = b.weyl.longest_element(R.J)
+    table = b.weyl
+    K2conj = frozenset(table.gen_index(table.conj_by(rJ, k)) for k in R2.J)
+    if K2conj != R1.J:
+        return False
+    row_has = any(
+        b.delta(a, c) == rJ for a in R1.chambers() for c in R2.chambers()
+    )
+    return row_has
 
 
 @pytest.fixture(scope="session")

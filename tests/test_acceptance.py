@@ -12,6 +12,8 @@ from collections import deque
 
 import pytest
 
+from conftest import opposite_chambers, opposite_residues
+
 from twinbuild.catalog import (
     gen_digon,
     gen_pg2,
@@ -291,7 +293,7 @@ def _check_codistance_lemmas(b):
             for x in R:                                          # minimal chambers, by coset rep and by opposition
                 in_A = table.min_coset_rep(f(x), J) == f(x)
                 assert (x in prof.A_f) == in_A
-                assert in_A == b.opposite_chambers(R, c, x)
+                assert in_A == opposite_chambers(b, R, c, x)
             for y in R:                                          # every value on R is reached from a minimal chamber
                 assert any(
                     f(y) == table.mult(f(x), b.delta(x, y)) for x in prof.A_f
@@ -413,7 +415,7 @@ def _check_rank3_paths(b):
             continue
         paths = all_compatible_paths(b, P, Q)                    # rank 3: two equal-length paths iff opposite
         assert len({len(p) for p in paths}) == 1
-        assert len(paths) == (2 if b.opposite_residues(R, P, Q) else 1)
+        assert len(paths) == (2 if opposite_residues(b, R, P, Q) else 1)
 
 
 def _check_bijections(b):

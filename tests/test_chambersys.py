@@ -2,10 +2,14 @@ import copy
 import itertools
 import os
 import random
+import sys
+import tracemalloc
 from collections import deque
 from itertools import combinations
 
 import pytest
+
+from conftest import opposite_chambers, opposite_residues, tuple_rows
 
 from twinbuild.catalog import (
     gen_digon,
@@ -13,8 +17,11 @@ from twinbuild.catalog import (
     gen_pg3,
     gen_sp4,
     gen_thin,
+    matrix_A1,
     matrix_A2,
+    matrix_A3,
     matrix_B2,
+    matrix_B4,
     matrix_I2,
     product,
 )
@@ -28,7 +35,7 @@ from twinbuild.chambersys import (
 from twinbuild.codistance import from_opposite_chamber
 from twinbuild.coxeter import CoxeterMatrix, enumerate_weyl
 from twinbuild.errors import Disconnected, NotInResidue
-from twinbuild.twinner import atlas_component
+from twinbuild.twinner import CodistanceAtlas, _check_plus_star, atlas_component
 
 
 def test_validate_fixtures(fano, digon33, sp42, thin_a3):
@@ -297,7 +304,7 @@ def test_residue_views(fano):
     assert len(R) == 3
     assert R == fano.residue(min(R.chambers()), {0})
     with pytest.raises(NotInResidue):
-        fano.opposite_chambers(R, 0, max(range(fano.n), key=lambda c: fano.ldist(0, c)))
+        opposite_chambers(fano, R, 0, max(range(fano.n), key=lambda c: fano.ldist(0, c)))
 
 
 def test_opposite_chambers_and_residues(fano):
@@ -307,12 +314,12 @@ def test_opposite_chambers_and_residues(fano):
     opp = [y for y in range(fano.n) if fano.delta(0, y) == rS]
     assert opp
     for y in opp:
-        assert fano.opposite_chambers(whole, 0, y)
+        assert opposite_chambers(fano, whole, 0, y)
     # opposite panels inside the whole (rank-2) building
     P = fano.panel(0, 0)
     y = opp[0]
     Q = fano.panel(y, 1)
-    assert fano.opposite_residues(whole, P, Q) == (
+    assert opposite_residues(fano, whole, P, Q) == (
         fano.weyl.gen_index(
             table.mult(table.mult(rS, table.gen(1)), rS)
         ) == 0
@@ -327,7 +334,7 @@ def test_parallel_panels(fano):
     rS = fano.weyl.longest_element((0, 1))
     y = next(y for y in range(fano.n) if fano.delta(0, y) == rS)
     Q = fano.panel(y, 1)
-    if fano.opposite_residues(fano.residue(0, {0, 1}), P, Q):
+    if opposite_residues(fano, fano.residue(0, {0, 1}), P, Q):
         assert fano.are_parallel(P, Q)
     # panels of equal type through adjacent chambers are not parallel here
     z = next(z for z in range(fano.n) if fano.delta(0, z) == fano.weyl.gen(1))
@@ -472,9 +479,9 @@ def test_partition_matches_closure_reference(make):
 def test_opposite_residues_rejects_residue_outside(fano):
     R = fano.panel(0, 0)
     with pytest.raises(NotInResidue):
-        fano.opposite_residues(R, fano.panel(0, 1), R)
+        opposite_residues(fano, R, fano.panel(0, 1), R)
     with pytest.raises(NotInResidue):
-        fano.opposite_residues(R, R, fano.panel(0, 1))
+        opposite_residues(fano, R, R, fano.panel(0, 1))
 
 
 def test_residue_ref_made_in_one_place():
@@ -506,3 +513,124 @@ def test_adjacency_list_is_the_panel_scan(request, name):
     for c in range(system.n):
         assert tuple(system.neighbors(c)) == tuple(neighbors_reference(system, c))
         assert system.neighbors(c) is system.adjacency[c]
+
+
+# -- derived delta rows against one breadth-first search per row -------------
+
+
+def rows_reference(system: ChamberSystem) -> list:
+    """Every delta row by its own breadth-first search: ``Building``'s row
+    loop before rows were derived, verbatim."""
+    right = system.weyl.right
+    rows = []
+    for x in range(system.n):
+        row = [-1] * system.n
+        row[x] = 0
+        queue = deque([x])
+        while queue:
+            y = queue.popleft()
+            w = row[y]
+            for s, z in system.adjacency[y]:
+                if row[z] == -1:
+                    row[z] = right[w][s]
+                    queue.append(z)
+        rows.append(system.weyl.pack(row))
+    return rows
+
+
+def on_reference_rows(b: Building) -> Building:
+    """A copy of b whose delta rows are ``rows_reference``'s."""
+    ref = copy.copy(b)
+    ref.rows = rows_reference(b.system)
+    return ref
+
+
+CATALOG = {
+    "thin_a1": lambda: gen_thin(matrix_A1()),
+    "thin_a2": lambda: gen_thin(matrix_A2()),
+    "thin_b2": lambda: gen_thin(matrix_B2()),
+    "thin_g2": lambda: gen_thin(matrix_I2(6)),
+    "thin_a3": lambda: gen_thin(matrix_A3()),
+    "thin_b4": lambda: gen_thin(matrix_B4()),
+    "digon_2_3": lambda: gen_digon(2, 3),
+    "digon_3_3": lambda: gen_digon(3, 3),
+    "pg2_2": lambda: gen_pg2(2),
+    "pg2_3": lambda: gen_pg2(3),
+    "pg2_5": lambda: gen_pg2(5),
+    "sp4_2": lambda: gen_sp4(2),
+    "sp4_3": lambda: gen_sp4(3),
+    "pg3_2": lambda: gen_pg3(2),
+    "thin_a2_x_pg2_2": MORE_FIXTURES["thin_a2_x_pg2_2"],
+    "pg3_2_tuple_rows": lambda: tuple_rows(gen_pg3(2)),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_derived_rows_are_the_breadth_first_rows(name):
+    b = CATALOG[name]()
+    assert type(b.rows[0]) is b.weyl.pack
+    assert Building(b.system).rows == b.rows == rows_reference(b.system)
+
+
+@pytest.mark.parametrize("make, matrix", [
+    (lambda: gen_thin(matrix_I2(6)), matrix_A2),
+    (lambda: gen_thin(matrix_I2(4)), lambda: matrix_I2(2)),
+    (lambda: gen_pg2(2), matrix_B2),
+    (lambda: gen_digon(2, 3), matrix_A2),
+], ids=["thin_g2_as_a2", "thin_b2_as_i2_2", "pg22_as_b2", "digon23_as_a2"])
+def test_mistyped_report_is_the_reference_rows_report(make, matrix):
+    b = make()
+    mistyped = Building(ChamberSystem(enumerate_weyl(matrix()), b.n, b.system.panels))
+    assert validate_building(mistyped) == validate_building(on_reference_rows(mistyped))
+
+
+@pytest.mark.parametrize("name, count", [("pg23", 100), ("sp43", 40), ("pg32", 20)])
+def test_panel_swap_report_is_the_reference_rows_report(request, name, count):
+    b = request.getfixturevalue(name)
+    checked = 0
+    for mutated in panel_swaps(b, random.Random(f"derive-{name}"), count):
+        ref = on_reference_rows(mutated)
+        report = validate_building(mutated)
+        assert report == validate_building(ref)
+        if report.ok:   # an exchange that leaves a building
+            assert mutated.rows == ref.rows
+        checked += 1
+    assert checked >= count // 3
+
+
+def test_plus_star_verdict_on_reference_rows_of_plus_panel_swaps(pg23):
+    # B+ of the pg2(3) twin, and B+ with chambers exchanged between p-panels:
+    # plus-star reads the same verdict off the derived and the searched rows
+    atlas = atlas_component(from_opposite_chamber(pg23, 0))
+    rng = random.Random("plus-swap")
+    verdicts = []
+    for k in range(60):
+        panels = [[list(p) for p in fam] for fam in atlas.panels]
+        for _ in range(rng.randint(1, 2) if k else 0):
+            P, Q = rng.sample(panels[0], 2)
+            i, j = rng.randrange(len(P)), rng.randrange(len(Q))
+            P[i], Q[j] = Q[j], P[i]
+        try:
+            swapped = CodistanceAtlas(
+                pg23, atlas.members, [[tuple(sorted(p)) for p in fam] for fam in panels])
+        except (ValueError, Disconnected):
+            continue
+        ref = copy.copy(swapped)
+        ref.plus = on_reference_rows(swapped.plus)
+        verdicts.append(_check_plus_star(swapped))
+        assert verdicts[-1] == _check_plus_star(ref)
+    assert verdicts[0] and len(verdicts) >= 20
+
+
+def test_derived_rows_peak_memory(pg33):
+    # one search per row peaked at the rows it keeps, 2,080 of 2,080 bytes,
+    # plus one row in flight (4.45 MB against 4.41 MB); deriving them keeps
+    # its work in flat lists and lane ints, within 15% of the rows
+    tracemalloc.start()
+    try:
+        b = Building(pg33.system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sys.getsizeof(b.rows) + sum(map(sys.getsizeof, b.rows))
+    assert peak <= 1.15 * held, (peak, held)

@@ -660,18 +660,30 @@ def test_twin_verify(tmp_path, fano_file, fano_cod_file, capsys):
 def test_twin_verify_computes_each_delta_row_once(
     tmp_path, fano_file, fano_cod_file, capsys, monkeypatch
 ):
-    # 21 rows of B- and 21 of B+, each half built once
+    # each half is built once, and searches at most its n rows.  A pg2(2)
+    # half of 21 chambers searches 6, in either half: row 0; one more
+    # chamber of each of chamber 0's two panels, whose third rule (a) of
+    # ``Building._derive_rows`` then gives; one of the l-panel of each
+    # p-neighbour of 0; one of the p-panel of an l-neighbour.  Rules (a)
+    # and (b) derive the other 15 rows
     _, out = run_twin_build(tmp_path, fano_file, fano_cod_file, "twin")
-    rows = []
-    compute_row = Building._compute_row
+    built, searched = [], []
+    init, compute_row = Building.__init__, Building._compute_row
 
-    def counting(self, x):
-        rows.append(x)
+    def counting_init(self, system, name="building"):
+        built.append(system.n)
+        init(self, system, name)
+
+    def counting_row(self, x):
+        searched.append(x)
         return compute_row(self, x)
 
-    monkeypatch.setattr(Building, "_compute_row", counting)
+    monkeypatch.setattr(Building, "__init__", counting_init)
+    monkeypatch.setattr(Building, "_compute_row", counting_row)
     assert main(["twin", "verify", out]) == EXIT_PASS
-    assert len(rows) == 42
+    assert built == [21, 21]
+    assert len(searched) <= sum(built)
+    assert len(searched) == 12
 
 
 def test_twin_verify_enumerates_w_once_and_builds_each_half_once(

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import opposite_chambers
+
 from twinbuild.chambersys import Building, panel_axiom
 from twinbuild.codistance import (
     Codistance,
@@ -154,7 +156,7 @@ def test_min_chambers_are_opposite_projection(bld):
             prof = residue_profile(f, R)
             c = proj_f(f, R)
             for x in R:
-                assert (x in prof.A_f) == b.opposite_chambers(R, c, x)
+                assert (x in prof.A_f) == opposite_chambers(b, R, c, x)
 
 
 def test_gallery_distance_to_fop(bld):

@@ -12,6 +12,8 @@ from collections import Counter, deque
 
 import pytest
 
+from conftest import opposite_residues
+
 from twinbuild.chambersys import Building
 from twinbuild import panelcalc
 from twinbuild.codistance import Codistance, from_opposite_chamber, proj_f
@@ -174,7 +176,7 @@ def test_rank3_compatible_path_counts(request, name):
         assert paths
         lengths = {len(p) for p in paths}
         assert len(lengths) == 1
-        opposite = b.opposite_residues(R, P, Q)
+        opposite = opposite_residues(b, R, P, Q)
         if opposite:
             assert len(paths) == 2
         else:
@@ -224,7 +226,7 @@ def test_compatible_length_sampled_pg32(pg32):
 def test_step_between_panels_opposite_nowhere_is_not_compatible(fano):
     # two panels through chamber 0 are opposite in no rank-2 residue
     P, Q = fano.panel(0, 0), fano.panel(0, 1)
-    assert not fano.opposite_residues(fano.residue(0, (0, 1)), P, Q)
+    assert not opposite_residues(fano, fano.residue(0, (0, 1)), P, Q)
     assert not is_compatible_path(fano, [P, Q])
     assert not is_compatible_path(fano, [Q, P])
 
@@ -235,8 +237,8 @@ def test_step_failing_the_projection_condition_is_not_compatible(fano):
     # the second step of P0, L, N is not, as proj_R P0 = P0 != L
     R = fano.residue(0, (0, 1))
     P0 = fano.panel(0, 0)
-    L = next(Q for Q in all_panels(fano) if fano.opposite_residues(R, P0, Q))
-    N = next(Q for Q in all_panels(fano) if Q != P0 and fano.opposite_residues(R, L, Q))
+    L = next(Q for Q in all_panels(fano) if opposite_residues(fano, R, P0, Q))
+    N = next(Q for Q in all_panels(fano) if Q != P0 and opposite_residues(fano, R, L, Q))
     assert is_compatible_path(fano, [P0, L])
     assert is_compatible_path(fano, [L, N])
     assert not is_compatible_path(fano, [P0, L, N])
