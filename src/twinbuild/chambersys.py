@@ -184,15 +184,10 @@ class Building:
         building the two are equal."""
         table, system = self.weyl, self.system
         n, bits, lanes, rank = self.n, table.lane_bits, table.lanes, table.rank
-        full = (1 << bits) - 1
-        ones = ((1 << bits * n) - 1) // full   # 1 in every lane
-        lo, hi = ones * (full >> 1), ones << bits - 1
+        full, hi, zero = table.lane_masks(n)
         rows: list = [None] * n
         first = [-1] * n          # per chamber: rank * (a neighbour with a row) + its type
         waiting = bytearray(n)    # 1 where first is set and the row is not
-
-        def zero(x: int) -> int:   # the top bit of each lane of x that is 0
-            return ~(((x & lo) + lo) | x) & hi
 
         c = 0   # derive each row as soon as a rule applies; else search the least waiting
         while c >= 0:

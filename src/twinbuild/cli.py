@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .catalog import (
@@ -162,11 +164,16 @@ def parse_building(text: str) -> Building:
         raise FormatError(str(e))
 
 
+@cache
+def _heads(n: int, sep: str) -> tuple[str, ...]:
+    """The line heads f"{c}{sep}" of 0..n-1, built once per count."""
+    return tuple(f"{c}{sep}" for c in range(n))
+
+
 def _codistance_text(b: Building, values: Sequence[int]) -> str:
     """The canonical text of the codistance on b with these values."""
-    words = b.weyl.word_strs
-    return (f"%codistance 1\nbuilding {b.name}\nvalues\n"
-            + "".join([f"{c} {words[v]}\n" for c, v in enumerate(values)]) + "end\n")
+    lines = map(add, _heads(b.n, " "), map(b.weyl.word_lines.__getitem__, values))
+    return f"%codistance 1\nbuilding {b.name}\nvalues\n" + "".join(lines) + "end\n"
 
 
 def serialize_codistance(f: Codistance) -> str:
@@ -448,10 +455,11 @@ def read_twin(directory: str) -> tuple[Building, CodistanceAtlas]:
 
 
 def _costar_rows(b: Building, values: Sequence[Sequence[int]]) -> Iterator[str]:
-    """Each chamber's canonical costar.tsv lines from the members' value rows."""
-    words = b.weyl.word_strs
-    for c, col in enumerate(zip(*values)):
-        yield "".join([f"{c}\t{i}\t{words[w]}\n" for i, w in enumerate(col)])
+    """Each chamber's canonical costar.tsv lines from the members' value rows,
+    one join over the member heads and words, the chamber's head between."""
+    lines, members, heads = b.weyl.word_lines, _heads(len(values), "\t"), _heads(b.n, "\t")
+    for head, col in zip(heads, zip(*values)):
+        yield head + head.join(map(add, members, map(lines.__getitem__, col)))
 
 
 def _costar_is_canonical(text: str, b: Building, values: Sequence[Sequence[int]]) -> bool:

@@ -50,9 +50,6 @@ class Codistance:
             self._fop = tuple(c for c, v in enumerate(self.values) if v == 0)
         return self._fop
 
-    def fop_set(self) -> frozenset:
-        return frozenset(self.fop())
-
 
 @dataclass
 class PanelViolation:
@@ -121,8 +118,8 @@ def from_opposite_chamber(b: Building, c: int) -> Codistance:
     f(x) = r_S * delta(c, x)."""
     table = b.weyl
     r = table.longest_element(range(table.rank))
-    products = [table.mult(r, w) for w in range(table.size)]
-    return Codistance(b, list(map(products.__getitem__, b.rows[c])))
+    products = table.row_map([table.mult(r, w) for w in range(table.size)])
+    return Codistance(b, products(b.rows[c]))
 
 
 @dataclass

@@ -118,8 +118,10 @@ class WeylTable:
     left: list[list[int]]
     word: list[tuple[int, ...]]
     inverse: list[int] = field(init=False, repr=False, compare=False)  # by w: w^-1
-    # by w: the canonical word string, ``-`` for the identity; and its inverse
+    # by w: the canonical word string, ``-`` for the identity; that string
+    # ending a text line; and the inverse of the first
     word_strs: list[str] = field(init=False, repr=False, compare=False)
+    word_lines: list[str] = field(init=False, repr=False, compare=False)
     word_ids: dict[str, int] = field(init=False, repr=False, compare=False)
     # by J (a frozenset of generator indices, every J of S): r_J
     longest: dict[frozenset, int] = field(init=False, repr=False, compare=False)
@@ -141,6 +143,7 @@ class WeylTable:
             self.inverse[w] = self.left[self.inverse[self.right[w][s]]][s]
         gens = self.matrix.gens
         self.word_strs = ["-"] + ["".join(gens[s] for s in w) for w in self.word[1:]]
+        self.word_lines = [text + "\n" for text in self.word_strs]
         self.word_ids = {text: w for w, text in enumerate(self.word_strs)}
         self.pack = bytes if self.size <= 256 else tuple
         self.lane_bits = 8 if self.pack is bytes else 16
@@ -179,6 +182,15 @@ class WeylTable:
         if self.pack is not bytes:
             row = struct.pack(f"<{len(row)}H", *row)
         return int.from_bytes(row, "little")
+
+    def lane_masks(self, n: int) -> tuple[int, int, Callable[[int], int]]:
+        """For ``lanes`` of n ids: the ones of one lane, the top bit of every
+        lane, and the map of x to the top bit of each lane of x that is 0
+        (Warren, *Hacker's Delight*, 6-1; no borrow crosses a lane)."""
+        full = (1 << self.lane_bits) - 1
+        ones = ((1 << self.lane_bits * n) - 1) // full   # 1 in every lane
+        lo, hi = ones * (full >> 1), ones << self.lane_bits - 1
+        return full, hi, lambda x: ~(((x & lo) + lo) | x) & hi
 
     def unlanes(self, x: int, n: int) -> Sequence[int]:
         """The packed row of the n ids in the lanes of x; inverse to ``lanes``."""

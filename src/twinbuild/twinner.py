@@ -19,6 +19,7 @@ from typing import ClassVar, Iterable, Optional, Sequence
 
 from .chambersys import Building, ChamberSystem, ResidueRef, validate_building
 from .codistance import Codistance, panels_op, proj_f, validate_codistance
+from .coxeter import WeylTable
 from .errors import (
     CapExceeded,
     PreconditionFailed,
@@ -75,18 +76,15 @@ def _adjacent_rows(
 ) -> dict[int, Sequence[int]]:
     """The value rows of ``adjacent_codistances``, packed and not validated.
 
-    Rows are ints of ``WeylTable.lanes``, lane c for chamber c.  With x the
-    XOR of a delta row and f's, and lo and hi the low and the top bits of
-    every lane, ~(((x & lo) + lo) | x) & hi marks the lanes where the two
-    agree (Warren, *Hacker's Delight*, 6-1; no borrow crosses a lane)."""
+    Rows are ints of ``WeylTable.lanes``, lane c for chamber c; the zero
+    lanes of the XOR of a delta row and f's (``WeylTable.lane_masks``) mark
+    the chambers where the two agree."""
     b = f.building
     table = b.weyl
     if Ptilde not in panels_op(f, s):
         raise PreconditionFailed("Ptilde does not meet f^op")
     row, bits, lanes = f.values, table.lane_bits, table.lanes
-    full = (1 << bits) - 1
-    ones = ((1 << bits * b.n) - 1) // full   # 1 in every lane
-    lo, hi = ones * (full >> 1), ones << bits - 1
+    full, hi, zero = table.lane_masks(b.n)
     values = lanes(row)
     down = lanes(table.down_rows[s](row)) << bits - 1   # where s shortens f(c)
     marks = [p for p in sorted(Ptilde.chambers()) if row[p] == 0]
@@ -94,8 +92,7 @@ def _adjacent_rows(
     assigned = clash = 0              # the lanes matched, and matched by two marks
     for mapping in beta_maps(f, Ptilde).values():
         for p in marks:
-            x = lanes(b.rows[mapping[p]]) ^ values
-            eq = ~(((x & lo) + lo) | x) & hi
+            eq = zero(lanes(b.rows[mapping[p]]) ^ values)
             clash |= eq & assigned & ~owned[p]
             owned[p] |= eq & ~assigned
             assigned |= eq
@@ -208,6 +205,13 @@ def _mask(chambers: Iterable[int]) -> int:
     return sum(1 << c for c in chambers)
 
 
+def _identity_masks(table: WeylTable, rows: Iterable[Sequence[int]]) -> list[int]:
+    """Per row of Weyl ids, the bit mask of its positions holding the
+    identity, read as binary digits off the row mapped to "1" and "0"."""
+    digits = table.row_map(b"1".ljust(table.size, b"0"))
+    return [int(bytes(digits(row))[::-1], 2) for row in rows]
+
+
 def _alpha_kernel(atlas: CodistanceAtlas, J: frozenset, fop_masks: Sequence[int]):
     """The alpha test of type J, built once per J: ``pair(tilde, R)`` lists
     the witnesses of ``alpha_check`` for the atlas J-residue ``tilde`` and a
@@ -314,15 +318,14 @@ def _panel_opposition(atlas: CodistanceAtlas, s: int, fops: list, fop_masks: lis
     return True
 
 
-def _check_opposition(atlas: CodistanceAtlas) -> bool:
+def _check_opposition(atlas: CodistanceAtlas, fop_masks: Sequence[int]) -> bool:
     """Whether alpha passes on every pair of a J-residue tilde of B+ and a
     J-residue R of B meeting g^op for a member g of tilde, |J| in {1, 2}
-    (|J| = 1 per member by ``_panel_opposition``).  J = {} is not checked:
-    R = {c} meets member i only, the bijection is i -> c, and opposition
-    reduces to g(c) = 1, true as c is in g^op."""
+    (|J| = 1 per member by ``_panel_opposition``), ``fop_masks[i]`` member
+    i's f^op mask.  J = {} is not checked: R = {c} meets member i only, the
+    bijection is i -> c, and opposition reduces to g(c) = 1, true as c is in g^op."""
     b = atlas.building
     fops = [g.fop() for g in atlas.members]
-    fop_masks = list(map(_mask, fops))
     rank = b.system.rank
     if not all(_panel_opposition(atlas, s, fops, fop_masks) for s in range(rank)):
         return False
@@ -405,10 +408,10 @@ def _check_tw_axioms(atlas: CodistanceAtlas) -> bool:
     )
 
 
-def _check_plus_star(atlas: CodistanceAtlas) -> bool:
+def _check_plus_star(atlas: CodistanceAtlas, fop_masks: Sequence[int]) -> bool:
     """delta(x,y) = delta*(x,z) forces y, z opposite; equal opposition sets
     force equality.  Checked on both halves, x and y in one half X, z in the
-    other.
+    other; on B+, op(y) is member y's f^op mask, ``fop_masks[y]``.
 
     The first condition reads: for all x, y in X and z in the other half,
     delta*(x, z) = delta(x, y) implies delta*(y, z) = 1.  With Z_x(d) the
@@ -418,16 +421,15 @@ def _check_plus_star(atlas: CodistanceAtlas) -> bool:
     lies in op(y).  One pass over x builds that union for every y at once;
     every (x, y, z) triple is still covered, not a sample of them.
     """
-    for X, Y, rows in _halves(atlas):
+    ops = (fop_masks, _identity_masks(atlas.building.weyl, atlas.minus_rows))
+    for (X, Y, rows), op in zip(_halves(atlas), ops):
         size = X.weyl.size
         bits = [1 << z for z in range(Y.n)]
         need = [0] * X.n
-        op = []
         for row, dist in zip(rows, X.rows):
             Z = [0] * size
             for v, bit in zip(row, bits):
                 Z[v] |= bit
-            op.append(Z[0])
             need = list(map(or_, need, map(Z.__getitem__, dist)))
         if len(set(op)) != len(op) or any(u & ~o for u, o in zip(need, op)):
             return False
@@ -480,11 +482,12 @@ def assemble_twin(
     """
     if b is not atlas.building:
         raise PreconditionFailed("b is not the atlas's building")
+    fop_masks = _identity_masks(b.weyl, (g.values for g in atlas.members))
     report = TwinReport(
         building_ok=validate_building(atlas.plus).ok,
         tw_axioms_ok=_check_tw_axioms(atlas),
-        opposition_ok=_check_opposition(atlas),
-        plus_star_ok=_check_plus_star(atlas),
+        opposition_ok=_check_opposition(atlas, fop_masks),
+        plus_star_ok=_check_plus_star(atlas, fop_masks),
         diagram_ok=all(
             _gonality(X, R) == X.weyl.matrix.m[min(R.J)][max(R.J)]
             for X in (atlas.plus, b)

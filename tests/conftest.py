@@ -36,6 +36,12 @@ def tuple_rows(b: Building) -> Building:
     return Building(ChamberSystem(table, b.n, b.system.panels), name=b.name)
 
 
+def fop_masks(atlas) -> list[int]:
+    """Each atlas member's f^op as a bit mask, chamber c in bit c: the masks
+    ``twinner.assemble_twin`` hands its opposition and plus-star checks."""
+    return [sum(1 << c for c in g.fop()) for g in atlas.members]
+
+
 # Opposition in a residue R of type J, delta = r_J, read straight off the
 # delta rows: the oracles the tests hold ``homotopy.opposite_set`` to.
 def opposite_chambers(b: Building, R: ResidueRef, x: int, y: int) -> bool:

@@ -280,7 +280,7 @@ def _check_codistance_lemmas(b):
             assert set(close) == {
                 x for x in f.fop() if b.ldist(x, c) == f.vlen(c)
             }
-        fop_sets.add(f.fop_set())
+        fop_sets.add(frozenset(f.fop()))
         for J, R in all_residues(b):
             prof = residue_profile(f, R)
             x0 = R.chambers()[0]
@@ -354,7 +354,7 @@ def test_ac5_filtration():
         for base in range(0, b.n, 5):
             f = from_opposite_chamber(b, base)
             filt = residual_filtration(f)
-            assert filt.levels[0] == f.fop_set()
+            assert filt.levels[0] == frozenset(f.fop())
             assert filt.levels[-1] == frozenset(range(b.n))
     b = gen_pg2(2)
     f = from_opposite_chamber(b, 0)

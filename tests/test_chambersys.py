@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import opposite_chambers, opposite_residues, tuple_rows
+from conftest import fop_masks, opposite_chambers, opposite_residues, tuple_rows
 
 from twinbuild.catalog import (
     gen_digon,
@@ -617,8 +617,8 @@ def test_plus_star_verdict_on_reference_rows_of_plus_panel_swaps(pg23):
             continue
         ref = copy.copy(swapped)
         ref.plus = on_reference_rows(swapped.plus)
-        verdicts.append(_check_plus_star(swapped))
-        assert verdicts[-1] == _check_plus_star(ref)
+        verdicts.append(_check_plus_star(swapped, fop_masks(swapped)))
+        assert verdicts[-1] == _check_plus_star(ref, fop_masks(ref))
     assert verdicts[0] and len(verdicts) >= 20
 
 

@@ -251,7 +251,7 @@ def test_fop_determines_codistance(bld):
     b, stride = bld
     seen = {}
     for f in sample_codistances(b, 1):
-        key = f.fop_set()
+        key = frozenset(f.fop())
         if key in seen:
             assert seen[key] == f.values
         seen[key] = f.values

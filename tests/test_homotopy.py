@@ -144,7 +144,7 @@ def test_filtration_levels(fano):
     f = from_opposite_chamber(fano, 0)
     filt = residual_filtration(f)
     assert [len(L) for L in filt.levels] == [8, 12, 16, 18, 20, 21]
-    assert filt.levels[0] == f.fop_set()
+    assert filt.levels[0] == frozenset(f.fop())
     assert filt.levels[-1] == frozenset(range(fano.n))
     for n in range(1, len(filt.levels)):
         assert filt.levels[n - 1] < filt.levels[n]
@@ -165,7 +165,7 @@ def test_filtration_on_all_fixtures(sp42, thin_a3, digon33):
     for b in (sp42, thin_a3, digon33):
         f = from_opposite_chamber(b, 0)
         filt = residual_filtration(f)
-        assert filt.levels[0] == f.fop_set()
+        assert filt.levels[0] == frozenset(f.fop())
 
 
 def test_filtration_violation_detected(fano):

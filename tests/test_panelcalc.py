@@ -458,7 +458,7 @@ def beta_reference(f, P, Q):
     b = f.building
     table = b.weyl
     s = panel_type(P)
-    inside = f.fop_set()
+    inside = frozenset(f.fop())
     start = min(x for x in P.chambers() if x in inside)
     parent = {start: start}
     queue = deque([start])
@@ -534,7 +534,7 @@ def fop_search_reference(f, Ptilde):
     b = f.building
     table = b.weyl
     s = panel_type(Ptilde)
-    inside = f.fop_set()
+    inside = frozenset(f.fop())
     start = min(x for x in Ptilde.chambers() if x in inside)
     image = {start: {c: c for c in Ptilde.chambers()}}
     yield Ptilde, image[start]

@@ -8,6 +8,7 @@ from collections import Counter, deque
 
 import pytest
 
+from conftest import fop_masks
 from twinbuild.catalog import (
     gen_digon,
     gen_pg2,
@@ -507,7 +508,7 @@ def test_twin_opposition_relation(fano, fano_twin):
         if tw.costar(i, c) == 0
     }
     for i, g in enumerate(tw.atlas.members):
-        assert {c for j, c in O if j == i} == g.fop_set()
+        assert {c for j, c in O if j == i} == frozenset(g.fop())
     # every chamber on either side has an opposite
     assert {i for i, _ in O} == set(range(len(tw.atlas.members)))
     assert {c for _, c in O} == set(range(fano.n))
@@ -540,7 +541,7 @@ def test_twin_checks_read_the_costar_tables(monkeypatch, fano, fano_atlas):
     monkeypatch.setattr(Codistance, "__call__", counting_call)
     monkeypatch.setattr(WeylTable, "inv", counting_inv)
     assert _check_tw_axioms(fresh)
-    assert _check_plus_star(fresh)
+    assert _check_plus_star(fresh, fop_masks(fresh))
     assert calls == {"call": 0, "inv": 0}
     monkeypatch.undo()
     for c in range(fano.n):
@@ -673,10 +674,10 @@ def test_plus_star_matches_reference(request, fixture):
     atlas = atlas_component(f)
     plus = assemble_twin(atlas, b, seed=f).plus
     assert plus_star_reference(b, plus, atlas)
-    assert _check_plus_star(atlas)
+    assert _check_plus_star(atlas, fop_masks(atlas))
     for bad in corrupted_atlases(atlas):
         assert not plus_star_reference(b, plus, bad)
-        assert not _check_plus_star(bad)
+        assert not _check_plus_star(bad, fop_masks(bad))
 
 
 def loop_alpha_check(atlas, i, R):
@@ -806,11 +807,11 @@ def test_opposition_matches_the_per_pair_loop(reference_buildings, name):
     # chamber 0 and on seeded corruptions of it, against the loop they replace
     b = reference_buildings[name]
     atlas = atlas_component(from_opposite_chamber(b, 0))
-    assert twinner._check_opposition(atlas) and loop_opposition_ok(atlas)
+    assert twinner._check_opposition(atlas, fop_masks(atlas)) and loop_opposition_ok(atlas)
     rng = random.Random(name)
     outcomes = Counter()
     for kind, bad in seeded_corruptions(atlas, rng, CORRUPTIONS.get(name, 4)):
-        flag = twinner._check_opposition(bad)
+        flag = twinner._check_opposition(bad, fop_masks(bad))
         assert flag == loop_opposition_ok(bad), kind
         outcomes[flag] += 1
         i = rng.randrange(len(bad.members))
@@ -860,7 +861,8 @@ def test_opposition_refuses_each_way_a_gap_count_fails(request, name):
         for kind, bad in gap_corruptions(atlas, s):
             fops = [g.fop() for g in bad.members]
             assert not twinner._panel_opposition(bad, s, fops, [twinner._mask(f) for f in fops])
-            assert twinner._check_opposition(bad) is loop_opposition_ok(bad) is False, kind
+            flag = twinner._check_opposition(bad, fop_masks(bad))
+            assert flag is loop_opposition_ok(bad) is False, kind
 
 
 @pytest.mark.parametrize("s", [0, 1])
@@ -880,7 +882,7 @@ def test_opposition_refuses_a_tilde_smaller_than_its_panels(fano, pg23, s):
     bad = CodistanceAtlas(pg23, members, fano.system.panels)
     fops = [g.fop() for g in members]
     assert not twinner._panel_opposition(bad, s, fops, [twinner._mask(f) for f in fops])
-    assert twinner._check_opposition(bad) is loop_opposition_ok(bad) is False
+    assert twinner._check_opposition(bad, fop_masks(bad)) is loop_opposition_ok(bad) is False
 
 
 def tw_axioms_reference(minus, plus, atlas):
