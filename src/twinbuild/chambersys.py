@@ -65,17 +65,26 @@ class ChamberSystem:
                         raise ValueError(f"chamber {c} in two panels of type {s}")
                     owner[c] = idx
             self.panel_of.append(owner)
-        # chamber-system axiom: distinct chambers adjacent for one type only
-        seen: dict[tuple[int, int], int] = {}
-        for s in range(rank):
+        # chamber-system axiom: distinct chambers adjacent for one type only,
+        # that is, no two share an s-panel and a t-panel, t < s.  The witness
+        # is the least pair of places (i, j), i < j, in the first s-panel p
+        # that has one; p[i] is then the first of its t-panel in p, so one
+        # pass over p per t lists every candidate.
+        for s in range(1, rank):
             for p in self.panels[s]:
-                for i, a in enumerate(p):
-                    for b in p[i + 1:]:
-                        prev = seen.setdefault((a, b), s)
-                        if prev != s:
-                            raise ValueError(
-                                f"chambers {a},{b} adjacent for types {prev} and {s}"
-                            )
+                pairs = []
+                for owner in self.panel_of[:s]:
+                    first: dict[int, int] = {}
+                    for j, c in enumerate(p):
+                        i = first.setdefault(owner[c], j)
+                        if i != j:
+                            pairs.append((i, j))
+                if pairs:
+                    i, j = min(pairs)
+                    a, b = p[i], p[j]
+                    prev = next(t for t in range(s)
+                                if self.panel_of[t][a] == self.panel_of[t][b])
+                    raise ValueError(f"chambers {a},{b} adjacent for types {prev} and {s}")
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         nxt = [[0] * self.n for _ in range(rank)]
         for s in range(rank):

@@ -12,7 +12,7 @@ import os
 import sys
 from functools import cache
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .catalog import (
     gen_digon,
@@ -165,14 +165,14 @@ def parse_building(text: str) -> Building:
 
 
 @cache
-def _heads(n: int, sep: str) -> tuple[str, ...]:
-    """The line heads f"{c}{sep}" of 0..n-1, built once per count."""
-    return tuple(f"{c}{sep}" for c in range(n))
+def _heads(n: int) -> tuple[str, ...]:
+    """The line heads f"{c} " of 0..n-1, built once per count."""
+    return tuple(f"{c} " for c in range(n))
 
 
 def _codistance_text(b: Building, values: Sequence[int]) -> str:
     """The canonical text of the codistance on b with these values."""
-    lines = map(add, _heads(b.n, " "), map(b.weyl.word_lines.__getitem__, values))
+    lines = map(add, _heads(b.n), map(b.weyl.word_lines.__getitem__, values))
     return f"%codistance 1\nbuilding {b.name}\nvalues\n" + "".join(lines) + "end\n"
 
 
@@ -424,9 +424,6 @@ def _cmd_twin_build(args) -> int:
             os.path.join(args.output, f"codistance_{i:04d}.cod"),
             serialize_codistance(g),
         )
-    _write(os.path.join(args.output, "costar.tsv"), "".join(
-        _costar_rows(b, [g.values for g in atlas.members])
-    ))
     report_text = _twin_report(b, atlas, assembly.report, "pass")
     _write(os.path.join(args.output, "report.txt"), report_text)
     sys.stdout.write(report_text)
@@ -454,54 +451,8 @@ def read_twin(directory: str) -> tuple[Building, CodistanceAtlas]:
     return b, atlas
 
 
-def _costar_rows(b: Building, values: Sequence[Sequence[int]]) -> Iterator[str]:
-    """Each chamber's canonical costar.tsv lines from the members' value rows,
-    one join over the member heads and words, the chamber's head between."""
-    lines, members, heads = b.weyl.word_lines, _heads(len(values), "\t"), _heads(b.n, "\t")
-    for head, col in zip(heads, zip(*values)):
-        yield head + head.join(map(add, members, map(lines.__getitem__, col)))
-
-
-def _costar_is_canonical(text: str, b: Building, values: Sequence[Sequence[int]]) -> bool:
-    """Whether text is exactly the rows of ``_costar_rows``, each at its offset."""
-    pos = 0
-    for row in _costar_rows(b, values):
-        if not text.startswith(row, pos):
-            return False
-        pos += len(row)
-    return pos == len(text)
-
-
 def _cmd_twin_verify(args) -> int:
     b, atlas = read_twin(args.directory)
-    values = [g.values for g in atlas.members]
-    text = _read(os.path.join(args.directory, "costar.tsv"))
-    if not _costar_is_canonical(text, b, values):
-        # any other table is read line by line, in any order and spelling
-        m = len(values)
-        table = b.weyl
-        listed = bytearray(b.n * m)
-        for line in text.splitlines():
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"bad costar line: {line!r}")
-            try:
-                c, i, w = int(parts[0]), int(parts[1]), table.parse_word(parts[2])
-            except ValueError as e:
-                raise FormatError(f"bad costar line {line!r}: {e}")
-            if not (0 <= c < b.n and 0 <= i < m):
-                raise FormatError(f"costar line {line!r}: chamber or member out of range")
-            if listed[c * m + i]:
-                raise FormatError(f"costar line {line!r}: repeated entry")
-            listed[c * m + i] = 1
-            if values[i][c] != w:
-                print(f"costar table mismatch at chamber {c}, member {i}")
-                print("RESULT=fail")
-                return EXIT_VIOLATION
-        k = listed.count(1)
-        if k != len(listed):
-            raise FormatError(f"costar.tsv lists {k} of {len(listed)} entries")
-    del text
     # lco and lsco are facts about B- that no twin verdict reads: n/a here
     assembly = assemble_twin(atlas, b)
     report_text = _twin_report(b, atlas, assembly.report, "n/a")

@@ -88,6 +88,68 @@ def test_singleton_panel_rejected(fano):
         ChamberSystem(fano.weyl, fano.n, panels)
 
 
+def double_adjacency_reference(rank, panels):
+    """The message of the first pair of chambers adjacent for two types, or
+    None: ``ChamberSystem``'s check before it read ``panel_of``, verbatim
+    (every chamber pair of every panel in one dict)."""
+    seen: dict[tuple[int, int], int] = {}
+    for s in range(rank):
+        for p in panels[s]:
+            for i, a in enumerate(p):
+                for b in p[i + 1:]:
+                    prev = seen.setdefault((a, b), s)
+                    if prev != s:
+                        return f"chambers {a},{b} adjacent for types {prev} and {s}"
+    return None
+
+
+def random_partition(rng, n):
+    """The chambers 0..n-1 in ascending panels of 2 to 4, panels shuffled."""
+    order = rng.sample(range(n), n)
+    panels, k = [], 0
+    while k < n:
+        size = rng.choice([2, 3, 4])
+        if n - k - size == 1 or size > n - k:
+            size = n - k
+        panels.append(tuple(sorted(order[k:k + size])))
+        k += size
+    return panels
+
+
+@pytest.mark.parametrize("matrix", [matrix_A2, matrix_A3], ids=["rank2", "rank3"])
+def test_double_adjacency_witness_matches_reference(matrix):
+    # crafted partitions, most of them with doubly adjacent chambers, and
+    # panel swaps of pg2(3): the same verdict and the same first witness
+    table = enumerate_weyl(matrix())
+    rank = table.rank
+    rng = random.Random(rank)
+    systems = [(n, [random_partition(rng, n) for _ in range(rank)])
+               for n in rng.choices(range(4, 16), k=400)]
+    if rank == 2:
+        pg = gen_pg2(3)
+        for _ in range(50):
+            panels = [list(fam) for fam in pg.system.panels]
+            s = rng.randrange(rank)
+            i, j = rng.sample(range(len(panels[s])), 2)
+            a, b = rng.choice(panels[s][i]), rng.choice(panels[s][j])
+            swap = {a: b, b: a}
+            panels[s][i], panels[s][j] = (
+                tuple(sorted(swap.get(c, c) for c in panels[s][k])) for k in (i, j))
+            systems.append((pg.n, panels))
+    messages = set()
+    for n, panels in systems:
+        expected = double_adjacency_reference(rank, panels)
+        if expected is None:
+            ChamberSystem(table, n, panels)
+        else:
+            with pytest.raises(ValueError) as info:
+                ChamberSystem(table, n, panels)
+            assert str(info.value) == expected
+            messages.add(expected.split(" for ")[1])
+    # every pair of types gave a witness somewhere
+    assert messages == {f"types {t} and {s}" for s in range(rank) for t in range(s)}
+
+
 def test_moved_chamber_fails_validation(fano):
     panels = [sorted(tuple(p) for p in fam) for fam in fano.system.panels]
     a = list(panels[0][0])

@@ -2,9 +2,9 @@
 against their per-value references, on byte rows and tuple rows alike.
 
 The references are the one-f-string-per-value and one-gather-per-row forms
-that ``cli._codistance_text``, ``cli._costar_rows`` and
-``codistance.from_opposite_chamber`` replace; every text and row must be
-the same, value for value and byte for byte."""
+that ``cli._codistance_text`` and ``codistance.from_opposite_chamber``
+replace; every text and row must be the same, value for value and byte for
+byte."""
 
 import random
 
@@ -31,12 +31,6 @@ def codistance_text_reference(b, values):
     words = b.weyl.word_strs
     return (f"%codistance 1\nbuilding {b.name}\nvalues\n"
             + "".join([f"{c} {words[v]}\n" for c, v in enumerate(values)]) + "end\n")
-
-
-def costar_rows_reference(b, values):
-    words = b.weyl.word_strs
-    for c, col in enumerate(zip(*values)):
-        yield "".join([f"{c}\t{i}\t{words[w]}\n" for i, w in enumerate(col)])
 
 
 def from_opposite_chamber_reference(b, c):
@@ -70,9 +64,6 @@ def test_text_kernels_match_the_per_value_references(request, fixture):
         assert cli.parse_codistance(text, b).values == values
     for g in members:
         assert cli.serialize_codistance(g) == codistance_text_reference(b, g.values)
-    got = list(cli._costar_rows(b, rows))
-    assert got == list(costar_rows_reference(b, rows))
-    assert cli._costar_is_canonical("".join(got), b, rows)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
