@@ -105,11 +105,6 @@ class ChamberSystem:
     def is_thick(self) -> bool:
         return all(len(p) >= 3 for fam in self.panels for p in fam)
 
-    def neighbors(self, c: int) -> tuple[tuple[int, int], ...]:
-        """(s, d) over all chambers d != c adjacent to c, by type, then by
-        panel order."""
-        return self.adjacency[c]
-
 
 @dataclass(frozen=True, eq=False)
 class ResidueRef:
@@ -241,9 +236,6 @@ class Building:
     def delta(self, x: int, y: int) -> int:
         return self.rows[x][y]
 
-    def ldist(self, x: int, y: int) -> int:
-        return self.weyl.length[self.delta(x, y)]
-
     # -- residues ----------------------------------------------------------
 
     def partition(self, J: Iterable[int]) -> tuple[list[ResidueRef], list[int]]:
@@ -278,9 +270,6 @@ class Building:
     def panel(self, c: int, s: int) -> ResidueRef:
         return self.residue(c, (s,))
 
-    def all_panels(self, s: int) -> list[ResidueRef]:
-        return self.residues_of_type((s,))
-
     def rank2_residues(self) -> list[ResidueRef]:
         return [
             R for J in combinations(range(self.weyl.rank), 2)
@@ -311,7 +300,7 @@ class Building:
         J: set[int] = set()
         img = frozenset(image)
         for x in image:
-            for s, z in self.system.neighbors(x):
+            for s, z in self.system.adjacency[x]:
                 if z in img:
                     J.add(s)
         ref = self.residue(base, J)

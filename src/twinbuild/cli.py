@@ -376,7 +376,7 @@ def _twin_report(b: Building, atlas: CodistanceAtlas, report, local: str) -> str
         "",
         f"RESULT={'pass' if report.ok else 'fail'}",
         f"ATLAS_SIZE={len(atlas.members)}",
-        f"FOP_SIZE={len(atlas.members[atlas.origin].fop())}",
+        f"FOP_SIZE={atlas.members[atlas.origin].values.count(0)}",
         f"LCO={local}",
         f"LSCO={local}",
         f"TW_AXIOMS={'pass' if report.tw_axioms_ok else 'fail'}",

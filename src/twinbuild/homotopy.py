@@ -124,6 +124,10 @@ def _presentation(b: Building, subset: frozenset):
     restriction to the subset.  For J = {s} it is a star from the least
     chamber m of each clique an s-panel cuts out of the subset, whose cells
     (``star``) are the cycles m, a, c, m with m < a < c.
+
+    Relators are words of int letters: the non-tree edge i is the generator
+    i, crossed forward (from its smaller chamber) as 2i + 1 and backward as
+    2i, so ``a >> 1`` is the generator of letter a and ``a ^ 1`` its inverse.
     """
     rank = b.system.rank
     nbrs = _neighbours(b, subset)
@@ -145,8 +149,8 @@ def _presentation(b: Building, subset: frozenset):
             if parent[x] == y or parent[y] == x:
                 letter[x, y] = letter[y, x] = ()
             else:
-                letter[x, y] = ((len(non_tree), 1),)
-                letter[y, x] = ((len(non_tree), -1),)
+                letter[x, y] = (2 * len(non_tree) + 1,)
+                letter[y, x] = (2 * len(non_tree),)
                 non_tree.append((x, y))
 
     relators = {letter[m, a] + letter[a, c] + letter[c, m] for m, a, c in star}
@@ -166,21 +170,16 @@ def simply_2_connected(subset: Iterable[int], b: Building) -> TrivialityVerdict:
     return _decide(len(non_tree), relators, DEFAULT_COSET_CAP)
 
 
-def _decide(
-    ngens: int, relators: Sequence[tuple[tuple[int, int], ...]], coset_cap: int
-) -> TrivialityVerdict:
-    """Whether the group on ``ngens`` generators with ``relators``, words of
-    (generator, exponent) pairs, is trivial: the kill closure, then Smith
+def _decide(ngens: int, words: Sequence[tuple[int, ...]], coset_cap: int) -> TrivialityVerdict:
+    """Whether the group on ``ngens`` generators with the relators ``words``,
+    in ``_presentation``'s letters, is trivial: the kill closure, then Smith
     and coset enumeration on the words left once the killed letters, trivial
-    in the group, are deleted.
-
-    Letters are encoded as ``2 * generator`` and ``2 * generator + 1`` for
-    its inverse, so that ``a ^ 1`` is the inverse of letter ``a``.
-    """
-    words = [tuple(2 * g + (e < 0) for g, e in rel) for rel in relators]
+    in the group, are deleted.  An elimination certificate names each kill's
+    relator as (generator, exponent) pairs."""
     killed = _closure(words)
     if len(killed) == ngens:
-        certificate = tuple((g, relators[i]) for g, i in killed.items())
+        certificate = tuple((g, tuple((a >> 1, 1 if a & 1 else -1) for a in words[i]))
+                            for g, i in killed.items())
         return TrivialityVerdict(PROVEN_TRIVIAL, certificate=("elimination", certificate))
     gens = [g for g in range(ngens) if g not in killed]
     words = [w for w in (
@@ -192,7 +191,7 @@ def _decide(
     for word in words:
         row: dict[int, int] = {}
         for a in word:
-            row[a >> 1] = row.get(a >> 1, 0) + (-1 if a & 1 else 1)
+            row[a >> 1] = row.get(a >> 1, 0) + (1 if a & 1 else -1)
         rows.append({g: v for g, v in row.items() if v})
     factors = _smith_invariants(rows)
     if len(factors) < len(gens) or factors[-1] != 1:
@@ -201,8 +200,9 @@ def _decide(
         return TrivialityVerdict(
             PROVEN_NONTRIVIAL, certificate=("abelianization", invariants)
         )
+    # coset_table writes generator g as 2g and its inverse as 2g + 1
     column = {g: i for i, g in enumerate(gens)}
-    words = [tuple(2 * column[a >> 1] + (a & 1) for a in word) for word in words]
+    words = [tuple(2 * column[a >> 1] + (~a & 1) for a in word) for word in words]
     try:
         n = len(coset_table(len(gens), words, coset_cap))
     except CapExceeded:
@@ -312,9 +312,6 @@ class LocalConditionReport:
     @property
     def ok(self) -> bool:
         return not self.entries
-
-    def first_failure(self) -> Optional[OppositeSetEntry]:
-        return self.entries[0] if self.entries else None
 
 
 def opposite_set(b: Building, R: ResidueRef, x: int) -> frozenset:

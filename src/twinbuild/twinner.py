@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cache, reduce
-from itertools import combinations
+from itertools import combinations, compress
 from operator import and_, or_
 from typing import ClassVar, Iterable, Optional, Sequence
 
@@ -38,12 +38,10 @@ class TwinViolation(TwinbuildError):
     """The atlas closure put one member into two distinct s-panels."""
 
 
-def adjacent_codistances(
-    f: Codistance, s: int, Ptilde: ResidueRef, check_choices: bool = False
-) -> dict[int, Codistance]:
-    """The s-neighbours of f, one per chamber p of Ptilde in f^op, in
-    ascending p: f with its trace on each panel of P_s^op(f) moved to the
-    beta-orbit of p.  Each neighbour g_p is f or s f at every chamber c.
+def adjacent_codistance(f: Codistance, s: int, Ptilde: ResidueRef, p: int) -> Codistance:
+    """The s-neighbour g_p of f for a chamber p of Ptilde in f^op: f with its
+    trace on each panel of P_s^op(f) moved to the beta-orbit of p.  g_p is f
+    or s f at every chamber c.
 
     Take an s-panel P meeting f^op and a chamber x of P in f^op with
     delta(x, c) = f(c); g_p moves c exactly when proj_P(c) is the gap of P
@@ -53,14 +51,16 @@ def adjacent_codistances(
     lowers f one letter per step, so f(y) = s.  (ii) Otherwise x is the
     projection, delta(x, c) = f(c) being the shorter distance in P.  So
     g_p(c) = s f(c) exactly when s shortens f(c) or x lies in the beta-orbit
-    of p, and no chamber is projected.  The owner of c is the first such p,
-    panels in ``panels_op`` order: the delta rows at the chambers beta_P(p),
-    listed by panel and then by ascending p, are compared with f's row whole
-    (``_adjacent_rows``).  ``check_choices`` demands that no chamber outside
-    case (i) lies in two orbits.  Each neighbour is validated.
+    of p, and no chamber is projected.  That the orbit does not depend on
+    the panel P (AC8) is checked on every call: the delta rows at the
+    chambers beta_P(p), over every panel P and mark p, are compared with f's
+    row whole (``_adjacent_rows``), and a chamber outside case (i) that lies
+    in the orbits of two marks is refused.  Only g_p is validated.
     """
-    rows = _adjacent_rows(f, s, Ptilde, check_choices)
-    return {p: _member(f.building, row) for p, row in rows.items()}
+    rows = _adjacent_rows(f, s, Ptilde)
+    if p not in rows:
+        raise PreconditionFailed("p must be a chamber of Ptilde inside f^op")
+    return _member(f.building, rows[p])
 
 
 def _member(b: Building, row: Sequence[int]) -> Codistance:
@@ -71,10 +71,10 @@ def _member(b: Building, row: Sequence[int]) -> Codistance:
     return g
 
 
-def _adjacent_rows(
-    f: Codistance, s: int, Ptilde: ResidueRef, check_choices: bool = False
-) -> dict[int, Sequence[int]]:
-    """The value rows of ``adjacent_codistances``, packed and not validated.
+def _adjacent_rows(f: Codistance, s: int, Ptilde: ResidueRef) -> dict[int, Sequence[int]]:
+    """The value rows of the s-neighbours of f, one per chamber p of Ptilde
+    in f^op, in ascending p (``adjacent_codistance``), packed and not
+    validated.
 
     Rows are ints of ``WeylTable.lanes``, lane c for chamber c; the zero
     lanes of the XOR of a delta row and f's (``WeylTable.lane_masks``) mark
@@ -88,16 +88,16 @@ def _adjacent_rows(
     values = lanes(row)
     down = lanes(table.down_rows[s](row)) << bits - 1   # where s shortens f(c)
     marks = [p for p in sorted(Ptilde.chambers()) if row[p] == 0]
-    owned = dict.fromkeys(marks, 0)   # per mark, the lanes it matches first
+    owned = dict.fromkeys(marks, 0)   # per mark, the lanes it matches
     assigned = clash = 0              # the lanes matched, and matched by two marks
     for mapping in beta_maps(f, Ptilde).values():
         for p in marks:
             eq = zero(lanes(b.rows[mapping[p]]) ^ values)
             clash |= eq & assigned & ~owned[p]
-            owned[p] |= eq & ~assigned
+            owned[p] |= eq
             assigned |= eq
     # the first failing chamber is the lowest failing lane
-    bad = hi & ~assigned | (clash & ~down if check_choices else 0)
+    bad = hi & ~assigned | clash & ~down
     if bad:
         c = ((bad & -bad).bit_length() - 1) // bits
         if assigned >> c * bits + bits - 1 & 1:
@@ -106,16 +106,6 @@ def _adjacent_rows(
     moved = lanes(table.left_rows[s](row))
     sel = {p: ((owned[p] | down) >> bits - 1) * full for p in marks}   # whole lanes
     return {p: table.unlanes(moved & S | values & ~S, b.n) for p, S in sel.items()}
-
-
-def adjacent_codistance(
-    f: Codistance, s: int, Ptilde: ResidueRef, p: int, check_choices: bool = False
-) -> Codistance:
-    """The s-neighbour of f that ``adjacent_codistances`` gives for p."""
-    neighbours = adjacent_codistances(f, s, Ptilde, check_choices)
-    if p not in neighbours:
-        raise PreconditionFailed("p must be a chamber of Ptilde inside f^op")
-    return neighbours[p]
 
 
 @dataclass
@@ -212,6 +202,17 @@ def _identity_masks(table: WeylTable, rows: Iterable[Sequence[int]]) -> list[int
     return [int(bytes(digits(row))[::-1], 2) for row in rows]
 
 
+def _fop_labels(atlas: CodistanceAtlas, J: Iterable[int]):
+    """The map of member j to the J-residue index of each chamber of g_j^op,
+    in ascending chamber order: the building's ``partition(J)`` index
+    compressed by g_j's row mapped to 1 at the identity and 0 elsewhere."""
+    b = atlas.building
+    index = b.partition(J)[1]
+    marks = b.weyl.row_map([1] + [0] * (b.weyl.size - 1))
+    members = atlas.members
+    return lambda j: compress(index, marks(members[j].values))
+
+
 def _alpha_kernel(atlas: CodistanceAtlas, J: frozenset, fop_masks: Sequence[int]):
     """The alpha test of type J, built once per J: ``pair(tilde, R)`` lists
     the witnesses of ``alpha_check`` for the atlas J-residue ``tilde`` and a
@@ -289,11 +290,11 @@ def alpha_check(atlas: CodistanceAtlas, i: int, R: ResidueRef) -> list[tuple]:
     if not any(g.values[x] == 0 for x in R.chambers()):
         raise PreconditionFailed("residue does not meet the member's f^op")
     tilde = atlas.residue_members(i, R.J)
-    pair = _alpha_kernel(atlas, R.J, {j: _mask(atlas.members[j].fop()) for j in tilde})
-    return pair(tilde, R)
+    masks = _identity_masks(atlas.building.weyl, (atlas.members[j].values for j in tilde))
+    return _alpha_kernel(atlas, R.J, dict(zip(tilde, masks)))(tilde, R)
 
 
-def _panel_opposition(atlas: CodistanceAtlas, s: int, fops: list, fop_masks: list) -> bool:
+def _panel_opposition(atlas: CodistanceAtlas, s: int, fop_masks: Sequence[int]) -> bool:
     """Whether alpha passes on every pair of an s-panel tilde of B+ and an
     s-panel R of B meeting the f^op of a member of tilde, decided per member.
 
@@ -306,10 +307,11 @@ def _panel_opposition(atlas: CodistanceAtlas, s: int, fops: list, fop_masks: lis
     With k = |tilde|: their f^op meet one set P of s-panels, each of k
     chambers; each f^op holds k - 1 chambers of each; and no chamber lies
     in every f^op (k gaps in k chambers are distinct iff they cover them)."""
-    residues, index = atlas.building.partition((s,))
+    residues = atlas.building.partition((s,))[0]
+    labels = _fop_labels(atlas, (s,))
     for tilde in atlas.panels[s]:
         k = len(tilde)
-        counts = [Counter(map(index.__getitem__, fops[j])) for j in tilde]
+        counts = [Counter(labels(j)) for j in tilde]
         P = counts[0].keys()
         if (any(c.keys() != P or not set(c.values()) <= {k - 1} for c in counts)
                 or not {len(residues[r]) for r in P} <= {k}
@@ -325,18 +327,17 @@ def _check_opposition(atlas: CodistanceAtlas, fop_masks: Sequence[int]) -> bool:
     i's f^op mask.  J = {} is not checked: R = {c} meets member i only, the
     bijection is i -> c, and opposition reduces to g(c) = 1, true as c is in g^op."""
     b = atlas.building
-    fops = [g.fop() for g in atlas.members]
     rank = b.system.rank
-    if not all(_panel_opposition(atlas, s, fops, fop_masks) for s in range(rank)):
+    if not all(_panel_opposition(atlas, s, fop_masks) for s in range(rank)):
         return False
     try:
         for J in map(frozenset, combinations(range(rank), 2)):
             pair = _alpha_kernel(atlas, J, fop_masks)
-            residues, index = b.partition(J)
+            residues, labels = b.partition(J)[0], _fop_labels(atlas, J)
             if any(
                 pair(tilde.members, residues[r])
                 for tilde in atlas.plus.partition(J)[0]
-                for r in {index[c] for i in tilde for c in fops[i]}
+                for r in set().union(*map(labels, tilde))
             ):
                 return False
     except PreconditionFailed:

@@ -53,7 +53,6 @@ def test_delta_symmetry_and_length(fano):
     for x in range(fano.n):
         for y in range(fano.n):
             assert fano.delta(y, x) == table.inv(fano.delta(x, y))
-            assert fano.ldist(x, y) == table.length[fano.delta(x, y)]
     # numerical distance equals graph distance (checked by validator too)
     assert fano.delta(0, 0) == 0
 
@@ -75,7 +74,7 @@ def test_gate_property(fano):
                         fano.delta(c, gate), fano.delta(gate, y)
                     )
                     if y != gate:
-                        assert fano.ldist(c, y) > fano.ldist(c, gate)
+                        assert table.length[fano.delta(c, y)] > table.length[fano.delta(c, gate)]
 
 
 def test_singleton_panel_rejected(fano):
@@ -365,8 +364,9 @@ def test_residue_views(fano):
     assert 0 in R
     assert len(R) == 3
     assert R == fano.residue(min(R.chambers()), {0})
+    far = max(range(fano.n), key=lambda c: fano.weyl.length[fano.delta(0, c)])
     with pytest.raises(NotInResidue):
-        opposite_chambers(fano, R, 0, max(range(fano.n), key=lambda c: fano.ldist(0, c)))
+        opposite_chambers(fano, R, 0, far)
 
 
 def test_opposite_chambers_and_residues(fano):
@@ -417,7 +417,7 @@ def are_parallel_reference(b: Building, R1, R2) -> bool:
         return False
 
     def adjacent_pairs(chambers):
-        return {(x, z) for x in chambers for _, z in b.system.neighbors(x)
+        return {(x, z) for x in chambers for _, z in b.system.adjacency[x]
                 if z in chambers and x < z}
 
     adj1, adj2 = adjacent_pairs(c1), adjacent_pairs(c2)
@@ -435,14 +435,14 @@ def are_parallel_reference(b: Building, R1, R2) -> bool:
 ], ids=["pg2_3", "sp4_2", "digon_3_4"])
 def test_parallel_panels_match_reference(make, pairs):
     b = make()
-    panels = [P for s in range(b.system.rank) for P in b.all_panels(s)]
+    panels = [P for s in range(b.system.rank) for P in b.residues_of_type((s,))]
     assert len(panels) ** 2 == pairs
     for P, Q in itertools.product(panels, panels):
         assert b.are_parallel(P, Q) == are_parallel_reference(b, P, Q)
 
 
 def test_parallel_residues_match_reference_on_pg32(pg32):
-    residues = [P for s in range(3) for P in pg32.all_panels(s)] + pg32.rank2_residues()
+    residues = [P for s in range(3) for P in pg32.residues_of_type((s,))] + pg32.rank2_residues()
     rng = random.Random(7)
     parallel = 0
     for _ in range(10_000):
@@ -573,8 +573,7 @@ def neighbors_reference(system: ChamberSystem, c: int):
 def test_adjacency_list_is_the_panel_scan(request, name):
     system = request.getfixturevalue(name).system
     for c in range(system.n):
-        assert tuple(system.neighbors(c)) == tuple(neighbors_reference(system, c))
-        assert system.neighbors(c) is system.adjacency[c]
+        assert system.adjacency[c] == tuple(neighbors_reference(system, c))
 
 
 # -- derived delta rows against one breadth-first search per row -------------

@@ -520,8 +520,8 @@ def test_twin_build_reports_member_in_two_panels(
     seed = from_opposite_chamber(fano, 0)
     real = twinner._adjacent_rows
 
-    def overlapping(g, s, Ptilde, check_choices=False):
-        return {**real(g, s, Ptilde, check_choices), -1: seed.values}
+    def overlapping(g, s, Ptilde):
+        return {**real(g, s, Ptilde), -1: seed.values}
 
     monkeypatch.setattr(twinner, "_adjacent_rows", overlapping)
     with pytest.raises(twinner.TwinViolation):
@@ -885,9 +885,10 @@ def test_twin_verify_costar_edits_past_the_first_row(old_twin, capsys, edit):
 
 def test_twin_build_and_verify_peak_memory_on_pg2_5(tmp_path, capsys):
     # the directory holds the members and no transposed copy of them; with
-    # the free lists emptied first, build peaked at 0.93 MiB on pg2(5) and
-    # verify at 0.89 MiB (CPython 3.11), and at 1.57 and 1.18 MiB while
-    # they wrote and read costar.tsv, the table's 34,596 lines
+    # the free lists emptied first, build peaked at 0.81 MiB on pg2(5) and
+    # verify at 0.71-0.72 MiB (CPython 3.11), and at 0.93 and 0.89 MiB
+    # while the opposition check kept an f^op tuple on every member, and at
+    # 1.57 and 1.18 MiB while they wrote and read costar.tsv
     bpath, cpath, out = (str(tmp_path / name) for name in ("b.bld", "f.cod", "twin"))
     assert main(["gen", "pg2", "--q", "5", "-o", bpath]) == EXIT_PASS
     assert main(["codist", "from-opposite", "--building", bpath,
@@ -895,7 +896,7 @@ def test_twin_build_and_verify_peak_memory_on_pg2_5(tmp_path, capsys):
     for argv, bound in (
         (["twin", "build", "--building", bpath, "--codistance", cpath, "-o", out],
          1.125 * 2**20),
-        (["twin", "verify", out], 1 * 2**20),
+        (["twin", "verify", out], 0.875 * 2**20),
     ):
         # a full collection empties the free lists, whose objects, made
         # before tracing starts, would otherwise be reused untraced

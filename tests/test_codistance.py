@@ -40,7 +40,7 @@ def graph_distances(b: Building, sources) -> list:
         queue.append(s)
     while queue:
         x = queue.popleft()
-        for _, y in b.system.neighbors(x):
+        for _, y in b.system.adjacency[x]:
             if dist[y] < 0:
                 dist[y] = dist[x] + 1
                 queue.append(y)
@@ -175,7 +175,7 @@ def test_closest_fop_chambers(bld):
             close = fop_c(f, c)
             assert close
             expected = tuple(
-                x for x in f.fop() if b.ldist(x, c) == f.vlen(c)
+                x for x in f.fop() if b.weyl.length[b.delta(x, c)] == f.vlen(c)
             )
             assert close == expected
             for x in close:
@@ -200,8 +200,8 @@ def test_fop_chamber_gallery_characterization(fano):
             if k == 0:
                 reached.add(y)
                 continue
-            for _, z in b.system.neighbors(y):
-                if f.vlen(z) == k - 1 and b.ldist(z, c) == n - (k - 1):
+            for _, z in b.system.adjacency[y]:
+                if f.vlen(z) == k - 1 and b.weyl.length[b.delta(z, c)] == n - (k - 1):
                     stack.append((z, k - 1))
         assert close == {x for x in reached if f(x) == 0}
 
@@ -244,7 +244,7 @@ def test_projection_of_closest_fop_chamber(bld):
                 for x in fop_c(f, c):
                     p = b.proj_chamber(R, x)
                     assert p in prof.A_f
-                    assert b.ldist(x, p) == prof.l_f
+                    assert b.weyl.length[b.delta(x, p)] == prof.l_f
 
 
 def test_fop_determines_codistance(bld):

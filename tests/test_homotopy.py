@@ -1,5 +1,6 @@
 """Connectivity certificates, local conditions, and residual filtrations."""
 
+import hashlib
 import random
 
 import pytest
@@ -49,7 +50,7 @@ def test_empty_subset_connected(fano):
 
 
 def test_two_far_chambers_disconnected(fano):
-    far = next(c for c in range(fano.n) if fano.ldist(0, c) == 3)
+    far = next(c for c in range(fano.n) if fano.weyl.length[fano.delta(0, c)] == 3)
     assert not connected({0, far}, range(2), fano)
 
 
@@ -72,7 +73,7 @@ def test_coxeter_cycle_proven_nontrivial(thin_a3):
 
 
 def test_disconnected_subset_raises(fano):
-    far = next(c for c in range(fano.n) if fano.ldist(0, c) == 3)
+    far = next(c for c in range(fano.n) if fano.weyl.length[fano.delta(0, c)] == 3)
     with pytest.raises(NotConnected):
         simply_2_connected({0, far}, fano)
 
@@ -84,14 +85,13 @@ def test_lco_passes_on_projective_planes(fano, pg23, digon33):
     for b in (fano, pg23, digon33):
         report = check_lco(b)
         assert report.ok
-        assert report.first_failure() is None
+        assert report.entries == []
 
 
 def test_lco_fails_on_symplectic_quadrangle(sp42):
     report = check_lco(sp42)
     assert not report.ok
-    first = report.first_failure()
-    assert first is not None
+    first = report.entries[0]
     assert first.verdict.status == PROVEN_NONTRIVIAL
     # every chamber of every residue witnesses the failure here
     assert len(report.entries) == 45
@@ -264,3 +264,33 @@ def test_filtration_matches_reference(fano, sp42, thin_a3, digon33):
             assert outcome == residual_filtration_reference(f)
             axioms.add(outcome[0] if isinstance(outcome[0], str) else "pass")
     assert axioms == {"pass", "aff=A_f", "F3"}
+
+
+# -- certificates pinned ------------------------------------------------------
+
+
+def certificate_digest(verdicts):
+    """The SHA-256 of the verdicts' reprs, certificates included, in order."""
+    return hashlib.sha256(repr(list(verdicts)).encode()).hexdigest()
+
+
+def test_certificates_are_pinned(fano, sp43, pg32):
+    # a kill order, a kill relator, an invariant or a coset count that moves
+    # changes a digest: the pg3(2) lsco entries (abelianization certificates),
+    # the f^op eliminations of pg2(2) from every chamber and of sp4(3) from
+    # chamber 0, and a set whose kill closure stops short
+    rng = random.Random(26)
+    subset = frozenset(c for c in range(pg32.n) if rng.random() < 0.8)
+    cases = {
+        "pg32 lsco": check_lsco(pg32).entries,
+        "pg22 fop": [simply_2_connected(from_opposite_chamber(fano, c).fop(), fano)
+                     for c in range(fano.n)],
+        "sp43 fop": [simply_2_connected(from_opposite_chamber(sp43, 0).fop(), sp43)],
+        "pg32 cosets": [simply_2_connected(subset, pg32)],
+    }
+    assert {name: certificate_digest(v)[:16] for name, v in cases.items()} == {
+        "pg32 lsco": "34b2065ea565c2ae",
+        "pg22 fop": "48b825f8515eb734",
+        "sp43 fop": "90c6d0a3f7ad37ff",
+        "pg32 cosets": "16f8099bd21c081c",
+    }

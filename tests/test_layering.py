@@ -12,16 +12,17 @@ its body or set in those two.  On CPython 3.11 a key added to an instance
 ``__dict__`` after construction slows every attribute read on the instance.
 
 Every public function, class and method of the package is reached from
-outside its own definition: from another module, from its own module, from
-the acceptance tests, or from the benchmark under ``perfbench/``; a
-same-spelled name of another library (``itertools.product``) does not
-count.  A name only unit tests call is a second API to keep in step with
-the pipeline.
+outside its own definition: from another module, from its own module, or
+from the benchmark under ``perfbench/``; a same-spelled name of another
+library (``itertools.product``) does not count.  A name only tests call is
+a second API to keep in step with the pipeline, unless it is one of the
+paper's lemmas, listed with the acceptance criterion that specifies it, or
+awaits a caller.
 
 Likewise every defaulted parameter of a public function, method or class
-is set by some call in the package, the acceptance tests or the benchmark,
-to something other than its literal default: a value only unit tests
-choose is a module constant they monkeypatch.
+is set by some call in the package or the benchmark to something other
+than its literal default: a value only tests choose is a module constant
+they monkeypatch.
 
 Every dataclass field is read, by the package, the acceptance tests or the
 benchmark, and no dataclass stores a field named ``ok``: a report's verdict
@@ -92,6 +93,45 @@ MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
 def read(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def package_sources(root):
+    """{module: source} of the package under ``root``."""
+    folder = os.path.join(root, "src", "twinbuild")
+    return {m: read(os.path.join(folder, m))
+            for m in sorted(os.listdir(folder)) if m.endswith(".py")}
+
+
+def bench_sources(root):
+    """The sources of the benchmark's Python files under ``root``."""
+    return [read(os.path.join(folder, name))
+            for folder, _, files in sorted(os.walk(os.path.join(root, "perfbench")))
+            for name in sorted(files) if name.endswith(".py")]
+
+
+def write_tree(root, files):
+    """Write ``files`` ({relative path: text}) under ``root``."""
+    for path, text in files.items():
+        full = os.path.join(root, path)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        with open(full, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+# A package, a benchmark and an acceptance test that names everything: the
+# guards below read the first two only.
+TEST_ONLY = {
+    "src/twinbuild/a.py": (
+        "def traced():\n"
+        "    pass\n"
+        "def lemma():\n"
+        "    pass\n"
+        "def g(a=1, b=2):\n"
+        "    pass\n"
+    ),
+    "perfbench/spans.py": "TARGETS = ['a.traced']\ng(b=3)\n",
+    "tests/test_acceptance.py": "from twinbuild.a import g, lemma, traced\nlemma(), g(a=0)\n",
+}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -272,25 +312,51 @@ def unreached(sources, external):
     return found
 
 
+def bench_names(root):
+    """Every name the benchmark under ``root`` mentions: its tracer names
+    its targets by string."""
+    return set().union(*(named(ast.parse(src), strings=True) for src in bench_sources(root)))
+
+
 # Public names whose caller is still to come; an entry goes when it lands.
 # ``catalog.product``: only unit tests build product buildings until the
-# command line's ``gen product`` (ROADMAP item 9) calls it.
+# command line's ``gen product`` (ROADMAP item 12) calls it.
 AWAITING_CALLER = [("catalog.py", "product")]
+
+# The paper's lemmas that no step of the pipeline calls, each with the
+# acceptance criterion that specifies it.
+LEMMAS = [
+    ("codistance.py", "residue_profile", "AC3"),
+    ("homotopy.py", "residual_filtration", "AC5"),
+    ("panelcalc.py", "delta_panels", "AC6"),
+    ("panelcalc.py", "is_compatible_path", "AC6"),
+    ("panelcalc.py", "all_compatible_paths", "AC6"),
+    ("panelcalc.py", "l_c", "AC6"),
+    ("panelcalc.py", "PanelBijection.compose", "AC6"),
+    ("panelcalc.py", "PanelBijection.is_identity", "AC6"),
+    ("coxeter.py", "WeylTable.X_s", "AC6"),
+    ("coxeter.py", "WeylTable.prec", "AC6"),
+    ("coxeter.py", "WeylTable.max_coset_rep", "AC1"),
+    ("coxeter.py", "CoxeterMatrix.submatrix", "AC1"),
+]
 
 
 def test_every_public_name_is_reached():
-    # the benchmark's tracer names its targets by string
-    external = named(ast.parse(read(os.path.join(ROOT, "tests", "test_acceptance.py"))))
-    for folder, _, files in os.walk(os.path.join(ROOT, "perfbench")):
-        for name in files:
-            if name.endswith(".py"):
-                tree = ast.parse(read(os.path.join(folder, name)))
-                external |= named(tree, strings=True)
-    sources = {m: read(os.path.join(SRC, m)) for m in MODULES}
-    assert unreached(sources, external) == AWAITING_CALLER
+    found = unreached(package_sources(ROOT), bench_names(ROOT))
+    assert sorted(found) == sorted(AWAITING_CALLER + [(m, name) for m, name, _ in LEMMAS])
 
 
-def test_unreached_names_are_found():
+def test_every_lemma_is_an_acceptance_criterion():
+    # each lemma name is called in the section of tests/test_acceptance.py
+    # that its criterion heads, "# -- ACn: ..."
+    text = read(os.path.join(ROOT, "tests", "test_acceptance.py"))
+    sections = dict(re.findall(r"^# -- (AC\d+):.*\n((?:(?!# -- AC).*\n)*)", text, re.M))
+    for _, qualname, ac in LEMMAS:
+        name = qualname.rpartition(".")[2]
+        assert re.search(rf"\b{name}\(", sections[ac]), (qualname, ac)
+
+
+def test_unreached_names_are_found(tmp_path):
     sources = {
         "a.py": (
             "def used():\n"
@@ -321,6 +387,10 @@ def test_unreached_names_are_found():
         ),
     }
     assert unreached(sources, {"K"}) == [("a.py", "lonely"), ("a.py", "K.n")]
+    # a name the benchmark mentions, if only as a string, is reached; one
+    # only the acceptance tests call is not
+    write_tree(tmp_path, TEST_ONLY)
+    assert unreached(package_sources(tmp_path), bench_names(tmp_path)) == [("a.py", "lemma")]
 
 
 # -- defaults no caller sets --------------------------------------------------
@@ -426,16 +496,16 @@ def unset_defaults(sources, callers):
             if not any(sets(call, name, index, default) for call in calls.get(callee, ()))]
 
 
+def caller_sources(root):
+    """The sources whose calls set a default: the package's and the benchmark's."""
+    return [*package_sources(root).values(), *bench_sources(root)]
+
+
 def test_every_default_is_set_by_a_caller():
-    sources = {m: read(os.path.join(SRC, m)) for m in MODULES}
-    callers = list(sources.values())
-    callers.append(read(os.path.join(ROOT, "tests", "test_acceptance.py")))
-    for folder, _, files in os.walk(os.path.join(ROOT, "perfbench")):
-        callers += [read(os.path.join(folder, name)) for name in files if name.endswith(".py")]
-    assert unset_defaults(sources, callers) == []
+    assert unset_defaults(package_sources(ROOT), caller_sources(ROOT)) == []
 
 
-def test_unset_defaults_are_found():
+def test_unset_defaults_are_found(tmp_path):
     source = (
         "from dataclasses import dataclass, field\n"
         "from typing import ClassVar\n"
@@ -481,6 +551,10 @@ def test_unset_defaults_are_found():
         ("a.py", "K.m", "a"),
         ("a.py", "D", "z"),
     ]
+    # the benchmark's call sets b; the acceptance test's sets nothing
+    write_tree(tmp_path, TEST_ONLY)
+    found = unset_defaults(package_sources(tmp_path), caller_sources(tmp_path))
+    assert found == [("a.py", "g", "a")]
 
 
 # -- fields nothing reads -----------------------------------------------------
@@ -517,13 +591,8 @@ def unread_fields(sources, readers):
 
 
 def test_every_field_is_read():
-    sources = {m: read(os.path.join(SRC, m)) for m in MODULES}
-    readers = list(sources.values())
-    readers.append(read(os.path.join(ROOT, "tests", "test_acceptance.py")))
-    bench = os.path.join(ROOT, "perfbench")
-    readers += [read(os.path.join(bench, name))
-                for name in sorted(os.listdir(bench)) if name.endswith(".py")]
-    assert unread_fields(sources, readers) == []
+    readers = caller_sources(ROOT) + [read(os.path.join(ROOT, "tests", "test_acceptance.py"))]
+    assert unread_fields(package_sources(ROOT), readers) == []
 
 
 def test_unread_fields_are_found():

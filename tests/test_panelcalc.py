@@ -39,11 +39,11 @@ from twinbuild.panelcalc import (
     panels_op_c,
     pi,
 )
-from twinbuild.twinner import adjacent_codistances, beta_maps
+from twinbuild.twinner import adjacent_codistance, beta_maps
 
 
-def all_panels(b: Building):
-    return [P for s in range(b.system.rank) for P in b.all_panels(s)]
+def every_panel(b: Building):
+    return [P for s in range(b.system.rank) for P in b.residues_of_type((s,))]
 
 
 def mutually_projecting(b: Building, P, Q) -> bool:
@@ -62,7 +62,7 @@ def mutually_projecting(b: Building, P, Q) -> bool:
 @pytest.mark.parametrize("name", ["fano", "digon33", "thin_a3"])
 def test_parallel_iff_projection_covers(request, name):
     b = request.getfixturevalue(name)
-    panels = all_panels(b)
+    panels = every_panel(b)
     for P, Q in itertools.product(panels, panels):
         oracle = mutually_projecting(b, P, Q)
         assert b.are_parallel(P, Q) == oracle
@@ -71,7 +71,7 @@ def test_parallel_iff_projection_covers(request, name):
 
 def test_parallel_projection_sampled_pg32(pg32):
     b = pg32
-    panels = all_panels(b)
+    panels = every_panel(b)
     for P in (b.panel(0, 0), b.panel(0, 1), b.panel(0, 2)):
         for Q in panels:
             oracle = mutually_projecting(b, P, Q)
@@ -82,7 +82,7 @@ def test_parallel_projection_sampled_pg32(pg32):
 def test_parallel_panel_distances(thin_a3):
     b = thin_a3
     table = b.weyl
-    panels = all_panels(b)
+    panels = every_panel(b)
     for P, Q in itertools.product(panels, panels):
         if not b.are_parallel(P, Q):
             with pytest.raises(NotParallel):
@@ -130,7 +130,7 @@ def test_every_Xs_distance_is_realized(thin_a3):
 
 def test_projection_of_parallel_panel_on_residue(thin_a3):
     b = thin_a3
-    panels = all_panels(b)
+    panels = every_panel(b)
     pairs = [
         (P, Q) for P, Q in itertools.product(panels, panels)
         if P != Q and b.are_parallel(P, Q)
@@ -153,7 +153,7 @@ def test_projection_of_parallel_panel_on_residue(thin_a3):
 @pytest.mark.parametrize("name", ["fano", "digon33", "thin_a3", "thin_a1cubed"])
 def test_parallel_iff_compatible_path(request, name):
     b = request.getfixturevalue(name)
-    panels = all_panels(b)
+    panels = every_panel(b)
     for P, Q in itertools.product(panels, panels):
         if b.are_parallel(P, Q):
             path = compatible_path(b, P, Q)
@@ -168,7 +168,7 @@ def test_parallel_iff_compatible_path(request, name):
 def test_rank3_compatible_path_counts(request, name):
     b = request.getfixturevalue(name)
     R = b.residue(0, range(3))
-    panels = all_panels(b)
+    panels = every_panel(b)
     for P, Q in itertools.product(panels, panels):
         if P == Q or not b.are_parallel(P, Q):
             continue
@@ -186,7 +186,7 @@ def test_rank3_compatible_path_counts(request, name):
 @pytest.mark.parametrize("name", ["fano", "digon33", "thin_a3"])
 def test_all_compatible_paths_same_length(request, name):
     b = request.getfixturevalue(name)
-    panels = all_panels(b)
+    panels = every_panel(b)
     for P, Q in itertools.product(panels, panels):
         if not b.are_parallel(P, Q) or P == Q:
             continue
@@ -197,7 +197,7 @@ def test_all_compatible_paths_same_length(request, name):
 @pytest.mark.parametrize("name", ["fano", "digon33", "thin_a3"])
 def test_compatible_length_depends_only_on_distance(request, name):
     b = request.getfixturevalue(name)
-    panels = all_panels(b)
+    panels = every_panel(b)
     by_distance = {}
     for P, Q in itertools.product(panels, panels):
         if not b.are_parallel(P, Q):
@@ -214,7 +214,7 @@ def test_compatible_length_sampled_pg32(pg32):
     by_distance = {}
     for s in range(3):
         P = b.panel(0, s)
-        for Q in all_panels(b):
+        for Q in every_panel(b):
             if not b.are_parallel(P, Q):
                 continue
             key = (s, delta_panels(b, P, Q))
@@ -237,8 +237,8 @@ def test_step_failing_the_projection_condition_is_not_compatible(fano):
     # the second step of P0, L, N is not, as proj_R P0 = P0 != L
     R = fano.residue(0, (0, 1))
     P0 = fano.panel(0, 0)
-    L = next(Q for Q in all_panels(fano) if opposite_residues(fano, R, P0, Q))
-    N = next(Q for Q in all_panels(fano) if Q != P0 and opposite_residues(fano, R, L, Q))
+    L = next(Q for Q in every_panel(fano) if opposite_residues(fano, R, P0, Q))
+    N = next(Q for Q in every_panel(fano) if Q != P0 and opposite_residues(fano, R, L, Q))
     assert is_compatible_path(fano, [P0, L])
     assert is_compatible_path(fano, [L, N])
     assert not is_compatible_path(fano, [P0, L, N])
@@ -285,7 +285,7 @@ def test_pi_characterizations(request, name):
                     wt = table.right[w][t]
                     # exhaustive filter: conditions a)-d) hold for pi and
                     # for no other t-panel at distance w
-                    for Q in b.all_panels(t):
+                    for Q in b.residues_of_type((t,)):
                         if not b.are_parallel(P, Q) or delta_panels(b, P, Q) != w:
                             continue
                         a = any(f(x) == w for x in Q.chambers())
@@ -315,7 +315,7 @@ def test_pi_rejects_foreign_panel(fano):
     f = from_opposite_chamber(fano, 0)
     s = 0
     outside = next(
-        P for P in fano.all_panels(s) if P not in panels_op(f, s)
+        P for P in fano.residues_of_type((s,)) if P not in panels_op(f, s)
     )
     with pytest.raises(PreconditionFailed):
         pi(f, outside, 0)
@@ -481,7 +481,7 @@ def beta_reference(f, P, Q):
     for x, y in zip(gallery, gallery[1:]):
         here, there = b.panel(x, s), b.panel(y, s)
         if here != there:
-            t = next(tt for tt, z in b.system.neighbors(x) if z == y)
+            t = next(tt for tt, z in b.system.adjacency[x] if z == y)
             xJ = table.mult(table.gen(s), table.longest_element((s, t)))
             current = beta_w(f, here, there, xJ).compose(current)
     return current
@@ -521,8 +521,10 @@ def test_beta_on_disconnected_fop_matches_step_by_step_composition(sp42, chamber
         with pytest.raises(NotOpposite, match="no gallery in f\\^op joins"):
             beta_maps(f, ps[0])
     assert outcomes == {"bijection": 64, "NotOpposite": 64}
+    P = panels_op(f, 0)[0]
+    p = next(x for x in P.chambers() if f(x) == 0)
     with pytest.raises(NotOpposite, match="no gallery in f\\^op joins the panels"):
-        adjacent_codistances(f, 0, panels_op(f, 0)[0])
+        adjacent_codistance(f, 0, P, p)
 
 
 # -- the search behind beta_maps against per-edge beta_w ---------------------

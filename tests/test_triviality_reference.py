@@ -50,6 +50,18 @@ from twinbuild.homotopy import (
 from test_homotopy import coxeter_cycle
 
 
+def pairs(word):
+    """A word of ``_presentation``'s int letters as (generator, exponent)
+    pairs: letter 2i + 1 crosses edge i forward, 2i backward."""
+    return tuple((a >> 1, 1 if a & 1 else -1) for a in word)
+
+
+def presentation(b, subset):
+    """``_presentation`` with each relator decoded by ``pairs``."""
+    non_tree, relators = _presentation(b, subset)
+    return non_tree, list(map(pairs, relators))
+
+
 def sympy_decide(g, relators, coset_cap=DEFAULT_COSET_CAP):
     """The sympy decision of a presentation with g > 0 generators."""
     rows = []
@@ -98,7 +110,7 @@ def invariants(verdict):
 def assert_same_decision(b, subset):
     subset = frozenset(subset)
     ours = simply_2_connected(subset, b)
-    non_tree, relators = _presentation(b, subset)
+    non_tree, relators = presentation(b, subset)
     if not non_tree:
         assert ours.certificate == "forest"
         return ours
@@ -162,7 +174,7 @@ def replayed_kills(b, subset):
     each relator names its generator once and only generators killed
     before it otherwise, and every generator is killed in the end."""
     subset = frozenset(subset)
-    non_tree, relators = _presentation(b, subset)
+    non_tree, relators = presentation(b, subset)
     kind, order = simply_2_connected(subset, b).certificate
     assert kind == "elimination"
     relators = set(relators)
@@ -260,7 +272,9 @@ TRIANGLE_237 = [((0, 1),) * 2, ((1, 1),) * 3, ((2, 1),) * 7, ((0, 1), (1, 1), (2
     (3, TRIANGLE_237, 2000, TrivialityVerdict(INCONCLUSIVE, ("coset-cap", 2000))),
 ], ids=["A5", "trivial-perfect", "triangle-237"])
 def test_coset_enumeration(g, relators, cap, expected):
-    assert _decide(g, relators, cap) == expected
+    words = [tuple(2 * gen + (exp > 0) for gen, exp in rel) for rel in relators]
+    assert list(map(pairs, words)) == relators
+    assert _decide(g, words, cap) == expected
     assert sympy_decide(g, relators, cap) == expected
 
 
@@ -415,7 +429,7 @@ def assert_same_presentation(b, subset):
         with pytest.raises(NotConnected):
             _presentation(b, subset)
         return None
-    assert _presentation(b, subset) == expected
+    assert presentation(b, subset) == expected
     return expected
 
 

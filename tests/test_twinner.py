@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 from collections import Counter, deque
 
@@ -12,8 +13,11 @@ from conftest import fop_masks
 from twinbuild.catalog import (
     gen_digon,
     gen_pg2,
+    gen_sp4,
     gen_thin,
+    matrix_A1,
     matrix_A2,
+    matrix_B2,
     matrix_B4,
     matrix_I2,
     product,
@@ -41,7 +45,6 @@ from twinbuild.twinner import (
     _check_tw_axioms,
     _gonality,
     adjacent_codistance,
-    adjacent_codistances,
     alpha_check,
     assemble_twin,
     atlas_component,
@@ -114,20 +117,6 @@ def test_adjacent_codistance_marks_beta_orbit(fano):
         assert sum(1 for x in Q.chambers() if g(x) == 0) == len(Q) - 1
 
 
-def test_adjacent_codistance_choice_independent(fano):
-    # recomputing with every admissible panel per chamber changes nothing
-    b = fano
-    f = from_opposite_chamber(b, 0)
-    for s in range(2):
-        Ptilde = panels_op(f, s)[0]
-        for p in Ptilde.chambers():
-            if f(p) != 0:
-                continue
-            g1 = adjacent_codistance(f, s, Ptilde, p)
-            g2 = adjacent_codistance(f, s, Ptilde, p, check_choices=True)
-            assert g1 == g2
-
-
 def test_adjacent_codistance_alternate_base_panel(fano):
     # transporting the marked chamber to another base panel gives the same
     # neighbour
@@ -154,7 +143,7 @@ def test_adjacent_codistance_preconditions(fano):
     with pytest.raises(PreconditionFailed):
         adjacent_codistance(f, s, Ptilde, gap)
     outside = next(
-        P for P in b.all_panels(s) if P not in panels_op(f, s)
+        P for P in b.residues_of_type((s,)) if P not in panels_op(f, s)
     )
     with pytest.raises(PreconditionFailed):
         adjacent_codistance(f, s, outside, outside.base)
@@ -859,8 +848,7 @@ def test_opposition_refuses_each_way_a_gap_count_fails(request, name):
     atlas = atlas_component(from_opposite_chamber(b, 0))
     for s in range(b.system.rank):
         for kind, bad in gap_corruptions(atlas, s):
-            fops = [g.fop() for g in bad.members]
-            assert not twinner._panel_opposition(bad, s, fops, [twinner._mask(f) for f in fops])
+            assert not twinner._panel_opposition(bad, s, fop_masks(bad))
             flag = twinner._check_opposition(bad, fop_masks(bad))
             assert flag is loop_opposition_ok(bad) is False, kind
 
@@ -880,9 +868,19 @@ def test_opposition_refuses_a_tilde_smaller_than_its_panels(fano, pg23, s):
         for j in range(fano.n)
     ]
     bad = CodistanceAtlas(pg23, members, fano.system.panels)
-    fops = [g.fop() for g in members]
-    assert not twinner._panel_opposition(bad, s, fops, [twinner._mask(f) for f in fops])
+    assert not twinner._panel_opposition(bad, s, fop_masks(bad))
     assert twinner._check_opposition(bad, fop_masks(bad)) is loop_opposition_ok(bad) is False
+
+
+def test_assembly_keeps_no_fop_tuple_on_its_members(fano, fano_atlas):
+    # the opposition and plus-star checks read f^op off the masks and the
+    # value rows: members read from files, as ``twin verify`` reads them,
+    # never build the tuple ``Codistance.fop`` memoizes
+    _, atlas = fano_atlas
+    fresh = CodistanceAtlas(fano, [Codistance(fano, g.values) for g in atlas.members],
+                            atlas.panels)
+    assert assemble_twin(fresh, fano).report.ok
+    assert all(g._fop is None for g in fresh.members)
 
 
 def tw_axioms_reference(minus, plus, atlas):
@@ -952,11 +950,18 @@ def test_beta_orbit_matches_beta(request, fixture):
             }
 
 
-def adjacent_codistances_reference(f, s, Ptilde, check_choices=False):
+def each_neighbour(f, s, Ptilde):
+    """The s-neighbours of f, one ``adjacent_codistance`` per chamber p of
+    Ptilde in f^op, in ascending p."""
+    marks = [p for p in sorted(Ptilde.chambers()) if f(p) == 0]
+    return {p: adjacent_codistance(f, s, Ptilde, p) for p in marks}
+
+
+def neighbours_reference(f, s, Ptilde):
     """The s-neighbours of f by projection: per p, g_p(c) = s f(c) when the
     projection of c to a panel P of ``panels_op_c(f, s, c)`` is the gap of
     P (its one chamber outside f^op, of f-value s) or beta_P(p), with every
-    such P agreeing when ``check_choices``."""
+    such P agreeing."""
     b = f.building
     table = b.weyl
     if Ptilde not in panels_op(f, s):
@@ -973,8 +978,7 @@ def adjacent_codistances_reference(f, s, Ptilde, check_choices=False):
         choices = panels_op_c(f, s, c)
         if not choices:
             raise PreconditionFailed(f"no panel of f^op_{c} of type {s}")
-        use = choices if check_choices else choices[:1]
-        projections.append([(P, b.proj_chamber(P, c)) for P in use])
+        projections.append([(P, b.proj_chamber(P, c)) for P in choices])
     neighbours = {}
     for p in sorted(Ptilde.chambers()):
         if f(p) != 0:
@@ -1008,7 +1012,7 @@ def first_members(b, k=20):
         g = queue.popleft()
         for s in range(b.system.rank):
             try:
-                found = adjacent_codistances(g, s, panels_op(g, s)[0]).values()
+                found = each_neighbour(g, s, panels_op(g, s)[0]).values()
             except NotOpposite:
                 continue
             for h in found:
@@ -1026,7 +1030,7 @@ def outcome(kernel, *args):
         return type(e)
 
 
-KERNELS = (adjacent_codistances, adjacent_codistances_reference)
+KERNELS = (each_neighbour, neighbours_reference)
 
 
 def kernel_outcomes(*args):
@@ -1037,6 +1041,11 @@ def raised_message(kernel, *args):
     with pytest.raises(PreconditionFailed) as info:
         kernel(*args)
     return str(info.value)
+
+
+def named_chamber(message):
+    """The chamber a kernel's refusal names, its first number."""
+    return int(re.search(r"\d+", message).group())
 
 
 # the members drawn per building: the rank-3 pg3(2) reference is slow
@@ -1062,11 +1071,10 @@ def test_adjacent_codistances_match_reference(reference_buildings, name):
     for g in first_members(b, FIRST_MEMBERS.get(name, 20)):
         for s in range(b.system.rank):
             for Ptilde in panels_op(g, s)[:2]:
-                for check_choices in (False, True):
-                    new, ref = kernel_outcomes(g, s, Ptilde, check_choices)
-                    assert new == ref
-                    if isinstance(new, type):
-                        raised.add(new)
+                new, ref = kernel_outcomes(g, s, Ptilde)
+                assert new == ref
+                if isinstance(new, type):
+                    raised.add(new)
     # sp4(2) has no beta: its f^op joins no two panels of one type
     assert raised == ({NotOpposite} if name == "sp42" else set())
 
@@ -1091,18 +1099,21 @@ def test_adjacent_codistances_match_reference_on_corruptions(
         ops = panels_op(g, s)
         if not ops:
             continue
-        args = (g, s, rng.choice(ops), rng.random() < 0.5)
+        args = (g, s, rng.choice(ops))
+        rng.random()   # a spare draw: each corruption takes five, as seeded
         new, ref = kernel_outcomes(*args)
         assert new == ref
         kinds.add((len(changed), new if isinstance(new, type) else "result"))
-        if new is PreconditionFailed and not args[3] and not any(
-            fop_c(g, c) for c in changed
-        ):
+        if new is PreconditionFailed and not any(fop_c(g, c) for c in changed):
             # every chamber changed has lost its panels; where the reference
-            # names one, both name the least
+            # names the least, the kernel names it too, or a smaller chamber
+            # in the beta-orbits of two marks
             messages = [raised_message(kernel, *args) for kernel in KERNELS]
             if messages[1].startswith("no panel of"):
-                assert messages[0] == messages[1]
+                if messages[0].startswith("panel choice"):
+                    assert named_chamber(messages[0]) < named_chamber(messages[1])
+                else:
+                    assert messages[0] == messages[1]
                 named += 1
     assert {(1, "result"), (1, PreconditionFailed), (2, PreconditionFailed)} <= kinds
     assert named
@@ -1114,54 +1125,16 @@ def test_adjacent_codistances_match_reference_on_corruptions(
 ], ids=["fano", "pg32"])
 def test_panel_choice_conflict_is_refused(reference_buildings, name, base, changes, s, i):
     # corruptions that put a chamber no shorter under s into the beta-orbits
-    # of two marks: with check_choices, both kernels name it
+    # of two marks: both kernels name it
     b = reference_buildings[name]
     values = list(from_opposite_chamber(b, base).values)
     for c, v in changes:
         values[c] = v
     g = Codistance(b, values)
-    args = (g, s, panels_op(g, s)[i], True)
+    args = (g, s, panels_op(g, s)[i])
     messages = [raised_message(kernel, *args) for kernel in KERNELS]
     assert messages[0] == messages[1]
     assert messages[0].startswith("panel choice changes the value at chamber ")
-
-
-def first_owner_rows(f, s, Ptilde):
-    """Per mark p, f's values with c moved to s f(c) where s shortens f(c)
-    or p is the first mark, panels in ``panels_op`` order, whose beta-orbit
-    chamber x has delta(x, c) = f(c): the rows of ``_adjacent_rows`` without
-    ``check_choices``, one chamber at a time."""
-    b = f.building
-    table = b.weyl
-    marks = [p for p in sorted(Ptilde.chambers()) if f(p) == 0]
-    orbit = [(m[p], p) for m in beta_maps(f, Ptilde).values() for p in marks]
-    owner = [next(p for x, p in orbit if b.delta(x, c) == f(c)) for c in range(b.n)]
-    moved = [table.left[w][s] for w in f.values]
-    down = [table.length[v] < table.length[w] for v, w in zip(moved, f.values)]
-    return {p: [v if d or o == p else w for v, d, o, w in zip(moved, down, owner, f.values)]
-            for p in marks}
-
-
-@pytest.mark.parametrize("name, base, changes, s, i", [
-    ("fano", 10, ((1, 3), (2, 1), (0, 3)), 1, 0),
-    ("pg32", 109, ((182, 10), (39, 14)), 1, 10),
-], ids=["fano", "pg32"])
-@pytest.mark.parametrize("rows", ["bytes", "tuple"])
-def test_a_chamber_in_two_orbits_moves_for_its_first_owner(
-    request, name, base, changes, s, i, rows
-):
-    # the choice conflicts above: without check_choices the chamber the
-    # conflict names moves in the row of one mark only, the first owner's
-    b = request.getfixturevalue(name if rows == "bytes" else name + "_tuple")
-    values = list(from_opposite_chamber(b, base).values)
-    for c, v in changes:
-        values[c] = v
-    g = Codistance(b, values)
-    Ptilde = panels_op(g, s)[i]
-    got = {p: list(row) for p, row in twinner._adjacent_rows(g, s, Ptilde).items()}
-    assert got == first_owner_rows(g, s, Ptilde)
-    c = int(raised_message(twinner._adjacent_rows, g, s, Ptilde, True).split()[-1])
-    assert sum(row[c] != g(c) for row in got.values()) == 1
 
 
 # -- the same differentials on tuple rows: 16-bit lanes -------------------------
@@ -1237,8 +1210,8 @@ def test_atlas_refuses_a_corrupted_new_row(monkeypatch, fano):
     rows = twinner._adjacent_rows
     corrupted = []
 
-    def corrupting(g, s, Ptilde, check_choices=False):
-        got = rows(g, s, Ptilde, check_choices)
+    def corrupting(g, s, Ptilde):
+        got = rows(g, s, Ptilde)
         if not corrupted:
             p = max(got)
             values = list(got[p])
@@ -1253,6 +1226,46 @@ def test_atlas_refuses_a_corrupted_new_row(monkeypatch, fano):
     report = validate_codistance(Codistance(fano, corrupted[0]))
     assert not report.ok
     assert str(info.value) == f"constructed map is not a codistance: {report}"
+
+
+# -- every atlas step refuses a panel choice that changes a neighbour ----------
+
+
+CATALOG = {
+    "pg2_5": lambda: gen_pg2(5),
+    "digon_2_2": lambda: gen_digon(2, 2),
+    "digon_2_3": lambda: gen_digon(2, 3),
+    "digon_2_4": lambda: gen_digon(2, 4),
+    "digon_3_4": lambda: gen_digon(3, 4),
+    "thin_a1": lambda: gen_thin(matrix_A1()),
+    "thin_b2": lambda: gen_thin(matrix_B2()),
+    "thin_b4": lambda: gen_thin(matrix_B4()),
+    "thin_i2_4": lambda: gen_thin(matrix_I2(4)),
+    "thin_i2_6": lambda: gen_thin(matrix_I2(6)),
+    "a2_x_fano": lambda: product(
+        gen_thin(CoxeterMatrix(("a", "b"), ((1, 3), (3, 1)))), gen_pg2(2)),
+    "sp42_x_a1": lambda: product(gen_sp4(2), gen_thin(matrix_A1())),
+}
+
+
+@pytest.mark.parametrize("name", [
+    "fano", "pg23", "pg32", "sp42", "sp43", "digon33", "thin_a2", "thin_a3",
+    *CATALOG,
+])
+def test_atlas_from_three_chambers_of_every_catalog_building(request, name):
+    # each step of atlas_component checks that its neighbours do not depend on
+    # the panel of P_s^op chosen; the closure reaches every chamber of B and
+    # the twin passes, or f^op joins no two panels of a type and beta fails
+    b = CATALOG[name]() if name in CATALOG else request.getfixturevalue(name)
+    for c in sorted({0, b.n // 2, b.n - 1}):
+        f = from_opposite_chamber(b, c)
+        if name.startswith("sp42"):
+            with pytest.raises(NotOpposite):
+                atlas_component(f)
+            continue
+        atlas = atlas_component(f)
+        assert len(atlas.members) == b.n
+        assert all(vars(assemble_twin(atlas, b, seed=f).report).values())
 
 
 def gonality_reference(b, R):
@@ -1349,8 +1362,9 @@ def test_pg32_twin_from_chamber_0(pg32):
     f = from_opposite_chamber(pg32, 0)
     atlas = atlas_component(f)
     assert len(atlas.members) == 315
-    # pg3(2) fails lsco, so the first-owner rule of adjacent_codistances, not
-    # a theorem, picks each neighbour: pin the order, not only the set
+    # pg3(2) fails lsco, so no theorem covers its atlas: every step refuses a
+    # panel choice that changes a neighbour, and none does; pin the order,
+    # not only the set
     assert atlas_digest(atlas) == "4c9372cbd3e26955"
     oracle = {from_opposite_chamber(pg32, c).values for c in range(pg32.n)}
     assert {g.values for g in atlas.members} == oracle
