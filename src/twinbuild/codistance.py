@@ -7,6 +7,7 @@ Values are stored as one row of Weyl ids, one byte each while they fit
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 from .chambersys import Building, ResidueRef, panel_axiom
@@ -163,11 +164,14 @@ def fop_c(f: Codistance, c: int) -> tuple[int, ...]:
 
 def panels_op(f: Codistance, s: int) -> tuple[ResidueRef, ...]:
     """The s-panels meeting f^op in ascending base, memoized on f: ascending
-    index in the building's s-partition is ascending base."""
+    index in the building's s-partition is ascending base.  The index is
+    read through f's identity marks, so no f^op tuple is kept on f."""
     got = f._psop_cache.get(s)
     if got is None:
-        panels, index = f.building.partition((s,))
-        got = tuple(map(panels.__getitem__, sorted(set(map(index.__getitem__, f.fop())))))
+        b = f.building
+        panels, index = b.partition((s,))
+        met = set(compress(index, b.weyl.identity_marks(f.values)))
+        got = tuple(map(panels.__getitem__, sorted(met)))
         f._psop_cache[s] = got
     return got
 

@@ -127,6 +127,7 @@ class WeylTable:
     longest: dict[frozenset, int] = field(init=False, repr=False, compare=False)
     pack: type = field(init=False, repr=False, compare=False)  # a row of ids: bytes if ids fit
     lane_bits: int = field(init=False, repr=False, compare=False)  # per id in ``lanes``
+    identity_marks: Callable = field(init=False, repr=False, compare=False)  # w -> whether w is 1
     # by s, ``row_map``s: w -> the floor of w, ws (the smaller id); w -> whether
     # w is the shorter [0] or longer [1] of w, ws; w -> sw; w -> whether sw < w
     floor_rows: list[Callable] = field(init=False, repr=False, compare=False)
@@ -148,6 +149,7 @@ class WeylTable:
         self.pack = bytes if self.size <= 256 else tuple
         self.lane_bits = 8 if self.pack is bytes else 16
         types = range(self.rank)
+        self.identity_marks = self.row_map([w == 0 for w in range(self.size)])
         floors = [[min(w, ws[s]) for w, ws in enumerate(self.right)] for s in types]
         self.floor_rows = [self.row_map(fl) for fl in floors]
         self.mark_rows = [[self.row_map([(w != f) == up for w, f in enumerate(fl)])

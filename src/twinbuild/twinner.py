@@ -17,7 +17,7 @@ from itertools import combinations, compress
 from operator import and_, or_
 from typing import ClassVar, Iterable, Optional, Sequence
 
-from .chambersys import Building, ChamberSystem, ResidueRef, validate_building
+from .chambersys import Building, ChamberSystem, ResidueRef, panel_table, validate_building
 from .codistance import Codistance, panels_op, proj_f, validate_codistance
 from .coxeter import WeylTable
 from .errors import (
@@ -205,10 +205,11 @@ def _identity_masks(table: WeylTable, rows: Iterable[Sequence[int]]) -> list[int
 def _fop_labels(atlas: CodistanceAtlas, J: Iterable[int]):
     """The map of member j to the J-residue index of each chamber of g_j^op,
     in ascending chamber order: the building's ``partition(J)`` index
-    compressed by g_j's row mapped to 1 at the identity and 0 elsewhere."""
+    compressed by g_j's row mapped to 1 at the identity and 0 elsewhere
+    (``WeylTable.identity_marks``)."""
     b = atlas.building
     index = b.partition(J)[1]
-    marks = b.weyl.row_map([1] + [0] * (b.weyl.size - 1))
+    marks = b.weyl.identity_marks
     members = atlas.members
     return lambda j: compress(index, marks(members[j].values))
 
@@ -391,8 +392,10 @@ def _halves(atlas: CodistanceAtlas):
 
 def _check_tw_axioms(atlas: CodistanceAtlas) -> bool:
     """The twinning axioms (Tw2) and (Tw3) for delta*(g, c) = g(c), on both
-    halves: every row of each half, as a map on the other half, must pass
-    ``validate_codistance``.
+    halves: every row of each half, as a map on the other half, must hold
+    the panel axiom of ``validate_codistance``, the longer value marked.
+    Each half is one table of rows, decided at once by ``panel_table``; only
+    the verdict is reported, so no row is searched for its violation.
 
     On one s-panel, (Tw2) and (Tw3) at every chamber y are the panel axiom.
     Take y with the longest value u: (Tw3) gives another chamber at us, and
@@ -402,11 +405,7 @@ def _check_tw_axioms(atlas: CodistanceAtlas) -> bool:
     chamber, and at every other chamber (Tw2) is void, since (us)s = u is
     longer, while y is the (Tw3) witness.
     """
-    return all(
-        validate_codistance(Codistance(Y, row)).ok
-        for _, Y, rows in _halves(atlas)
-        for row in rows
-    )
+    return all(panel_table(Y.system, rows, longer=True) for _, Y, rows in _halves(atlas))
 
 
 def _check_plus_star(atlas: CodistanceAtlas, fop_masks: Sequence[int]) -> bool:

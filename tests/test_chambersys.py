@@ -3,13 +3,14 @@ import itertools
 import os
 import random
 import sys
+import time
 import tracemalloc
 from collections import deque
 from itertools import combinations
 
 import pytest
 
-from conftest import fop_masks, opposite_chambers, opposite_residues, tuple_rows
+from conftest import TupleRowTable, fop_masks, opposite_chambers, opposite_residues, tuple_rows
 
 from twinbuild.catalog import (
     gen_digon,
@@ -30,6 +31,8 @@ from twinbuild.chambersys import (
     Building,
     BuildingReport,
     ChamberSystem,
+    panel_axiom,
+    panel_table,
     validate_building,
 )
 from twinbuild.codistance import from_opposite_chamber
@@ -338,6 +341,21 @@ def test_validator_matches_reference_on_delta_changes(request, name, count):
     for mutated in delta_changes(b, random.Random(f"delta-{name}"), count):
         report = validate_building(mutated)
         assert not report.ok
+        assert report == validate_building_reference(mutated)
+
+
+@pytest.mark.parametrize("name", ["fano", "pg32", "pg32_tuple"])
+def test_validator_reads_bu1_off_the_diagonal(request, name):
+    # row x replaced by row y != x: every row still holds the panel axiom
+    # and one identity, so only the table's diagonal refuses it
+    b = request.getfixturevalue(name)
+    rng = random.Random(f"diagonal-{name}")
+    for _ in range(10):
+        x, y = rng.sample(range(b.n), 2)
+        mutated = copy.copy(b)
+        mutated.rows = b.rows[:x] + [b.rows[y]] + b.rows[x + 1:]
+        report = validate_building(mutated)
+        assert report.violation.axiom == "Bu1"
         assert report == validate_building_reference(mutated)
 
 
@@ -695,3 +713,123 @@ def test_derived_rows_peak_memory(pg33):
         tracemalloc.stop()
     held = sys.getsizeof(b.rows) + sum(map(sys.getsizeof, b.rows))
     assert peak <= 1.15 * held, (peak, held)
+
+
+# -- the table form of the panel axiom ------------------------------------------
+
+
+def row_verdicts(system: ChamberSystem, row) -> dict[bool, bool]:
+    """Per ``longer``, whether ``panel_axiom`` holds on row for every type."""
+    return {longer: all(panel_axiom(system, row, s, longer) for s in range(system.rank))
+            for longer in (False, True)}
+
+
+def assert_table_verdicts(system, tuple_system, rows, expected):
+    """``panel_table`` on rows, as bytes, tuple and list rows, gives
+    ``expected[longer]``."""
+    for longer in (False, True):
+        for on, packed in ((system, rows), (tuple_system, [tuple(row) for row in rows]),
+                           (system, [list(row) for row in rows]),
+                           (tuple_system, [list(row) for row in rows])):
+            assert panel_table(on, packed, longer) == expected[longer], (on, longer)
+
+
+def table_cases(b: Building, t: Building):
+    """The tables of b's twin from chamber 0, each with its chamber system
+    on bytes and tuple rows: b's delta rows, the atlas members' rows, and
+    ``minus_rows`` on B+."""
+    atlas = atlas_component(from_opposite_chamber(b, 0))
+    return [
+        ("delta", b.system, t.system, b.rows),
+        ("members", b.system, t.system, [g.values for g in atlas.members]),
+        ("minus", atlas.plus.system, tuple_rows(atlas.plus).system, atlas.minus_rows),
+    ]
+
+
+@pytest.mark.parametrize("name, count", [("fano", 40), ("pg32", 12)])
+def test_panel_table_matches_the_row_form_on_corruptions(request, name, count):
+    # the verdict on a table is all(panel_axiom(row, s, longer)) over its
+    # rows and types, for each ``longer``; each table is corrupted in one
+    # row at one or two values, seeded.  pg3(2)'s tables of 315 rows span
+    # three blocks of the kernel
+    b, t = request.getfixturevalue(name), request.getfixturevalue(name + "_tuple")
+    rng = random.Random(f"table-{name}")
+    size = b.weyl.size
+    for kind, system, tuple_system, rows in table_cases(b, t):
+        clean = [row_verdicts(system, row) for row in rows]
+        expected = {longer: all(v[longer] for v in clean) for longer in (False, True)}
+        # delta rows mark the shorter value, the codistance rows the longer
+        assert expected == {False: kind == "delta", True: kind != "delta"}
+        assert_table_verdicts(system, tuple_system, rows, expected)
+        refused = set()
+        for _ in range(count):
+            x = rng.randrange(len(rows))
+            row = list(rows[x])
+            for c in rng.sample(range(len(row)), rng.randint(1, 2)):
+                row[c] = rng.choice([w for w in range(size) if w != row[c]])
+            got = row_verdicts(system, row)
+            others = clean[:x] + clean[x + 1:]
+            expected = {longer: got[longer] and all(v[longer] for v in others)
+                        for longer in (False, True)}
+            refused |= {longer for longer in expected if not expected[longer]}
+            table = list(rows)
+            table[x] = system.weyl.pack(row)
+            assert_table_verdicts(system, tuple_system, table, expected)
+        assert refused == {False, True}
+
+
+@pytest.mark.parametrize("longer", [False, True])
+def test_panel_table_refuses_one_broken_panel_in_the_last_row(longer):
+    # a rank-1 system of 100 panels of 3, on 300 rows of 3 blocks: every
+    # row marks one chamber per panel, and the last row loses the mark of
+    # its last panel alone, or holds two there
+    table = enumerate_weyl(matrix_A1())
+    n, s = 300, table.gen(0)
+    system = ChamberSystem(table, n, [[(c, c + 1, c + 2) for c in range(0, n, 3)]])
+    tuple_system = ChamberSystem(TupleRowTable(table.matrix, table.size, table.length,
+                                               table.right, table.left, table.word),
+                                 n, system.panels)
+    marked, plain = (s, 0) if longer else (0, s)
+    rng = random.Random("last-row")
+    rows = [table.pack([marked if c % 3 == k else plain for c in range(n)])
+            for k in (rng.randrange(3) for _ in range(300))]
+    assert panel_table(system, rows, longer) and not panel_table(system, rows, not longer)
+    for last in ([plain] * 3, [marked] * 2 + [plain]):
+        broken = rows[:-1] + [rows[-1][:-3] + table.pack(last)]
+        assert [row_verdicts(system, row)[longer] for row in broken] == [True] * 299 + [False]
+        assert_table_verdicts(system, tuple_system, broken, {longer: False, not longer: False})
+
+
+@pytest.mark.parametrize("marks", [257, 2])
+def test_panel_table_reads_panels_wider_than_a_lane(marks):
+    # one panel of 600 chambers, two rows: row 0 holds the identity at
+    # ``marks`` chambers, row 1 at none.  Summed byte lanes alone would
+    # carry 256 of 257 marks into row 1's lane and read one mark per row;
+    # the count refuses 257 marks, and the OR refuses row 1's empty lane
+    # when the count of 2 is right
+    table = enumerate_weyl(matrix_A1())
+    n, s = 600, table.gen(0)
+    system = ChamberSystem(table, n, [[tuple(range(n))]])
+    rows = [table.pack([0] * marks + [s] * (n - marks)), table.pack([s] * n)]
+    assert not any(row_verdicts(system, row)[False] for row in rows)
+    assert not panel_table(system, rows, longer=False)
+    assert panel_table(system, [table.pack([0] + [s] * (n - 1))] * 2, longer=False)
+
+
+def rank_1_bundle(n: int) -> Building:
+    """The rank-1 building of one panel of n chambers."""
+    return Building(ChamberSystem(enumerate_weyl(matrix_A1()), n, [[tuple(range(n))]]))
+
+
+def test_rank_1_rows_are_the_searched_rows():
+    b = rank_1_bundle(50)
+    assert b.rows == [b.weyl.pack(b._compute_row(x)) for x in range(b.n)]
+    assert validate_building(b).ok
+
+
+def test_rank_1_bundle_of_1000_chambers_builds_and_validates_quickly():
+    # rows are written down, not searched: the search took 2.76 s at 400
+    # chambers and grew eightfold per doubling
+    start = time.perf_counter()
+    assert validate_building(rank_1_bundle(1000)).ok
+    assert time.perf_counter() - start < 1

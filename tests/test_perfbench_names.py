@@ -58,8 +58,10 @@ def test_twin_step_runs_every_check(pg23, monkeypatch):
     # speed-up that drops a validation changes a count here.  Adjacent
     # codistances are read off beta-orbits and project no chamber.  The atlas
     # validates each of its 51 members beyond the seed once, as it joins, and
-    # the (Tw2)/(Tw3) check one row per chamber of either half, 52 + 52:
-    # 51 + 104 = 155 validations.  Alpha on J = {s} is decided per member
+    # the (Tw2)/(Tw3) check hands one row per chamber of either half, 52 + 52,
+    # to the table kernel ``panel_table``, which the tracer does not see: its
+    # rows are counted by wrapping it, and must be every row of each half,
+    # each on the other half's chamber system.  Alpha on J = {s} is decided per member
     # from gap counts, with no pair and no projection; on J = {0, 1} it is
     # decided per pair by ``twinner._alpha_kernel``, which the tracer does
     # not see: its pairs are counted by wrapping it, each (tilde, R) once,
@@ -77,14 +79,29 @@ def test_twin_step_runs_every_check(pg23, monkeypatch):
 
         return counting_pair
 
+    tables = []
+    panel_table = twinner.panel_table
+
+    def counting_table(system, rows, longer):
+        rows = list(rows)
+        tables.append((system, rows, longer))
+        return panel_table(system, rows, longer)
+
     monkeypatch.setattr(twinner, "_alpha_kernel", counting_kernel)
+    monkeypatch.setattr(twinner, "panel_table", counting_table)
     f = from_opposite_chamber(pg23, 0)
     tracer = load_spans().Tracer()
     tracer.install()
     try:
         atlas = twinner.atlas_component(f)
         assert twinner.assemble_twin(atlas, pg23, seed=f).report.ok
-        assert tracer.call_count("codistance.validate_codistance") == 155
+        assert tracer.call_count("codistance.validate_codistance") == 51
+        halves = [(pg23.system, [g.values for g in atlas.members]),
+                  (atlas.plus.system, atlas.minus_rows)]
+        assert len(tables) == len(halves)
+        for (system, rows, longer), (other, half) in zip(tables, halves):
+            assert system is other and rows == half and longer
+        assert sum(len(rows) for _, rows, _ in tables) == 104
         assert len(pairs) == len(set(pairs)) == 1
         assert sum(len(tilde) for tilde, _ in pairs) == 52
         assert tracer.call_count("codistance.proj_f") == 52

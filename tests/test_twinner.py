@@ -883,6 +883,20 @@ def test_assembly_keeps_no_fop_tuple_on_its_members(fano, fano_atlas):
     assert all(g._fop is None for g in fresh.members)
 
 
+def test_atlas_keeps_no_fop_tuple_and_panels_op_is_unchanged(pg23):
+    # ``panels_op`` reads the s-partition index through the identity marks
+    # of a member's row; the panels are those read off the f^op tuple, here
+    # built on a copy, and no member keeps a tuple
+    atlas = atlas_component(from_opposite_chamber(pg23, 0))
+    for g in atlas.members:
+        fop = Codistance(pg23, g.values).fop()
+        for s in range(pg23.system.rank):
+            panels, index = pg23.partition((s,))
+            assert panels_op(g, s) == tuple(
+                map(panels.__getitem__, sorted(set(map(index.__getitem__, fop)))))
+    assert all(g._fop is None for g in atlas.members)
+
+
 def tw_axioms_reference(minus, plus, atlas):
     """(Tw2) and (Tw3) as plain loops over every member, chamber and type,
     on both halves."""
