@@ -395,11 +395,13 @@ def panel_table(system: ChamberSystem, rows: Iterable[Sequence[int]], longer: bo
             floors = tuple(map(table.floor_rows[s](joined).__getitem__, columns))
             if system.successors[s](floors) != floors:
                 return False
+            del floors   # one set of columns at a time: about half the peak
             marks = bytes(table.mark_rows[s][longer](joined))
             lanes = list(map(int.from_bytes, map(marks.__getitem__, columns), repeat("little")))
             if marks.count(1) != len(block) * len(panels) or any(
                     reduce(or_, map(lanes.__getitem__, p)) != ones for p in panels):
                 return False
+            del marks, lanes
     return True
 
 
@@ -410,14 +412,15 @@ def validate_building(b: Building) -> BuildingReport:
     The whole table passes at once when its diagonal is the identity and it
     holds n identities in all, which is Bu1, and ``panel_table`` accepts its
     rows, the shorter value marked.  A table refused is searched row by row,
-    so every report names the same first violation: a row x passes at once
-    when delta(x, -) is 1 at x alone and ``panel_axiom`` holds on it for
-    every s; any other row is searched test by test, in order, for the
-    violation.  On an s-panel P either accept is Bu2 and Bu3 at every y in
-    P: at y of shortest value u, Bu3 gives a chamber at us, longer by
-    minimality, and Bu2 puts us at every other chamber.  Conversely, if P holds u at y alone and us
-    elsewhere, Bu2 and Bu3 hold at y, and at any other chamber every value
-    is w = us or ws = u, with y the Bu3 witness.
+    as the table form gives a verdict and no witness, and the report names
+    the first violation in row order: a row x passes at once when
+    delta(x, -) is 1 at x alone and ``panel_axiom`` holds on it for every
+    s; any other row is searched test by test, in order, for the violation.
+    On an s-panel P either accept is Bu2 and Bu3 at every y in P: at y of
+    shortest value u, Bu3 gives a chamber at us, longer by minimality, and
+    Bu2 puts us at every other chamber.  Conversely, if P holds u at y alone
+    and us elsewhere, Bu2 and Bu3 hold at y, and at any other chamber every
+    value is w = us or ws = u, with y the Bu3 witness.
 
     These W-metric axioms imply that delta is symmetric and that l(delta)
     is the gallery distance d, so neither is checked apart:

@@ -395,7 +395,10 @@ def _check_tw_axioms(atlas: CodistanceAtlas) -> bool:
     halves: every row of each half, as a map on the other half, must hold
     the panel axiom of ``validate_codistance``, the longer value marked.
     Each half is one table of rows, decided at once by ``panel_table``; only
-    the verdict is reported, so no row is searched for its violation.
+    the verdict is reported, so no row is searched for its violation.  The
+    row form, ``validate_codistance``, stays for a single codistance, as an
+    atlas member when it joins: on one row the table form costs about ten
+    times as much.
 
     On one s-panel, (Tw2) and (Tw3) at every chamber y are the panel axiom.
     Take y with the longest value u: (Tw3) gives another chamber at us, and

@@ -624,8 +624,14 @@ def on_reference_rows(b: Building) -> Building:
     return ref
 
 
+def rank_1_bundle(n: int) -> Building:
+    """The rank-1 building of one panel of n chambers."""
+    return Building(ChamberSystem(enumerate_weyl(matrix_A1()), n, [[tuple(range(n))]]))
+
+
 CATALOG = {
     "thin_a1": lambda: gen_thin(matrix_A1()),
+    "rank_1_50": lambda: rank_1_bundle(50),
     "thin_a2": lambda: gen_thin(matrix_A2()),
     "thin_b2": lambda: gen_thin(matrix_B2()),
     "thin_g2": lambda: gen_thin(matrix_I2(6)),
@@ -814,17 +820,6 @@ def test_panel_table_reads_panels_wider_than_a_lane(marks):
     assert not any(row_verdicts(system, row)[False] for row in rows)
     assert not panel_table(system, rows, longer=False)
     assert panel_table(system, [table.pack([0] + [s] * (n - 1))] * 2, longer=False)
-
-
-def rank_1_bundle(n: int) -> Building:
-    """The rank-1 building of one panel of n chambers."""
-    return Building(ChamberSystem(enumerate_weyl(matrix_A1()), n, [[tuple(range(n))]]))
-
-
-def test_rank_1_rows_are_the_searched_rows():
-    b = rank_1_bundle(50)
-    assert b.rows == [b.weyl.pack(b._compute_row(x)) for x in range(b.n)]
-    assert validate_building(b).ok
 
 
 def test_rank_1_bundle_of_1000_chambers_builds_and_validates_quickly():
