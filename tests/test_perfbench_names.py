@@ -58,15 +58,16 @@ def test_twin_step_runs_every_check(pg23, monkeypatch):
     # speed-up that drops a validation changes a count here.  Adjacent
     # codistances are read off beta-orbits and project no chamber.  The atlas
     # validates each of its 51 members beyond the seed once, as it joins, and
-    # the (Tw2)/(Tw3) check hands one row per chamber of either half, 52 + 52,
-    # to the table kernel ``panel_table``, which the tracer does not see: its
-    # rows are counted by wrapping it, and must be every row of each half,
-    # each on the other half's chamber system.  Alpha on J = {s} is decided per member
-    # from gap counts, with no pair and no projection; on J = {0, 1} it is
-    # decided per pair by ``twinner._alpha_kernel``, which the tracer does
-    # not see: its pairs are counted by wrapping it, each (tilde, R) once,
-    # with one projection onto R per member of tilde.  pg2(3) has rank 2, so
-    # the one pair is B+ against B, 52 members and 52 projections.
+    # the (Tw2)/(Tw3) check hands one row per chamber of either half, 52 +
+    # 52, to the table kernel ``panel_table``, which the tracer does not see:
+    # its rows are counted by wrapping it, and must be every row of each
+    # half, each on the other half's chamber system.  Alpha on J = {s} is
+    # decided per member from gap counts, with no pair and no projection; on
+    # J = {0, 1} it is decided per pair by ``twinner._alpha_kernel``, which
+    # the tracer does not see either: its pairs are counted by wrapping it,
+    # each (tilde, R) once, with one projection onto R per member of tilde.
+    # pg2(3) has rank 2, so the one pair is B+ against B, 52 members and 52
+    # projections.
     pairs = []
     kernel = twinner._alpha_kernel
 
