@@ -2,14 +2,16 @@
 
 A Building wraps a ChamberSystem together with the Weyl-valued distance
 delta computed from minimal galleries.  Each residue is one interned
-ResidueRef carrying its chambers, kept in the partition of its type J: the
-J-residues by least chamber and a chamber -> residue-index list, built in
-one sweep when J is first asked for.  The delta table is computed eagerly,
-as validation reads every row, one row per chamber packed by
-``WeylTable.pack``: row 0 by breadth-first search, which checks that the
-chamber system is gallery-connected, the rest from two known rows by WD2
-(``Building._derive_rows``), or by a search where no rule applies: 21 rows
-of 315 on pg3(2), 83 of 2,080 on pg3(3), row 0 alone on a thin building.
+ResidueRef of three fields, its building, its type J and its chambers in
+ascending order (``members``, whose first is its ``base``), kept in the
+partition of its type J: the J-residues by least chamber and a chamber ->
+residue-index list, built in one sweep when J is first asked for.  The
+delta table is computed eagerly, as validation reads every row, one row
+per chamber packed by ``WeylTable.pack``: row 0 by breadth-first search,
+which checks that the chamber system is gallery-connected, the rest from
+two known rows by WD2 (``Building._derive_rows``), or by a search where no
+rule applies: 21 rows of 315 on pg3(2), 83 of 2,080 on pg3(3), row 0 alone
+on a thin building.
 Building validation is the Bu1-Bu3 pass of ``validate_building``; those
 axioms imply that delta is symmetric and that its length is the gallery distance.
 
@@ -116,8 +118,9 @@ class ChamberSystem:
 
 @dataclass(frozen=True, eq=False)
 class ResidueRef:
-    """The J-residue containing ``base`` (base = least chamber), with its
-    chambers in ascending order.
+    """A J-residue of ``building``: its fields are the building, the type J
+    and its chambers in ascending order, ``members``; ``base``, its least
+    chamber, is ``members[0]``.
 
     ``Building.partition`` is the only place a ResidueRef is made, and it
     makes one per residue, returned for every chamber of it.  So a
@@ -127,15 +130,14 @@ class ResidueRef:
 
     building: "Building"
     J: frozenset[int]
-    base: int
     members: tuple[int, ...] = field(repr=False)
-    member_set: frozenset = field(repr=False)
 
-    def chambers(self) -> tuple[int, ...]:
-        return self.members
+    @property
+    def base(self) -> int:
+        return self.members[0]
 
     def __contains__(self, c: int) -> bool:
-        return c in self.member_set
+        return c in self.members
 
     def __len__(self) -> int:
         return len(self.members)
@@ -274,7 +276,7 @@ class Building:
                                 index[z] = index[c]
                                 members.append(z)
                     members.sort()
-                    residues.append(ResidueRef(self, J, c, tuple(members), frozenset(members)))
+                    residues.append(ResidueRef(self, J, tuple(members)))
             part = self._partitions[J] = (residues, index)
         return part
 
@@ -302,26 +304,23 @@ class Building:
         row = self.rows[c]
         best = -1
         best_l = None
-        for x in R.chambers():
+        for x in R.members:
             l = lengths[row[x]]
             if best_l is None or l < best_l:
                 best, best_l = x, l
         return best
 
     def proj_residue(self, R: ResidueRef, Q: ResidueRef) -> ResidueRef:
-        image = sorted({self.proj_chamber(R, x) for x in Q.chambers()})
-        # determine the type of the image residue from its adjacency
-        base = image[0]
-        J: set[int] = set()
-        img = frozenset(image)
-        for x in image:
-            for s, z in self.system.adjacency[x]:
-                if z in img:
-                    J.add(s)
-        ref = self.residue(base, J)
-        if ref.member_set != img:
+        """The residue proj_R Q; its type is the set of letters of
+        delta(image[0], y) over the image, as y lies in the J-residue of x
+        exactly when delta(x, y) is in W_J."""
+        image = tuple(sorted({self.proj_chamber(R, x) for x in Q.members}))
+        row, word = self.rows[image[0]], self.weyl.word
+        J = set().union(*[word[row[y]] for y in image])
+        ref = self.residue(image[0], J)
+        if ref.members != image:
             raise NotInResidue(
-                f"projection image {image} is not a single {sorted(J)}-residue"
+                f"projection image {list(image)} is not a single {sorted(J)}-residue"
             )
         return ref
 

@@ -298,7 +298,7 @@ def _cmd_validate_codistance(args) -> int:
     f = parse_codistance(_read(args.file), b)
     report = validate_codistance(f)
     if report.ok:
-        print(f"codistance on {b.name}: ok, FOP_SIZE={len(f.fop())}")
+        print(f"codistance on {b.name}: ok, FOP_SIZE={f.values.count(0)}")
         print("RESULT=pass")
         return EXIT_PASS
     v = report.violation
@@ -313,7 +313,7 @@ def _cmd_from_opposite(args) -> int:
         raise FormatError(f"chamber {args.chamber} out of range")
     f = from_opposite_chamber(b, args.chamber)
     _write(args.output, serialize_codistance(f))
-    print(f"wrote codistance opposite chamber {args.chamber}, FOP_SIZE={len(f.fop())}")
+    print(f"wrote codistance opposite chamber {args.chamber}, FOP_SIZE={f.values.count(0)}")
     return EXIT_PASS
 
 

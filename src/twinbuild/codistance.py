@@ -26,7 +26,6 @@ class Codistance:
             raise ValueError(f"value {values[c]} at chamber {c} is not a Weyl id")
         self.building = building
         self.values = table.pack(values)
-        self._fop: Optional[tuple[int, ...]] = None
         # s -> the s-panels meeting f^op, filled by panels_op
         self._psop_cache: dict[int, tuple[ResidueRef, ...]] = {}
 
@@ -47,9 +46,9 @@ class Codistance:
         return self.building.weyl.length[self.values[c]]
 
     def fop(self) -> tuple[int, ...]:
-        if self._fop is None:
-            self._fop = tuple(c for c, v in enumerate(self.values) if v == 0)
-        return self._fop
+        """The chambers c with f(c) = 1, ascending, found on each call."""
+        b = self.building
+        return tuple(compress(range(b.n), b.weyl.identity_marks(self.values)))
 
 
 @dataclass
@@ -133,7 +132,7 @@ class ResidueProfile:
 def residue_profile(f: Codistance, R: ResidueRef) -> ResidueProfile:
     b = f.building
     table = b.weyl
-    chambers = R.chambers()
+    chambers = R.members
     x0 = chambers[0]
     coset = frozenset(table.mult(f(x0), w) for w in table.subgroup(R.J))
     lengths = [f.vlen(x) for x in chambers]
@@ -147,7 +146,7 @@ def proj_f(f: Codistance, R: ResidueRef) -> int:
     when the maximum is attained twice."""
     length = f.building.weyl.length
     values = f.values
-    chambers = R.chambers()
+    chambers = R.members
     lengths = [length[values[x]] for x in chambers]
     l_max = max(lengths)
     if lengths.count(l_max) != 1:

@@ -326,7 +326,7 @@ def _opposite_sets(b: Building, k: int, decide) -> LocalConditionReport:
     entries: list[OppositeSetEntry] = []
     for J in combinations(range(b.system.rank), k):
         for R in b.residues_of_type(J):
-            for x in R.chambers():
+            for x in R.members:
                 verdict = decide(R, opposite_set(b, R, x))
                 if not verdict.proven_trivial:
                     entries.append(OppositeSetEntry(R.base, J, x, verdict))
@@ -397,7 +397,7 @@ def residual_filtration(f: Codistance) -> Filtration:
     for mask in range(1, 1 << rank):
         J = tuple(s for s in range(rank) if mask & (1 << s))
         for R in b.residues_of_type(J):
-            chambers = R.chambers()
+            chambers = R.members
             # aff(R) = A_f(R): minimal-level chambers are the minimal-f-length ones
             minlevel = min(values[c] for c in chambers)
             lmin = min(length[values[c]] for c in chambers)

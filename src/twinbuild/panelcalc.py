@@ -44,7 +44,7 @@ def delta_panels(b: Building, P: ResidueRef, Q: ResidueRef) -> int:
     if not b.are_parallel(P, Q):
         raise NotParallel("panels are not parallel")
     table = b.weyl
-    values = {b.delta(x, b.proj_chamber(Q, x)) for x in P.chambers()}
+    values = {b.delta(x, b.proj_chamber(Q, x)) for x in P.members}
     if len(values) != 1:
         raise NotParallel(f"distance depends on the chamber: {sorted(values)}")
     w = values.pop()
@@ -112,7 +112,7 @@ def _opposite_panels_in(b: Building, R: ResidueRef, L: ResidueRef) -> set[Residu
     through a chamber of R opposite one of L."""
     table = b.weyl
     tt = table.gen_index(table.conj_by(table.longest_element(R.J), panel_type(L)))
-    return {b.panel(y, tt) for x in L.chambers() for y in opposite_set(b, R, x)}
+    return {b.panel(y, tt) for x in L.members for y in opposite_set(b, R, x)}
 
 
 def all_compatible_paths(
@@ -174,7 +174,7 @@ def _transport(
             if P not in gaps:
                 if P not in panels_op(f, s):
                     raise PreconditionFailed("panel does not meet f^op")
-                gap = [x for x in P.chambers() if values[x] != 0]
+                gap = [x for x in P.members if values[x] != 0]
                 if len(gap) != 1 or values[gap[0]] != table.gen(s):
                     raise PreconditionFailed("panel does not meet f^op correctly")
                 gaps[P] = gap[0]
@@ -191,8 +191,8 @@ class PanelBijection:
     mapping: dict[int, int]
 
     def __post_init__(self) -> None:
-        src = set(self.source.chambers())
-        tgt = set(self.target.chambers())
+        src = set(self.source.members)
+        tgt = set(self.target.members)
         if set(self.mapping) != src or set(self.mapping.values()) != tgt:
             raise ValueError("mapping is not a bijection between the panels")
 
@@ -216,7 +216,7 @@ class PanelBijection:
 
 def beta_w(f: Codistance, P: ResidueRef, Q: ResidueRef, w: int) -> PanelBijection:
     """proj_Q proj_{pi(P,w)} restricted to P, defined when pi(P,w) = pi(Q,w)."""
-    step = _follow(f.building, pi(f, P, w), pi(f, Q, w), Q, {c: c for c in P.chambers()})
+    step = _follow(f.building, pi(f, P, w), pi(f, Q, w), Q, {c: c for c in P.members})
     return PanelBijection(P, Q, step)
 
 
@@ -226,7 +226,7 @@ def _follow(b: Building, M: ResidueRef, N: ResidueRef, Q: ResidueRef, mapping: d
     if N != M:
         raise NotEquivalent("pi(P, w) != pi(Q, w)")
     out = {c: b.proj_chamber(Q, b.proj_chamber(M, v)) for c, v in mapping.items()}
-    if set(out.values()) != Q.member_set:
+    if len(set(out.values())) != len(Q):
         raise ValueError("mapping is not a bijection between the panels")
     return out
 
@@ -254,8 +254,8 @@ def _fop_search(f: Codistance, Ptilde: ResidueRef):
         for t in range(b.system.rank) if t != s
     }
     values = f.values
-    start = min(x for x in Ptilde.chambers() if values[x] == 0)
-    image = {start: {c: c for c in Ptilde.chambers()}}
+    start = min(x for x in Ptilde.members if values[x] == 0)
+    image = {start: {c: c for c in Ptilde.members}}
     yield Ptilde, image[start]
     queue = deque([start])
     while queue:

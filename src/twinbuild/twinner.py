@@ -87,7 +87,7 @@ def _adjacent_rows(f: Codistance, s: int, Ptilde: ResidueRef) -> dict[int, Seque
     full, hi, zero = table.lane_masks(b.n)
     values = lanes(row)
     down = lanes(table.down_rows[s](row)) << bits - 1   # where s shortens f(c)
-    marks = [p for p in sorted(Ptilde.chambers()) if row[p] == 0]
+    marks = [p for p in Ptilde.members if row[p] == 0]
     owned = dict.fromkeys(marks, 0)   # per mark, the lanes it matches
     assigned = clash = 0              # the lanes matched, and matched by two marks
     for mapping in beta_maps(f, Ptilde).values():
@@ -131,7 +131,7 @@ class CodistanceAtlas:
 
     def residue_members(self, i: int, J: Iterable[int]) -> tuple[int, ...]:
         """Member indices J-connected to member i."""
-        return self.plus.residue(i, J).chambers()
+        return self.plus.residue(i, J).members
 
 
 def atlas_component(f: Codistance) -> CodistanceAtlas:
@@ -288,7 +288,7 @@ def alpha_check(atlas: CodistanceAtlas, i: int, R: ResidueRef) -> list[tuple]:
     if R.building is not atlas.building:
         raise PreconditionFailed("R is not a residue of the atlas's building")
     g = atlas.members[i]
-    if not any(g.values[x] == 0 for x in R.chambers()):
+    if not any(g.values[x] == 0 for x in R.members):
         raise PreconditionFailed("residue does not meet the member's f^op")
     tilde = atlas.residue_members(i, R.J)
     masks = _identity_masks(atlas.building.weyl, (atlas.members[j].values for j in tilde))
@@ -446,7 +446,7 @@ def _gonality(b: Building, R: ResidueRef) -> Optional[int]:
     R is gallery-connected, so the graph is connected."""
     s, t = sorted(R.J)
     adj: dict[ResidueRef, list[ResidueRef]] = {}
-    for c in R.chambers():
+    for c in R.members:
         P, Q = b.panel(c, s), b.panel(c, t)
         adj.setdefault(P, []).append(Q)
         adj.setdefault(Q, []).append(P)

@@ -51,7 +51,7 @@ def opposite_chambers(b: Building, R: ResidueRef, x: int, y: int) -> bool:
 
 
 def opposite_residues(b: Building, R: ResidueRef, R1: ResidueRef, R2: ResidueRef) -> bool:
-    if not R1.member_set <= R.member_set or not R2.member_set <= R.member_set:
+    if not set(R1.members) <= set(R.members) or not set(R2.members) <= set(R.members):
         raise NotInResidue("R1 or R2 not contained in R")
     rJ = b.weyl.longest_element(R.J)
     table = b.weyl
@@ -59,7 +59,7 @@ def opposite_residues(b: Building, R: ResidueRef, R1: ResidueRef, R2: ResidueRef
     if K2conj != R1.J:
         return False
     row_has = any(
-        b.delta(a, c) == rJ for a in R1.chambers() for c in R2.chambers()
+        b.delta(a, c) == rJ for a in R1.members for c in R2.members
     )
     return row_has
 

@@ -283,7 +283,7 @@ def _check_codistance_lemmas(b):
         fop_sets.add(frozenset(f.fop()))
         for J, R in all_residues(b):
             prof = residue_profile(f, R)
-            x0 = R.chambers()[0]
+            x0 = R.members[0]
             assert prof.image == frozenset(                      # image on a residue is a coset
                 table.mult(f(x0), w) for w in table.subgroup(J)
             )
@@ -365,9 +365,9 @@ def test_ac5_filtration():
 
 
 def _mutually_projecting(b, P, Q):
-    fwd = {p: b.proj_chamber(Q, p) for p in P.chambers()}
-    bwd = {q: b.proj_chamber(P, q) for q in Q.chambers()}
-    if set(fwd.values()) != set(Q.chambers()):
+    fwd = {p: b.proj_chamber(Q, p) for p in P.members}
+    bwd = {q: b.proj_chamber(P, q) for q in Q.members}
+    if set(fwd.values()) != set(Q.members):
         return False
     return all(bwd[v] == p for p, v in fwd.items())
 
@@ -432,13 +432,13 @@ def _check_bijections(b):
                         if not b.are_parallel(P, Q) or \
                                 delta_panels(b, P, Q) != w:
                             continue
-                        hit = any(f(x) == w for x in Q.chambers())
-                        vals = [f(x) for x in Q.chambers()]
+                        hit = any(f(x) == w for x in Q.members)
+                        vals = [f(x) for x in Q.members]
                         assert hit == (
                             set(vals) <= {w, wt} and vals.count(wt) == 1
                         )
                         assert hit == all(
-                            P in panels_op_c(f, s, x) for x in Q.chambers()
+                            P in panels_op_c(f, s, x) for x in Q.members
                         )
                         assert hit == (Q == Pp)
             for P in ps:                                          # identity law
@@ -490,7 +490,7 @@ def test_ac6_panel_calculus():
             continue
         seen.add(key)
         panels = sorted(
-            {b.panel(c, s) for c in R.chambers() for s in R.J},
+            {b.panel(c, s) for c in R.members for s in R.J},
             key=lambda P: (panel_type(P), P.base),
         )
         _check_panel_lemmas(b, panels, check_xs=False)
@@ -531,7 +531,7 @@ def test_ac8_choice_independence():
     for s in range(2):
         ps = panels_op(f, s)
         Ptilde = ps[0]
-        for p in Ptilde.chambers():
+        for p in Ptilde.members:
             if f(p) != 0:
                 continue
             g = adjacent_codistance(f, s, Ptilde, p)

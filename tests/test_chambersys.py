@@ -72,7 +72,7 @@ def test_gate_property(fano):
             seen.add((R.J, R.base))
             for c in range(fano.n):
                 gate = fano.proj_chamber(R, c)
-                for y in R.chambers():
+                for y in R.members:
                     assert fano.delta(c, y) == table.mult(
                         fano.delta(c, gate), fano.delta(gate, y)
                     )
@@ -381,7 +381,7 @@ def test_residue_views(fano):
     R = fano.residue(0, {0})
     assert 0 in R
     assert len(R) == 3
-    assert R == fano.residue(min(R.chambers()), {0})
+    assert R == fano.residue(min(R.members), {0})
     far = max(range(fano.n), key=lambda c: fano.weyl.length[fano.delta(0, c)])
     with pytest.raises(NotInResidue):
         opposite_chambers(fano, R, 0, far)
@@ -403,7 +403,7 @@ def test_opposite_chambers_and_residues(fano):
         fano.weyl.gen_index(
             table.mult(table.mult(rS, table.gen(1)), rS)
         ) == 0
-        and any(fano.delta(a, c) == rS for a in P.chambers() for c in Q.chambers())
+        and any(fano.delta(a, c) == rS for a in P.members for c in Q.members)
     )
 
 
@@ -424,7 +424,7 @@ def test_parallel_panels(fano):
 def are_parallel_reference(b: Building, R1, R2) -> bool:
     """Parallelism checked in full: mutually inverse projections between R1
     and R2 that carry adjacent chambers to adjacent chambers both ways."""
-    c1, c2 = R1.chambers(), R2.chambers()
+    c1, c2 = R1.members, R2.members
     if len(c1) != len(c2):
         return False
     fwd = {x: b.proj_chamber(R2, x) for x in c1}
@@ -477,7 +477,41 @@ def test_proj_residue_panel(fano):
     P = fano.panel(0, 0)
     Q = fano.panel(y, 1)
     img = fano.proj_residue(Q, P)
-    assert img.J == Q.J and set(img.chambers()) <= set(Q.chambers()) or img == Q
+    assert img.J == Q.J and set(img.members) <= set(Q.members) or img == Q
+
+
+def proj_residue_reference(b: Building, R, Q):
+    """``Building.proj_residue`` as it was, the image's type read off its
+    adjacency: the oracle for the type read off the delta row."""
+    image = sorted({b.proj_chamber(R, x) for x in Q.members})
+    # determine the type of the image residue from its adjacency
+    base = image[0]
+    J: set[int] = set()
+    img = frozenset(image)
+    for x in image:
+        for s, z in b.system.adjacency[x]:
+            if z in img:
+                J.add(s)
+    ref = b.residue(base, J)
+    if frozenset(ref.members) != img:
+        raise NotInResidue(
+            f"projection image {image} is not a single {sorted(J)}-residue"
+        )
+    return ref
+
+
+@pytest.mark.parametrize("fixture", ["fano", "thin_a3", "sp42", "pg23"])
+def test_proj_residue_matches_the_adjacency_scan(request, fixture):
+    """Every ordered pair of residues of rank at most 2, chambers included:
+    the type read off delta(image[0], -) finds the residue, by identity,
+    that the adjacency scan of the image found."""
+    b = request.getfixturevalue(fixture)
+    rank = b.weyl.rank
+    residues = [R for k in range(min(rank, 2) + 1)
+                for J in combinations(range(rank), k) for R in b.residues_of_type(J)]
+    for R in residues:
+        for Q in residues:
+            assert b.proj_residue(R, Q) is proj_residue_reference(b, R, Q)
 
 
 # -- interned residues ----------------------------------------------------------
@@ -497,8 +531,8 @@ def test_one_ref_per_residue(request, fixture):
                 R = b.residue(c, J)
                 assert R is b.residue(R.base, J)
                 closure = tuple(x for x in range(b.n) if b.delta(c, x) in W_J)
-                assert R.chambers() == closure and R.base == closure[0]
-                assert R.member_set == frozenset(closure) and R.J == J
+                assert R.members == closure and R.base == closure[0]
+                assert R.J == J
                 assert refs.setdefault((J, closure), R) is R
     assert len({id(R) for R in refs.values()}) == len(refs)
 
@@ -506,7 +540,7 @@ def test_one_ref_per_residue(request, fixture):
 def test_residues_of_separate_buildings_differ():
     b1, b2 = gen_pg2(2), gen_pg2(2)
     R1, R2 = b1.residue(0, {0}), b2.residue(0, {0})
-    assert R1.chambers() == R2.chambers() and R1.J == R2.J
+    assert R1.members == R2.members and R1.J == R2.J
     assert R1 != R2
     assert len({R1, R2}) == 2
 
@@ -543,17 +577,18 @@ def test_partition_matches_closure_reference(make):
     for J in (frozenset(J) for k in range(rank + 1) for J in combinations(range(rank), k)):
         closures = [closure_reference(b, c, J) for c in range(b.n)]
         residues = b.residues_of_type(J)
-        assert [R.chambers() for R in residues] == sorted(set(closures))
+        assert [R.members for R in residues] == sorted(set(closures))
         bases = [R.base for R in residues]
         assert bases == sorted(bases) and len(set(bases)) == len(bases)
         for R in residues:
-            assert R.J == J and R.base == min(R.chambers())
-            assert list(R.chambers()) == sorted(R.chambers())
-            assert R.member_set == frozenset(R.chambers())
+            assert R.J == J and R.base == min(R.members)
+            assert list(R.members) == sorted(R.members)
+            # a residue stores its defining data alone: no member set, no base
+            assert vars(R).keys() == {"building", "J", "members"}
             for x in R:
                 assert b.residue(x, J) is R and b.residue(x, sorted(J)) is R
         for c, closure in enumerate(closures):
-            assert b.residue(c, J).chambers() == closure
+            assert b.residue(c, J).members == closure
 
 
 def test_opposite_residues_rejects_residue_outside(fano):

@@ -102,7 +102,7 @@ def test_residue_image_is_coset(bld):
     for f in sample_codistances(b, stride):
         for J, R in all_residues(b):
             image = {f(x) for x in R}
-            x0 = R.chambers()[0]
+            x0 = R.members[0]
             coset = {table.mult(f(x0), w) for w in table.subgroup(J)}
             assert image == coset
             assert residue_profile(f, R).image == frozenset(coset)
@@ -475,7 +475,7 @@ def test_proj_f_matches_residue_profile(request, name):
         # a copy of the longest value onto another chamber of R leaves no
         # unique longest chamber there
         top = proj_f(f, R)
-        for x in R.chambers()[:2]:
+        for x in R.members[:2]:
             if x == top:
                 continue
             values = list(f.values)

@@ -184,7 +184,7 @@ def test_filtration_aff_violation_detected(fano):
     values = [table.longest_element(range(2))] * fano.n
     values[0] = table.parse_word("p")
     values[3] = table.parse_word("l")
-    assert fano.panel(0, 0).chambers() == (0, 3, 6)
+    assert fano.panel(0, 0).members == (0, 3, 6)
     with pytest.raises(FiltrationViolation) as exc:
         residual_filtration(Codistance(fano, values))
     assert (exc.value.axiom, exc.value.level, exc.value.witness) == ("aff=A_f", 1, ((0,), 0))
@@ -214,7 +214,7 @@ def residual_filtration_reference(f):
     for mask in range(1, 1 << rank):
         J = frozenset(s for s in range(rank) if mask & (1 << s))
         for R in b.residues_of_type(J):
-            chambers = R.chambers()
+            chambers = R.members
             minlevel = min(f.values[c] for c in chambers)
             aff = {c for c in chambers if f.values[c] == minlevel}
             lmin = min(table.length[f.values[c]] for c in chambers)

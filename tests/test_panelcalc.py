@@ -49,9 +49,9 @@ def every_panel(b: Building):
 def mutually_projecting(b: Building, P, Q) -> bool:
     """Definitional parallelism: the projections between P and Q are
     mutually inverse bijections."""
-    fwd = {p: b.proj_chamber(Q, p) for p in P.chambers()}
-    bwd = {q: b.proj_chamber(P, q) for q in Q.chambers()}
-    if set(fwd.values()) != set(Q.chambers()):
+    fwd = {p: b.proj_chamber(Q, p) for p in P.members}
+    bwd = {q: b.proj_chamber(P, q) for q in Q.members}
+    if set(fwd.values()) != set(Q.members):
         return False
     return all(bwd[v] == p for p, v in fwd.items())
 
@@ -93,7 +93,7 @@ def test_parallel_panel_distances(thin_a3):
         assert table.conj_by(w, s1) == table.gen(s2)
         assert table.length[table.mult(table.gen(s1), w)] == table.length[w] + 1
         # the distance is attained by every chamber of P
-        for x in P.chambers():
+        for x in P.members:
             assert b.delta(x, b.proj_chamber(Q, x)) == w
 
 
@@ -288,17 +288,17 @@ def test_pi_characterizations(request, name):
                     for Q in b.residues_of_type((t,)):
                         if not b.are_parallel(P, Q) or delta_panels(b, P, Q) != w:
                             continue
-                        a = any(f(x) == w for x in Q.chambers())
-                        vals = [f(x) for x in Q.chambers()]
+                        a = any(f(x) == w for x in Q.members)
+                        vals = [f(x) for x in Q.members]
                         bb = (
                             set(vals) <= {w, wt}
                             and vals.count(wt) == 1
                         )
                         c = all(
-                            P in panels_op_c(f, s, x) for x in Q.chambers()
+                            P in panels_op_c(f, s, x) for x in Q.members
                         )
                         d = any(
-                            P in panels_op_c(f, s, x) for x in Q.chambers()
+                            P in panels_op_c(f, s, x) for x in Q.members
                         )
                         assert a == bb == c == d
                         assert a == (Q == Pp)
@@ -358,7 +358,7 @@ def test_beta_maps_fop_to_fop(fano):
         ps = panels_op(f, s)
         for P, Q in itertools.product(ps, ps):
             bq = beta(f, P, Q)
-            for x in P.chambers():
+            for x in P.members:
                 assert (f(x) == 0) == (f(bq(x)) == 0)
 
 
@@ -443,8 +443,8 @@ def test_panel_bijection_validation(fano):
     P = fano.panel(0, 0)
     Q = fano.panel(0, 1)
     with pytest.raises(ValueError):
-        PanelBijection(P, Q, {c: c for c in P.chambers()})
-    assert PanelBijection(P, P, {c: c for c in P.chambers()}).is_identity()
+        PanelBijection(P, Q, {c: c for c in P.members})
+    assert PanelBijection(P, P, {c: c for c in P.members}).is_identity()
 
 
 # -- beta against step-by-step composition --------------------------------------
@@ -459,7 +459,7 @@ def beta_reference(f, P, Q):
     table = b.weyl
     s = panel_type(P)
     inside = frozenset(f.fop())
-    start = min(x for x in P.chambers() if x in inside)
+    start = min(x for x in P.members if x in inside)
     parent = {start: start}
     queue = deque([start])
     while queue:
@@ -477,7 +477,7 @@ def beta_reference(f, P, Q):
     while parent[gallery[-1]] != gallery[-1]:
         gallery.append(parent[gallery[-1]])
     gallery.reverse()
-    current = PanelBijection(P, P, {c: c for c in P.chambers()})
+    current = PanelBijection(P, P, {c: c for c in P.members})
     for x, y in zip(gallery, gallery[1:]):
         here, there = b.panel(x, s), b.panel(y, s)
         if here != there:
@@ -522,7 +522,7 @@ def test_beta_on_disconnected_fop_matches_step_by_step_composition(sp42, chamber
             beta_maps(f, ps[0])
     assert outcomes == {"bijection": 64, "NotOpposite": 64}
     P = panels_op(f, 0)[0]
-    p = next(x for x in P.chambers() if f(x) == 0)
+    p = next(x for x in P.members if f(x) == 0)
     with pytest.raises(NotOpposite, match="no gallery in f\\^op joins the panels"):
         adjacent_codistance(f, 0, P, p)
 
@@ -537,8 +537,8 @@ def fop_search_reference(f, Ptilde):
     table = b.weyl
     s = panel_type(Ptilde)
     inside = frozenset(f.fop())
-    start = min(x for x in Ptilde.chambers() if x in inside)
-    image = {start: {c: c for c in Ptilde.chambers()}}
+    start = min(x for x in Ptilde.members if x in inside)
+    image = {start: {c: c for c in Ptilde.members}}
     yield Ptilde, image[start]
     queue = deque([start])
     while queue:

@@ -123,8 +123,8 @@ def assert_same_decision(b, subset):
 
 def test_pg32_lsco_opposite_sets(pg32):
     R = pg32.residue(0, (0, 1, 2))
-    assert len(R.chambers()) == pg32.n
-    for x in R.chambers():
+    assert len(R.members) == pg32.n
+    for x in R.members:
         verdict = assert_same_decision(pg32, opposite_set(pg32, R, x))
         assert verdict.status == PROVEN_NONTRIVIAL
 
@@ -397,7 +397,7 @@ def reference_presentation(b, subset):
             if key in seen_residues:
                 continue
             seen_residues.add(key)
-            rset = subset & set(R.chambers())
+            rset = subset & set(R.members)
             if len(rset) < 3:
                 continue
             redges = _subset_edges(b, frozenset(rset), J)
@@ -435,7 +435,7 @@ def assert_same_presentation(b, subset):
 
 def test_presentation_matches_reference_on_pg32_lsco_opposite_sets(pg32):
     R = pg32.residue(0, (0, 1, 2))
-    for x in R.chambers():
+    for x in R.members:
         assert assert_same_presentation(pg32, opposite_set(pg32, R, x))
 
 
@@ -443,7 +443,7 @@ def test_presentation_matches_reference_on_pg33_lsco_opposite_sets(pg33):
     # q = 3: the s-panels cut cliques of three chambers out of each set, the
     # only rank-1 cells with a relator among the fixtures' lsco sets
     R = pg33.residue(0, (0, 1, 2))
-    for x in random.Random(33).sample(R.chambers(), 8):
+    for x in random.Random(33).sample(R.members, 8):
         opp = opposite_set(pg33, R, x)
         assert len(opp) == 729
         non_tree, _ = assert_same_presentation(pg33, opp)

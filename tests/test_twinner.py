@@ -86,7 +86,7 @@ def test_adjacent_codistance_basic_properties(fano):
     for s in range(2):
         Ptilde = panels_op(f, s)[0]
         results = set()
-        for p in Ptilde.chambers():
+        for p in Ptilde.members:
             if f(p) != 0:
                 continue
             g = adjacent_codistance(f, s, Ptilde, p)
@@ -98,7 +98,7 @@ def test_adjacent_codistance_basic_properties(fano):
         # none of them reproduces f (whose marked chamber is the gap)
         assert f not in results
         assert len(results) == len(
-            [p for p in Ptilde.chambers() if f(p) == 0]
+            [p for p in Ptilde.members if f(p) == 0]
         )
 
 
@@ -107,14 +107,14 @@ def test_adjacent_codistance_marks_beta_orbit(fano):
     f = from_opposite_chamber(b, 0)
     s = 0
     Ptilde = panels_op(f, s)[0]
-    p = next(x for x in Ptilde.chambers() if f(x) == 0)
+    p = next(x for x in Ptilde.members if f(x) == 0)
     maps = beta_maps(f, Ptilde)
     g = adjacent_codistance(f, s, Ptilde, p)
     # the new projections of g on the panels of P_s^op are the orbit chambers
     for Q, mapping in maps.items():
         q = mapping[p]
         assert g(q) == b.weyl.gen(s)
-        assert sum(1 for x in Q.chambers() if g(x) == 0) == len(Q) - 1
+        assert sum(1 for x in Q.members if g(x) == 0) == len(Q) - 1
 
 
 def test_adjacent_codistance_alternate_base_panel(fano):
@@ -125,7 +125,7 @@ def test_adjacent_codistance_alternate_base_panel(fano):
     for s in range(2):
         ps = panels_op(f, s)
         Ptilde, P2 = ps[0], ps[1]
-        for p in Ptilde.chambers():
+        for p in Ptilde.members:
             if f(p) != 0:
                 continue
             p2 = beta(f, Ptilde, P2)(p)
@@ -139,7 +139,7 @@ def test_adjacent_codistance_preconditions(fano):
     f = from_opposite_chamber(b, 0)
     s = 0
     Ptilde = panels_op(f, s)[0]
-    gap = next(x for x in Ptilde.chambers() if f(x) != 0)
+    gap = next(x for x in Ptilde.members if f(x) != 0)
     with pytest.raises(PreconditionFailed):
         adjacent_codistance(f, s, Ptilde, gap)
     outside = next(
@@ -257,7 +257,7 @@ def test_residues_in_fop_are_shared(fano, fano_atlas):
                 g, h = atlas.members[i], atlas.members[j]
                 for J in (frozenset((s,)), frozenset((0, 1))):
                     for R in fop_residues(b, g, J):
-                        assert any(h(x) == 0 for x in R.chambers())
+                        assert any(h(x) == 0 for x in R.members)
 
 
 def test_projection_determines_the_neighbour(fano, fano_atlas):
@@ -679,13 +679,13 @@ def loop_alpha_check(atlas, i, R):
     table = b.weyl
     J = R.J
     g = atlas.members[i]
-    if not any(g.values[x] == 0 for x in R.chambers()):
+    if not any(g.values[x] == 0 for x in R.members):
         raise PreconditionFailed("residue does not meet the member's f^op")
     rJ = table.longest_element(J)
     tilde = atlas.residue_members(i, J)
     alpha = {j: proj_f(atlas.members[j], R) for j in tilde}
     witnesses = []
-    if sorted(alpha.values()) != sorted(R.chambers()):
+    if sorted(alpha.values()) != sorted(R.members):
         witnesses.append(("bijection", sorted(alpha.values())))
     for s in sorted(J):
         plus_panel = atlas.plus.system.panel_of[s]
@@ -706,7 +706,7 @@ def loop_alpha_check(atlas, i, R):
             break
     for j in tilde:
         values = atlas.members[j].values
-        for c in R.chambers():
+        for c in R.members:
             if (values[c] == 0) != (b.delta(alpha[j], c) == rJ):
                 witnesses.append(("opposition", j, c))
     return witnesses
@@ -875,26 +875,26 @@ def test_opposition_refuses_a_tilde_smaller_than_its_panels(fano, pg23, s):
 def test_assembly_keeps_no_fop_tuple_on_its_members(fano, fano_atlas):
     # the opposition and plus-star checks read f^op off the masks and the
     # value rows: members read from files, as ``twin verify`` reads them,
-    # never build the tuple ``Codistance.fop`` memoizes
+    # keep their building, their value row and the ``panels_op`` memo alone
     _, atlas = fano_atlas
     fresh = CodistanceAtlas(fano, [Codistance(fano, g.values) for g in atlas.members],
                             atlas.panels)
     assert assemble_twin(fresh, fano).report.ok
-    assert all(g._fop is None for g in fresh.members)
+    assert all(vars(g).keys() == {"building", "values", "_psop_cache"} for g in fresh.members)
 
 
 def test_atlas_keeps_no_fop_tuple_and_panels_op_is_unchanged(pg23):
     # ``panels_op`` reads the s-partition index through the identity marks
-    # of a member's row; the panels are those read off the f^op tuple, here
-    # built on a copy, and no member keeps a tuple
+    # of a member's row; the panels are those read off the f^op tuple, and
+    # a member keeps its building, its value row and that memo alone
     atlas = atlas_component(from_opposite_chamber(pg23, 0))
     for g in atlas.members:
-        fop = Codistance(pg23, g.values).fop()
+        fop = g.fop()
         for s in range(pg23.system.rank):
             panels, index = pg23.partition((s,))
             assert panels_op(g, s) == tuple(
                 map(panels.__getitem__, sorted(set(map(index.__getitem__, fop)))))
-    assert all(g._fop is None for g in atlas.members)
+    assert all(vars(g).keys() == {"building", "values", "_psop_cache"} for g in atlas.members)
 
 
 def tw_axioms_reference(minus, plus, atlas):
@@ -967,7 +967,7 @@ def test_beta_orbit_matches_beta(request, fixture):
 def each_neighbour(f, s, Ptilde):
     """The s-neighbours of f, one ``adjacent_codistance`` per chamber p of
     Ptilde in f^op, in ascending p."""
-    marks = [p for p in sorted(Ptilde.chambers()) if f(p) == 0]
+    marks = [p for p in sorted(Ptilde.members) if f(p) == 0]
     return {p: adjacent_codistance(f, s, Ptilde, p) for p in marks}
 
 
@@ -983,7 +983,7 @@ def neighbours_reference(f, s, Ptilde):
     maps = beta_maps(f, Ptilde)
     gaps = {}
     for P in maps:
-        outside = [x for x in P.chambers() if f(x) != 0]
+        outside = [x for x in P.members if f(x) != 0]
         if len(outside) != 1 or f(outside[0]) != table.gen(s):
             raise PreconditionFailed("panel does not meet f^op correctly")
         gaps[P] = outside[0]
@@ -994,7 +994,7 @@ def neighbours_reference(f, s, Ptilde):
             raise PreconditionFailed(f"no panel of f^op_{c} of type {s}")
         projections.append([(P, b.proj_chamber(P, c)) for P in choices])
     neighbours = {}
-    for p in sorted(Ptilde.chambers()):
+    for p in sorted(Ptilde.members):
         if f(p) != 0:
             continue
         values = []
@@ -1286,7 +1286,7 @@ def gonality_reference(b, R):
     """Reference gonality: the incidence graph has an edge for each pair of
     an s-panel and a t-panel of R that share a chamber."""
     s, t = sorted(R.J)
-    cs = R.chambers()
+    cs = R.members
     spanels = sorted({b.panel(c, s) for c in cs}, key=panel_key)
     tpanels = sorted({b.panel(c, t) for c in cs}, key=panel_key)
     nodes = spanels + tpanels
@@ -1294,7 +1294,7 @@ def gonality_reference(b, R):
     adj = [set() for _ in nodes]
     for P in spanels:
         for Q in tpanels:
-            if set(P.chambers()) & set(Q.chambers()):
+            if set(P.members) & set(Q.members):
                 adj[idx[P]].add(idx[Q])
                 adj[idx[Q]].add(idx[P])
     girth = None
