@@ -481,8 +481,8 @@ def test_proj_residue_panel(fano):
 
 
 def proj_residue_reference(b: Building, R, Q):
-    """``Building.proj_residue`` as it was, the image's type read off its
-    adjacency: the oracle for the type read off the delta row."""
+    """proj_R Q with the image's type read off its adjacency: the oracle
+    for ``Building.proj_residue``, which reads it off a delta row."""
     image = sorted({b.proj_chamber(R, x) for x in Q.members})
     # determine the type of the image residue from its adjacency
     base = image[0]
@@ -583,7 +583,7 @@ def test_partition_matches_closure_reference(make):
         for R in residues:
             assert R.J == J and R.base == min(R.members)
             assert list(R.members) == sorted(R.members)
-            # a residue stores its defining data alone: no member set, no base
+            # a residue stores its defining data alone
             assert vars(R).keys() == {"building", "J", "members"}
             for x in R:
                 assert b.residue(x, J) is R and b.residue(x, sorted(J)) is R
