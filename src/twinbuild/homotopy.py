@@ -2,7 +2,9 @@
 filtrations.
 
 Simple 2-connectivity is decided, never assumed, on the edge-path group
-presentation of a chamber subset, in three steps that each certify only what
+presentation of a chamber subset with each component of its two least edge
+types contracted by Tietze moves (``_presentation``; a connected subset of
+rank <= 2 keeps no generator), in three steps that each certify only what
 they prove: a kill closure that kills every generator proves the group
 trivial (certificate: the kill order, each kill with its original relator);
 otherwise, with the killed letters deleted, a nonzero abelianization, read
@@ -46,10 +48,6 @@ class TrivialityVerdict:
     status: str
     certificate: Optional[object] = None
 
-    @property
-    def proven_trivial(self) -> bool:
-        return self.status == PROVEN_TRIVIAL
-
 
 def _neighbours(b: Building, subset: frozenset) -> dict[int, list[tuple[int, int]]]:
     """For each chamber of ``subset``, in ascending order, its (neighbour,
@@ -65,99 +63,99 @@ def _neighbours(b: Building, subset: frozenset) -> dict[int, list[tuple[int, int
     return nbrs
 
 
-def _forest(nbrs: dict[int, list[tuple[int, int]]], J: Container[int]) -> dict[int, int]:
-    """Breadth-first forest of the J-typed edges as parent pointers: roots, in
-    ascending ``nbrs`` order, are their own parents; neighbours ascend too."""
-    parent: dict[int, int] = {}
+def _components(nbrs: dict[int, list[tuple[int, int]]], J: Container[int]) -> dict[int, list[int]]:
+    """The components of the J-typed edges, each under its least chamber and
+    in breadth-first order, roots and neighbours taken in ascending order."""
+    seen: set[int] = set()
+    comps: dict[int, list[int]] = {}
     for root in nbrs:
-        if root in parent:
+        if root in seen:
             continue
-        parent[root] = root
-        queue = [root]
+        seen.add(root)
+        queue = comps[root] = [root]
         for x in queue:
             for y, s in nbrs[x]:
-                if s in J and y not in parent:
-                    parent[y] = x
+                if s in J and y not in seen:
+                    seen.add(y)
                     queue.append(y)
-    return parent
+    return comps
 
 
 def connected(subset: Iterable[int], gens: Iterable[int], b: Building) -> bool:
-    parent = _forest(_neighbours(b, frozenset(subset)), frozenset(gens))
-    return sum(x == p for x, p in parent.items()) <= 1
+    return len(_components(_neighbours(b, frozenset(subset)), frozenset(gens))) <= 1
 
 
 def _cycles(nbrs: dict[int, list[tuple[int, int]]], J: Container[int], letter: dict):
     """The words of the fundamental cycles root -> a, (a, c), c -> root of the
-    J-forest that ``_forest`` grows, one per edge a < c off it; the search
-    carries each chamber's path word from its root (pot) and that word's
-    inverse (inv).  No letters cancel: the walk passes an edge twice only on
-    the tree path from the root to the simple cycle it closes, and that
-    cycle holds an edge off the spanning tree, so a letter."""
+    breadth-first J-forest (as ``_components`` grows it), one per edge a < c
+    off it, built from each chamber's path word from its root (pot).  A word
+    is w C w^-1, w the letters of the path from the root to the cycle and C
+    those of the cycle, which passes each edge once; each letter names its
+    own edge, so no letters cancel unless C is empty, that is when a and c
+    have equal pot words and (a, c) reads empty: such a word is skipped."""
     pot: dict[int, tuple] = {}
-    inv: dict[int, tuple] = {}
     for root in nbrs:
         if root in pot:
             continue
-        pot[root] = inv[root] = ()
+        pot[root] = ()
         queue = [(root, root)]
         for x, up in queue:
-            px, ix = pot[x], inv[x]
+            px = pot[x]
             for y, s in nbrs[x]:
                 if s not in J:
                     continue
                 if y not in pot:
-                    pot[y] = px + letter[x, y]
-                    inv[y] = letter[y, x] + ix
+                    pot[y] = px + letter.get((x, y), ())
                     queue.append((y, x))
-                elif x < y and y != up:
-                    yield px + letter[x, y] + inv[y]
+                elif x < y and y != up and ((x, y) in letter or px != pot[y]):
+                    yield px + letter.get((x, y), ()) + tuple(a ^ 1 for a in reversed(pot[y]))
 
 
 def _presentation(b: Building, subset: frozenset):
-    """Edge-path group presentation of the 2-complex on ``subset``.
+    """Edge-path group presentation of the 2-complex on ``subset``, after
+    Tietze moves.
 
     1-skeleton: the adjacency graph; 2-cells: for each type set J with
-    |J| <= 2, the fundamental cycles of a BFS forest of the J-typed edges.
-    A component of the J-typed edges is J-connected, so it lies inside one
-    J-residue: these are the fundamental cycles of each rank <= 2 residue's
-    restriction to the subset.  For J = {s} it is a star from the least
-    chamber m of each clique an s-panel cuts out of the subset, whose cells
-    (``star``) are the cycles m, a, c, m with m < a < c.
+    |J| <= 2, the fundamental cycles of a BFS forest of the J-typed edges,
+    the cycles of each rank <= 2 residue's restriction to the subset.  Let
+    J0 be the two least types that label an edge, and let the spanning tree
+    T extend the J0-forest by a breadth-first tree of the quotient graph
+    (the J0-components, joined by the other edges).  Against T, the J0 cell
+    of a J0 edge off T is that edge's letter alone, so a Tietze move deletes
+    the two; then every J0 edge reads empty and the J0 cells drop out, as do
+    the rank-1 cells, each a cycle of a pair holding its type.  Left: the
+    other edges off T, and the ``_cycles`` words of each pair not inside J0.
+    In rank <= 2, J0 holds every type: a connected subset keeps no generator.
 
     Relators are words of int letters: the non-tree edge i is the generator
     i, crossed forward (from its smaller chamber) as 2i + 1 and backward as
     2i, so ``a >> 1`` is the generator of letter a and ``a ^ 1`` its inverse.
     """
-    rank = b.system.rank
     nbrs = _neighbours(b, subset)
-    parent = _forest(nbrs, range(rank))
-    if sum(x == p for x, p in parent.items()) > 1:
+    J0 = sorted({s for row in nbrs.values() for _, s in row})[:2]
+    members = _components(nbrs, J0)
+    comp = {x: r for r, xs in members.items() for x in xs}
+    # T's other edges: the first edge into each component not yet reached
+    tree: set[tuple[int, int]] = set()
+    queue = members.pop(min(subset)) if subset else []
+    for x in queue:
+        for y, _ in nbrs[x]:
+            if comp[y] in members:
+                tree.add((min(x, y), max(x, y)))
+                queue.extend(members.pop(comp[y]))
+    if members:
         raise NotConnected("subset is not gallery-connected")
-    # letter[x, y]: the word of the edge x -> y, empty on the spanning tree
+    # letter[x, y]: the word of an edge x -> y off T of no type in J0
     non_tree: list[tuple[int, int]] = []
     letter: dict[tuple[int, int], tuple] = {}
-    star: list[tuple[int, int, int]] = []
     for x, row in nbrs.items():
-        least: dict[int, int] = {}
         for y, s in row:
-            if y < x:
-                least.setdefault(s, y)
-                continue
-            if s in least:
-                star.append((least[s], x, y))
-            if parent[x] == y or parent[y] == x:
-                letter[x, y] = letter[y, x] = ()
-            else:
+            if x < y and s not in J0 and (x, y) not in tree:
                 letter[x, y] = (2 * len(non_tree) + 1,)
                 letter[y, x] = (2 * len(non_tree),)
                 non_tree.append((x, y))
-
-    relators = {letter[m, a] + letter[a, c] + letter[c, m] for m, a, c in star}
-    for J in combinations(range(rank), 2):
-        relators.update(_cycles(nbrs, J, letter))
-    relators.discard(())
-    return non_tree, sorted(relators)
+    pairs = [J for J in combinations(range(b.system.rank), 2) if not set(J) <= set(J0)]
+    return non_tree, sorted({w for J in pairs for w in _cycles(nbrs, J, letter)})
 
 
 def simply_2_connected(subset: Iterable[int], b: Building) -> TrivialityVerdict:
@@ -328,7 +326,7 @@ def _opposite_sets(b: Building, k: int, decide) -> LocalConditionReport:
         for R in b.residues_of_type(J):
             for x in R.members:
                 verdict = decide(R, opposite_set(b, R, x))
-                if not verdict.proven_trivial:
+                if verdict.status != PROVEN_TRIVIAL:
                     entries.append(OppositeSetEntry(R.base, J, x, verdict))
     entries.sort(key=lambda e: (e.J, e.residue_base, e.chamber))
     return LocalConditionReport(entries)

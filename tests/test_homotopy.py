@@ -274,11 +274,12 @@ def certificate_digest(verdicts):
     return hashlib.sha256(repr(list(verdicts)).encode()).hexdigest()
 
 
-def test_certificates_are_pinned(fano, sp43, pg32):
+def test_certificates_are_pinned(fano, sp43, pg32, pg33):
     # a kill order, a kill relator, an invariant or a coset count that moves
     # changes a digest: the pg3(2) lsco entries (abelianization certificates),
-    # the f^op eliminations of pg2(2) from every chamber and of sp4(3) from
-    # chamber 0, and a set whose kill closure stops short
+    # the f^op of pg2(2) from every chamber and of sp4(3) from chamber 0 (rank
+    # 2: a forest, no generator), a set whose kill closure stops short, and
+    # the f^op elimination of pg3(3) from chamber 0
     rng = random.Random(26)
     subset = frozenset(c for c in range(pg32.n) if rng.random() < 0.8)
     cases = {
@@ -287,10 +288,12 @@ def test_certificates_are_pinned(fano, sp43, pg32):
                      for c in range(fano.n)],
         "sp43 fop": [simply_2_connected(from_opposite_chamber(sp43, 0).fop(), sp43)],
         "pg32 cosets": [simply_2_connected(subset, pg32)],
+        "pg33 fop": [simply_2_connected(from_opposite_chamber(pg33, 0).fop(), pg33)],
     }
     assert {name: certificate_digest(v)[:16] for name, v in cases.items()} == {
         "pg32 lsco": "34b2065ea565c2ae",
-        "pg22 fop": "48b825f8515eb734",
-        "sp43 fop": "90c6d0a3f7ad37ff",
+        "pg22 fop": "17b57c98b0a9f869",
+        "sp43 fop": "5e4ac833d078aec7",
         "pg32 cosets": "16f8099bd21c081c",
+        "pg33 fop": "1a939eb2477ed5d4",
     }

@@ -8,12 +8,15 @@ same status from both, and the same abelianization invariants when it is
 nontrivial.
 
 ``reference_presentation`` is the edge-path presentation as it was built
-residue by residue; ``_presentation`` reads the same 2-cells off the panel
-cliques of each type and off one BFS forest of the J-typed edges per pair of
-types, and must return the same generators and relators. It builds its
-graphs with its own copy of the edge-list helpers that ``_presentation``
-used before it read the chamber system's adjacency, so it shares no graph
-code with what it checks.
+residue by residue: a generator for each edge off a breadth-first spanning
+tree of the subset, and a relator for each rank <= 2 cell. ``_presentation``
+presents the group of the same 2-complex after Tietze moves that contract
+the components of the two least edge types, so its generators and relators
+differ on purpose; the two must reach the same decision: both raise
+NotConnected, or both get the same status and, when it is nontrivial, the
+same abelianization. The reference builds its graphs with its own copy of
+the edge-list helpers that ``_presentation`` used before it read the chamber
+system's adjacency, so it shares no graph code with what it checks.
 """
 
 import random
@@ -38,6 +41,7 @@ from twinbuild.homotopy import (
     PROVEN_NONTRIVIAL,
     PROVEN_TRIVIAL,
     TrivialityVerdict,
+    _closure,
     _decide,
     _presentation,
     _smith_invariants,
@@ -157,17 +161,6 @@ def test_thin_a3_whole_and_coxeter_cycle(thin_a3):
     assert cycle.status == PROVEN_NONTRIVIAL
 
 
-def test_sp43_fop_eliminates_every_generator(sp43):
-    # sympy needs seconds for this one, so only the in-house path runs
-    fop = from_opposite_chamber(sp43, 0).fop()
-    verdict = simply_2_connected(fop, sp43)
-    assert verdict.status == PROVEN_TRIVIAL
-    kind, order = verdict.certificate
-    assert kind == "elimination"
-    non_tree, _ = _presentation(sp43, frozenset(fop))
-    assert sorted(g for g, _ in order) == list(range(len(non_tree)))
-
-
 def replayed_kills(b, subset):
     """The number of kills in the elimination certificate of ``subset``,
     replayed one pass per kill against the presentation's own relators:
@@ -189,28 +182,47 @@ def replayed_kills(b, subset):
     return len(order)
 
 
-def test_elimination_certificate_uses_each_generator_once(fano):
-    assert replayed_kills(fano, range(fano.n)) == 22
+def test_elimination_certificate_uses_each_generator_once(thin_a3):
+    assert replayed_kills(thin_a3, range(thin_a3.n)) == 9
 
 
 @pytest.mark.parametrize("name, subset, kills", [
-    ("sp43", "fop", 82), ("pg32", "whole", 631),
+    ("pg33", "fop", 703), ("pg32", "whole", 301),
 ])
 def test_elimination_certificate_replays(request, name, subset, kills):
+    # sympy needs seconds for the pg3(3) f^op, so only the in-house path runs
     b = request.getfixturevalue(name)
     chambers = range(b.n) if subset == "whole" else from_opposite_chamber(b, 0).fop()
     assert replayed_kills(b, chambers) == kills
 
 
+def stops_short(b):
+    """Four fifths of the chambers of ``b``, drawn with seed 26."""
+    rng = random.Random(26)
+    return frozenset(c for c in range(b.n) if rng.random() < 0.8)
+
+
 def test_closure_stops_short_and_cosets_decide(pg32):
-    # the kill closure stops short on these 259 chambers (251 of 370
+    # the kill closure stops short on these 259 chambers (107 of 197
     # generators), and coset enumeration over what is left proves the group
     # trivial
-    rng = random.Random(26)
-    subset = frozenset(c for c in range(pg32.n) if rng.random() < 0.8)
+    subset = stops_short(pg32)
     assert len(subset) == 259
     verdict = simply_2_connected(subset, pg32)
     assert verdict == TrivialityVerdict(PROVEN_TRIVIAL, ("cosets", 1))
+
+
+def test_closure_kills_replay_where_it_stops_short(pg32):
+    # each kill of a closure that stops short is sound: its relator names the
+    # generator once and, apart from it, only generators killed before
+    non_tree, words = _presentation(pg32, stops_short(pg32))
+    killed = set()
+    for g, i in _closure(words).items():
+        gens = [a >> 1 for a in words[i]]
+        assert gens.count(g) == 1
+        assert set(gens) - {g} <= killed
+        killed.add(g)
+    assert len(killed) == 107 < len(non_tree) == 197
 
 
 def galleries(b):
@@ -421,39 +433,72 @@ def reference_presentation(b, subset):
     return non_tree, sorted(relators)
 
 
-def assert_same_presentation(b, subset):
+def reference_decision(b, subset):
+    """``_decide`` on ``reference_presentation``, or the forest verdict when
+    it has no generator."""
+    non_tree, relators = reference_presentation(b, subset)
+    if not non_tree:
+        return TrivialityVerdict(PROVEN_TRIVIAL, certificate="forest")
+    words = [tuple(2 * gen + (exp > 0) for gen, exp in rel) for rel in relators]
+    return _decide(len(non_tree), words, DEFAULT_COSET_CAP)
+
+
+def assert_same_decision_as_reference(b, subset):
+    """Both presentations of ``subset`` raise NotConnected, or they reach the
+    same status and, when it is nontrivial, the same abelian group (free
+    rank g reads as g zero invariants); returns the verdict, None when
+    ``subset`` is not connected."""
     subset = frozenset(subset)
     try:
-        expected = reference_presentation(b, subset)
+        expected = reference_decision(b, subset)
     except NotConnected:
         with pytest.raises(NotConnected):
             _presentation(b, subset)
         return None
-    assert presentation(b, subset) == expected
-    return expected
+    verdict = simply_2_connected(subset, b)
+    assert verdict.status == expected.status
+    if verdict.status == PROVEN_NONTRIVIAL:
+        assert invariants(verdict) == invariants(expected)
+    return verdict
 
 
 def test_presentation_matches_reference_on_pg32_lsco_opposite_sets(pg32):
     R = pg32.residue(0, (0, 1, 2))
     for x in R.members:
-        assert assert_same_presentation(pg32, opposite_set(pg32, R, x))
+        verdict = assert_same_decision_as_reference(pg32, opposite_set(pg32, R, x))
+        assert verdict.status == PROVEN_NONTRIVIAL
 
 
 def test_presentation_matches_reference_on_pg33_lsco_opposite_sets(pg33):
     # q = 3: the s-panels cut cliques of three chambers out of each set, the
-    # only rank-1 cells with a relator among the fixtures' lsco sets
+    # only rank-1 cells with a relator among the fixtures' lsco sets, which
+    # the Tietze moves drop; 1,459 generators become 703
     R = pg33.residue(0, (0, 1, 2))
     for x in random.Random(33).sample(R.members, 8):
         opp = opposite_set(pg33, R, x)
         assert len(opp) == 729
-        non_tree, _ = assert_same_presentation(pg33, opp)
         assert any(sum(c in opp for c in p) == 3 for fam in pg33.system.panels for p in fam)
-        assert replayed_kills(pg33, opp) == len(non_tree) == 1459
+        assert assert_same_decision_as_reference(pg33, opp).status == PROVEN_TRIVIAL
+        assert len(reference_presentation(pg33, opp)[0]) == 1459
+        assert replayed_kills(pg33, opp) == 703
+
+
+def test_presentation_matches_reference_on_pg33_random_subsets(pg33):
+    # seeded dense and sparse draws: trivial and nontrivial groups, and
+    # disconnected sets
+    rng = random.Random(40)
+    outcomes = set()
+    for p in (0.97, 0.9, 0.8, 0.6, 0.5, 0.3):
+        subset = frozenset(c for c in range(pg33.n) if rng.random() < p)
+        verdict = assert_same_decision_as_reference(pg33, subset)
+        outcomes.add(verdict and verdict.status)
+    assert outcomes == {PROVEN_TRIVIAL, PROVEN_NONTRIVIAL, None}
 
 
 def test_presentation_matches_reference_on_pg22_fop_from_every_chamber(fano):
     for c in range(fano.n):
-        assert assert_same_presentation(fano, from_opposite_chamber(fano, c).fop())
+        verdict = assert_same_decision_as_reference(fano, from_opposite_chamber(fano, c).fop())
+        assert verdict.status == PROVEN_TRIVIAL
 
 
 @pytest.mark.parametrize("name, connected", [
@@ -462,21 +507,39 @@ def test_presentation_matches_reference_on_pg22_fop_from_every_chamber(fano):
 def test_presentation_matches_reference_on_fop(request, name, connected):
     b = request.getfixturevalue(name)
     fop = from_opposite_chamber(b, 0).fop()
-    assert (assert_same_presentation(b, fop) is not None) == connected
+    assert (assert_same_decision_as_reference(b, fop) is not None) == connected
 
 
 def test_presentation_matches_reference_on_whole_buildings(fano, thin_a3):
     for b in (fano, thin_a3):
-        non_tree, relators = assert_same_presentation(b, range(b.n))
+        non_tree, relators = reference_presentation(b, frozenset(range(b.n)))
         assert non_tree and relators
+        assert assert_same_decision_as_reference(b, range(b.n)).status == PROVEN_TRIVIAL
 
 
-def test_presentation_looks_up_no_residue(fano, monkeypatch):
+@pytest.mark.parametrize("name", ["fano", "pg23", "sp42", "sp43", "digon33", "thin_a2"])
+def test_rank2_connected_subsets_keep_no_generator(request, name):
+    # J0 holds both types, so every cycle of a connected subset is a J0 cell
+    b = request.getfixturevalue(name)
+    rng = random.Random(2)
+    subsets = [range(b.n), from_opposite_chamber(b, 0).fop()]
+    subsets += [[c for c in range(b.n) if rng.random() < p] for p in (0.5, 0.8, 0.9) * 4]
+    for subset in filter(None, map(frozenset, subsets)):
+        if not connected(subset, range(2), b):
+            with pytest.raises(NotConnected):
+                _presentation(b, subset)
+            continue
+        assert _presentation(b, subset) == ([], [])
+        assert simply_2_connected(subset, b) == TrivialityVerdict(PROVEN_TRIVIAL, "forest")
+        assert reference_decision(b, subset).status == PROVEN_TRIVIAL
+
+
+def test_presentation_looks_up_no_residue(thin_a3, monkeypatch):
     def no_residue(self, c, J):
         raise AssertionError("residue lookup")
 
     monkeypatch.setattr(Building, "residue", no_residue)
-    assert _presentation(fano, frozenset(range(fano.n)))[1]
+    assert _presentation(thin_a3, frozenset(range(thin_a3.n)))[1]
 
 
 # -- arbitrary subsets ---------------------------------------------------------
@@ -515,7 +578,7 @@ def test_graph_layer_on_arbitrary_subsets(request, name):
     @given(st.one_of(sparse, sparse.map(lambda s: frozenset(range(b.n)) - s)))
     @example(frozenset())
     def check(subset):
-        kinds.add(assert_same_presentation(b, subset) is not None)
+        kinds.add(assert_same_decision_as_reference(b, subset) is not None)
         for J in type_sets:
             assert connected(subset, J, b) == bfs_connected(b, subset, J), J
 
