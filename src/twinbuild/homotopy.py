@@ -6,16 +6,18 @@ presentation of a chamber subset with each component of its two least edge
 types contracted by Tietze moves (``_presentation``; a connected subset of
 rank <= 2 keeps no generator), in three steps that each certify only what
 they prove: a kill closure that kills every generator proves the group
-trivial (certificate: the kill order, each kill with its original relator);
-otherwise, with the killed letters deleted, a nonzero abelianization, read
-off an integer Smith normal form, proves it nontrivial (certificate: the
-abelianization invariants); otherwise a completed coset enumeration over the
-trivial subgroup gives its order (certificate: the coset count). An
-enumeration that reaches its cap is reported as Inconclusive.
+trivial (certificate: the kill order, each kill with its original relator,
+written out as (generator, exponent) pairs only when read); otherwise, with
+the killed letters deleted, a nonzero abelianization, read off an integer
+Smith normal form, proves it nontrivial (certificate: the abelianization
+invariants); otherwise a completed coset enumeration over the trivial
+subgroup gives its order (certificate: the coset count). An enumeration
+that reaches its cap is reported as Inconclusive.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
@@ -49,66 +51,55 @@ class TrivialityVerdict:
     certificate: Optional[object] = None
 
 
-def _neighbours(b: Building, subset: frozenset) -> dict[int, list[tuple[int, int]]]:
-    """For each chamber of ``subset``, in ascending order, its (neighbour,
-    type) pairs inside ``subset`` in ascending id, read off the chamber
-    system's adjacency (two chambers are adjacent for one type only): each
-    chamber of the sorted subset is appended to the lists of its neighbours."""
-    adj = b.system.adjacency
-    nbrs: dict[int, list[tuple[int, int]]] = {x: [] for x in sorted(subset)}
-    for x in nbrs:
-        for s, y in adj[x]:
-            if y in subset:
-                nbrs[y].append((x, s))
-    return nbrs
-
-
-def _components(nbrs: dict[int, list[tuple[int, int]]], J: Container[int]) -> dict[int, list[int]]:
-    """The components of the J-typed edges, each under its least chamber and
-    in breadth-first order, roots and neighbours taken in ascending order."""
-    seen: set[int] = set()
-    comps: dict[int, list[int]] = {}
-    for root in nbrs:
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = comps[root] = [root]
-        for x in queue:
-            for y, s in nbrs[x]:
-                if s in J and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-    return comps
+# a certificate stored as a function is computed each time it is read
+TrivialityVerdict.certificate = property(  # type: ignore[assignment]
+    lambda self: self._certificate() if callable(self._certificate) else self._certificate,
+    lambda self, certificate: setattr(self, "_certificate", certificate))
 
 
 def connected(subset: Iterable[int], gens: Iterable[int], b: Building) -> bool:
-    return len(_components(_neighbours(b, frozenset(subset)), frozenset(gens))) <= 1
+    """Whether ``subset`` is connected by edges of the types ``gens``: one
+    breadth-first search from its least chamber over the chamber adjacency."""
+    adj, gens, left = b.system.adjacency, frozenset(gens), set(subset)
+    queue = [min(left)] if left else []
+    left.difference_update(queue)
+    for x in queue:
+        for s, y in adj[x]:
+            if y in left and s in gens:
+                left.remove(y)
+                queue.append(y)
+    return not left
 
 
-def _cycles(nbrs: dict[int, list[tuple[int, int]]], J: Container[int], letter: dict):
+def _cycles(nbrs: list[list[tuple[int, int]]], J: Container[int], letter: dict[int, tuple]):
     """The words of the fundamental cycles root -> a, (a, c), c -> root of the
-    breadth-first J-forest (as ``_components`` grows it), one per edge a < c
-    off it, built from each chamber's path word from its root (pot).  A word
-    is w C w^-1, w the letters of the path from the root to the cycle and C
-    those of the cycle, which passes each edge once; each letter names its
-    own edge, so no letters cancel unless C is empty, that is when a and c
-    have equal pot words and (a, c) reads empty: such a word is skipped."""
-    pot: dict[int, tuple] = {}
-    for root in nbrs:
-        if root in pot:
+    breadth-first J-forest, roots and neighbours taken in ascending order,
+    one per edge a < c off it, built from each position's path word from
+    its root (pot) and that word's inverse (top).  A word is w C w^-1, w the
+    letters of the path from the root to the cycle and C those of the cycle,
+    which passes each edge once; each letter names its own edge, so no
+    letters cancel unless C is empty, that is when a and c have equal pot
+    words and (a, c) reads empty: such a word is skipped."""
+    k = len(nbrs)
+    pot: list = [None] * k   # path words from the root, and their inverses
+    top: list = [None] * k
+    for root in range(k):
+        if pot[root] is not None:
             continue
-        pot[root] = ()
+        pot[root] = top[root] = ()
         queue = [(root, root)]
         for x, up in queue:
             px = pot[x]
             for y, s in nbrs[x]:
                 if s not in J:
                     continue
-                if y not in pot:
-                    pot[y] = px + letter.get((x, y), ())
+                py = pot[y]
+                if py is None:
+                    pot[y] = px + letter.get(x * k + y, ())
+                    top[y] = letter.get(y * k + x, ()) + top[x]
                     queue.append((y, x))
-                elif x < y and y != up and ((x, y) in letter or px != pot[y]):
-                    yield px + letter.get((x, y), ()) + tuple(a ^ 1 for a in reversed(pot[y]))
+                elif x < y and y != up and (x * k + y in letter or px != py):
+                    yield px + letter.get(x * k + y, ()) + top[y]
 
 
 def _presentation(b: Building, subset: frozenset):
@@ -124,37 +115,62 @@ def _presentation(b: Building, subset: frozenset):
     of a J0 edge off T is that edge's letter alone, so a Tietze move deletes
     the two; then every J0 edge reads empty and the J0 cells drop out, as do
     the rank-1 cells, each a cycle of a pair holding its type.  Left: the
-    other edges off T, and the ``_cycles`` words of each pair not inside J0.
+    other edges off T, and the ``_cycles`` words of each pair with a type
+    above J0 (the edges of any other pair are J0 edges, and read empty).
     In rank <= 2, J0 holds every type: a connected subset keeps no generator.
 
+    All lists are on positions 0..k-1 of the sorted subset, the edge i -> j
+    keyed ``i * k + j``; ``nbrs[i]``, i's (neighbour, type) pairs in ascending
+    order, comes from one walk of the adjacency (one type per adjacent pair).
     Relators are words of int letters: the non-tree edge i is the generator
     i, crossed forward (from its smaller chamber) as 2i + 1 and backward as
     2i, so ``a >> 1`` is the generator of letter a and ``a ^ 1`` its inverse.
     """
-    nbrs = _neighbours(b, subset)
-    J0 = sorted({s for row in nbrs.values() for _, s in row})[:2]
-    members = _components(nbrs, J0)
-    comp = {x: r for r, xs in members.items() for x in xs}
+    chambers = sorted(subset)
+    k = len(chambers)
+    adj, at = b.system.adjacency, [-1] * b.n
+    for i, x in enumerate(chambers):
+        at[x] = i
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in chambers]
+    types: set[int] = set()
+    for i, x in enumerate(chambers):
+        for s, y in adj[x]:
+            j = at[y]
+            if j >= 0:
+                nbrs[j].append((i, s))
+                types.add(s)
+    last = max(sorted(types)[:2], default=-1)   # J0: the types present up to last
+    # comp[i]: the J0-component of position i, named by its least position
+    comp, members = [-1] * k, {}
+    for root in range(k):
+        if comp[root] < 0:
+            comp[root] = root
+            queue = members[root] = [root]
+            for x in queue:
+                for y, s in nbrs[x]:
+                    if s <= last and comp[y] < 0:
+                        comp[y] = root
+                        queue.append(y)
     # T's other edges: the first edge into each component not yet reached
-    tree: set[tuple[int, int]] = set()
-    queue = members.pop(min(subset)) if subset else []
+    tree: set[int] = set()
+    queue = members.pop(0) if k else []
     for x in queue:
         for y, _ in nbrs[x]:
             if comp[y] in members:
-                tree.add((min(x, y), max(x, y)))
+                tree.add(x * k + y if x < y else y * k + x)
                 queue.extend(members.pop(comp[y]))
     if members:
         raise NotConnected("subset is not gallery-connected")
-    # letter[x, y]: the word of an edge x -> y off T of no type in J0
+    # letter[x * k + y]: the word of an edge x -> y off T of no type in J0
     non_tree: list[tuple[int, int]] = []
-    letter: dict[tuple[int, int], tuple] = {}
-    for x, row in nbrs.items():
+    letter: dict[int, tuple] = {}
+    for x, row in enumerate(nbrs):
         for y, s in row:
-            if x < y and s not in J0 and (x, y) not in tree:
-                letter[x, y] = (2 * len(non_tree) + 1,)
-                letter[y, x] = (2 * len(non_tree),)
-                non_tree.append((x, y))
-    pairs = [J for J in combinations(range(b.system.rank), 2) if not set(J) <= set(J0)]
+            if x < y and s > last and x * k + y not in tree:
+                letter[x * k + y] = (2 * len(non_tree) + 1,)
+                letter[y * k + x] = (2 * len(non_tree),)
+                non_tree.append((chambers[x], chambers[y]))
+    pairs = [J for J in combinations(range(b.system.rank), 2) if J[1] > last]
     return non_tree, sorted({w for J in pairs for w in _cycles(nbrs, J, letter)})
 
 
@@ -172,37 +188,50 @@ def _decide(ngens: int, words: Sequence[tuple[int, ...]], coset_cap: int) -> Tri
     """Whether the group on ``ngens`` generators with the relators ``words``,
     in ``_presentation``'s letters, is trivial: the kill closure, then Smith
     and coset enumeration on the words left once the killed letters, trivial
-    in the group, are deleted.  An elimination certificate names each kill's
-    relator as (generator, exponent) pairs."""
+    in the group, are deleted.  An elimination certificate keeps its kill
+    order with relator indices, decoded to (generator, exponent) pairs when read."""
     killed = _closure(words)
     if len(killed) == ngens:
-        certificate = tuple((g, tuple((a >> 1, 1 if a & 1 else -1) for a in words[i]))
-                            for g, i in killed.items())
-        return TrivialityVerdict(PROVEN_TRIVIAL, certificate=("elimination", certificate))
-    gens = [g for g in range(ngens) if g not in killed]
-    words = [w for w in (
-        _cyclic_reduce(a for a in word if a >> 1 not in killed) for word in words
-    ) if w]
-    if not words:
-        return TrivialityVerdict(PROVEN_NONTRIVIAL, certificate=("free", len(gens)))
-    rows = []
+        return TrivialityVerdict(PROVEN_TRIVIAL, certificate=lambda: ("elimination", tuple(
+            (g, tuple((a >> 1, 1 if a & 1 else -1) for a in words[i])) for g, i in killed.items()
+        )))
+    # per word, one pass: delete killed letters, reduce, sum exponents (a row)
+    reduced, rows = [], []
     for word in words:
-        row: dict[int, int] = {}
+        out: list[int] = []
         for a in word:
-            row[a >> 1] = row.get(a >> 1, 0) + (1 if a & 1 else -1)
-        rows.append({g: v for g, v in row.items() if v})
+            if a >> 1 not in killed:
+                if out and out[-1] == a ^ 1:
+                    out.pop()
+                else:
+                    out.append(a)
+        while len(out) > 1 and out[0] == out[-1] ^ 1:
+            del out[0], out[-1]
+        if out:
+            reduced.append(out)
+            row: dict[int, int] = {}
+            for a in out:
+                v = row.get(a >> 1, 0) + (a & 1) * 2 - 1
+                if v:
+                    row[a >> 1] = v
+                else:
+                    del row[a >> 1]
+            rows.append(row)
+    left = ngens - len(killed)
+    if not reduced:
+        return TrivialityVerdict(PROVEN_NONTRIVIAL, certificate=("free", left))
     factors = _smith_invariants(rows)
-    if len(factors) < len(gens) or factors[-1] != 1:
+    if len(factors) < left or factors[-1] != 1:
         invariants = [d for d in factors if d != 1]
-        invariants += [0] * (len(gens) - len(factors))
+        invariants += [0] * (left - len(factors))
         return TrivialityVerdict(
             PROVEN_NONTRIVIAL, certificate=("abelianization", invariants)
         )
     # coset_table writes generator g as 2g and its inverse as 2g + 1
-    column = {g: i for i, g in enumerate(gens)}
-    words = [tuple(2 * column[a >> 1] + (~a & 1) for a in word) for word in words]
+    column = {g: i for i, g in enumerate(g for g in range(ngens) if g not in killed)}
+    reduced = [tuple(2 * column[a >> 1] + (~a & 1) for a in word) for word in reduced]
     try:
-        n = len(coset_table(len(gens), words, coset_cap))
+        n = len(coset_table(left, reduced, coset_cap))
     except CapExceeded:
         return TrivialityVerdict(INCONCLUSIVE, certificate=("coset-cap", coset_cap))
     if n == 1:
@@ -221,16 +250,19 @@ def _closure(words: Sequence[tuple[int, ...]]) -> dict[int, int]:
     the relators whose count has reached 1, starting in relator order.
     """
     live = [len(w) for w in words]
-    holders: dict[int, list[int]] = {}
+    holders: dict[int, list[int]] = defaultdict(list)
     for i, word in enumerate(words):
         for a in word:
-            holders.setdefault(a >> 1, []).append(i)
+            holders[a >> 1].append(i)
     killed: dict[int, int] = {}
     queue = [i for i, n in enumerate(live) if n == 1]
     for i in queue:
         if live[i] != 1:
             continue
-        g = next(a >> 1 for a in words[i] if a >> 1 not in killed)
+        for a in words[i]:   # stops at the one live letter
+            if a >> 1 not in killed:
+                break
+        g = a >> 1
         killed[g] = i
         for j in holders[g]:
             live[j] -= 1
@@ -239,37 +271,24 @@ def _closure(words: Sequence[tuple[int, ...]]) -> dict[int, int]:
     return killed
 
 
-def _cyclic_reduce(word: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for a in word:
-        if out and out[-1] == a ^ 1:
-            out.pop()
-        else:
-            out.append(a)
-    i, j = 0, len(out) - 1
-    while i < j and out[i] == out[j] ^ 1:
-        i += 1
-        j -= 1
-    return tuple(out[i:j + 1])
-
-
 def _smith_invariants(rows: Sequence[dict[int, int]]) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix given as
     sparse rows {column: entry}; their number is its rank."""
     rows = [dict(r) for r in rows if r]
     diag = []
     while rows:
-        # the first unit entry, else the least in absolute value
-        i, j = next(((i, j) for i, r in enumerate(rows) for j, v in r.items()
-                     if v == 1 or v == -1), None) or min(
-            ((i, j) for i, r in enumerate(rows) for j in r),
-            key=lambda ij: abs(rows[ij[0]][ij[1]]),
-        )
-        pivot = rows[i]
-        p = pivot[j]
-        clean = True
+        # the first unit entry, else the first of least absolute value
+        i = j = p = 0
         for k, r in enumerate(rows):
-            if k != i and j in r:
+            for c, v in r.items():
+                if not p or abs(v) < abs(p):
+                    i, j, p = k, c, v
+            if p == 1 or p == -1:
+                break
+        pivot = rows[i]
+        clean, emptied = True, False
+        for r in rows:
+            if j in r and r is not pivot:
                 q = r[j] // p
                 for c, v in pivot.items():
                     w = r.get(c, 0) - q * v
@@ -277,17 +296,21 @@ def _smith_invariants(rows: Sequence[dict[int, int]]) -> list[int]:
                         r[c] = w
                     else:
                         del r[c]
-                clean = clean and j not in r
+                if not r:
+                    emptied = True
+                elif j in r:
+                    clean = False
         if clean:
             # column j is zero off the pivot row, so column operations
-            # reduce the rest of the pivot row modulo p
-            rest = {c: v % p for c, v in pivot.items() if c != j and v % p}
+            # reduce the rest of the pivot row modulo p, to nothing if p = ±1
+            rest = abs(p) > 1 and {c: v % p for c, v in pivot.items() if c != j and v % p}
             if rest:
                 rows[i] = {j: p, **rest}
             else:
                 diag.append(abs(p))
                 del rows[i]
-        rows = [r for r in rows if r]
+        if emptied:
+            rows = [r for r in rows if r]
     for a in range(len(diag)):
         for c in range(a + 1, len(diag)):
             g = gcd(diag[a], diag[c])
@@ -320,13 +343,13 @@ def opposite_set(b: Building, R: ResidueRef, x: int) -> frozenset:
 
 def _opposite_sets(b: Building, k: int, decide) -> LocalConditionReport:
     """One entry per opposite set of a rank-k residue that ``decide(R, opp)``
-    does not prove trivial."""
+    does not prove trivial (it may return None for a set it proves so)."""
     entries: list[OppositeSetEntry] = []
     for J in combinations(range(b.system.rank), k):
         for R in b.residues_of_type(J):
             for x in R.members:
                 verdict = decide(R, opposite_set(b, R, x))
-                if verdict.status != PROVEN_TRIVIAL:
+                if verdict and verdict.status != PROVEN_TRIVIAL:
                     entries.append(OppositeSetEntry(R.base, J, x, verdict))
     entries.sort(key=lambda e: (e.J, e.residue_base, e.chamber))
     return LocalConditionReport(entries)
@@ -335,12 +358,9 @@ def _opposite_sets(b: Building, k: int, decide) -> LocalConditionReport:
 def check_lco(b: Building) -> LocalConditionReport:
     """Condition (lco): opposite sets in rank-2 residues are connected."""
 
-    def decide(R: ResidueRef, opp: frozenset) -> TrivialityVerdict:
-        conn = connected(opp, R.J, b)
-        return TrivialityVerdict(
-            PROVEN_TRIVIAL if conn else PROVEN_NONTRIVIAL,
-            certificate=tuple(sorted(opp)),
-        )
+    def decide(R: ResidueRef, opp: frozenset) -> Optional[TrivialityVerdict]:
+        if not connected(opp, R.J, b):
+            return TrivialityVerdict(PROVEN_NONTRIVIAL, certificate=tuple(sorted(opp)))
 
     return _opposite_sets(b, 2, decide)
 

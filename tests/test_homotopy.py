@@ -2,9 +2,11 @@
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import twinbuild.homotopy as homotopy
 from twinbuild.catalog import gen_thin, matrix_A1, product
 from twinbuild.codistance import Codistance, from_opposite_chamber
 from twinbuild.errors import NotConnected
@@ -12,6 +14,8 @@ from twinbuild.homotopy import (
     FiltrationViolation,
     PROVEN_NONTRIVIAL,
     PROVEN_TRIVIAL,
+    TrivialityVerdict,
+    _presentation,
     check_lco,
     check_lsco,
     connected,
@@ -296,4 +300,87 @@ def test_certificates_are_pinned(fano, sp43, pg32, pg33):
         "sp43 fop": "5e4ac833d078aec7",
         "pg32 cosets": "16f8099bd21c081c",
         "pg33 fop": "1a939eb2477ed5d4",
+    }
+
+
+def test_lco_certificates_are_pinned(sp42):
+    # sp4(2) is the one catalog fixture that fails lco: each failing rank-2
+    # opposite set is certified by its chambers in ascending order
+    entries = check_lco(sp42).entries
+    assert len(entries) == 45
+    for e in entries:
+        opp = opposite_set(sp42, sp42.residue(e.residue_base, e.J), e.chamber)
+        assert e.verdict == TrivialityVerdict(PROVEN_NONTRIVIAL, tuple(sorted(opp)))
+    assert certificate_digest(entries)[:16] == "ead68af9a7152c23"
+
+
+def test_lsco_decodes_no_kill_relator(pg33, monkeypatch):
+    # check_lsco's own decide path on eight sampled pg3(3) opposite sets: each
+    # is eliminated, no certificate is read while deciding, and each kill
+    # order is kept undecoded; read afterwards, the certificates are the
+    # (generator, exponent) pairs they always were
+    R = pg33.residue(0, (0, 1, 2))
+    sample = random.Random(41).sample(R.members, 8)
+    decide, opposite, verdicts = homotopy._decide, homotopy.opposite_set, []
+
+    def recording(*args):
+        verdicts.append(decide(*args))
+        return verdicts[-1]
+
+    def unread(verdict):
+        raise AssertionError("a certificate was read while deciding")
+
+    with monkeypatch.context() as m:
+        m.setattr(homotopy, "_decide", recording)
+        m.setattr(homotopy, "opposite_set", lambda b, _, x: opposite(b, R, x))
+        m.setattr(pg33, "residues_of_type",
+                  lambda J: [SimpleNamespace(J=R.J, base=R.base, members=sample)])
+        m.setattr(TrivialityVerdict, "certificate",
+                  property(unread, TrivialityVerdict.certificate.fset))
+        assert check_lsco(pg33).ok
+    assert [v.status for v in verdicts] == [PROVEN_TRIVIAL] * 8
+    assert all(callable(vars(v)["_certificate"]) for v in verdicts)
+    assert all(len(v.certificate[1]) == 703 for v in verdicts)
+    assert verdicts == [simply_2_connected(opposite(pg33, R, x), pg33) for x in sample]
+    assert certificate_digest(verdicts)[:16] == "67814a2744dffbe8"
+    fop = simply_2_connected(from_opposite_chamber(pg33, 0).fop(), pg33)
+    assert certificate_digest([fop])[:16] == "1a939eb2477ed5d4"
+
+
+# -- presentations pinned -----------------------------------------------------
+
+
+def presentation_outcomes(b, subsets):
+    """``_presentation`` of each subset, "NotConnected" for one that is not."""
+    outcomes = []
+    for subset in subsets:
+        try:
+            outcomes.append(_presentation(b, frozenset(subset)))
+        except NotConnected:
+            outcomes.append("NotConnected")
+    return outcomes
+
+
+def test_presentations_are_pinned(pg32, pg33):
+    # every generator and every relator, in order: the 315 pg3(2) lsco sets,
+    # eight pg3(3) lsco sets, the pg3(3) f^op from chamber 0, and twelve
+    # seeded pg3(2) subsets, five of them disconnected
+    R2, R3 = pg32.residue(0, (0, 1, 2)), pg33.residue(0, (0, 1, 2))
+    rng = random.Random(41)
+    cases = {
+        "pg32 lsco": (pg32, [opposite_set(pg32, R2, x) for x in R2.members]),
+        "pg33 lsco": (pg33, [opposite_set(pg33, R3, x)
+                             for x in random.Random(41).sample(R3.members, 8)]),
+        "pg33 fop": (pg33, [from_opposite_chamber(pg33, 0).fop()]),
+        "pg32 random": (pg32, [[c for c in range(pg32.n) if rng.random() < p]
+                               for p in (0.97, 0.9, 0.8, 0.6, 0.5, 0.3) * 2]),
+    }
+    outcomes = {name: presentation_outcomes(b, subsets) for name, (b, subsets) in cases.items()}
+    assert outcomes["pg32 random"].count("NotConnected") == 5
+    assert {name: hashlib.sha256(repr(o).encode()).hexdigest()[:16]
+            for name, o in outcomes.items()} == {
+        "pg32 lsco": "102886171628c32b",
+        "pg33 lsco": "3f46d0bd16b883ec",
+        "pg33 fop": "cb45a2c57a650e45",
+        "pg32 random": "de163dd119c4a5f0",
     }

@@ -584,3 +584,24 @@ def test_graph_layer_on_arbitrary_subsets(request, name):
 
     check()
     assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("name", ["fano", "sp42", "pg32"])
+def test_connected_matches_breadth_first_search(request, name):
+    # the one search of ``connected`` against the panel-member search, on
+    # every type set: the empty set, singletons, the whole building, the lco
+    # opposite sets (sp4(2) has disconnected ones) and seeded draws
+    b = request.getfixturevalue(name)
+    rank = b.system.rank
+    type_sets = [J for k in range(1, rank + 1) for J in combinations(range(rank), k)]
+    rng = random.Random(41)
+    subsets = [(), (0,), (b.n - 1,), range(b.n)]
+    subsets += [opposite_set(b, R, x) for J in combinations(range(rank), 2)
+                for R in b.residues_of_type(J)[:3] for x in R.members]
+    subsets += [[c for c in range(b.n) if rng.random() < p] for p in (0.05, 0.2, 0.5, 0.8, 0.95) * 4]
+    answers = set()
+    for subset in subsets:
+        for J in type_sets:
+            answers.add(bfs_connected(b, subset, J))
+            assert connected(subset, J, b) == bfs_connected(b, subset, J), (sorted(subset), J)
+    assert answers == {True, False}
