@@ -11,7 +11,11 @@ per chamber packed by ``WeylTable.pack``: row 0 by breadth-first search,
 which checks that the chamber system is gallery-connected, the rest from
 two known rows by WD2 (``Building._derive_rows``), or by a search where no
 rule applies: 21 rows of 315 on pg3(2), 83 of 2,080 on pg3(3), row 0 alone
-on a thin building.
+on a thin building; a chamber system that row 0 does not reach throughout
+raises ``NotConnected``.  The opposite set of a chamber x in a J-residue R,
+the chambers of R at distance r_J from x, is read off x's delta row
+(``opposite_set``): the local conditions, the panel calculus and the alpha
+test all read it there.
 Building validation is the Bu1-Bu3 pass of ``validate_building``; those
 axioms imply that delta is symmetric and that its length is the gallery distance.
 
@@ -34,7 +38,7 @@ from operator import getitem, itemgetter, methodcaller, or_
 from typing import Iterable, Optional, Sequence
 
 from .coxeter import WeylTable
-from .errors import Disconnected, NotInResidue
+from .errors import NotConnected, NotInResidue
 
 
 @dataclass
@@ -176,7 +180,7 @@ class Building:
         # does, so connectivity is checked on row 0 alone, before packing
         row0 = self._compute_row(0)
         if -1 in row0:
-            raise Disconnected("chamber system not gallery-connected from 0")
+            raise NotConnected("chamber system not gallery-connected from 0")
         self.rows = self._derive_rows(row0)
 
     # -- distance ----------------------------------------------------------
@@ -337,6 +341,12 @@ class Building:
         return len(R1) == len(R2) and all(
             self.proj_chamber(R1, self.proj_chamber(R2, x)) == x for x in R1
         )
+
+
+def opposite_set(b: Building, R: ResidueRef, x: int) -> frozenset:
+    """The chambers of R at distance r_J from x, J the type of R."""
+    rJ, row = b.weyl.longest_element(R.J), b.rows[x]
+    return frozenset(y for y in R.members if row[y] == rJ)
 
 
 def panel_axiom(

@@ -30,9 +30,7 @@ from .catalog import (
 from .chambersys import Building, ChamberSystem, validate_building
 from .codistance import Codistance, from_opposite_chamber, validate_codistance
 from .coxeter import CoxeterMatrix, enumerate_weyl
-from .errors import (
-    CapExceeded, Disconnected, FormatError, NotConnected, TwinbuildError, UnsupportedQ,
-)
+from .errors import CapExceeded, FormatError, NotConnected, TwinbuildError, UnsupportedQ
 from .homotopy import INCONCLUSIVE, PROVEN_TRIVIAL, check_lco, check_lsco, simply_2_connected
 from .twinner import CodistanceAtlas, assemble_twin, atlas_component
 
@@ -160,7 +158,7 @@ def parse_building(text: str) -> Building:
     name, system = parse_chamber_system(text)
     try:
         return Building(system, name=name)
-    except Disconnected as e:
+    except NotConnected as e:
         raise FormatError(str(e))
 
 
@@ -446,7 +444,7 @@ def read_twin(directory: str) -> tuple[Building, CodistanceAtlas]:
         members.append(parse_codistance(_read(path), b))
     try:
         atlas = CodistanceAtlas(b, members, panels)
-    except (ValueError, Disconnected) as e:
+    except (ValueError, NotConnected) as e:
         raise FormatError(str(e))
     return b, atlas
 

@@ -87,17 +87,8 @@ class CoxeterMatrix:
         raise ValueError("criterion implemented for |J| <= 3 only")
 
     def is_3_spherical(self) -> bool:
-        k = self.rank
-        subsets = [
-            (a, b, c)
-            for a in range(k)
-            for b in range(a + 1, k)
-            for c in range(b + 1, k)
-        ]
-        pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
-        return all(self.is_spherical_subset(J) for J in pairs) and all(
-            self.is_spherical_subset(J) for J in subsets
-        )
+        return all(self.is_spherical_subset(J)
+                   for k in (2, 3) for J in combinations(range(self.rank), k))
 
 
 DEFAULT_CAP = 200_000

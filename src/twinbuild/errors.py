@@ -23,10 +23,6 @@ class NameClash(TwinbuildError):
     """Generator name sets of product factors are not disjoint."""
 
 
-class Disconnected(TwinbuildError):
-    """No gallery joins the two chambers."""
-
-
 class NotInResidue(TwinbuildError):
     """A chamber or residue is not contained in the residue at hand."""
 
@@ -48,7 +44,7 @@ class NotOpposite(TwinbuildError):
 
 
 class NotConnected(TwinbuildError):
-    """The chamber subset is not gallery-connected."""
+    """A chamber system, or a chamber subset, is not gallery-connected."""
 
 
 class FormatError(TwinbuildError):

@@ -23,7 +23,7 @@ from itertools import combinations
 from math import gcd
 from typing import Container, Iterable, Optional, Sequence
 
-from .chambersys import Building, ResidueRef
+from .chambersys import Building, ResidueRef, opposite_set
 from .codistance import Codistance
 from .coxeter import coset_table
 from .errors import CapExceeded, NotConnected, TwinbuildError
@@ -335,15 +335,12 @@ class LocalConditionReport:
         return not self.entries
 
 
-def opposite_set(b: Building, R: ResidueRef, x: int) -> frozenset:
-    """The chambers of R at distance r_J from x, J the type of R."""
-    rJ, row = b.weyl.longest_element(R.J), b.rows[x]
-    return frozenset(y for y in R.members if row[y] == rJ)
-
-
 def _opposite_sets(b: Building, k: int, decide) -> LocalConditionReport:
     """One entry per opposite set of a rank-k residue that ``decide(R, opp)``
-    does not prove trivial (it may return None for a set it proves so)."""
+    does not prove trivial (it may return None for a set it proves so), in
+    (J, residue base, chamber) order: the order the loops append in, as J
+    runs through ``combinations``, the residues by ascending base and the
+    chambers of each in ascending order."""
     entries: list[OppositeSetEntry] = []
     for J in combinations(range(b.system.rank), k):
         for R in b.residues_of_type(J):
@@ -351,7 +348,6 @@ def _opposite_sets(b: Building, k: int, decide) -> LocalConditionReport:
                 verdict = decide(R, opposite_set(b, R, x))
                 if verdict and verdict.status != PROVEN_TRIVIAL:
                     entries.append(OppositeSetEntry(R.base, J, x, verdict))
-    entries.sort(key=lambda e: (e.J, e.residue_base, e.chamber))
     return LocalConditionReport(entries)
 
 

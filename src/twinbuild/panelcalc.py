@@ -14,9 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .chambersys import Building, ResidueRef
+from .chambersys import Building, ResidueRef, opposite_set
 from .codistance import Codistance, fop_c, panels_op, unique_chamber
-from .homotopy import opposite_set
 from .errors import (
     NotEquivalent,
     NotInResidue,

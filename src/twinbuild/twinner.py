@@ -17,7 +17,9 @@ from itertools import combinations, compress
 from operator import and_, or_
 from typing import ClassVar, Iterable, Optional, Sequence
 
-from .chambersys import Building, ChamberSystem, ResidueRef, panel_table, validate_building
+from .chambersys import (
+    Building, ChamberSystem, ResidueRef, opposite_set, panel_table, validate_building,
+)
 from .codistance import Codistance, panels_op, proj_f, validate_codistance
 from .coxeter import WeylTable
 from .errors import (
@@ -25,7 +27,6 @@ from .errors import (
     PreconditionFailed,
     TwinbuildError,
 )
-from .homotopy import opposite_set
 from .panelcalc import (
     beta,  # re-exported: perfbench/selftest.py checks twinner.beta
     beta_maps,

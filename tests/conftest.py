@@ -43,7 +43,7 @@ def fop_masks(atlas) -> list[int]:
 
 
 # Opposition in a residue R of type J, delta = r_J, read straight off the
-# delta rows: the oracles the tests hold ``homotopy.opposite_set`` to.
+# delta rows: the oracles the tests hold ``chambersys.opposite_set`` to.
 def opposite_chambers(b: Building, R: ResidueRef, x: int, y: int) -> bool:
     if x not in R or y not in R:
         raise NotInResidue(f"{x} or {y} not in residue")

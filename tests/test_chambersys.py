@@ -37,7 +37,7 @@ from twinbuild.chambersys import (
 )
 from twinbuild.codistance import from_opposite_chamber
 from twinbuild.coxeter import CoxeterMatrix, enumerate_weyl
-from twinbuild.errors import Disconnected, NotInResidue
+from twinbuild.errors import NotConnected, NotInResidue
 from twinbuild.twinner import CodistanceAtlas, _check_plus_star, atlas_component
 
 
@@ -164,7 +164,7 @@ def test_moved_chamber_fails_validation(fano):
         building = Building(system, name="mutated")
         report = validate_building(building)
         assert not report.ok
-    except (ValueError, Disconnected):
+    except (ValueError, NotConnected):
         pass  # the mutation may already break the chamber system
 
 
@@ -282,7 +282,7 @@ def panel_swaps(b: Building, rng: random.Random, count: int):
                 b.weyl, b.n, [[tuple(sorted(p)) for p in fam] for fam in panels]
             )
             yield Building(system, name="swapped")
-        except (ValueError, Disconnected):
+        except (ValueError, NotConnected):
             continue
 
 
@@ -373,7 +373,7 @@ def test_validator_matches_reference_on_large_panel_swaps(request, name, count):
 def test_disconnected_raises():
     table = enumerate_weyl(CoxeterMatrix(("a",), ((1,),)))
     system = ChamberSystem(table, 4, [[(0, 1), (2, 3)]])
-    with pytest.raises(Disconnected):
+    with pytest.raises(NotConnected):
         Building(system, name="twopieces")
 
 
@@ -733,7 +733,7 @@ def test_plus_star_verdict_on_reference_rows_of_plus_panel_swaps(pg23):
         try:
             swapped = CodistanceAtlas(
                 pg23, atlas.members, [[tuple(sorted(p)) for p in fam] for fam in panels])
-        except (ValueError, Disconnected):
+        except (ValueError, NotConnected):
             continue
         ref = copy.copy(swapped)
         ref.plus = on_reference_rows(swapped.plus)

@@ -8,6 +8,7 @@ import pytest
 
 import twinbuild.homotopy as homotopy
 from twinbuild.catalog import gen_thin, matrix_A1, product
+from twinbuild.chambersys import opposite_set
 from twinbuild.codistance import Codistance, from_opposite_chamber
 from twinbuild.errors import NotConnected
 from twinbuild.homotopy import (
@@ -19,7 +20,6 @@ from twinbuild.homotopy import (
     check_lco,
     check_lsco,
     connected,
-    opposite_set,
     residual_filtration,
     simply_2_connected,
 )

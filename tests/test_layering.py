@@ -27,11 +27,17 @@ they monkeypatch.
 Every dataclass field is read, by the package, the acceptance tests or the
 benchmark, and no dataclass stores a field named ``ok``: a report's verdict
 is a property derived from the evidence it carries.
+
+The construction does not join the hypotheses: only ``cli`` imports
+``homotopy``, the checker of (lco) and (lsco), and importing the twin
+construction (``twinner``, ``panelcalc``) does not load it.
 """
 
 import ast
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -617,3 +623,55 @@ def test_unread_fields_are_found():
         ("a.py", "R.spare"),
         ("a.py", "R.late"),
     ]
+
+
+# -- who imports the hypothesis checker ---------------------------------------
+
+
+def package_imports(tree):
+    """The package modules a tree imports, relatively or by their
+    ``twinbuild.`` name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = (("twinbuild." if node.level else "") + (node.module or "")).rstrip(".")
+            dotted = ([f"{module}.{a.name}" for a in node.names] if module == "twinbuild"
+                      else [module])
+        else:
+            continue
+        yield from (d.split(".")[1] for d in dotted if d.startswith("twinbuild."))
+
+
+def importers(sources, target):
+    """The modules of ``sources`` ({module: source}) that import ``target``."""
+    return {m for m, src in sources.items() if target in package_imports(ast.parse(src))}
+
+
+def test_only_the_cli_imports_the_hypothesis_checker():
+    assert importers(package_sources(ROOT), "homotopy") == {"cli.py"}
+
+
+def test_importers_are_found():
+    sources = {
+        "a.py": "from .homotopy import check_lco\n",
+        "b.py": "from . import codistance, homotopy\n",
+        "c.py": "import twinbuild.homotopy as h\n",
+        "d.py": "from twinbuild.homotopy import connected\n",
+        "e.py": "from twinbuild import homotopy\n",
+        "f.py": "from .chambersys import opposite_set\nimport homotopy\n",
+        "g.py": "from twinbuild import chambersys\nhomotopy = 1\n",
+    }
+    assert importers(sources, "homotopy") == {"a.py", "b.py", "c.py", "d.py", "e.py"}
+
+
+def test_the_construction_does_not_load_the_hypothesis_checker():
+    code = (
+        "import sys\n"
+        "import twinbuild.twinner, twinbuild.panelcalc\n"
+        "assert 'twinbuild.homotopy' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

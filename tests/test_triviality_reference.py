@@ -32,7 +32,7 @@ from sympy.combinatorics.fp_groups import FpGroup, coset_enumeration_r
 from sympy.combinatorics.free_groups import free_group
 from sympy.matrices.normalforms import smith_normal_form
 
-from twinbuild.chambersys import Building
+from twinbuild.chambersys import Building, opposite_set
 from twinbuild.codistance import from_opposite_chamber
 from twinbuild.errors import NotConnected
 from twinbuild.homotopy import (
@@ -46,7 +46,6 @@ from twinbuild.homotopy import (
     _presentation,
     _smith_invariants,
     connected,
-    opposite_set,
     residual_filtration,
     simply_2_connected,
 )
