@@ -1,7 +1,8 @@
 """Codistances: W-valued maps on chambers satisfying the panel axiom.
 
-Values are stored as one row of Weyl ids, one byte each while they fit
-(``WeylTable.pack``); equality and hashing use it to deduplicate atlas members.
+A codistance holds its building and its value row alone, the row packed one
+byte per Weyl id while they fit (``WeylTable.pack``).  The atlas deduplicates
+its members on these rows; ``Codistance.__eq__`` serves AC8.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ class Codistance:
             raise ValueError(f"value {values[c]} at chamber {c} is not a Weyl id")
         self.building = building
         self.values = table.pack(values)
-        # s -> the s-panels meeting f^op, filled by panels_op
-        self._psop_cache: dict[int, tuple[ResidueRef, ...]] = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -162,17 +161,13 @@ def fop_c(f: Codistance, c: int) -> tuple[int, ...]:
 
 
 def panels_op(f: Codistance, s: int) -> tuple[ResidueRef, ...]:
-    """The s-panels meeting f^op in ascending base, memoized on f: ascending
-    index in the building's s-partition is ascending base.  The index is
-    read through f's identity marks, so no f^op tuple is kept on f."""
-    got = f._psop_cache.get(s)
-    if got is None:
-        b = f.building
-        panels, index = b.partition((s,))
-        met = set(compress(index, b.weyl.identity_marks(f.values)))
-        got = tuple(map(panels.__getitem__, sorted(met)))
-        f._psop_cache[s] = got
-    return got
+    """P_s^op(f) in ascending base (s-partition index, read through f's
+    identity marks), listed on each call.  ``pi``, ``beta``, ``beta_maps``
+    and ``adjacent_codistance`` test a panel they are handed against it."""
+    b = f.building
+    panels, index = b.partition((s,))
+    met = set(compress(index, b.weyl.identity_marks(f.values)))
+    return tuple(map(panels.__getitem__, sorted(met)))
 
 
 def unique_chamber(f: Codistance, x: int, w: int) -> int:

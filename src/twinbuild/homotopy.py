@@ -181,15 +181,16 @@ def simply_2_connected(subset: Iterable[int], b: Building) -> TrivialityVerdict:
     non_tree, relators = _presentation(b, subset)
     if not non_tree:
         return TrivialityVerdict(PROVEN_TRIVIAL, certificate="forest")
-    return _decide(len(non_tree), relators, DEFAULT_COSET_CAP)
+    return _decide(len(non_tree), relators)
 
 
-def _decide(ngens: int, words: Sequence[tuple[int, ...]], coset_cap: int) -> TrivialityVerdict:
+def _decide(ngens: int, words: Sequence[tuple[int, ...]]) -> TrivialityVerdict:
     """Whether the group on ``ngens`` generators with the relators ``words``,
     in ``_presentation``'s letters, is trivial: the kill closure, then Smith
     and coset enumeration on the words left once the killed letters, trivial
     in the group, are deleted.  An elimination certificate keeps its kill
-    order with relator indices, decoded to (generator, exponent) pairs when read."""
+    order with relator indices, decoded to (generator, exponent) pairs when read.
+    ``DEFAULT_COSET_CAP``, read at each call, bounds the coset enumeration."""
     killed = _closure(words)
     if len(killed) == ngens:
         return TrivialityVerdict(PROVEN_TRIVIAL, certificate=lambda: ("elimination", tuple(
@@ -231,9 +232,9 @@ def _decide(ngens: int, words: Sequence[tuple[int, ...]], coset_cap: int) -> Tri
     column = {g: i for i, g in enumerate(g for g in range(ngens) if g not in killed)}
     reduced = [tuple(2 * column[a >> 1] + (~a & 1) for a in word) for word in reduced]
     try:
-        n = len(coset_table(left, reduced, coset_cap))
+        n = len(coset_table(left, reduced, DEFAULT_COSET_CAP))
     except CapExceeded:
-        return TrivialityVerdict(INCONCLUSIVE, certificate=("coset-cap", coset_cap))
+        return TrivialityVerdict(INCONCLUSIVE, certificate=("coset-cap", DEFAULT_COSET_CAP))
     if n == 1:
         return TrivialityVerdict(PROVEN_TRIVIAL, certificate=("cosets", 1))
     return TrivialityVerdict(PROVEN_NONTRIVIAL, certificate=("order", n))

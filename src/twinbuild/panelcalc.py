@@ -151,15 +151,20 @@ def panels_op_c(f: Codistance, s: int, c: int) -> tuple[ResidueRef, ...]:
 def pi(f: Codistance, P: ResidueRef, w: int) -> ResidueRef:
     """The panel of type w^-1 s w at distance w from P characterized by
     containing a chamber with f-value w, seen from the gap of P: its one
-    chamber outside f^op, of f-value s."""
-    return _transport(f, panel_type(P), w, {})(P)
+    chamber outside f^op, of f-value s.  A w outside X_s is refused first,
+    then a P outside P_s^op(f), which ``_transport`` does not test."""
+    pi_w = _transport(f, s := panel_type(P), w, {})
+    if P not in panels_op(f, s):
+        raise PreconditionFailed("panel does not meet f^op")
+    return pi_w(P)
 
 
 def _transport(
     f: Codistance, s: int, w: int, gaps: dict[ResidueRef, int]
 ) -> Callable[[ResidueRef], ResidueRef]:
-    """P -> pi(P, w) on the s-panels of f, with w tested for X_s once, each
-    image found once, and the gap of each panel kept in ``gaps``."""
+    """P -> pi(P, w) on the panels of P_s^op(f), with w tested for X_s once,
+    each image found once, and each gap tested (an atlas seed is never
+    validated) and kept in ``gaps``; ``pi`` tests that P meets f^op."""
     b = f.building
     table = b.weyl
     ok, t = table.in_X_s(w, s)
@@ -171,8 +176,6 @@ def _transport(
     def pi_w(P: ResidueRef) -> ResidueRef:
         if P not in images:
             if P not in gaps:
-                if P not in panels_op(f, s):
-                    raise PreconditionFailed("panel does not meet f^op")
                 gap = [x for x in P.members if values[x] != 0]
                 if len(gap) != 1 or values[gap[0]] != table.gen(s):
                     raise PreconditionFailed("panel does not meet f^op correctly")

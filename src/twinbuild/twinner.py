@@ -56,8 +56,11 @@ def adjacent_codistance(f: Codistance, s: int, Ptilde: ResidueRef, p: int) -> Co
     the panel P (AC8) is checked on every call: the delta rows at the
     chambers beta_P(p), over every panel P and mark p, are compared with f's
     row whole (``_adjacent_rows``), and a chamber outside case (i) that lies
-    in the orbits of two marks is refused.  Only g_p is validated.
+    in the orbits of two marks is refused.  Only g_p is validated, and a
+    Ptilde outside P_s^op(f) is refused first.
     """
+    if Ptilde not in panels_op(f, s):
+        raise PreconditionFailed("Ptilde does not meet f^op")
     rows = _adjacent_rows(f, s, Ptilde)
     if p not in rows:
         raise PreconditionFailed("p must be a chamber of Ptilde inside f^op")
@@ -75,15 +78,13 @@ def _member(b: Building, row: Sequence[int]) -> Codistance:
 def _adjacent_rows(f: Codistance, s: int, Ptilde: ResidueRef) -> dict[int, Sequence[int]]:
     """The value rows of the s-neighbours of f, one per chamber p of Ptilde
     in f^op, in ascending p (``adjacent_codistance``), packed and not
-    validated.
+    validated.  Ptilde is in P_s^op(f): the public callers test or ensure it.
 
     Rows are ints of ``WeylTable.lanes``, lane c for chamber c; the zero
     lanes of the XOR of a delta row and f's (``WeylTable.lane_masks``) mark
     the chambers where the two agree."""
     b = f.building
     table = b.weyl
-    if Ptilde not in panels_op(f, s):
-        raise PreconditionFailed("Ptilde does not meet f^op")
     row, bits, lanes = f.values, table.lane_bits, table.lanes
     full, hi, zero = table.lane_masks(b.n)
     values = lanes(row)

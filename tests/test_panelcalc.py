@@ -317,7 +317,7 @@ def test_pi_rejects_foreign_panel(fano):
     outside = next(
         P for P in fano.residues_of_type((s,)) if P not in panels_op(f, s)
     )
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(PreconditionFailed, match=r"^panel does not meet f\^op$"):
         pi(f, outside, 0)
 
 

@@ -35,6 +35,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from twinbuild.chambersys import Building, opposite_set
 from twinbuild.codistance import from_opposite_chamber
 from twinbuild.errors import NotConnected
+import twinbuild.homotopy as homotopy
 from twinbuild.homotopy import (
     DEFAULT_COSET_CAP,
     INCONCLUSIVE,
@@ -282,10 +283,11 @@ TRIANGLE_237 = [((0, 1),) * 2, ((1, 1),) * 3, ((2, 1),) * 7, ((0, 1), (1, 1), (2
     (2, TRIVIAL_PERFECT, DEFAULT_COSET_CAP, TrivialityVerdict(PROVEN_TRIVIAL, ("cosets", 1))),
     (3, TRIANGLE_237, 2000, TrivialityVerdict(INCONCLUSIVE, ("coset-cap", 2000))),
 ], ids=["A5", "trivial-perfect", "triangle-237"])
-def test_coset_enumeration(g, relators, cap, expected):
+def test_coset_enumeration(g, relators, cap, expected, monkeypatch):
     words = [tuple(2 * gen + (exp > 0) for gen, exp in rel) for rel in relators]
     assert list(map(pairs, words)) == relators
-    assert _decide(g, words, cap) == expected
+    monkeypatch.setattr(homotopy, "DEFAULT_COSET_CAP", cap)
+    assert _decide(g, words) == expected
     assert sympy_decide(g, relators, cap) == expected
 
 
@@ -439,7 +441,7 @@ def reference_decision(b, subset):
     if not non_tree:
         return TrivialityVerdict(PROVEN_TRIVIAL, certificate="forest")
     words = [tuple(2 * gen + (exp > 0) for gen, exp in rel) for rel in relators]
-    return _decide(len(non_tree), words, DEFAULT_COSET_CAP)
+    return _decide(len(non_tree), words)
 
 
 def assert_same_decision_as_reference(b, subset):

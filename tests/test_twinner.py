@@ -38,6 +38,8 @@ from twinbuild.errors import (
     TwinbuildError,
 )
 from twinbuild.panelcalc import beta, panel_key, panels_op, panels_op_c
+import twinbuild.codistance as codistance
+import twinbuild.panelcalc as panelcalc
 import twinbuild.twinner as twinner
 from twinbuild.twinner import (
     CodistanceAtlas,
@@ -145,7 +147,7 @@ def test_adjacent_codistance_preconditions(fano):
     outside = next(
         P for P in b.residues_of_type((s,)) if P not in panels_op(f, s)
     )
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(PreconditionFailed, match=r"^Ptilde does not meet f\^op$"):
         adjacent_codistance(f, s, outside, outside.base)
 
 
@@ -875,18 +877,18 @@ def test_opposition_refuses_a_tilde_smaller_than_its_panels(fano, pg23, s):
 def test_assembly_keeps_no_fop_tuple_on_its_members(fano, fano_atlas):
     # the opposition and plus-star checks read f^op off the masks and the
     # value rows: members read from files, as ``twin verify`` reads them,
-    # keep their building, their value row and the ``panels_op`` memo alone
+    # keep their building and their value row alone
     _, atlas = fano_atlas
     fresh = CodistanceAtlas(fano, [Codistance(fano, g.values) for g in atlas.members],
                             atlas.panels)
     assert assemble_twin(fresh, fano).report.ok
-    assert all(vars(g).keys() == {"building", "values", "_psop_cache"} for g in fresh.members)
+    assert all(vars(g).keys() == {"building", "values"} for g in fresh.members)
 
 
 def test_atlas_keeps_no_fop_tuple_and_panels_op_is_unchanged(pg23):
     # ``panels_op`` reads the s-partition index through the identity marks
     # of a member's row; the panels are those read off the f^op tuple, and
-    # a member keeps its building, its value row and that memo alone
+    # a member keeps its building and its value row alone
     atlas = atlas_component(from_opposite_chamber(pg23, 0))
     for g in atlas.members:
         fop = g.fop()
@@ -894,7 +896,24 @@ def test_atlas_keeps_no_fop_tuple_and_panels_op_is_unchanged(pg23):
             panels, index = pg23.partition((s,))
             assert panels_op(g, s) == tuple(
                 map(panels.__getitem__, sorted(set(map(index.__getitem__, fop)))))
-    assert all(vars(g).keys() == {"building", "values", "_psop_cache"} for g in atlas.members)
+    assert all(vars(g).keys() == {"building", "values"} for g in atlas.members)
+
+
+def test_atlas_lists_panels_op_twice_per_plus_panel(pg23, monkeypatch):
+    # P_s^op(g) is listed once by the atlas step and once by ``beta_maps``;
+    # the f^op search and ``_adjacent_rows`` do not test it again
+    calls = []
+    original = codistance.panels_op
+
+    def counted(f, s):
+        calls.append(s)
+        return original(f, s)
+
+    for module in (codistance, panelcalc, twinner):
+        monkeypatch.setattr(module, "panels_op", counted)
+    atlas = atlas_component(from_opposite_chamber(pg23, 0))
+    assert sum(map(len, atlas.panels)) == 26
+    assert len(calls) == 52
 
 
 def tw_axioms_reference(minus, plus, atlas):
